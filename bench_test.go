@@ -22,6 +22,7 @@ import (
 	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
+	"busprefetch/internal/trace"
 	"busprefetch/internal/workload"
 )
 
@@ -244,21 +245,38 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// benchTrace materializes workload name's trace at scale 0.2, seed 1,
+// annotated under strat, so a timed loop replays it from memory and
+// measures the simulator alone.
+func benchTrace(b *testing.B, name string, strat prefetch.Strategy) *trace.Trace {
+	b.Helper()
+	w, err := workload.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, _, err := w.Source(workload.Params{Scale: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err = prefetch.AnnotateSource(src, prefetch.Options{Strategy: strat, Geometry: memory.DefaultGeometry()}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := trace.Materialize(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
 // BenchmarkSimulator measures raw simulation throughput (events/sec) on the
 // mp3d workload — the performance of the Charlie-analogue core.
 func BenchmarkSimulator(b *testing.B) {
-	w, err := workload.ByName("mp3d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTrace(b, "mp3d", prefetch.NP)
 	cfg := sim.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, tr); err != nil {
+		if _, err := sim.RunSource(cfg, trace.FromTrace(tr)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,19 +292,8 @@ func BenchmarkSimulator(b *testing.B) {
 //
 //	go test -bench 'BenchmarkSimulator$|BenchmarkObsOverhead' -count 10
 func BenchmarkObsOverhead(b *testing.B) {
-	w, err := workload.ByName("mp3d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTrace(b, "mp3d", prefetch.PREF)
 	cfg := sim.DefaultConfig()
-	tr, err := prefetch.Annotate(base, prefetch.Options{Strategy: prefetch.PREF, Geometry: cfg.Geometry})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, bc := range []struct {
 		name string
 		rec  func() *obs.Recorder
@@ -299,7 +306,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runCfg := cfg
 				runCfg.Obs = bc.rec()
-				if _, err := sim.Run(runCfg, tr); err != nil {
+				if _, err := sim.RunSource(runCfg, trace.FromTrace(tr)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -319,14 +326,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 //
 //	go test -bench 'BenchmarkSimulator$|BenchmarkOnlineOverhead' -count 10
 func BenchmarkOnlineOverhead(b *testing.B) {
-	w, err := workload.ByName("mp3d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTrace(b, "mp3d", prefetch.NP)
 	cfg := sim.DefaultConfig()
 	for _, bc := range []struct {
 		name   string
@@ -341,7 +341,7 @@ func BenchmarkOnlineOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runCfg := cfg
 				runCfg.Online = bc.online
-				if _, err := sim.Run(runCfg, tr); err != nil {
+				if _, err := sim.RunSource(runCfg, trace.FromTrace(tr)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,26 +350,26 @@ func BenchmarkOnlineOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAnnotate measures offline prefetch-insertion throughput.
+// BenchmarkAnnotate measures offline prefetch-insertion throughput: the
+// PWS annotator, sharing pre-pass included, drained over an in-memory
+// pverify trace.
 func BenchmarkAnnotate(b *testing.B) {
-	w, err := workload.ByName("pverify")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTrace(b, "pverify", prefetch.NP)
 	geom := memory.DefaultGeometry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prefetch.Annotate(tr, prefetch.Options{Strategy: prefetch.PWS, Geometry: geom}); err != nil {
+		src, err := prefetch.AnnotateSource(trace.FromTrace(tr), prefetch.Options{Strategy: prefetch.PWS, Geometry: geom}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := trace.CountEvents(src); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTraceGeneration measures workload generator throughput.
+// BenchmarkTraceGeneration measures workload generator throughput, draining
+// every processor's streamed events.
 func BenchmarkTraceGeneration(b *testing.B) {
 	for _, name := range []string{"topopt", "mp3d", "water"} {
 		b.Run(name, func(b *testing.B) {
@@ -378,7 +378,11 @@ func BenchmarkTraceGeneration(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: int64(i + 1)}); err != nil {
+				src, _, err := w.Source(workload.Params{Scale: 0.2, Seed: int64(i + 1)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := trace.CountEvents(src); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		execTrace  = fs.String("exectrace", "", "write a runtime/trace execution trace to this file")
-		materialize = fs.Bool("materialize", false, "materialize full traces before simulating instead of the streaming hot path (slower; same results)")
 		timeout    = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none); a timed-out cell is retried per -retries")
 		retries    = fs.Int("retries", 0, "extra attempts for retryably-failing cells (stalls, timeouts, transient faults)")
 		resume     = fs.String("resume", "", "checkpoint directory: completed cells persist here and an interrupted sweep resumes from it")
@@ -139,8 +138,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *jobs, Protocol: proto,
-		Prefetcher: pfKind, Interconnect: icCfg, Timeout: *timeout, Retries: *retries,
-		Materialize: *materialize}
+		Prefetcher: pfKind, Interconnect: icCfg, Timeout: *timeout, Retries: *retries}
 	if *resume != "" {
 		store, err := runner.OpenCheckpointStore(*resume)
 		if err != nil {

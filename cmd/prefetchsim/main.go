@@ -120,7 +120,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed         = fs.Int64("seed", 1, "workload generator seed")
 		restructured = fs.Bool("restructured", false, "use the false-sharing-restructured layout")
 		jobs         = fs.Int("jobs", 0, "worker pool size for -all strategy runs (0 = GOMAXPROCS)")
-		materialize  = fs.Bool("materialize", false, "materialize the full trace before simulating instead of the streaming hot path (slower; same results)")
 		distance     = fs.Int("distance", 0, "prefetch distance in cycles (0 = strategy default)")
 		regions      = fs.Bool("regions", false, "attribute CPU misses to workload data structures")
 		tracePath    = fs.String("trace", "", "replay a saved binary trace instead of generating a workload")
@@ -195,12 +194,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		strategies = append(strategies, s)
 	}
 
-	// The default path is fully streaming: the workload source (or the
-	// decoded BPTR source) feeds the annotator feeds the simulator in
-	// fixed-size chunks. -materialize builds the whole trace up front
-	// instead; both paths produce identical results.
+	// The pipeline is fully streaming: the workload source (or the decoded
+	// BPTR source) feeds the annotator feeds the simulator in fixed-size
+	// chunks.
 	var (
-		base *trace.Trace
 		src  trace.Source
 		info workload.Info
 	)
@@ -209,35 +206,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *materialize {
-			base, err = trace.Decode(f)
-		} else {
-			src, err = trace.DecodeSource(f)
-		}
+		src, err = trace.DecodeSource(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return err
 		}
-		name := ""
-		if base != nil {
-			name = base.Name
-		} else {
-			name = src.Name()
-		}
-		info = workload.Info{Name: name, Description: "replayed from " + *tracePath}
+		info = workload.Info{Name: src.Name(), Description: "replayed from " + *tracePath}
 	} else {
 		w, err := workload.ByName(*wlName)
 		if err != nil {
 			return fmt.Errorf("unknown workload %q (valid: %s)", *wlName, workloadNames())
 		}
-		params := workload.Params{Procs: *procs, Scale: *scale, Seed: *seed, Restructured: *restructured}
-		if *materialize {
-			base, info, err = w.Generate(params)
-		} else {
-			src, info, err = w.Source(params)
-		}
+		src, info, err = w.Source(workload.Params{Procs: *procs, Scale: *scale, Seed: *seed, Restructured: *restructured})
 		if err != nil {
 			return err
 		}
@@ -255,13 +237,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var st trace.Stats
-	if base != nil {
-		st = trace.Summarize(base, cfg.Geometry)
-	} else {
-		if st, err = trace.SummarizeSource(src, cfg.Geometry); err != nil {
-			return err
-		}
+	st, err := trace.SummarizeSource(src, cfg.Geometry)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "workload %s: %d procs, %d demand refs (%d reads, %d writes), %d locks, %d barriers\n",
 		info.Name, st.Procs, st.DemandRefs, st.Reads, st.Writes, st.Locks, st.Barriers)
@@ -295,35 +273,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 					runCfg.Online = prefetch.OnlineConfig{Kind: pfKind, Strategy: s}
 					runCfg.Label += "/" + pfKind.String()
 				}
-				var res *sim.Result
-				if base != nil {
-					annotated, err := prefetch.ByKind(pfKind).Annotate(base, opts)
-					if err != nil {
-						return err
-					}
-					if *traceOut != "" {
-						// -all is excluded above, so this is the only task and
-						// the recorder assignment is race-free.
-						rec = obs.New(annotated.Procs(), obs.Options{Spans: true})
-						runCfg.Obs = rec
-					}
-					res, err = sim.RunContext(ctx, runCfg, annotated)
-					if err != nil {
-						return fmt.Errorf("strategy %s: %w", s, err)
-					}
-				} else {
-					annotated, err := prefetch.ByKind(pfKind).AnnotateSource(src, opts, nil)
-					if err != nil {
-						return err
-					}
-					if *traceOut != "" {
-						rec = obs.New(annotated.Procs(), obs.Options{Spans: true})
-						runCfg.Obs = rec
-					}
-					res, err = sim.RunSourceContext(ctx, runCfg, annotated)
-					if err != nil {
-						return fmt.Errorf("strategy %s: %w", s, err)
-					}
+				annotated, err := prefetch.ByKind(pfKind).AnnotateSource(src, opts, nil)
+				if err != nil {
+					return err
+				}
+				if *traceOut != "" {
+					// -all is excluded above, so this is the only task and
+					// the recorder assignment is race-free.
+					rec = obs.New(annotated.Procs(), obs.Options{Spans: true})
+					runCfg.Obs = rec
+				}
+				res, err := sim.RunSourceContext(ctx, runCfg, annotated)
+				if err != nil {
+					return fmt.Errorf("strategy %s: %w", s, err)
 				}
 				results[i] = res
 				return nil

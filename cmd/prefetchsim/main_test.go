@@ -166,6 +166,36 @@ func TestRunCorruptTraceRejected(t *testing.T) {
 	}
 }
 
+// TestRunInvalidTraceRejected replays a well-formed file whose trace breaks
+// the lock rules behind a deadlock (p1 waits on the lock p0 holds across the
+// barrier, so a replay never reaches p1's bad release). The replay must fail
+// up front with the rule's diagnosis and print nothing, not stall.
+func TestRunInvalidTraceRejected(t *testing.T) {
+	tr := &trace.Trace{Name: "hidden", Streams: []trace.Stream{
+		{{Kind: trace.Lock, Addr: 0x40}, {Kind: trace.Barrier, Addr: 1}, {Kind: trace.Unlock, Addr: 0x40}},
+		{{Kind: trace.Lock, Addr: 0x40}, {Kind: trace.Unlock, Addr: 0x80}, {Kind: trace.Barrier, Addr: 1}},
+	}}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "hidden.bptr")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-trace", path}, &out)
+	if err == nil {
+		t.Fatal("invalid trace accepted")
+	}
+	if !strings.Contains(err.Error(), "releases unheld lock 0x80") {
+		t.Errorf("error %q does not name the broken lock rule", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("invalid trace printed output before failing:\n%s", out.String())
+	}
+}
+
 func TestRunInterconnectFlags(t *testing.T) {
 	var out bytes.Buffer
 	err := run(context.Background(), []string{"-workload", "water", "-strategy", "PREF",

@@ -1,6 +1,6 @@
 // Command tracegen generates a workload's multiprocessor address trace,
 // prints its statistics and sharing profile, and can save it in the binary
-// trace format (readable back by the library's trace.Decode).
+// trace format (replayable with prefetchsim -trace).
 //
 // Usage:
 //
@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t, info, err := w.Generate(workload.Params{Procs: *procs, Scale: *scale, Seed: *seed, Restructured: *restructured})
+	base, info, err := w.Source(workload.Params{Procs: *procs, Scale: *scale, Seed: *seed, Restructured: *restructured})
 	if err != nil {
 		fatal(err)
 	}
@@ -53,25 +53,35 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if strat != prefetch.NP {
-		t, err = prefetch.Annotate(t, prefetch.Options{Strategy: strat, Geometry: geom})
-		if err != nil {
-			fatal(err)
-		}
+	src, err := prefetch.AnnotateSource(base, prefetch.Options{Strategy: strat, Geometry: geom}, nil)
+	if err != nil {
+		fatal(err)
 	}
 
-	st := trace.Summarize(t, geom)
+	st, err := trace.SummarizeSource(src, geom)
+	if err != nil {
+		fatal(err)
+	}
+	overhead := 0.0
+	if st.DemandRefs > 0 {
+		overhead = float64(st.Prefetches) / float64(st.DemandRefs)
+	}
 	fmt.Printf("workload %s (%s)\n", info.Name, info.Description)
 	fmt.Printf("  processes:      %d\n", st.Procs)
 	fmt.Printf("  events:         %d\n", st.Events)
 	fmt.Printf("  demand refs:    %d (%d reads, %d writes, %d sync locks)\n", st.DemandRefs, st.Reads, st.Writes, st.Locks)
-	fmt.Printf("  prefetches:     %d (overhead %.1f%%)\n", st.Prefetches, 100*prefetch.Overhead(t))
+	fmt.Printf("  prefetches:     %d (overhead %.1f%%)\n", st.Prefetches, 100*overhead)
 	fmt.Printf("  barriers:       %d\n", st.Barriers)
 	fmt.Printf("  data touched:   %d KB (declared data set %d KB)\n", st.TouchedData/1024, info.DataSet/1024)
 	fmt.Printf("  shared data:    %d KB touched by >1 process\n", st.SharedData/1024)
 	fmt.Printf("  write-shared:   %d KB\n", st.WriteShared/1024)
 
-	prof := trace.AnalyzeSharing(t, geom)
+	// Sharing ignores prefetch events, so the unannotated source gives the
+	// same profile without re-running the annotator.
+	prof, err := trace.AnalyzeSharingSource(base, geom)
+	if err != nil {
+		fatal(err)
+	}
 	priv, rs, ws := prof.Counts()
 	fmt.Printf("  lines: %d private, %d read-shared, %d write-shared\n", priv, rs, ws)
 
@@ -84,6 +94,10 @@ func main() {
 			fatal(err)
 		}
 		defer os.Remove(f.Name())
+		t, err := trace.Materialize(src)
+		if err != nil {
+			fatal(err)
+		}
 		if err := trace.Encode(f, t); err != nil {
 			fatal(err)
 		}

@@ -51,7 +51,7 @@ func (s *Suite) runConfig(ctx context.Context, label, wl string, strat prefetch.
 	// layouts (conflict-pair placement, padding) stay consistent with the
 	// simulated cache. The trace cache keys on geometry, so sweeps that vary
 	// only the simulator configuration (protocol, latency, distance, victim
-	// cache) share one generation, as do ablations at the default geometry
+	// cache) share one plan, as do ablations at the default geometry
 	// and the main suite grid.
 	opts := prefetch.Options{Strategy: strat, Geometry: cfg.Geometry}
 	if annotate != nil {

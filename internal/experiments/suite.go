@@ -46,14 +46,6 @@ type Config struct {
 	Interconnect interconnect.Config
 	// Parallelism bounds concurrent simulations; 0 selects GOMAXPROCS.
 	Parallelism int
-	// Materialize disables the streaming hot path: every cell generates its
-	// full trace, annotates it in memory, and replays the materialized
-	// result — the pre-fusion pipeline. The default (false) streams events
-	// generator → annotator → simulator in pooled chunks with nothing
-	// materialized. Results are identical either way (the streaming seam is
-	// byte-exact); the flag exists as an escape hatch and as the comparison
-	// baseline for the performance suite.
-	Materialize bool
 	// PerRun, when non-nil, adjusts one run's simulator configuration just
 	// before it executes (after the suite's own fields are applied). Tests
 	// use it to enable invariant checking or to poison a single cell with
@@ -121,10 +113,9 @@ func (k Key) String() string {
 
 // Suite runs and memoizes simulations. Parallel execution is delegated to
 // internal/runner: a bounded worker pool shards the independent cells, a
-// singleflight trace cache generates each (workload, scale, seed,
-// restructured, geometry) trace exactly once, and every reduction happens in
-// canonical cell order, so the rendered output is byte-identical at any
-// worker count.
+// singleflight trace cache plans each (workload, scale, seed, restructured,
+// geometry) source exactly once, and every reduction happens in canonical
+// cell order, so the rendered output is byte-identical at any worker count.
 type Suite struct {
 	cfg    Config
 	pool   *runner.Pool
@@ -179,22 +170,6 @@ func (s *Suite) traceKey(name string, restructured bool, g memory.Geometry) runn
 	}
 }
 
-// traceFor returns (generating on first use) the unannotated trace for a
-// workload variant at the given layout geometry; the zero geometry selects
-// the default. The underlying cache is shared with the ablations, so an
-// ablation at the default geometry reuses the suite's base traces.
-func (s *Suite) traceFor(ctx context.Context, name string, restructured bool, g memory.Geometry) (*trace.Trace, workload.Info, error) {
-	return s.traces.Get(ctx, s.traceKey(name, restructured, g), func() (*trace.Trace, workload.Info, error) {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, workload.Info{}, err
-		}
-		return w.Generate(workload.Params{
-			Scale: s.cfg.Scale, Seed: s.cfg.Seed, Restructured: restructured, Geometry: g,
-		})
-	})
-}
-
 // sourceFor returns (planning on first use) the unannotated streaming
 // source for a workload variant. Planning does the layout and sizing work
 // only; events are produced on demand every time the source is drained,
@@ -214,10 +189,8 @@ func (s *Suite) sourceFor(ctx context.Context, name string, restructured bool, g
 
 // runCell is the shared cell executor: it resolves a workload variant,
 // annotates it with prefetcher pf under opt, and simulates it under cfg.
-// By default the whole pipeline streams — events flow generator →
-// annotator → simulator in pooled chunks, nothing materialized; under
-// Config.Materialize it runs the pre-fusion generate/annotate/replay
-// pipeline instead. The two are result-identical.
+// The whole pipeline streams — events flow generator → annotator →
+// simulator in pooled chunks, nothing materialized.
 //
 // genGeom is the layout geometry the trace is generated at (zero selects
 // the default); opt.Geometry is the annotation geometry, which PerRun
@@ -227,21 +200,6 @@ func (s *Suite) sourceFor(ctx context.Context, name string, restructured bool, g
 func (s *Suite) runCell(ctx context.Context, cfg sim.Config, wl string, restructured bool,
 	genGeom memory.Geometry, pf prefetch.Kind, opt prefetch.Options,
 	preRun func(procs int, cfg *sim.Config)) (*sim.Result, error) {
-	p := prefetch.ByKind(pf)
-	if s.cfg.Materialize {
-		t, _, err := s.traceFor(ctx, wl, restructured, genGeom)
-		if err != nil {
-			return nil, err
-		}
-		annotated, err := p.Annotate(t, opt)
-		if err != nil {
-			return nil, err
-		}
-		if preRun != nil {
-			preRun(annotated.Procs(), &cfg)
-		}
-		return sim.RunContext(ctx, cfg, annotated)
-	}
 	src, _, err := s.sourceFor(ctx, wl, restructured, genGeom)
 	if err != nil {
 		return nil, err
@@ -255,7 +213,7 @@ func (s *Suite) runCell(ctx context.Context, cfg sim.Config, wl string, restruct
 			return nil, err
 		}
 	}
-	annotated, err := p.AnnotateSource(src, opt, prof)
+	annotated, err := prefetch.ByKind(pf).AnnotateSource(src, opt, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -263,12 +221,6 @@ func (s *Suite) runCell(ctx context.Context, cfg sim.Config, wl string, restruct
 		preRun(annotated.Procs(), &cfg)
 	}
 	return sim.RunSourceContext(ctx, cfg, annotated)
-}
-
-// baseTrace returns the default-geometry trace for a workload variant.
-func (s *Suite) baseTrace(ctx context.Context, name string, restructured bool) (*trace.Trace, error) {
-	t, _, err := s.traceFor(ctx, name, restructured, memory.Geometry{})
-	return t, err
 }
 
 // recordTimings appends pool timings for the benchmark report.
@@ -466,8 +418,8 @@ func (e *CellErrors) Failures() []runner.CellFailure {
 // store is configured), so a resumed sweep recomputes only what is missing.
 //
 // Concurrent cells that need the same base trace do not duplicate its
-// generation: the trace cache singleflights, so the first cell generates
-// while the rest wait, then all share the immutable trace. Each cell runs
+// plan: the trace cache singleflights, so the first cell plans while the
+// rest wait, then all drain the same restartable source. Each cell runs
 // its own simulator with its own progress watchdog (sim.Config.WatchdogCycles),
 // so a hung cell aborts alone.
 func (s *Suite) Prewarm(ctx context.Context, keys []Key, progress func(done, total int)) error {

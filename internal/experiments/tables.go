@@ -65,17 +65,9 @@ func (s *Suite) Table1() ([]Table1Row, error) {
 	return rows, nil
 }
 
-// refsPerProc counts a workload's demand references per processor. The
-// streaming default drains the source once without materializing the trace;
-// Materialize reads the count off the cached trace.
+// refsPerProc counts a workload's demand references per processor,
+// draining the source once without materializing the trace.
 func (s *Suite) refsPerProc(name string) (int, error) {
-	if s.cfg.Materialize {
-		t, err := s.baseTrace(context.Background(), name, false)
-		if err != nil {
-			return 0, err
-		}
-		return t.DemandRefs() / t.Procs(), nil
-	}
 	src, _, err := s.sourceFor(context.Background(), name, false, memory.Geometry{})
 	if err != nil {
 		return 0, err
@@ -636,13 +628,6 @@ func RenderTable5(rows []Table5Row, transfers []int) string {
 // SharingSummary summarizes a workload's sharing profile (supporting data
 // for Table 1 and DESIGN.md).
 func (s *Suite) SharingSummary(name string) (trace.Stats, error) {
-	if s.cfg.Materialize {
-		t, err := s.baseTrace(context.Background(), name, false)
-		if err != nil {
-			return trace.Stats{}, err
-		}
-		return trace.Summarize(t, memory.DefaultGeometry()), nil
-	}
 	src, _, err := s.sourceFor(context.Background(), name, false, memory.Geometry{})
 	if err != nil {
 		return trace.Stats{}, err

@@ -1,14 +1,14 @@
 package prefetch
 
 // The pluggable prefetcher kernel. The paper's prefetcher is an offline
-// oracle: Annotate inserts prefetch events into the trace with perfect
+// oracle: AnnotateSource inserts prefetch events into the trace with perfect
 // knowledge of future misses. This file extracts the seam that lets online
 // engines — prefetchers that train on the demand stream *during* the
 // simulation, with no future knowledge — slot in beside it, mirroring how
 // internal/coherence extracted Protocol from the simulator.
 //
-// A Prefetcher is the selectable unit: the oracle (Annotate wrapped behind
-// the interface) or one of three online engines. Online engines implement
+// A Prefetcher is the selectable unit: the oracle (AnnotateSource wrapped
+// behind the interface) or one of three online engines. Online engines implement
 // Engine, the per-processor training/prediction unit the simulator drives:
 // the proc loop shows every demand reference to Observe, which may return
 // candidate prefetch line addresses; the simulator issues them as bus
@@ -35,7 +35,7 @@ import (
 type Kind int
 
 const (
-	// Oracle is the paper's offline prefetcher: Annotate inserts prefetch
+	// Oracle is the paper's offline prefetcher: AnnotateSource inserts prefetch
 	// events into the trace ahead of predicted misses, with perfect
 	// coverage by construction. The zero value, so a zero sim.Config runs
 	// exactly as before the online kernel existed.
@@ -89,19 +89,14 @@ type Prefetcher interface {
 	Kind() Kind
 	// String returns the prefetcher's presentation name.
 	String() string
-	// Annotate prepares a trace for a run under this prefetcher. The
-	// oracle inserts prefetch events per the options; online prefetchers
-	// return an unmodified clone — their prefetches are issued at
-	// simulation time by the Engine, so the replayed stream is exactly
-	// the NP demand stream.
-	Annotate(t *trace.Trace, opt Options) (*trace.Trace, error)
-	// AnnotateSource is Annotate over a streaming trace.Source — the
-	// fused hot path. The oracle returns a transforming source whose
-	// streams are byte-identical to Annotate's output; online
-	// prefetchers return src unchanged (sources are read-only, so no
-	// clone is needed). prof optionally supplies a memoized sharing
-	// profile (computed with opt.Geometry) for the strategies that need
-	// whole-trace knowledge; nil means compute it on demand.
+	// AnnotateSource prepares a trace for a run under this prefetcher.
+	// The oracle returns a source with prefetch events inserted per the
+	// options; online prefetchers return src unchanged — their
+	// prefetches are issued at simulation time by the Engine, so the
+	// replayed stream is exactly the NP demand stream. prof optionally
+	// supplies a memoized sharing profile (computed with opt.Geometry)
+	// for the strategies that need whole-trace knowledge; nil means
+	// compute it on demand.
 	AnnotateSource(src trace.Source, opt Options, prof *trace.SharingProfile) (trace.Source, error)
 	// NewEngine returns a fresh per-processor online engine, or nil for
 	// the oracle (which needs none). Engines are stateful and must not be
@@ -308,31 +303,18 @@ type oraclePrefetcher struct{}
 
 func (oraclePrefetcher) Kind() Kind     { return Oracle }
 func (oraclePrefetcher) String() string { return Oracle.String() }
-func (oraclePrefetcher) Annotate(t *trace.Trace, opt Options) (*trace.Trace, error) {
-	return Annotate(t, opt)
-}
 func (oraclePrefetcher) AnnotateSource(src trace.Source, opt Options, prof *trace.SharingProfile) (trace.Source, error) {
 	return AnnotateSource(src, opt, prof)
 }
 func (oraclePrefetcher) NewEngine(EngineOptions) Engine { return nil }
 
 // onlinePrefetcher is the shared Prefetcher wrapper for the online
-// engines: annotation is a validated clone (the demand stream replays
-// unmodified), and NewEngine dispatches on the kind.
+// engines: annotation validates the options and passes the demand stream
+// through unmodified, and NewEngine dispatches on the kind.
 type onlinePrefetcher struct{ kind Kind }
 
 func (p onlinePrefetcher) Kind() Kind     { return p.kind }
 func (p onlinePrefetcher) String() string { return p.kind.String() }
-
-func (p onlinePrefetcher) Annotate(t *trace.Trace, opt Options) (*trace.Trace, error) {
-	if err := opt.Geometry.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Strategy < NP || opt.Strategy >= NumStrategies {
-		return nil, fmt.Errorf("prefetch: bad strategy %d", int(opt.Strategy))
-	}
-	return t.Clone(), nil
-}
 
 func (p onlinePrefetcher) AnnotateSource(src trace.Source, opt Options, _ *trace.SharingProfile) (trace.Source, error) {
 	if err := opt.Geometry.Validate(); err != nil {
@@ -343,7 +325,7 @@ func (p onlinePrefetcher) AnnotateSource(src trace.Source, opt Options, _ *trace
 	}
 	// Online engines replay the unmodified demand stream; their
 	// prefetches are issued at simulation time. Sources are read-only,
-	// so the stream passes through without even Annotate's clone.
+	// so the stream passes through as is.
 	return src, nil
 }
 

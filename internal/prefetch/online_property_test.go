@@ -6,6 +6,7 @@ import (
 	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
+	"busprefetch/internal/trace"
 )
 
 // Property tests for the online engines, extending the annotation-time
@@ -21,7 +22,7 @@ import (
 func TestOnlinePreservesDemandStream(t *testing.T) {
 	geom := memory.DefaultGeometry()
 	for name, base := range generateAll(t) {
-		baseline, err := sim.Run(sim.DefaultConfig(), base)
+		baseline, err := sim.RunSource(sim.DefaultConfig(), trace.FromTrace(base))
 		if err != nil {
 			t.Fatalf("%s/NP: %v", name, err)
 		}
@@ -29,7 +30,7 @@ func TestOnlinePreservesDemandStream(t *testing.T) {
 			if !k.Online() {
 				continue
 			}
-			annotated, err := prefetch.ByKind(k).Annotate(base, prefetch.Options{Strategy: prefetch.PREF, Geometry: geom})
+			annotated, err := annotateWith(k, base, prefetch.Options{Strategy: prefetch.PREF, Geometry: geom})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, k, err)
 			}
@@ -45,7 +46,7 @@ func TestOnlinePreservesDemandStream(t *testing.T) {
 			}
 			cfg := sim.DefaultConfig()
 			cfg.Online = prefetch.OnlineConfig{Kind: k, Strategy: prefetch.PREF}
-			res, err := sim.Run(cfg, annotated)
+			res, err := sim.RunSource(cfg, trace.FromTrace(annotated))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, k, err)
 			}
@@ -83,7 +84,7 @@ func TestMissRateOrderingOnline(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.Online = prefetch.OnlineConfig{Kind: k, Strategy: prefetch.PREF}
 			cfg.CheckInvariants = true
-			res, err := sim.Run(cfg, base)
+			res, err := sim.RunSource(cfg, trace.FromTrace(base))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, k, err)
 			}

@@ -2,12 +2,9 @@ package prefetch
 
 import (
 	"fmt"
-	"sort"
 
-	"busprefetch/internal/filter"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/names"
-	"busprefetch/internal/trace"
 )
 
 // Strategy selects a prefetching discipline.
@@ -83,153 +80,4 @@ func (o Options) distance() uint64 {
 		return LongDistance
 	}
 	return DefaultDistance
-}
-
-// Annotate returns a copy of t with prefetch instructions inserted according
-// to the options. With Strategy NP the trace is cloned unchanged (so callers
-// can uniformly mutate the result).
-func Annotate(t *trace.Trace, opt Options) (*trace.Trace, error) {
-	if err := opt.Geometry.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Strategy < NP || opt.Strategy >= NumStrategies {
-		return nil, fmt.Errorf("prefetch: bad strategy %d", int(opt.Strategy))
-	}
-	if opt.Strategy == NP {
-		return t.Clone(), nil
-	}
-	out := &trace.Trace{Name: t.Name, Streams: make([]trace.Stream, t.Procs())}
-
-	if opt.ExcludeWriteShared && opt.Strategy == PWS {
-		return nil, fmt.Errorf("prefetch: ExcludeWriteShared contradicts PWS")
-	}
-
-	// PWS needs the global write-shared line set, which only the whole
-	// trace reveals — the stand-in for the compiler's knowledge of which
-	// data structures are write-shared. ExcludeWriteShared needs the same
-	// set to suppress those lines instead.
-	var isWS func(memory.Addr) bool
-	if opt.Strategy == PWS || opt.ExcludeWriteShared {
-		prof := trace.AnalyzeSharing(t, opt.Geometry)
-		isWS = prof.WriteShared
-	}
-
-	for p, s := range t.Streams {
-		out.Streams[p] = annotateStream(s, opt, isWS)
-	}
-	return out, nil
-}
-
-// insertion is one prefetch to place immediately before event index at.
-type insertion struct {
-	at  int
-	ev  trace.Event
-	seq int
-}
-
-func annotateStream(s trace.Stream, opt Options, isWS func(memory.Addr) bool) trace.Stream {
-	miss := filter.MarkMisses(s, opt.Geometry)
-	var wsMiss []bool
-	if isWS != nil && opt.Strategy == PWS {
-		wsMiss = filter.MarkWriteSharedMisses(s, opt.Geometry, isWS)
-	}
-
-	// start[i] is the estimated CPU cycle at which event i begins, assuming
-	// every access hits: Gap instruction cycles precede it, and each prior
-	// event costs Gap+1.
-	start := make([]uint64, len(s)+1)
-	var clock uint64
-	for i, e := range s {
-		start[i] = clock + uint64(e.Gap)
-		clock += uint64(e.Gap) + 1
-	}
-	start[len(s)] = clock
-
-	dist := opt.distance()
-	var ins []insertion
-	for i, e := range s {
-		wantPref := miss[i] || (wsMiss != nil && wsMiss[i])
-		if !wantPref || !e.Kind.IsDemand() {
-			continue
-		}
-		if opt.ExcludeWriteShared && isWS != nil && isWS(e.Addr) {
-			continue
-		}
-		kind := trace.Prefetch
-		if opt.Strategy == EXCL && e.Kind == trace.Write && miss[i] {
-			kind = trace.PrefetchExcl
-		}
-		at := placeBefore(start, i, dist)
-		ins = append(ins, insertion{at: at, ev: trace.Event{Kind: kind, Addr: e.Addr}, seq: len(ins)})
-	}
-	if len(ins) == 0 {
-		return append(trace.Stream(nil), s...)
-	}
-	// Keep insertions ordered by position, then by the order of their
-	// target accesses, so earlier-needed data is requested first.
-	sort.Slice(ins, func(a, b int) bool {
-		if ins[a].at != ins[b].at {
-			return ins[a].at < ins[b].at
-		}
-		return ins[a].seq < ins[b].seq
-	})
-
-	outLen := len(s) + len(ins)
-	out := make(trace.Stream, 0, outLen)
-	k := 0
-	for i, e := range s {
-		for k < len(ins) && ins[k].at == i {
-			out = append(out, ins[k].ev)
-			k++
-		}
-		out = append(out, e)
-	}
-	for k < len(ins) {
-		out = append(out, ins[k].ev)
-		k++
-	}
-	return out
-}
-
-// placeBefore returns the largest event index j <= i such that the estimated
-// cycles between the start of event j and the start of event i are at least
-// dist — the latest insertion point that still hides dist cycles. It returns
-// 0 when the stream's beginning is closer than dist.
-func placeBefore(start []uint64, i int, dist uint64) int {
-	target := start[i]
-	if target <= dist {
-		return 0
-	}
-	want := target - dist
-	// Binary search for the last j with start[j] <= want.
-	lo, hi := 0, i
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if start[mid] <= want {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
-// Overhead reports the instruction overhead the annotation added: the number
-// of prefetch events per demand reference.
-func Overhead(annotated *trace.Trace) float64 {
-	var pref, demand int
-	for _, s := range annotated.Streams {
-		for _, e := range s {
-			switch {
-			case e.Kind.IsPrefetch():
-				pref++
-			case e.Kind.IsDemand():
-				demand++
-			}
-		}
-	}
-	if demand == 0 {
-		return 0
-	}
-	return float64(pref) / float64(demand)
 }

@@ -9,9 +9,19 @@ import (
 
 func geom() memory.Geometry { return memory.DefaultGeometry() }
 
+// annotate runs the shipping annotator over a hand-built trace and
+// materializes its output.
+func annotate(tr *trace.Trace, opt Options) (*trace.Trace, error) {
+	src, err := AnnotateSource(trace.FromTrace(tr), opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Materialize(src)
+}
+
 func TestNPIsIdentity(t *testing.T) {
 	tr := &trace.Trace{Streams: []trace.Stream{{{Kind: trace.Read, Addr: 0x1000}}}}
-	out, err := Annotate(tr, Options{Strategy: NP, Geometry: geom()})
+	out, err := annotate(tr, Options{Strategy: NP, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +43,7 @@ func TestPREFInsertsBeforePredictedMisses(t *testing.T) {
 	}
 	s = append(s, trace.Event{Kind: trace.Read, Addr: 0x9000, Gap: 4})
 	tr := &trace.Trace{Streams: []trace.Stream{s}}
-	out, err := Annotate(tr, Options{Strategy: PREF, Geometry: geom()})
+	out, err := annotate(tr, Options{Strategy: PREF, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,7 @@ func TestEstimatedDistanceRespected(t *testing.T) {
 	}
 	tr := &trace.Trace{Streams: []trace.Stream{s}}
 	for _, dist := range []int{50, 100, 400} {
-		out, err := Annotate(tr, Options{Strategy: PREF, Geometry: geom(), Distance: dist})
+		out, err := annotate(tr, Options{Strategy: PREF, Geometry: geom(), Distance: dist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +138,7 @@ func TestEXCLMarksOnlyPredictedWriteMisses(t *testing.T) {
 		{Kind: trace.Write, Addr: 0x2004, Gap: 200}, // hit (same line)
 	}
 	tr := &trace.Trace{Streams: []trace.Stream{s}}
-	out, err := Annotate(tr, Options{Strategy: EXCL, Geometry: geom()})
+	out, err := annotate(tr, Options{Strategy: EXCL, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +162,7 @@ func TestEXCLMarksOnlyPredictedWriteMisses(t *testing.T) {
 func TestPREFNeverUsesExclusive(t *testing.T) {
 	s := trace.Stream{{Kind: trace.Write, Addr: 0x2000, Gap: 200}}
 	tr := &trace.Trace{Streams: []trace.Stream{s}}
-	out, err := Annotate(tr, Options{Strategy: PREF, Geometry: geom()})
+	out, err := annotate(tr, Options{Strategy: PREF, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +208,11 @@ func TestPWSAddsRedundantWriteSharedPrefetches(t *testing.T) {
 		writer = append(writer, trace.Event{Kind: trace.Write, Addr: memory.Addr(0x8000 + 32*i), Gap: 5})
 	}
 	tr := &trace.Trace{Streams: []trace.Stream{mkStream(), writer}}
-	pref, err := Annotate(tr, Options{Strategy: PREF, Geometry: geom()})
+	pref, err := annotate(tr, Options{Strategy: PREF, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pws, err := Annotate(tr, Options{Strategy: PWS, Geometry: geom()})
+	pws, err := annotate(tr, Options{Strategy: PWS, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +248,7 @@ func TestPWSSkipsWriteSharedLinesWithGoodLocality(t *testing.T) {
 		writer = append(writer, trace.Event{Kind: trace.Write, Addr: memory.Addr(0x8000 + 32*i), Gap: 5})
 	}
 	tr := &trace.Trace{Streams: []trace.Stream{s, writer}}
-	pws, err := Annotate(tr, Options{Strategy: PWS, Geometry: geom()})
+	pws, err := annotate(tr, Options{Strategy: PWS, Geometry: geom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,19 +260,6 @@ func TestPWSSkipsWriteSharedLinesWithGoodLocality(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("PWS issued %d prefetches of a filter-resident shared line, want 1 (cold only)", n)
-	}
-}
-
-func TestOverhead(t *testing.T) {
-	tr := &trace.Trace{Streams: []trace.Stream{{
-		{Kind: trace.Prefetch, Addr: 0},
-		{Kind: trace.Read, Addr: 0},
-		{Kind: trace.Read, Addr: 4},
-		{Kind: trace.Write, Addr: 8},
-		{Kind: trace.Prefetch, Addr: 64},
-	}}}
-	if got := Overhead(tr); got != 2.0/3.0 {
-		t.Errorf("Overhead = %f, want 2/3", got)
 	}
 }
 
@@ -280,7 +277,7 @@ func TestAnnotatedTraceStaysValid(t *testing.T) {
 		},
 	}}
 	for _, st := range Strategies() {
-		out, err := Annotate(tr, Options{Strategy: st, Geometry: geom()})
+		out, err := annotate(tr, Options{Strategy: st, Geometry: geom()})
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
 		}

@@ -17,13 +17,27 @@ func generateAll(t *testing.T) map[string]*trace.Trace {
 	t.Helper()
 	traces := make(map[string]*trace.Trace)
 	for _, w := range workload.All() {
-		tr, _, err := w.Generate(workload.Params{Scale: 0.05, Seed: 1})
+		src, _, err := w.Source(workload.Params{Scale: 0.05, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		tr, err := trace.Materialize(src)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		traces[w.Name] = tr
 	}
 	return traces
+}
+
+// annotateWith runs prefetcher k's shipping annotator over base and
+// materializes the result.
+func annotateWith(k prefetch.Kind, base *trace.Trace, opt prefetch.Options) (*trace.Trace, error) {
+	src, err := prefetch.ByKind(k).AnnotateSource(trace.FromTrace(base), opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Materialize(src)
 }
 
 // demandOnly strips a stream to its demand references.
@@ -43,7 +57,7 @@ func demandOnly(s trace.Stream) []trace.Event {
 func TestAnnotatePreservesDemandStream(t *testing.T) {
 	for name, base := range generateAll(t) {
 		for _, st := range prefetch.Strategies() {
-			annotated, err := prefetch.Annotate(base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
+			annotated, err := annotateWith(prefetch.Oracle, base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st, err)
 			}
@@ -89,11 +103,11 @@ func TestAnnotatePreservesDemandStream(t *testing.T) {
 func TestMissRateOrdering(t *testing.T) {
 	for name, base := range generateAll(t) {
 		for _, st := range prefetch.Strategies() {
-			annotated, err := prefetch.Annotate(base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
+			annotated, err := annotateWith(prefetch.Oracle, base, prefetch.Options{Strategy: st, Geometry: memory.DefaultGeometry()})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st, err)
 			}
-			res, err := sim.Run(sim.DefaultConfig(), annotated)
+			res, err := sim.RunSource(sim.DefaultConfig(), trace.FromTrace(annotated))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, st, err)
 			}

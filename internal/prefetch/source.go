@@ -8,28 +8,35 @@ import (
 	"busprefetch/internal/trace"
 )
 
-// AnnotateSource is Annotate over a streaming trace.Source: it returns
-// a Source whose streams carry the same prefetch insertions, in the
-// same positions, as Annotate would produce on the materialized trace —
-// byte-identical by construction — without materializing either the
+// AnnotateSource is the paper's offline oracle annotator: it returns a
+// Source whose streams carry src's events with prefetch instructions
+// inserted according to the options, without materializing either the
 // input or the output.
 //
-// The oracle algorithm needs bounded lookback, not whole-stream
-// access: an insertion for event i lands at placeBefore(i), which is at
-// most `distance` events earlier (every event costs at least one
-// estimated cycle), and placeBefore is monotone in i (estimated start
-// times strictly increase). So a sliding window of the last ~distance
-// events suffices, and insertions emerge already ordered by
-// (position, target order), exactly the order Annotate's sort yields.
+// A uniprocessor filter cache of opt.Geometry predicts each processor's
+// misses; each predicted demand miss gets a prefetch for its address,
+// placed at the latest event that still starts at least the prefetch
+// distance earlier in estimated CPU cycles (every event costs Gap+1
+// cycles, as if every access hit). Prefetches that land at the same
+// position keep the order of their target accesses, so earlier-needed
+// data is requested first.
+//
+// The algorithm needs bounded lookback, not whole-stream access: an
+// insertion for event i lands at most `distance` events earlier (every
+// event costs at least one estimated cycle), and the landing position
+// is monotone in i (estimated start times strictly increase). So a
+// sliding window of the last ~distance events suffices, and insertions
+// emerge already in (position, target order) order. The batch
+// reference oracle in the package tests checks this event by event.
 //
 // PWS and ExcludeWriteShared need the whole-trace write-shared line
-// set. When prof is non-nil it is used directly (it must have been
-// computed with opt.Geometry — callers memoize it per trace and
-// geometry); otherwise a streaming pre-pass drains src once to compute
-// it.
+// set — the stand-in for the compiler's knowledge of which data
+// structures are write-shared. When prof is non-nil it is used directly
+// (it must have been computed with opt.Geometry — callers memoize it per
+// trace and geometry); otherwise a streaming pre-pass drains src once to
+// compute it.
 //
-// With Strategy NP src itself is returned: sources are read-only, so
-// the defensive clone Annotate performs is unnecessary.
+// With Strategy NP src itself is returned: sources are read-only.
 func AnnotateSource(src trace.Source, opt Options, prof *trace.SharingProfile) (trace.Source, error) {
 	if err := opt.Geometry.Validate(); err != nil {
 		return nil, err
@@ -78,7 +85,7 @@ func (s *oracleSource) Events(proc int) trace.Iterator {
 
 // annRing is a growable power-of-two ring buffer holding the
 // not-yet-final window of events. Events and their estimated start cycles
-// live in parallel arrays: the monotone placeBefore scan touches only
+// live in parallel arrays: the monotone placement scan touches only
 // starts, and final events bulk-copy straight out of the event array.
 type annRing struct {
 	evs    []trace.Event
@@ -137,12 +144,9 @@ type pendingIns struct {
 // the ring's initial capacity.
 const annEmitBatch = 256
 
-// annotateStreaming replays annotateStream's algorithm over an event
-// stream with an incremental miss filter and a bounded window. The
-// emitted sequence is identical to annotateStream's: start times are
-// computed by the same clock, misses by the same filter fed in the
-// same order, and insertions land at the same placeBefore positions in
-// the same relative order.
+// annotateStreaming runs the oracle over one processor's event stream
+// with an incremental miss filter and a bounded window, emitting the
+// annotated stream through flush.
 func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) bool, flush func([]trace.Event) []trace.Event) error {
 	mainF := filter.NewCache(opt.Geometry)
 	var pwsF *filter.Cache
@@ -165,7 +169,7 @@ func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) 
 	var clock uint64
 	idx := 0     // absolute index of the event being processed
 	flushed := 0 // absolute index of the first not-yet-emitted position
-	place := 0   // monotone placeBefore pointer: last j with start[j] <= want
+	place := 0   // monotone placement pointer: last j with start[j] <= want
 
 	// emitRun pops k final window events, bulk-copying contiguous ring
 	// spans — the common case between insertion positions.
@@ -283,36 +287,4 @@ func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) 
 	emitFinal(idx)
 	flush(out)
 	return nil
-}
-
-// OverheadSource reports the annotation's instruction overhead —
-// prefetch events per demand reference — by draining src once.
-func OverheadSource(src trace.Source) (float64, error) {
-	var pref, demand int
-	for p := 0; p < src.Procs(); p++ {
-		it := src.Events(p)
-		for {
-			chunk, err := it.Next()
-			if err != nil {
-				it.Close()
-				return 0, err
-			}
-			if chunk == nil {
-				break
-			}
-			for _, e := range chunk {
-				switch {
-				case e.Kind.IsPrefetch():
-					pref++
-				case e.Kind.IsDemand():
-					demand++
-				}
-			}
-		}
-		it.Close()
-	}
-	if demand == 0 {
-		return 0, nil
-	}
-	return float64(pref) / float64(demand), nil
 }

@@ -10,8 +10,8 @@ import (
 
 func TestBenchReportRoundTrip(t *testing.T) {
 	c := NewTraceCache()
-	_, _, _ = c.Get(context.Background(), testKey("water", false), generate("water", false))
-	_, _, _ = c.Get(context.Background(), testKey("water", false), generate("water", false))
+	_, _, _ = c.GetSource(context.Background(), testKey("water", false), generate("water", false))
+	_, _, _ = c.GetSource(context.Background(), testKey("water", false), generate("water", false))
 	timings := []Timing{
 		{Label: "b-cell", Duration: 30 * time.Millisecond},
 		{Label: "a-cell", Duration: 20 * time.Millisecond},

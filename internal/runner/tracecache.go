@@ -10,10 +10,10 @@ import (
 	"busprefetch/internal/workload"
 )
 
-// TraceKey identifies one generated workload trace. Two suite cells that
-// agree on every field replay the identical trace, so generating it twice is
-// pure waste — at the paper sweep each workload's five strategies share one
-// generation.
+// TraceKey identifies one workload trace. Two suite cells that agree on
+// every field replay the identical trace, so they share one planned source
+// and, per geometry, one sharing profile — at the paper sweep each
+// workload's five strategies share one plan.
 type TraceKey struct {
 	Workload     string
 	Procs        int
@@ -33,26 +33,26 @@ func (k TraceKey) NormalizeGeometry() TraceKey {
 	return k
 }
 
-// traceEntry is one cache slot. ready is closed once the generating
-// goroutine has filled t/info/err; the fields are immutable afterwards.
-type traceEntry struct {
+// sourceEntry is one cache slot. ready is closed once the planning
+// goroutine has filled src/info/err; the fields are immutable afterwards.
+type sourceEntry struct {
 	ready chan struct{}
-	t     *trace.Trace
+	src   trace.Source
 	info  workload.Info
 	err   error
 }
 
-// TraceCache memoizes generated traces with singleflight semantics: the
-// first goroutine to ask for a key generates it while later askers block on
-// the same entry, so concurrent workers never duplicate a generation and
-// never share a half-built trace (workload builders are single-goroutine
-// objects; the cache hands out only completed, immutable traces).
+// TraceCache memoizes planned workload sources with singleflight
+// semantics: the first goroutine to ask for a key plans it while later
+// askers block on the same entry, so concurrent workers never duplicate a
+// plan. Sources are restartable and return a fresh iterator per Events
+// call, so one cached source serves any number of concurrent cells; the
+// events themselves are generated anew on every drain.
 //
-// Failed generations are memoized too: a broken configuration fails once and
+// Failed plans are memoized too: a broken configuration fails once and
 // every cell that needs it gets the same error.
 type TraceCache struct {
 	mu       sync.Mutex
-	entries  map[TraceKey]*traceEntry
 	sources  map[TraceKey]*sourceEntry
 	profiles map[profileKey]*profileEntry
 	hits     uint64
@@ -61,83 +61,28 @@ type TraceCache struct {
 
 // NewTraceCache returns an empty cache.
 func NewTraceCache() *TraceCache {
-	return &TraceCache{entries: make(map[TraceKey]*traceEntry)}
+	return &TraceCache{
+		sources:  make(map[TraceKey]*sourceEntry),
+		profiles: make(map[profileKey]*profileEntry),
+	}
 }
 
-// Get returns the trace for k, calling gen to produce it on first use. Every
-// call for the same key observes the same (*trace.Trace, Info, error); gen
-// runs at most once per key, on the calling goroutine that missed. Callers
-// must treat the returned trace as immutable.
+// GetSource returns the source for k, calling gen to plan it (layout and
+// sizing, no event generation) on first use. Every call for the same key
+// observes the same (Source, Info, error); gen runs at most once per key,
+// on the calling goroutine that missed.
 //
-// Cancellation cannot poison the cache: a waiter whose ctx fires bails with
-// ctx.Err() while the in-flight generation proceeds for everyone else, and a
-// generation that itself fails with a cancellation error is evicted before
-// its waiters are released — later callers regenerate instead of inheriting
-// one caller's dead context as a permanent failure.
-func (c *TraceCache) Get(ctx context.Context, k TraceKey, gen func() (*trace.Trace, workload.Info, error)) (*trace.Trace, workload.Info, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	k = k.NormalizeGeometry()
-	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.t, e.info, e.err
-		case <-ctx.Done():
-			return nil, workload.Info{}, ctx.Err()
-		}
-	}
-	e := &traceEntry{ready: make(chan struct{})}
-	c.entries[k] = e
-	c.misses++
-	c.mu.Unlock()
-
-	e.t, e.info, e.err = gen()
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		// The generation died with its caller's context, not on its own
-		// merits: evict the entry (if it is still ours) so the next caller
-		// regenerates rather than observing the memoized cancellation.
-		c.mu.Lock()
-		if c.entries[k] == e {
-			delete(c.entries, k)
-		}
-		c.mu.Unlock()
-	}
-	close(e.ready)
-	return e.t, e.info, e.err
-}
-
-// sourceEntry is one streaming-source cache slot; ready is closed once
-// src/info/err are immutable.
-type sourceEntry struct {
-	ready chan struct{}
-	src   trace.Source
-	info  workload.Info
-	err   error
-}
-
-// GetSource is Get for streaming sources: gen plans the workload source
-// (layout and sizing, no event generation) at most once per key, and every
-// caller observes the same (Source, Info, error). Sources are restartable
-// and return a fresh iterator per Events call, so one cached source serves
-// any number of concurrent cells. Hits and misses land in the same Stats
-// counters as Get — the cells of a sweep share one accounting whichever
-// path they take.
-//
-// Cancellation follows Get's rules: waiters bail with ctx.Err(), and a
-// generation that fails with a cancellation error is evicted.
+// Cancellation cannot poison the cache: a waiter whose ctx fires bails
+// with ctx.Err() while the in-flight plan proceeds for everyone else, and
+// a plan that itself fails with a cancellation error is evicted before
+// its waiters are released — later callers plan again instead of
+// inheriting one caller's dead context as a permanent failure.
 func (c *TraceCache) GetSource(ctx context.Context, k TraceKey, gen func() (trace.Source, workload.Info, error)) (trace.Source, workload.Info, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	k = k.NormalizeGeometry()
 	c.mu.Lock()
-	if c.sources == nil {
-		c.sources = make(map[TraceKey]*sourceEntry)
-	}
 	if e, ok := c.sources[k]; ok {
 		c.hits++
 		c.mu.Unlock()
@@ -155,6 +100,9 @@ func (c *TraceCache) GetSource(ctx context.Context, k TraceKey, gen func() (trac
 
 	e.src, e.info, e.err = gen()
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+		// The plan died with its caller's context, not on its own merits:
+		// evict the entry (if it is still ours) so the next caller plans
+		// again rather than observing the memoized cancellation.
 		c.mu.Lock()
 		if c.sources[k] == e {
 			delete(c.sources, k)
@@ -179,7 +127,7 @@ type profileEntry struct {
 }
 
 // SharingProfile memoizes trace.AnalyzeSharingSource(src, geom) per
-// (trace key, geometry) with the same singleflight semantics as Get: the
+// (trace key, geometry) with the same singleflight semantics as GetSource: the
 // profile pre-pass drains the whole source, so the strategies of one
 // sweep cell family (PWS, EXCL variants) must share one analysis instead
 // of re-deriving it per cell. src must be the un-annotated source for k.
@@ -189,9 +137,6 @@ func (c *TraceCache) SharingProfile(ctx context.Context, k TraceKey, geom memory
 	}
 	pk := profileKey{trace: k.NormalizeGeometry(), geom: geom}
 	c.mu.Lock()
-	if c.profiles == nil {
-		c.profiles = make(map[profileKey]*profileEntry)
-	}
 	if e, ok := c.profiles[pk]; ok {
 		c.mu.Unlock()
 		select {
@@ -210,8 +155,8 @@ func (c *TraceCache) SharingProfile(ctx context.Context, k TraceKey, geom memory
 	return e.prof, e.err
 }
 
-// Stats returns how many Get calls were served from the cache (hits,
-// including waits on an in-flight generation) and how many generated
+// Stats returns how many GetSource calls were served from the cache
+// (hits, including waits on an in-flight plan) and how many planned
 // (misses).
 func (c *TraceCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()

@@ -23,20 +23,20 @@ func TestTraceCacheWaiterCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.Get(context.Background(), k, func() (*trace.Trace, workload.Info, error) {
+		_, _, err := c.GetSource(context.Background(), k, func() (trace.Source, workload.Info, error) {
 			close(genStarted)
 			<-genRelease
 			return generate("water", false)()
 		})
 		if err != nil {
-			t.Errorf("generator Get: %v", err)
+			t.Errorf("generator GetSource: %v", err)
 		}
 	}()
 	<-genStarted
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Get(ctx, k, generate("water", false))
+		_, _, err := c.GetSource(ctx, k, generate("water", false))
 		waiterErr <- err
 	}()
 	cancel()
@@ -48,7 +48,7 @@ func TestTraceCacheWaiterCancellation(t *testing.T) {
 	// The entry completed despite the waiter's cancellation: a fresh caller
 	// hits it without regenerating.
 	var regen atomic.Int64
-	if _, _, err := c.Get(context.Background(), k, func() (*trace.Trace, workload.Info, error) {
+	if _, _, err := c.GetSource(context.Background(), k, func() (trace.Source, workload.Info, error) {
 		regen.Add(1)
 		return generate("water", false)()
 	}); err != nil {
@@ -68,20 +68,20 @@ func TestTraceCacheCancelledGenerationNotPoisoned(t *testing.T) {
 	k := testKey("mp3d", false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Get(ctx, k, func() (*trace.Trace, workload.Info, error) {
+	_, _, err := c.GetSource(ctx, k, func() (trace.Source, workload.Info, error) {
 		// A well-behaved generator notices its caller's dead context.
 		return nil, workload.Info{}, ctx.Err()
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("first Get = %v, want context.Canceled", err)
+		t.Fatalf("first GetSource = %v, want context.Canceled", err)
 	}
 	// The poisoned entry was evicted: a healthy caller regenerates.
-	tr, _, err := c.Get(context.Background(), k, generate("mp3d", false))
+	tr, _, err := c.GetSource(context.Background(), k, generate("mp3d", false))
 	if err != nil {
-		t.Fatalf("Get after cancelled generation: %v", err)
+		t.Fatalf("GetSource after cancelled generation: %v", err)
 	}
 	if tr == nil {
-		t.Fatal("nil trace from regeneration")
+		t.Fatal("nil source from regeneration")
 	}
 }
 
@@ -106,18 +106,18 @@ func TestTraceCacheConcurrentCancellationStorm(t *testing.T) {
 				ctx, cancel = context.WithCancel(ctx)
 				cancel()
 			}
-			gen := func() (*trace.Trace, workload.Info, error) {
+			gen := func() (trace.Source, workload.Info, error) {
 				if err := ctx.Err(); err != nil {
 					return nil, workload.Info{}, err
 				}
 				return generate("water", true)()
 			}
 			if i%3 == 0 {
-				c.Get(ctx, k, gen) // cancelled callers may get ctx.Err() or a trace; both are fine
+				c.GetSource(ctx, k, gen) // cancelled callers may get ctx.Err() or a source; both are fine
 				return
 			}
 			for attempt := 0; ; attempt++ {
-				tr, _, err := c.Get(ctx, k, gen)
+				tr, _, err := c.GetSource(ctx, k, gen)
 				if err == nil && tr != nil {
 					return
 				}
@@ -136,9 +136,9 @@ func TestTraceCacheConcurrentCancellationStorm(t *testing.T) {
 	if err := badErr.Load(); err != nil {
 		t.Fatalf("healthy caller failed: %v", err)
 	}
-	// The cache converged: one final Get is a pure hit.
+	// The cache converged: one final GetSource is a pure hit.
 	var regen atomic.Int64
-	if _, _, err := c.Get(context.Background(), k, func() (*trace.Trace, workload.Info, error) {
+	if _, _, err := c.GetSource(context.Background(), k, func() (trace.Source, workload.Info, error) {
 		regen.Add(1)
 		return generate("water", true)()
 	}); err != nil {

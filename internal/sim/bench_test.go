@@ -23,21 +23,13 @@ import (
 // the non-benchmark path, so the benchmarked cell can never drift from the
 // simulated semantics.
 
-// benchCellTrace generates the benchmark cell's annotated trace: the mp3d
-// workload at scale 0.2, seed 1, annotated with the PREF discipline.
+// benchCellTrace materializes the benchmark cell's annotated trace (see
+// benchCellSource), so the timed loop replays it from memory and measures
+// the simulator alone.
 func benchCellTrace(tb testing.TB) (*trace.Trace, sim.Config) {
 	tb.Helper()
-	w, err := workload.ByName("mp3d")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	base, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.TransferCycles = 8
-	tr, err := prefetch.Annotate(base, prefetch.Options{Strategy: prefetch.PREF, Geometry: cfg.Geometry})
+	src, cfg := benchCellSource(tb)
+	tr, err := trace.Materialize(src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +40,7 @@ func BenchmarkFullCell(b *testing.B) {
 	tr, cfg := benchCellTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg, tr)
+		res, err := sim.RunSource(cfg, trace.FromTrace(tr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,17 +53,17 @@ func BenchmarkFullCell(b *testing.B) {
 
 // TestFullCellBodyMatchesSim runs the benchmark body once under normal `go
 // test` and asserts its Result is identical to the non-benchmark path — a
-// fresh sim.Run on an independently generated trace of the same cell. Any
+// fresh run on an independently generated trace of the same cell. Any
 // drift between what BenchmarkFullCell times and what the experiment suite
 // simulates fails here, not in a timing report.
 func TestFullCellBodyMatchesSim(t *testing.T) {
 	tr, cfg := benchCellTrace(t)
-	bench, err := sim.Run(cfg, tr)
+	bench, err := sim.RunSource(cfg, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr2, cfg2 := benchCellTrace(t)
-	direct, err := sim.Run(cfg2, tr2)
+	direct, err := sim.RunSource(cfg2, trace.FromTrace(tr2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,38 +132,11 @@ func BenchmarkStreamingCell(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkMaterializedCell times the pre-fusion producer path of the same
-// cell for comparison: materialize the whole workload trace, then annotate
-// it into a second materialized trace — what every trace-cache miss paid
-// before the streaming seam, and the "before" column of PERFORMANCE.md's
-// fusion table. Not gated in CI; it exists so the streamed/materialized
-// producer comparison stays reproducible with one command.
-func BenchmarkMaterializedCell(b *testing.B) {
-	w, err := workload.ByName("mp3d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	events := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base, _, err := w.Generate(workload.Params{Scale: 0.2, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr, err := prefetch.Annotate(base, prefetch.Options{Strategy: prefetch.PREF, Geometry: cfg.Geometry})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += tr.Events()
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
 // TestStreamingCellBodyMatchesSim is BenchmarkStreamingCell's semantic
-// anchor: the streamed cell, simulated, produces a Result byte-identical to
-// the materialized benchmark cell, so the benchmark can never time a
-// pipeline that drifts from what the experiments run.
+// anchor: the streamed cell, simulated from pooled chunks, produces a
+// Result byte-identical to the materialized benchmark cell that
+// BenchmarkFullCell replays, so neither benchmark can time a pipeline that
+// drifts from what the experiments run.
 func TestStreamingCellBodyMatchesSim(t *testing.T) {
 	src, cfg := benchCellSource(t)
 	streamed, err := sim.RunSource(cfg, src)
@@ -179,7 +144,7 @@ func TestStreamingCellBodyMatchesSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, cfg2 := benchCellTrace(t)
-	direct, err := sim.Run(cfg2, tr)
+	direct, err := sim.RunSource(cfg2, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +175,7 @@ func BenchmarkInterconnectOverhead(b *testing.B) {
 			cfg.Interconnect = v.ic
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(cfg, tr)
+				res, err := sim.RunSource(cfg, trace.FromTrace(tr))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -397,13 +397,13 @@ func TestRegionAttributionSumsToTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, info, err := w.Generate(workload.Params{Scale: 0.05, Seed: 1})
+	tr, info, err := generate(w, workload.Params{Scale: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg()
 	c.Regions = info.Regions
-	res, err := sim.Run(c, tr)
+	res, err := sim.RunSource(c, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestDroppedLockReleaseTripsWatchdog(t *testing.T) {
 		{Kind: trace.Read, Addr: 0x1000, Gap: 10},
 		{Kind: trace.Unlock, Addr: 0x40},
 	}
-	_, err := sim.Run(c, &trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}})
+	_, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}}))
 	if err == nil {
 		t.Fatal("run with dropped lock releases completed")
 	}
@@ -50,7 +50,7 @@ func TestDroppedLockReleaseTripsWatchdog(t *testing.T) {
 	}
 	// The same trace without the fault plan completes.
 	c.Faults = nil
-	if _, err := sim.Run(c, &trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}}); err != nil {
+	if _, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}})); err != nil {
 		t.Errorf("fault-free run failed: %v", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestStateFlipTripsCoherenceChecker(t *testing.T) {
 		{{Kind: trace.Read, Addr: 0x1000, Gap: 300}},
 		{{Kind: trace.Read, Addr: 0x1000}},
 	}
-	_, err := sim.Run(c, &trace.Trace{Name: "test", Streams: streams})
+	_, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: streams}))
 	if err == nil {
 		t.Fatal("run with corrupted cache state completed")
 	}
@@ -85,15 +85,16 @@ func TestStateFlipTripsCoherenceChecker(t *testing.T) {
 	}
 	// Without the fault the identical run is clean under full checking.
 	c.Faults = nil
-	if _, err := sim.Run(c, &trace.Trace{Name: "test", Streams: streams}); err != nil {
+	if _, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: streams})); err != nil {
 		t.Errorf("fault-free checked run failed: %v", err)
 	}
 }
 
 // TestTruncatedStreamRejected: cutting one processor's stream off before its
 // barrier (check.Injector models a trace cut off mid-computation) leaves the
-// barrier counts unbalanced; Run must reject the trace up front with a clear
-// error instead of replaying into a guaranteed deadlock.
+// barrier counts unbalanced; the replay must reject the trace with a clear
+// validation error instead of reporting the resulting deadlock as a
+// (retryable) stall.
 func TestTruncatedStreamRejected(t *testing.T) {
 	full := trace.Stream{
 		{Kind: trace.Read, Addr: 0x1000},
@@ -105,8 +106,13 @@ func TestTruncatedStreamRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(cfg(), cut); err == nil {
+	_, err = sim.RunSource(cfg(), trace.FromTrace(cut))
+	if err == nil {
 		t.Fatal("run accepted a trace with unbalanced barriers")
+	}
+	var stall *check.StallError
+	if errors.As(err, &stall) {
+		t.Errorf("unbalanced barriers reported as a stall: %v", err)
 	}
 }
 
@@ -125,7 +131,7 @@ func TestBarrierStallNamesBarrier(t *testing.T) {
 		{Kind: trace.Unlock, Addr: 0x40, Gap: 10},
 		{Kind: trace.Barrier, Addr: 3},
 	}
-	_, err := sim.Run(c, &trace.Trace{Name: "test", Streams: []trace.Stream{s, s}})
+	_, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: []trace.Stream{s, s}}))
 	if err == nil {
 		t.Fatal("run completed despite dropped releases")
 	}
@@ -171,13 +177,13 @@ func TestCheckedRunsMatchUnchecked(t *testing.T) {
 		},
 	}
 	tr := &trace.Trace{Name: "test", Streams: streams}
-	plain, err := sim.Run(cfg(), tr)
+	plain, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg()
 	c.CheckInvariants = true
-	checked, err := sim.Run(c, tr)
+	checked, err := sim.RunSource(c, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestCoherenceFuzz(t *testing.T) {
 					t.Fatalf("seed %d variant %d: %v", seed, seed%len(variants), p)
 				}
 			}()
-			res, err := sim.Run(c, tr)
+			res, err := sim.RunSource(c, trace.FromTrace(tr))
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -98,7 +98,7 @@ func TestLockFuzz(t *testing.T) {
 			}
 			tr.Streams[p] = s
 		}
-		res, err := sim.Run(sim.DefaultConfig(), tr)
+		res, err := sim.RunSource(sim.DefaultConfig(), trace.FromTrace(tr))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -124,7 +124,7 @@ func TestBusFairnessStatistical(t *testing.T) {
 	}
 	c := sim.DefaultConfig()
 	c.TransferCycles = 32 // saturate so arbitration decides everything
-	res, err := sim.Run(c, tr)
+	res, err := sim.RunSource(c, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,12 @@ import (
 func obsRun(t *testing.T, c sim.Config, opt obs.Options, streams ...trace.Stream) *sim.Result {
 	t.Helper()
 	tr := &trace.Trace{Name: "obs-test", Streams: streams}
-	plain, err := sim.Run(c, tr)
+	plain, err := sim.RunSource(c, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Obs = obs.New(len(streams), opt)
-	rec, err := sim.Run(c, tr)
+	rec, err := sim.RunSource(c, trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

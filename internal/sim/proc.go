@@ -65,9 +65,7 @@ type buffered struct {
 
 // proc replays one processor's event stream through a chunk cursor:
 // stream is the current chunk, pc the position within it, and base the
-// absolute index of the chunk's first event. A materialized replay sets
-// stream to the whole trace stream and leaves it nil — one chunk, never
-// refilled — so both paths share one run loop and one set of semantics.
+// absolute index of the chunk's first event.
 type proc struct {
 	s      *simulator
 	id     int
@@ -78,18 +76,17 @@ type proc struct {
 	clock  uint64
 	stats  ProcStats
 
-	// it feeds the cursor in streaming mode; nil means stream is the
-	// whole event stream. srcFailed latches an iterator error or an
-	// inline-validation failure so the processor never advances past it.
+	// it feeds the cursor; it is nil once the stream is exhausted.
+	// srcFailed latches an iterator error or an inline-validation failure
+	// so the processor never advances past it.
 	it        trace.Iterator
 	srcFailed bool
-	// validate enables the inline structural checks of streaming replays
-	// (trace.Validate's rules, enforced as events retire): held tracks
-	// the locks this processor holds, barSeen its barrier arrivals
-	// (checked against simulator.barLog).
-	validate bool
-	held     map[memory.Addr]bool
-	barSeen  int
+	// held and barSeen back the inline structural checks (trace.Validate's
+	// rules, enforced as events retire): held tracks the locks this
+	// processor holds, barSeen its barrier arrivals (checked against
+	// simulator.barLog and simulator.minEndBarriers).
+	held    map[memory.Addr]bool
+	barSeen int
 
 	// inflight holds the outstanding fetches (at most the prefetch buffer
 	// depth plus one blocked demand fetch — a dozen and change), so lookup
@@ -155,6 +152,7 @@ func newProc(s *simulator, id int) *proc {
 		s:      s,
 		id:     id,
 		cache:  cache.New(s.cfg.Geometry),
+		held:   make(map[memory.Addr]bool),
 		wasted: make(map[memory.Addr]bool),
 		online: s.cfg.Online.NewEngine(s.cfg.Geometry),
 	}
@@ -283,8 +281,7 @@ func (p *proc) run(now uint64) {
 		case trace.Barrier:
 			blocked = p.barrierOp(e.Addr)
 		default:
-			// Unreachable on a materialized trace (Validate rejects unknown
-			// kinds up front); in streaming mode this is the inline check.
+			// The inline unknown-kind check of trace.Validate's rules.
 			p.srcFailed = true
 			p.s.fail(fmt.Errorf("sim: proc %d event %d has unknown kind %d", p.id, p.base+p.pc, int(e.Kind)))
 			return
@@ -300,7 +297,7 @@ func (p *proc) run(now uint64) {
 		if blocked {
 			return
 		}
-		if p.validate && !p.checkRetire(e) {
+		if (e.Kind == trace.Lock || e.Kind == trace.Unlock) && !p.checkLock(e) {
 			return
 		}
 		p.pc++
@@ -316,8 +313,8 @@ func (p *proc) run(now uint64) {
 // refill advances the cursor to the next non-empty chunk of the
 // processor's stream. It returns false when no events remain: either
 // the stream is exhausted (the processor finishes, after the end-of-
-// stream validation of streaming mode) or the source failed (the run
-// aborts through the recorded error at the next dispatch).
+// stream validation) or the source failed (the run aborts through the
+// recorded error at the next dispatch).
 func (p *proc) refill() bool {
 	if p.srcFailed {
 		return false
@@ -340,10 +337,22 @@ func (p *proc) refill() bool {
 		p.stream, p.pc = chunk, 0
 		return true
 	}
-	if p.validate && len(p.held) != 0 {
+	if len(p.held) != 0 {
 		p.srcFailed = true
 		p.s.fail(fmt.Errorf("sim: proc %d stream ends holding %d locks", p.id, len(p.held)))
 		return false
+	}
+	if p.barSeen < len(p.s.barLog) {
+		// A peer is at (or past) a barrier this processor will never
+		// reach: without this check the peer waits until the event queue
+		// drains and the run reports a stall instead of the trace bug.
+		p.srcFailed = true
+		p.s.fail(fmt.Errorf("sim: proc %d stream ends after %d barriers, another processor has %d",
+			p.id, p.barSeen, len(p.s.barLog)))
+		return false
+	}
+	if p.barSeen < p.s.minEndBarriers {
+		p.s.minEndBarriers = p.barSeen
 	}
 	if !p.finished {
 		p.finished = true
@@ -352,11 +361,11 @@ func (p *proc) refill() bool {
 	return false
 }
 
-// checkRetire enforces the lock-nesting rules of trace.Validate as an
-// event retires in streaming mode (retirement is the one point each
-// event passes exactly once, whatever blocking and retrying preceded
-// it). It returns false when the event violates them; the run aborts.
-func (p *proc) checkRetire(e trace.Event) bool {
+// checkLock enforces the lock-nesting rules of trace.Validate as a lock
+// or unlock retires (retirement is the one point each event passes
+// exactly once, whatever blocking and retrying preceded it). It returns
+// false when the event violates them; the run aborts.
+func (p *proc) checkLock(e trace.Event) bool {
 	switch e.Kind {
 	case trace.Lock:
 		if p.held[e.Addr] {
@@ -756,7 +765,7 @@ func (p *proc) completeFetch(inf *inflight, t uint64) {
 
 // startSpin implements the check.Spin fault: from now on the processor
 // retires a no-op unit of progress every cycle and never finishes. Only
-// context cancellation (sim.RunContext) ends such a run.
+// context cancellation (RunSourceContext) ends such a run.
 func (p *proc) startSpin(now uint64) {
 	var spin func(now uint64)
 	spin = func(now uint64) {
@@ -978,24 +987,29 @@ func (p *proc) barrierOp(id memory.Addr) (blocked bool) {
 	if p.atBarrier {
 		return false
 	}
-	if p.validate {
-		// Inline barrier-sequence check (trace.Validate's rule): every
-		// processor's k-th barrier must name the same object as the first
-		// processor to arrive at its own k-th barrier. A mismatch would
-		// deadlock the replay; failing here reports it as the trace bug it
-		// is rather than as a watchdog stall.
-		k := p.barSeen
-		p.barSeen++
-		if k < len(p.s.barLog) {
-			if p.s.barLog[k] != id {
-				p.srcFailed = true
-				p.s.fail(fmt.Errorf("sim: proc %d barrier %d is %d, an earlier arrival had %d",
-					p.id, k, uint64(id), uint64(p.s.barLog[k])))
-				return true
-			}
-		} else {
-			p.s.barLog = append(p.s.barLog, id)
+	// Inline barrier-sequence check (trace.Validate's rule): every
+	// processor's k-th barrier must name the same object as the first
+	// processor to arrive at its own k-th barrier, and no processor may
+	// reach a barrier some finished processor never passed. A violation
+	// would deadlock the replay; failing here reports it as the trace bug
+	// it is rather than as a watchdog stall.
+	k := p.barSeen
+	p.barSeen++
+	if k >= p.s.minEndBarriers {
+		p.srcFailed = true
+		p.s.fail(fmt.Errorf("sim: proc %d reaches barrier %d, but another processor's stream ended after %d barriers",
+			p.id, k, p.s.minEndBarriers))
+		return true
+	}
+	if k < len(p.s.barLog) {
+		if p.s.barLog[k] != id {
+			p.srcFailed = true
+			p.s.fail(fmt.Errorf("sim: proc %d barrier %d is %d, an earlier arrival had %d",
+				p.id, k, uint64(id), uint64(p.s.barLog[k])))
+			return true
 		}
+	} else {
+		p.s.barLog = append(p.s.barLog, id)
 	}
 	p.atBarrier = true
 	p.waitStart = p.clock

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -479,59 +480,31 @@ func rate(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// Run simulates the trace on the configured machine and returns the result.
-// The trace must validate (see trace.Validate); Run checks it and reports a
-// deadlocked or hung replay as an error.
-func Run(cfg Config, t *trace.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, t)
-}
-
-// RunContext is Run under a context: cancelling ctx (Ctrl-C, a per-cell
-// deadline) aborts the replay at the next event-dispatch boundary with an
-// error wrapping ctx.Err(), leaving no goroutines or partial state behind —
-// the simulator is single-goroutine and simply stops dispatching. The
-// cancellation check is polled every cancelPollEvents dispatches, so an
-// enabled context costs a counter increment per event on the hot path, and
-// even a run wedged in progress-bearing work (a livelock the watchdog cannot
-// distinguish from real work) terminates promptly once ctx fires.
-func RunContext(ctx context.Context, cfg Config, t *trace.Trace) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkProcs(t.Procs()); err != nil {
-		return nil, err
-	}
-	s, err := newSimulator(cfg, t.Procs())
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range s.procs {
-		p.stream = t.Streams[i]
-	}
-	s.ctx = ctx
-	return s.run()
-}
-
-// RunSource simulates a streaming trace.Source on the configured machine.
-// Events are consumed chunk by chunk as each processor's iterator is
-// drained — nothing is materialized — so a workload source (or an
-// annotated wrapping of one) simulates in constant memory. The result is
-// identical to Run on the materialized equivalent: chunking never affects
-// scheduling, because iterators block until events are available and
-// simulated time comes only from event content.
+// RunSource simulates a streaming trace.Source on the configured machine
+// and returns the result. Events are consumed chunk by chunk as each
+// processor's iterator is drained — nothing is materialized — so a
+// workload source (or an annotated wrapping of one) simulates in constant
+// memory. Chunking never affects the result, because iterators block
+// until events are available and simulated time comes only from event
+// content; a materialized trace replays through trace.FromTrace.
 //
-// A materialized trace is validated up front; a source cannot be without
-// draining it, so the structural checks trace.Validate performs (known
-// event kinds, matched lock nesting, consistent barrier sequences) run
-// inline during the replay and abort it on the first violation.
+// The trace's structural rules (known event kinds, matched lock nesting,
+// identical barrier sequences across processors; see trace.Validate) are
+// checked inline as events retire, and a violation aborts the run with a
+// validation error. A deadlocked or hung replay is reported as a
+// *check.StallError.
 func RunSource(cfg Config, src trace.Source) (*Result, error) {
 	return RunSourceContext(context.Background(), cfg, src)
 }
 
-// RunSourceContext is RunSource under a context (see RunContext). All
+// RunSourceContext is RunSource under a context: cancelling ctx (Ctrl-C,
+// a per-cell deadline) aborts the replay at the next event-dispatch
+// boundary with an error wrapping ctx.Err(). The simulator is
+// single-goroutine and simply stops dispatching; the cancellation check
+// is polled every cancelPollEvents dispatches, so an enabled context
+// costs a counter increment per event on the hot path, and even a run
+// wedged in progress-bearing work (a livelock the watchdog cannot
+// distinguish from real work) terminates promptly once ctx fires. All
 // iterators are closed before it returns, on every path, so abandoned
 // producer goroutines never outlive the run.
 func RunSourceContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
@@ -556,8 +529,6 @@ func RunSourceContext(ctx context.Context, cfg Config, src trace.Source) (*Resul
 	for i, p := range s.procs {
 		iters[i] = src.Events(i)
 		p.it = iters[i]
-		p.validate = true
-		p.held = make(map[memory.Addr]bool)
 	}
 	s.ctx = ctx
 	return s.run()
@@ -639,22 +610,24 @@ type simulator struct {
 	procs []*proc
 	// Lock and barrier state lives in dense slices; lockIdx/barrIdx resolve
 	// an object's address to its slot, registered lazily on first use
-	// (lockSlot/barrSlot). Lazy registration lets the streaming path run
-	// without a whole-trace pre-scan, and slot order never affects results —
-	// every access goes through the map — so the materialized path is
-	// byte-identical to the pre-scanning simulator it replaces.
+	// (lockSlot/barrSlot). Lazy registration lets a replay run without a
+	// whole-trace pre-scan, and slot order never affects results — every
+	// access goes through the map.
 	locks   []lockState
 	barrs   []barrierState
 	lockIdx map[memory.Addr]int32
 	barrIdx map[memory.Addr]int32
-	// barLog is the inline barrier-sequence check of streaming replays: the
-	// k-th arrival value of whichever processor got there first, which every
-	// other processor's k-th barrier must match (trace.Validate's rule,
-	// enforced on the fly because a source cannot be pre-validated).
-	barLog []memory.Addr
-	c       Counters
-	geom    memory.Geometry
-	uncont  uint64 // MemLatency - TransferCycles
+	// barLog and minEndBarriers are the inline barrier-sequence check
+	// (trace.Validate's rule, enforced on the fly because a source cannot
+	// be pre-validated). barLog holds the k-th barrier value of whichever
+	// processor arrived there first, which every other processor's k-th
+	// barrier must match; minEndBarriers is the fewest barriers any
+	// finished processor passed, which no processor may exceed.
+	barLog         []memory.Addr
+	minEndBarriers int
+	c              Counters
+	geom           memory.Geometry
+	uncont         uint64 // MemLatency - TransferCycles
 
 	// proto is the coherence state machine, tab its transitions flattened
 	// into dense tables (the form every hot path consults), rule its
@@ -854,6 +827,7 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 		proto:          coherence.ByKind(cfg.Protocol),
 		updCycles:      uint64(cfg.UpdateCycles),
 		watchdogCycles: cfg.WatchdogCycles,
+		minEndBarriers: math.MaxInt,
 	}
 	s.tab = buildProtoTables(s.proto)
 	s.rule = s.proto.Invariant()

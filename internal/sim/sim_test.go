@@ -16,11 +16,22 @@ func cfg() sim.Config {
 
 func run(t *testing.T, c sim.Config, streams ...trace.Stream) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(c, &trace.Trace{Name: "test", Streams: streams})
+	res, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: streams}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// generate materializes a workload's trace, for tests that replay one
+// trace several times.
+func generate(w *workload.Workload, p workload.Params) (*trace.Trace, workload.Info, error) {
+	src, info, err := w.Source(p)
+	if err != nil {
+		return nil, workload.Info{}, err
+	}
+	tr, err := trace.Materialize(src)
+	return tr, info, err
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -43,11 +54,11 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunRejectsInvalidTrace(t *testing.T) {
-	_, err := sim.Run(cfg(), &trace.Trace{Streams: []trace.Stream{{{Kind: trace.Unlock, Addr: 1}}}})
+	_, err := sim.RunSource(cfg(), trace.FromTrace(&trace.Trace{Streams: []trace.Stream{{{Kind: trace.Unlock, Addr: 1}}}}))
 	if err == nil {
 		t.Error("unbalanced unlock accepted")
 	}
-	_, err = sim.Run(cfg(), &trace.Trace{})
+	_, err = sim.RunSource(cfg(), trace.FromTrace(&trace.Trace{}))
 	if err == nil {
 		t.Error("empty trace accepted")
 	}
@@ -430,11 +441,11 @@ func TestWaitBreakdownSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := w.Generate(workload.Params{Scale: 0.05, Seed: 7})
+	tr, _, err := generate(w, workload.Params{Scale: 0.05, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(cfg(), tr)
+	res, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,13 +469,13 @@ func TestCoherenceInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, _, err := w.Generate(workload.Params{Scale: 0.03, Seed: 3})
+			tr, _, err := generate(w, workload.Params{Scale: 0.03, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			c := cfg()
 			c.CheckInvariants = true
-			if _, err := sim.Run(c, tr); err != nil {
+			if _, err := sim.RunSource(c, trace.FromTrace(tr)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -477,15 +488,15 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := w.Generate(workload.Params{Scale: 0.05, Seed: 11})
+	tr, _, err := generate(w, workload.Params{Scale: 0.05, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sim.Run(cfg(), tr)
+	a, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.Run(cfg(), tr)
+	b, err := sim.RunSource(cfg(), trace.FromTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +510,7 @@ func TestSlowerBusRunsLonger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := w.Generate(workload.Params{Scale: 0.05, Seed: 5})
+	tr, _, err := generate(w, workload.Params{Scale: 0.05, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +518,7 @@ func TestSlowerBusRunsLonger(t *testing.T) {
 	for _, transfer := range []int{4, 16, 32} {
 		c := cfg()
 		c.TransferCycles = transfer
-		res, err := sim.Run(c, tr)
+		res, err := sim.RunSource(c, trace.FromTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

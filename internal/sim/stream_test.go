@@ -6,31 +6,21 @@ import (
 	"strings"
 	"testing"
 
+	"busprefetch/internal/check"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
+	"busprefetch/internal/runner"
 	"busprefetch/internal/trace"
 	"busprefetch/internal/workload"
 )
 
-// streamTestCell runs one workload/strategy cell both ways — materialized
-// (Generate, Annotate, Run) and streamed (Source, AnnotateSource,
-// RunSource) — and requires identical Results.
+// streamTestCell runs one workload/strategy cell twice — streamed from
+// the producer's pooled chunks, and replayed from the same events
+// materialized into one chunk per processor — and requires identical
+// Results: chunking must never affect a simulation.
 func streamTestCell(t *testing.T, w *workload.Workload, wp workload.Params, opt prefetch.Options) {
 	t.Helper()
 	cfg := DefaultConfig()
-
-	tr, _, err := w.Generate(wp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ann, err := prefetch.Annotate(tr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(cfg, ann)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	src, _, err := w.Source(wp)
 	if err != nil {
@@ -45,8 +35,17 @@ func streamTestCell(t *testing.T, w *workload.Workload, wp workload.Params, opt 
 		t.Fatal(err)
 	}
 
+	ann, err := trace.Materialize(annSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunSource(cfg, trace.FromTrace(ann))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("streamed result differs from materialized result:\n got %+v\nwant %+v", got, want)
+		t.Errorf("chunked result differs from single-chunk result:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -63,9 +62,8 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	}
 }
 
-// kindSource yields a hand-built per-proc event sequence; it exercises the
-// streaming replay's inline validation, which materialized traces get from
-// trace.Validate up front.
+// kindSource yields a hand-built per-proc event sequence through a
+// producer goroutine; it exercises the replay's inline validation.
 type kindSource struct {
 	streams []trace.Stream
 }
@@ -127,6 +125,41 @@ func TestRunSourceInlineValidation(t *testing.T) {
 			},
 			want: "barrier",
 		},
+		{
+			name: "missing barrier",
+			streams: []trace.Stream{
+				{read, {Kind: trace.Barrier, Addr: 1}, read},
+				{read},
+			},
+			want: "barrier",
+		},
+		{
+			// The barrier arrives first and waits; the peer then ends
+			// having passed fewer barriers than were logged.
+			name: "stream ends short of a logged barrier",
+			streams: []trace.Stream{
+				{{Kind: trace.Barrier, Addr: 1}, read},
+				{{Kind: trace.Read, Addr: 0x1000, Gap: 500}},
+			},
+			want: "ends after 0 barriers",
+		},
+		{
+			// The peer ends first; the barrier arrives after it.
+			name: "barrier after a peer ended",
+			streams: []trace.Stream{
+				{{Kind: trace.Read, Addr: 0x1000, Gap: 500}, {Kind: trace.Barrier, Addr: 1}, read},
+				{read},
+			},
+			want: "reaches barrier 0",
+		},
+		{
+			name: "one extra barrier",
+			streams: []trace.Stream{
+				{{Kind: trace.Barrier, Addr: 1}, {Kind: trace.Barrier, Addr: 2}},
+				{{Kind: trace.Barrier, Addr: 1}},
+			},
+			want: "barrier",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -137,6 +170,13 @@ func TestRunSourceInlineValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want it to mention %q", err, tc.want)
+			}
+			var stall *check.StallError
+			if errors.As(err, &stall) {
+				t.Errorf("error is a stall (%v), want a validation error", err)
+			}
+			if runner.Classify(err) != runner.Terminal {
+				t.Errorf("error %v classifies as retryable, want terminal", err)
 			}
 		})
 	}

@@ -27,7 +27,7 @@ func TestStallReportNamesCellAndProgress(t *testing.T) {
 		{Kind: trace.Read, Addr: 0x1000, Gap: 10},
 		{Kind: trace.Unlock, Addr: 0x40},
 	}
-	_, err := sim.Run(c, &trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}})
+	_, err := sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}}))
 	if err == nil {
 		t.Fatal("run with dropped lock releases completed")
 	}
@@ -49,7 +49,7 @@ func TestStallReportNamesCellAndProgress(t *testing.T) {
 	}
 	// An unlabeled run reports the same stall without a label decoration.
 	c.Label = ""
-	_, err = sim.Run(c, &trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}})
+	_, err = sim.RunSource(c, trace.FromTrace(&trace.Trace{Name: "test", Streams: []trace.Stream{lock, lock}}))
 	var bare *check.StallError
 	if !errors.As(err, &bare) {
 		t.Fatalf("unlabeled run error is %T (%v), want *check.StallError", err, err)

@@ -87,7 +87,7 @@ func TestWatchdogDefaultThreshold(t *testing.T) {
 	big := &trace.Trace{Streams: []trace.Stream{
 		{{Kind: trace.Read, Addr: 0x1000, Gap: 1 << 24}, {Kind: trace.Read, Addr: 0x2000, Gap: 1 << 24}},
 	}}
-	if _, err := Run(cfg, big); err != nil {
+	if _, err := RunSource(cfg, trace.FromTrace(big)); err != nil {
 		t.Errorf("huge-gap trace tripped the watchdog: %v", err)
 	}
 }

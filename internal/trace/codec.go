@@ -28,8 +28,9 @@ import (
 // Version history:
 //
 //	1: initial format, no checksum.
-//	2: appends a CRC32 footer covering every preceding byte, and Decode
-//	   additionally rejects trailing garbage after the footer.
+//	2: appends a CRC32 footer covering every preceding byte.
+//
+// Both versions reject trailing bytes after the last field.
 //
 // Decode reads both versions and is safe on adversarial input: every count
 // and length is bounded before allocation, unknown versions and kinds are
@@ -162,7 +163,9 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // Decode reads a trace previously written by Encode. It accepts format
 // versions 1 (no checksum) and 2 (CRC32 footer). Decode validates every
 // count and length before allocating, so corrupt, truncated or adversarial
-// input yields an error — never a panic or an out-of-memory crash.
+// input yields an error — never a panic or an out-of-memory crash. It is
+// the materializing reference decoder; replays go through DecodeSource,
+// which also applies Validate's trace rules.
 func Decode(r io.Reader) (*Trace, error) {
 	cr := &crcReader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
 	magic := make([]byte, len(codecMagic))
@@ -249,6 +252,8 @@ func Decode(r io.Reader) (*Trace, error) {
 		if _, err := cr.br.ReadByte(); err != io.EOF {
 			return nil, fmt.Errorf("trace: trailing data after CRC footer")
 		}
+	} else if _, err := cr.br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("trace: trailing bytes after events")
 	}
 	return t, nil
 }

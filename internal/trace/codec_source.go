@@ -11,12 +11,12 @@ import (
 
 // DecodeSource reads an encoded trace and returns it as a restartable
 // streaming Source instead of a materialized Trace. The whole input is
-// read and structurally validated up front — every count, kind, gap
-// and the CRC footer, with the same bounds as Decode — but the events
-// themselves are decoded lazily, one pooled chunk at a time, as each
-// iterator is drained. This is the ingestion bridge into the streaming
-// hot path: a persisted BPTR trace replays without ever allocating its
-// full event array.
+// checked up front: every count, kind, gap and the CRC footer, with the
+// same bounds as Decode, and then the trace rules of Validate (lock
+// nesting, barrier sequences), so a malformed file fails here rather
+// than as a deadlocked replay. The events are decoded lazily, one pooled
+// chunk at a time, as each iterator is drained: a persisted BPTR trace
+// replays without ever allocating its full event array.
 func DecodeSource(r io.Reader) (Source, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -97,6 +97,9 @@ func DecodeSource(r io.Reader) (Source, error) {
 		}
 	} else if d.off != len(raw) {
 		return nil, fmt.Errorf("trace: %d trailing bytes after events", len(raw)-d.off)
+	}
+	if err := validate(src); err != nil {
+		return nil, err
 	}
 	return src, nil
 }

@@ -1,7 +1,7 @@
 // Package trace defines the multiprocessor address-trace representation that
-// flows through the whole pipeline: workload generators emit traces, the
-// offline prefetch inserter annotates them, and the multiprocessor simulator
-// replays them.
+// flows through the whole pipeline as a streaming Source: workload generators
+// emit traces, the offline prefetch inserter annotates them, and the
+// multiprocessor simulator replays them.
 //
 // A trace holds one event stream per processor. Each event carries a Gap —
 // the number of ordinary (non-memory) instructions executed since the

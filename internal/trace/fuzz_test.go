@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -72,27 +73,33 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecodeSource feeds arbitrary bytes to DecodeSource. It must never
-// panic; it must accept exactly the inputs Decode accepts; and for accepted
-// inputs the streamed events must equal the materialized trace event for
-// event — the two decoders are one format.
+// panic; it must accept exactly the inputs Decode accepts and Validate
+// passes; and for accepted inputs the streamed events must equal the
+// materialized trace event for event — the two decoders are one format.
 func FuzzDecodeSource(f *testing.F) {
 	var valid bytes.Buffer
 	if err := Encode(&valid, fuzzSeedTrace()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
+	f.Add(valid.Bytes())                        // decodes, but fails Validate
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2]) // truncated mid-stream
-	f.Add([]byte("XXXX\x02\x00\x00\x00"))       // bad magic
-	f.Add([]byte("BPTR\x63"))                   // unsupported version
+	f.Add(encodeValidSeed(f))
+	f.Add(encodeHiddenInvalid(f))
+	f.Add([]byte("XXXX\x02\x00\x00\x00")) // bad magic
+	f.Add([]byte("BPTR\x63"))             // unsupported version
+	f.Add([]byte("BPTR\x01\x00\x00\x00")) // v1 with a trailing byte
 	huge := []byte("BPTR\x02\x00\x01")
 	huge = binary.AppendUvarint(huge, maxStreamEvents)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, terr := Decode(bytes.NewReader(data))
+		if terr == nil {
+			terr = tr.Validate()
+		}
 		src, serr := DecodeSource(bytes.NewReader(data))
 		if (terr == nil) != (serr == nil) {
-			t.Fatalf("decoders disagree: Decode err %v, DecodeSource err %v", terr, serr)
+			t.Fatalf("decoders disagree: Decode+Validate err %v, DecodeSource err %v", terr, serr)
 		}
 		if serr != nil {
 			return
@@ -125,6 +132,61 @@ func FuzzDecodeSource(f *testing.F) {
 			}
 		}
 	})
+}
+
+// encodeValidSeed encodes a trace that passes Validate, so the fuzzer's
+// seed corpus reaches the event-by-event comparison.
+func encodeValidSeed(tb testing.TB) []byte {
+	tb.Helper()
+	tr := &Trace{Name: "valid", Streams: []Stream{
+		{
+			{Kind: Read, Addr: 0x1000, Gap: 3},
+			{Kind: Lock, Addr: 0x40},
+			{Kind: Write, Addr: 0x0800},
+			{Kind: Unlock, Addr: 0x40},
+			{Kind: Barrier, Addr: 7},
+			{Kind: Prefetch, Addr: 0x8000_0000},
+		},
+		{{Kind: Barrier, Addr: 7}, {Kind: PrefetchExcl, Addr: 0x20, Gap: 1 << 20}},
+	}}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encodeHiddenInvalid encodes a trace whose invalid event sits behind a
+// deadlock: p1 waits on the lock p0 holds across the barrier, so a replay
+// that checks events as they retire stalls before reaching p1's release of
+// the never-acquired lock 0x80.
+func encodeHiddenInvalid(tb testing.TB) []byte {
+	tb.Helper()
+	tr := &Trace{Name: "hidden", Streams: []Stream{
+		{{Kind: Lock, Addr: 0x40}, {Kind: Barrier, Addr: 1}, {Kind: Unlock, Addr: 0x40}},
+		{{Kind: Lock, Addr: 0x40}, {Kind: Unlock, Addr: 0x80}, {Kind: Barrier, Addr: 1}},
+	}}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeSourceRejectsHiddenInvalidTrace pins the up-front check: the
+// file is well formed, so only Validate's rules can reject it, and
+// DecodeSource must apply them before returning.
+func TestDecodeSourceRejectsHiddenInvalidTrace(t *testing.T) {
+	_, err := DecodeSource(bytes.NewReader(encodeHiddenInvalid(t)))
+	if err == nil {
+		t.Fatal("DecodeSource accepted a trace that releases an unheld lock")
+	}
+	if !strings.Contains(err.Error(), "releases unheld lock 0x80") {
+		t.Errorf("error = %v, want the unheld-lock diagnosis", err)
+	}
+	if _, err := DecodeSource(bytes.NewReader(encodeValidSeed(t))); err != nil {
+		t.Errorf("valid trace rejected: %v", err)
+	}
 }
 
 // TestDecodeRejectsBitFlips flips a single bit at every byte offset of a valid

@@ -42,39 +42,50 @@ type SharingProfile struct {
 	lines map[memory.Addr]LineUse
 }
 
-// AnalyzeSharing scans every demand reference in the trace and classifies
-// each touched cache line. Prefetch events are ignored: sharing is a property
-// of the program, and this analysis also runs before prefetch insertion to
-// identify the write-shared lines PWS should target.
-func AnalyzeSharing(t *Trace, geom memory.Geometry) *SharingProfile {
-	p := &SharingProfile{geom: geom, lines: make(map[memory.Addr]LineUse)}
-	for proc, s := range t.Streams {
+func newSharingProfile(geom memory.Geometry) *SharingProfile {
+	return &SharingProfile{geom: geom, lines: make(map[memory.Addr]LineUse)}
+}
+
+// observe folds one event of processor bit's stream into the profile.
+// Prefetch events are ignored: sharing is a property of the program, and
+// this analysis also runs before prefetch insertion to identify the
+// write-shared lines PWS should target. Lock words are write-shared by
+// construction: the acquire and release perform read-modify-writes.
+func (p *SharingProfile) observe(e Event, bit uint64) {
+	var w uint64
+	switch e.Kind {
+	case Read:
+	case Write, Lock, Unlock:
+		w = bit
+	default:
+		return
+	}
+	la := p.geom.LineAddr(e.Addr)
+	u := p.lines[la]
+	u.Readers |= bit
+	u.Writers |= w
+	p.lines[la] = u
+}
+
+// AnalyzeSharingSource scans every demand reference of src, one drain per
+// processor, and classifies each touched cache line. Line classification
+// only ORs per-processor bits, so it is independent of event order and of
+// chunking.
+func AnalyzeSharingSource(src Source, geom memory.Geometry) (*SharingProfile, error) {
+	p := newSharingProfile(geom)
+	for proc := 0; proc < src.Procs(); proc++ {
 		bit := uint64(1) << uint(proc)
-		for _, e := range s {
-			switch e.Kind {
-			case Read:
-				la := geom.LineAddr(e.Addr)
-				u := p.lines[la]
-				u.Readers |= bit
-				p.lines[la] = u
-			case Write:
-				la := geom.LineAddr(e.Addr)
-				u := p.lines[la]
-				u.Readers |= bit
-				u.Writers |= bit
-				p.lines[la] = u
-			case Lock, Unlock:
-				// Lock words are write-shared by construction: the
-				// acquire/release perform read-modify-writes.
-				la := geom.LineAddr(e.Addr)
-				u := p.lines[la]
-				u.Readers |= bit
-				u.Writers |= bit
-				p.lines[la] = u
+		err := drain(src, proc, func(chunk []Event) error {
+			for _, e := range chunk {
+				p.observe(e, bit)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	return p
+	return p, nil
 }
 
 // Use returns the usage summary for the line containing a.
@@ -133,25 +144,35 @@ type Stats struct {
 	WriteShared int // bytes of distinct write-shared cache lines
 }
 
-// Summarize computes whole-trace statistics using geom for line accounting.
-func Summarize(t *Trace, geom memory.Geometry) Stats {
-	st := Stats{Procs: t.Procs()}
-	prof := AnalyzeSharing(t, geom)
-	for _, s := range t.Streams {
-		st.Events += len(s)
-		for _, e := range s {
-			switch e.Kind {
-			case Read:
-				st.Reads++
-			case Write:
-				st.Writes++
-			case Prefetch, PrefetchExcl:
-				st.Prefetches++
-			case Lock:
-				st.Locks++
-			case Barrier:
-				st.Barriers++
+// SummarizeSource computes whole-trace statistics using geom for line
+// accounting, fusing the event counting and the sharing analysis into a
+// single drain per processor.
+func SummarizeSource(src Source, geom memory.Geometry) (Stats, error) {
+	st := Stats{Procs: src.Procs()}
+	prof := newSharingProfile(geom)
+	for proc := 0; proc < src.Procs(); proc++ {
+		bit := uint64(1) << uint(proc)
+		err := drain(src, proc, func(chunk []Event) error {
+			st.Events += len(chunk)
+			for _, e := range chunk {
+				switch e.Kind {
+				case Read:
+					st.Reads++
+				case Write:
+					st.Writes++
+				case Prefetch, PrefetchExcl:
+					st.Prefetches++
+				case Lock:
+					st.Locks++
+				case Barrier:
+					st.Barriers++
+				}
+				prof.observe(e, bit)
 			}
+			return nil
+		})
+		if err != nil {
+			return Stats{}, err
 		}
 	}
 	st.DemandRefs = st.Reads + st.Writes
@@ -165,5 +186,5 @@ func Summarize(t *Trace, geom memory.Geometry) Stats {
 			st.WriteShared += geom.LineSize
 		}
 	}
-	return st
+	return st, nil
 }

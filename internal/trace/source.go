@@ -6,10 +6,11 @@ import (
 )
 
 // Source is a pull-based stream of trace events, one iterator per
-// processor. It is the fusion seam between workload generators, the
-// prefetch annotator and the simulator: events flow straight from the
+// processor. It is the only input the sharing analysis, the prefetch
+// annotator and the simulator accept: events flow straight from the
 // producer to the consumer in pooled chunks, with no materialized
-// trace in between.
+// trace in between. FromTrace and Materialize are the only bridges to
+// and from a whole in-memory Trace.
 //
 // A Source must be restartable: Events may be called any number of
 // times for the same processor, and each call returns a fresh iterator
@@ -185,8 +186,10 @@ func (p *pipe) Close() {
 // the chunk aliases the trace, so the usual validity contract applies.
 type sliceSource struct{ t *Trace }
 
-// FromTrace returns a Source backed by a materialized trace. The
-// source aliases t; the caller must not mutate t while iterating.
+// FromTrace returns a Source backed by a materialized trace: the one
+// adapter from trace data (a decoded file, a hand-built or mutated test
+// trace) into the pipeline. The source aliases t; the caller must not
+// mutate t while iterating.
 func FromTrace(t *Trace) Source { return sliceSource{t} }
 
 func (s sliceSource) Name() string { return s.t.Name }
@@ -215,35 +218,37 @@ func (it *sliceIterator) Next() ([]Event, error) {
 
 func (it *sliceIterator) Close() { it.done = true }
 
-// Materialize drains every processor stream of src into a Trace. It is
-// the recording bridge from the streaming world back to the
-// materialized one (persistence via Encode, APIs that want a *Trace).
+// Materialize drains every processor stream of src into a Trace: the
+// one way out of the pipeline, for callers that need the whole trace
+// at once (persistence via Encode, tests).
 func Materialize(src Source) (*Trace, error) {
 	t := &Trace{Name: src.Name(), Streams: make([]Stream, src.Procs())}
 	for p := range t.Streams {
-		s, err := DrainProc(src, p)
+		err := drain(src, p, func(chunk []Event) error {
+			t.Streams[p] = append(t.Streams[p], chunk...)
+			return nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("trace: materialize %s proc %d: %w", src.Name(), p, err)
 		}
-		t.Streams[p] = s
 	}
 	return t, nil
 }
 
-// DrainProc collects one processor's stream of src into a slice.
-func DrainProc(src Source, proc int) (Stream, error) {
+// drain feeds each chunk of processor proc's stream to fn, in order,
+// and closes the iterator on every path. It stops at the first error,
+// from the stream or from fn.
+func drain(src Source, proc int, fn func([]Event) error) error {
 	it := src.Events(proc)
 	defer it.Close()
-	var s Stream
 	for {
 		chunk, err := it.Next()
-		if err != nil {
-			return nil, err
+		if err != nil || chunk == nil {
+			return err
 		}
-		if chunk == nil {
-			return s, nil
+		if err := fn(chunk); err != nil {
+			return err
 		}
-		s = append(s, chunk...)
 	}
 }
 
@@ -252,24 +257,18 @@ func DrainProc(src Source, proc int) (Stream, error) {
 // anything.
 func CountEvents(src Source) (events, demand int, err error) {
 	for p := 0; p < src.Procs(); p++ {
-		it := src.Events(p)
-		for {
-			chunk, cerr := it.Next()
-			if cerr != nil {
-				it.Close()
-				return 0, 0, cerr
-			}
-			if chunk == nil {
-				break
-			}
+		err := drain(src, p, func(chunk []Event) error {
 			events += len(chunk)
 			for _, e := range chunk {
 				if e.Kind.IsDemand() {
 					demand++
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return 0, 0, err
 		}
-		it.Close()
 	}
 	return events, demand, nil
 }

@@ -114,34 +114,47 @@ func (t *Trace) Clone() *Trace {
 // Validate checks structural invariants: known event kinds, matched
 // lock/unlock nesting per processor, and identical barrier sequences across
 // processors (a requirement for the simulator's barrier replay to terminate).
-func (t *Trace) Validate() error {
-	var barrierSeq [][]memory.Addr
-	for p, s := range t.Streams {
+// It applies the same rules as DecodeSource, through the same code.
+func (t *Trace) Validate() error { return validate(FromTrace(t)) }
+
+// validate is the one implementation of the structural rules Validate
+// documents. It drains every processor stream of src once.
+func validate(src Source) error {
+	barrierSeq := make([][]memory.Addr, src.Procs())
+	for p := range barrierSeq {
 		held := map[memory.Addr]bool{}
 		var barriers []memory.Addr
-		for i, e := range s {
-			if e.Kind >= numKinds {
-				return fmt.Errorf("trace: proc %d event %d has unknown kind %d", p, i, e.Kind)
-			}
-			switch e.Kind {
-			case Lock:
-				if held[e.Addr] {
-					return fmt.Errorf("trace: proc %d event %d re-acquires held lock 0x%x", p, i, uint64(e.Addr))
+		i := 0
+		err := drain(src, p, func(chunk []Event) error {
+			for _, e := range chunk {
+				if e.Kind >= numKinds {
+					return fmt.Errorf("trace: proc %d event %d has unknown kind %d", p, i, e.Kind)
 				}
-				held[e.Addr] = true
-			case Unlock:
-				if !held[e.Addr] {
-					return fmt.Errorf("trace: proc %d event %d releases unheld lock 0x%x", p, i, uint64(e.Addr))
+				switch e.Kind {
+				case Lock:
+					if held[e.Addr] {
+						return fmt.Errorf("trace: proc %d event %d re-acquires held lock 0x%x", p, i, uint64(e.Addr))
+					}
+					held[e.Addr] = true
+				case Unlock:
+					if !held[e.Addr] {
+						return fmt.Errorf("trace: proc %d event %d releases unheld lock 0x%x", p, i, uint64(e.Addr))
+					}
+					delete(held, e.Addr)
+				case Barrier:
+					barriers = append(barriers, e.Addr)
 				}
-				delete(held, e.Addr)
-			case Barrier:
-				barriers = append(barriers, e.Addr)
+				i++
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		if len(held) != 0 {
 			return fmt.Errorf("trace: proc %d ends holding %d locks", p, len(held))
 		}
-		barrierSeq = append(barrierSeq, barriers)
+		barrierSeq[p] = barriers
 	}
 	for p := 1; p < len(barrierSeq); p++ {
 		if len(barrierSeq[p]) != len(barrierSeq[0]) {
@@ -154,17 +167,4 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// EstimatedCycles returns the CPU time the stream would take if every access
-// hit: Gap cycles of instructions plus one cycle per event (each memory
-// access, prefetch or sync operation costs at least its own cycle). The
-// prefetch inserter uses this clock to place prefetches a given distance
-// ahead of their target access.
-func (s Stream) EstimatedCycles() uint64 {
-	var c uint64
-	for _, e := range s {
-		c += uint64(e.Gap) + 1
-	}
-	return c
 }

@@ -111,15 +111,14 @@ func TestValidateRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestEstimatedCycles(t *testing.T) {
-	s := Stream{
-		{Kind: Read, Gap: 3},     // 3 instr + 1 access
-		{Kind: Write, Gap: 0},    // 1 access
-		{Kind: Prefetch, Gap: 2}, // 2 instr + the prefetch itself
+// analyze is AnalyzeSharingSource over a hand-built trace.
+func analyze(t *testing.T, tr *Trace, g memory.Geometry) *SharingProfile {
+	t.Helper()
+	p, err := AnalyzeSharingSource(FromTrace(tr), g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.EstimatedCycles(); got != 8 {
-		t.Errorf("EstimatedCycles = %d, want 8", got)
-	}
+	return p
 }
 
 func TestSharingProfile(t *testing.T) {
@@ -128,7 +127,7 @@ func TestSharingProfile(t *testing.T) {
 		{{Kind: Read, Addr: 0}, {Kind: Read, Addr: 64}, {Kind: Write, Addr: 128}},
 		{{Kind: Read, Addr: 64}, {Kind: Read, Addr: 128}},
 	}}
-	p := AnalyzeSharing(tr, g)
+	p := analyze(t, tr, g)
 	if p.Use(0).WriteShared() || p.Use(0).SharedRead() {
 		t.Error("line 0 is private")
 	}
@@ -154,7 +153,7 @@ func TestSharingProfileCountsLockLinesAsWriteShared(t *testing.T) {
 		{{Kind: Lock, Addr: 256}, {Kind: Unlock, Addr: 256}},
 		{{Kind: Lock, Addr: 256}, {Kind: Unlock, Addr: 256}},
 	}}
-	p := AnalyzeSharing(tr, g)
+	p := analyze(t, tr, g)
 	if !p.WriteShared(256) {
 		t.Error("lock line should be write-shared")
 	}
@@ -166,7 +165,7 @@ func TestSharingProfileWordInLineSameLine(t *testing.T) {
 		{{Kind: Write, Addr: 4}},
 		{{Kind: Read, Addr: 28}}, // same 32-byte line as address 4
 	}}
-	p := AnalyzeSharing(tr, g)
+	p := analyze(t, tr, g)
 	if !p.WriteShared(4) || !p.WriteShared(28) {
 		t.Error("accesses to different words of one line must share")
 	}
@@ -188,7 +187,10 @@ func TestSummarize(t *testing.T) {
 			{Kind: Barrier, Addr: 0},
 		},
 	}}
-	st := Summarize(tr, g)
+	st, err := SummarizeSource(FromTrace(tr), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Reads != 2 || st.Writes != 1 || st.Prefetches != 1 || st.Locks != 1 {
 		t.Errorf("counts: %+v", st)
 	}

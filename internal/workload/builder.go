@@ -39,54 +39,31 @@ func (r *rng) Float() float64 {
 func (r *rng) Chance(p float64) bool { return r.Float() < p }
 
 // builder accumulates one processor's event stream. Instruction work between
-// memory references is recorded as the next event's Gap.
-//
-// With a nil sink the builder materializes: events grows without bound
-// and holds the whole stream when emission finishes. With a sink the
-// builder streams: whenever the current buffer fills, it is handed to
-// the sink, which returns an empty buffer to keep filling (the
-// trace.NewPipe flush function, delivering fixed-size pooled chunks
-// downstream). Both modes append the same events in the same order, so
-// a workload emits byte-identical streams either way.
+// memory references is recorded as the next event's Gap. Whenever the
+// current buffer fills, it is handed to sink, which returns an empty buffer
+// to keep filling (the trace.NewPipe flush function, delivering fixed-size
+// pooled chunks downstream).
 type builder struct {
 	events trace.Stream
 	gap    uint32
-	sink   func(trace.Stream) trace.Stream
+	sink   func([]trace.Event) []trace.Event
 }
 
 // Instr records n instruction cycles of non-memory work.
 func (b *builder) Instr(n int) { b.gap += uint32(n) }
 
-// emit appends one event. The full-buffer path lives in refill so the
-// per-event path tests a single condition: whether the builder streams
-// or materializes is only decided when the buffer actually fills.
+// emit appends one event, handing the buffer to the sink first when it is
+// full.
 func (b *builder) emit(k trace.Kind, a memory.Addr) {
 	if len(b.events) == cap(b.events) {
-		b.refill()
+		b.events = b.sink(b.events)
 	}
 	b.events = append(b.events, trace.Event{Kind: k, Addr: a, Gap: b.gap})
 	b.gap = 0
 }
 
-// refill makes room for at least one more event: streaming builders hand
-// the full chunk to the sink and continue into the empty buffer it
-// returns; materializing builders grow the backing array.
-func (b *builder) refill() {
-	if b.sink != nil {
-		b.events = b.sink(b.events)
-		return
-	}
-	grown := make(trace.Stream, len(b.events), 2*cap(b.events)+16)
-	copy(grown, b.events)
-	b.events = grown
-}
-
-// finish flushes the final partial chunk in streaming mode.
-func (b *builder) finish() {
-	if b.sink != nil {
-		b.events = b.sink(b.events)
-	}
-}
+// finish flushes the final partial chunk.
+func (b *builder) finish() { b.events = b.sink(b.events) }
 
 // Read records a demand load of address a.
 func (b *builder) Read(a memory.Addr) { b.emit(trace.Read, a) }
@@ -102,17 +79,6 @@ func (b *builder) Unlock(a memory.Addr) { b.emit(trace.Unlock, a) }
 
 // Barrier records arrival at barrier id.
 func (b *builder) Barrier(id uint64) { b.emit(trace.Barrier, memory.Addr(id)) }
-
-// Refs returns the number of demand references recorded so far.
-func (b *builder) Refs() int {
-	n := 0
-	for _, e := range b.events {
-		if e.Kind.IsDemand() {
-			n++
-		}
-	}
-	return n
-}
 
 // ReadRun reads words stride apart starting at a, touching n words.
 func (b *builder) ReadRun(a memory.Addr, n int, stride int, instrBetween int) {

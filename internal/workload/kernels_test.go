@@ -17,11 +17,15 @@ func sharingOf(t *testing.T, name string, restructured bool) (*trace.Trace, *tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := w.Generate(Params{Scale: 0.05, Seed: 1, Restructured: restructured})
+	tr, _, err := generate(w, Params{Scale: 0.05, Seed: 1, Restructured: restructured})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, trace.AnalyzeSharing(tr, memory.DefaultGeometry())
+	prof, err := trace.AnalyzeSharingSource(trace.FromTrace(tr), memory.DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, prof
 }
 
 func TestTopoptConflictPairLayout(t *testing.T) {
@@ -31,7 +35,7 @@ func TestTopoptConflictPairLayout(t *testing.T) {
 	g := memory.DefaultGeometry()
 	check := func(restructured bool) (collisions, total int) {
 		w := Topopt()
-		tr, _, err := w.Generate(Params{Scale: 0.02, Seed: 1, Restructured: restructured})
+		tr, _, err := generate(w, Params{Scale: 0.02, Seed: 1, Restructured: restructured})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +73,7 @@ func TestTopoptSharedDataStaysSmall(t *testing.T) {
 	// write sharing and the large number of conflict misses it exhibits
 	// even with the small shared data set size".
 	w := Topopt()
-	_, info, err := w.Generate(Params{Scale: 0.02, Seed: 1})
+	_, info, err := generate(w, Params{Scale: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestKernelGapsAreModest(t *testing.T) {
 	// compute as gaps. Sanity-bound them so a typo (gap 50000) cannot
 	// silently distort calibration.
 	for _, w := range All() {
-		tr, _, err := w.Generate(Params{Scale: 0.02, Seed: 1})
+		tr, _, err := generate(w, Params{Scale: 0.02, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +207,7 @@ func TestWorkloadRefsNearTarget(t *testing.T) {
 	// At scale 1 every workload should produce roughly 10^5 demand refs per
 	// process (the calibrated trace length).
 	for _, w := range All() {
-		tr, _, err := w.Generate(Params{Scale: 1, Seed: 1})
+		tr, _, err := generate(w, Params{Scale: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

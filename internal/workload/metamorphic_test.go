@@ -9,12 +9,13 @@ import (
 	"busprefetch/internal/trace"
 )
 
-// The metamorphic suite pins the tentpole equivalence of the streaming
-// seam: for every workload kernel, the streamed source, the materialized
-// trace, and a BPTR encode/decode round trip are three views of one event
-// sequence. Any divergence — a kernel whose plan/emit split drifts from
-// its materialized path, a codec that drops a field, a pipe that reorders
-// chunks — fails here before it can silently skew a simulation.
+// The metamorphic suite pins the equivalences of the streaming seam: for
+// every workload kernel, two independently planned sources, the trace
+// materialized from one of them, and a BPTR encode/decode round trip are
+// four views of one event sequence. Any divergence — a kernel whose emit
+// depends on state outside its plan, a codec that drops a field, a pipe
+// that reorders chunks — fails here before it can silently skew a
+// simulation.
 
 // drainSource collects every event of one source processor.
 func drainSource(t *testing.T, src trace.Source, proc int) trace.Stream {
@@ -60,7 +61,7 @@ func TestStreamedMaterializedRoundTripAgree(t *testing.T) {
 					t.Parallel()
 					p := Params{Scale: scale, Seed: seed}
 
-					tr, info, err := w.Generate(p)
+					tr, info, err := generate(w, p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -69,7 +70,7 @@ func TestStreamedMaterializedRoundTripAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(info, sinfo) {
-						t.Errorf("Source info %+v != Generate info %+v", sinfo, info)
+						t.Errorf("second plan's info %+v != first plan's info %+v", sinfo, info)
 					}
 					if src.Name() != tr.Name || src.Procs() != tr.Procs() {
 						t.Fatalf("source header (%q, %d) != trace header (%q, %d)",

@@ -7,9 +7,10 @@ import (
 
 // TestConcurrentGenerateNoSharedState is the regression test for
 // cross-goroutine builder sharing. The parallel experiment engine generates
-// traces from worker goroutines (one generation per cache key, but different
-// keys of the same workload run concurrently), so Generate must not share
-// mutable builder or RNG state across calls. Run under -race this fails the
+// traces from worker goroutines (one plan per cache key, but different keys
+// of the same workload run concurrently, and every drain emits in its own
+// goroutine), so generation must not share mutable builder or RNG state
+// across calls. Run under -race this fails the
 // moment such sharing returns; without -race it still verifies that
 // concurrent generations are bit-for-bit deterministic and produce disjoint
 // trace objects.
@@ -28,7 +29,7 @@ func TestConcurrentGenerateNoSharedState(t *testing.T) {
 					// The same *Workload value, concurrently — exactly what
 					// the engine's trace cache does for the original and
 					// restructured variants of one workload.
-					tr, _, err := w.Generate(Params{Scale: 0.05, Seed: 7, Restructured: i%2 == 1})
+					tr, _, err := generate(w, Params{Scale: 0.05, Seed: 7, Restructured: i%2 == 1})
 					if err != nil {
 						t.Errorf("generation %d: %v", i, err)
 						return

@@ -101,31 +101,11 @@ func (w *Workload) planFor(p Params) (Params, procPlan, Info, error) {
 	return p, pl, info, nil
 }
 
-// Generate builds the materialized trace (and its Info) for the given
-// parameters.
-func (w *Workload) Generate(p Params) (*trace.Trace, Info, error) {
-	p, pl, info, err := w.planFor(p)
-	if err != nil {
-		return nil, Info{}, err
-	}
-	t := &trace.Trace{Name: w.Name, Streams: make([]trace.Stream, p.Procs)}
-	for proc := 0; proc < p.Procs; proc++ {
-		b := &builder{}
-		pl.emit(proc, b)
-		t.Streams[proc] = b.events
-	}
-	if err := t.Validate(); err != nil {
-		return nil, Info{}, fmt.Errorf("workload %s: generated invalid trace: %w", w.Name, err)
-	}
-	return t, info, nil
-}
-
 // Source returns the workload as a streaming trace.Source: planning
 // (layout, sizing) happens up front, but events are produced lazily,
-// chunk by chunk, as each processor's iterator is drained — the no-
-// materialization fast path into the annotator and the simulator. The
-// source is restartable and its streams are byte-identical to
-// Generate's.
+// chunk by chunk, as each processor's iterator is drained into the
+// annotator and the simulator. The source is restartable: every drain
+// of a processor yields the identical stream.
 func (w *Workload) Source(p Params) (trace.Source, Info, error) {
 	p, pl, info, err := w.planFor(p)
 	if err != nil {
@@ -147,7 +127,7 @@ func (s *workloadSource) Procs() int { return s.procs }
 func (s *workloadSource) Events(proc int) trace.Iterator {
 	pl := s.plan
 	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
-		b := &builder{sink: func(s trace.Stream) trace.Stream { return flush(s) }}
+		b := &builder{sink: flush}
 		pl.emit(proc, b)
 		b.finish()
 		return nil

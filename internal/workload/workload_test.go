@@ -8,6 +8,16 @@ import (
 	"busprefetch/internal/trace"
 )
 
+// generate materializes a workload's trace.
+func generate(w *Workload, p Params) (*trace.Trace, Info, error) {
+	src, info, err := w.Source(p)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	tr, err := trace.Materialize(src)
+	return tr, info, err
+}
+
 func TestAllWorkloadsListed(t *testing.T) {
 	names := []string{}
 	for _, w := range All() {
@@ -34,7 +44,7 @@ func TestGeneratedTracesValidate(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			tr, info, err := w.Generate(Params{Scale: 0.05, Seed: 1})
+			tr, info, err := generate(w, Params{Scale: 0.05, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,11 +66,11 @@ func TestGeneratedTracesValidate(t *testing.T) {
 
 func TestGenerationIsDeterministic(t *testing.T) {
 	for _, w := range All() {
-		a, _, err := w.Generate(Params{Scale: 0.03, Seed: 42})
+		a, _, err := generate(w, Params{Scale: 0.03, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := w.Generate(Params{Scale: 0.03, Seed: 42})
+		b, _, err := generate(w, Params{Scale: 0.03, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +82,11 @@ func TestGenerationIsDeterministic(t *testing.T) {
 
 func TestSeedChangesTrace(t *testing.T) {
 	w := Mp3d()
-	a, _, err := w.Generate(Params{Scale: 0.03, Seed: 1})
+	a, _, err := generate(w, Params{Scale: 0.03, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := w.Generate(Params{Scale: 0.03, Seed: 2})
+	b, _, err := generate(w, Params{Scale: 0.03, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +97,11 @@ func TestSeedChangesTrace(t *testing.T) {
 
 func TestScaleControlsLength(t *testing.T) {
 	w := Water()
-	small, _, err := w.Generate(Params{Scale: 0.1, Seed: 1})
+	small, _, err := generate(w, Params{Scale: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, _, err := w.Generate(Params{Scale: 1.0, Seed: 1})
+	big, _, err := generate(w, Params{Scale: 1.0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +114,20 @@ func TestScaleControlsLength(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	w := Water()
-	if _, _, err := w.Generate(Params{Scale: -1}); err == nil {
+	if _, _, err := generate(w, Params{Scale: -1}); err == nil {
 		t.Error("negative scale accepted")
 	}
-	if _, _, err := w.Generate(Params{Procs: 1, Scale: 0.1}); err == nil {
+	if _, _, err := generate(w, Params{Procs: 1, Scale: 0.1}); err == nil {
 		t.Error("single processor accepted (needs >= 2 for sharing)")
 	}
-	if _, _, err := w.Generate(Params{Procs: 100, Scale: 0.1}); err == nil {
+	if _, _, err := generate(w, Params{Procs: 100, Scale: 0.1}); err == nil {
 		t.Error("100 processors accepted (limit is 64)")
 	}
 }
 
 func TestProcsOverride(t *testing.T) {
 	w := Mp3d()
-	tr, info, err := w.Generate(Params{Procs: 6, Scale: 0.05, Seed: 1})
+	tr, info, err := generate(w, Params{Procs: 6, Scale: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +139,14 @@ func TestProcsOverride(t *testing.T) {
 func TestWorkloadsExhibitWriteSharing(t *testing.T) {
 	g := memory.DefaultGeometry()
 	for _, w := range All() {
-		tr, _, err := w.Generate(Params{Scale: 0.05, Seed: 1})
+		tr, _, err := generate(w, Params{Scale: 0.05, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof := trace.AnalyzeSharing(tr, g)
+		prof, err := trace.AnalyzeSharingSource(trace.FromTrace(tr), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, _, ws := prof.Counts()
 		if ws == 0 {
 			t.Errorf("%s: no write-shared lines — the paper's whole topic", w.Name)
@@ -150,11 +163,11 @@ func TestRestructuredChangesLayoutOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig, _, err := w.Generate(Params{Scale: 0.05, Seed: 1})
+		orig, _, err := generate(w, Params{Scale: 0.05, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		restr, _, err := w.Generate(Params{Scale: 0.05, Seed: 1, Restructured: true})
+		restr, _, err := generate(w, Params{Scale: 0.05, Seed: 1, Restructured: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,22 +194,24 @@ func TestTable1Characteristics(t *testing.T) {
 }
 
 func TestBuilderGapAccumulation(t *testing.T) {
-	b := &builder{}
+	var got trace.Stream
+	b := &builder{sink: func(chunk []trace.Event) []trace.Event {
+		got = append(got, chunk...)
+		return make([]trace.Event, 0, 1)
+	}}
 	b.Instr(3)
 	b.Instr(2)
 	b.Read(0x100)
 	b.Write(0x104)
-	if len(b.events) != 2 {
-		t.Fatalf("events = %d", len(b.events))
+	b.finish()
+	if len(got) != 2 {
+		t.Fatalf("events = %d", len(got))
 	}
-	if b.events[0].Gap != 5 {
-		t.Errorf("gap = %d, want 5", b.events[0].Gap)
+	if got[0].Gap != 5 {
+		t.Errorf("gap = %d, want 5", got[0].Gap)
 	}
-	if b.events[1].Gap != 0 {
-		t.Errorf("second gap = %d, want 0", b.events[1].Gap)
-	}
-	if b.Refs() != 2 {
-		t.Errorf("Refs = %d", b.Refs())
+	if got[1].Gap != 0 {
+		t.Errorf("second gap = %d, want 0", got[1].Gap)
 	}
 }
 
