@@ -7,7 +7,6 @@ import (
 	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/report"
-	"busprefetch/internal/runner"
 	"busprefetch/internal/sim"
 )
 
@@ -40,76 +39,51 @@ type AblationRow struct {
 	InvalShare float64
 }
 
-func (s *Suite) runConfig(ctx context.Context, label, wl string, strat prefetch.Strategy, cfg sim.Config,
-	restructured bool, annotate func(prefetch.Options) prefetch.Options) (*sim.Result, error) {
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	// Ablation traces must be generated with the ablation geometry so the
-	// layouts (conflict-pair placement, padding) stay consistent with the
-	// simulated cache. The trace cache keys on geometry, so sweeps that vary
-	// only the simulator configuration (protocol, latency, distance, victim
-	// cache) share one plan, as do ablations at the default geometry
-	// and the main suite grid.
-	opts := prefetch.Options{Strategy: strat, Geometry: cfg.Geometry}
-	if annotate != nil {
-		opts = annotate(opts)
-	}
-	cfg.Label = label
-	return s.runCell(ctx, cfg, wl, restructured, cfg.Geometry, prefetch.Oracle, opts, nil)
+// sweep is one ablation sweep: its table title, its cells, and the row
+// label each cell's Key implies. The cells run on the paper's machine (see
+// Config), at the paper's T=8 unless the sweep varies the transfer cost
+// itself.
+type sweep struct {
+	title string
+	keys  []Key
+	label func(Key) string
 }
 
-// variantRun is one cell of an ablation sweep.
-type variantRun struct {
-	label        string
-	workload     string
-	strat        prefetch.Strategy
-	cfg          sim.Config
-	restructured bool
-	annotate     func(prefetch.Options) prefetch.Options
+// ablationKey is strategy st on wl on the paper's machine at T=8.
+func ablationKey(wl string, st prefetch.Strategy) Key {
+	return Key{Workload: wl, Strategy: st, Transfer: paper.TransferCycles}
 }
 
-// runVariants executes an ablation sweep on the suite's worker pool and
-// returns the results in input (canonical) order, so downstream baseline
-// arithmetic sees the same sequence a serial sweep would have produced.
-// Unlike the suite grid, ablation sweeps fail outright on the first failing
-// variant (in canonical order) — they are supplementary sweeps with
-// within-sweep baselines, so a partial sweep would mislead more than it
-// informs.
-func (s *Suite) runVariants(ctx context.Context, sweep string, variants []variantRun) ([]*sim.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// rows runs the sweep and returns one row per cell, relative to the
+// sweep's first cell.
+func (s *Suite) rows(ctx context.Context, sw sweep) ([]AblationRow, error) {
+	res, err := s.results(ctx, sw.keys)
+	if err != nil {
+		return nil, err
 	}
-	tasks := make([]runner.Task, len(variants))
-	results := make([]*sim.Result, len(variants))
-	for i, v := range variants {
-		label := fmt.Sprintf("ablation:%s/%s/%s/%s", sweep, v.workload, v.label, v.strat)
-		tasks[i] = runner.Task{
-			Label: label,
-			Run: func(ctx context.Context) error {
-				err, _ := runner.Retry(ctx, s.retryPolicy(label), func(ctx context.Context) error {
-					res, err := s.runConfig(ctx, label, v.workload, v.strat, v.cfg, v.restructured, v.annotate)
-					if err != nil {
-						return err
-					}
-					results[i] = res
-					return nil
-				})
-				return err
-			},
+	rows := make([]AblationRow, len(res))
+	var base uint64
+	for i, r := range res {
+		if base == 0 {
+			base = r.Cycles
 		}
+		rows[i] = ablationRow(sw.label(sw.keys[i]), sw.keys[i].Strategy, r, base)
 	}
-	errs, times := s.pool.Do(ctx, tasks, nil)
-	s.recordTimings(times)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s (%s): %w", variants[i].label, sweep, err)
-		}
-	}
-	return results, nil
+	return rows, nil
 }
+
+// reportSweeps are the ablations section's sweeps and reportProtocols the
+// protocols section's. They run on the paper's machine, whatever the suite,
+// so they are built once.
+var (
+	reportSweeps = [...]sweep{
+		cacheSizeSweep("mp3d", nil),
+		lineSizeSweep("mp3d", nil),
+		associativitySweep("topopt"),
+		placementSweep("mp3d"),
+	}
+	reportProtocols = protocolSweep("mp3d", nil)
+)
 
 func ablationRow(label string, strat prefetch.Strategy, res *sim.Result, baseline uint64) AblationRow {
 	row := AblationRow{
@@ -136,53 +110,40 @@ func ablationRow(label string, strat prefetch.Strategy, res *sim.Result, baselin
 // paper's reported effect: larger caches remove non-sharing misses, so
 // invalidation misses dominate even more.
 func (s *Suite) AblationCacheSize(ctx context.Context, wl string, sizesKB []int) ([]AblationRow, error) {
+	return s.rows(ctx, cacheSizeSweep(wl, sizesKB))
+}
+
+func cacheSizeSweep(wl string, sizesKB []int) sweep {
 	if len(sizesKB) == 0 {
 		sizesKB = []int{16, 32, 64, 128}
 	}
-	var variants []variantRun
-	for _, kb := range sizesKB {
-		cfg := sim.DefaultConfig()
-		cfg.Geometry = memory.Geometry{CacheSize: kb * 1024, LineSize: 32, Assoc: 1}
-		variants = append(variants, variantRun{
-			label: fmt.Sprintf("%dKB", kb), workload: wl, strat: prefetch.NP, cfg: cfg,
-		})
+	sw := sweep{title: "Ablation: cache size (" + wl + ", NP, T=8)", keys: make([]Key, len(sizesKB)),
+		label: func(k Key) string { return fmt.Sprintf("%dKB", k.Geometry.CacheSize/1024) }}
+	for i, kb := range sizesKB {
+		sw.keys[i] = ablationKey(wl, prefetch.NP)
+		sw.keys[i].Geometry = memory.Geometry{CacheSize: kb * 1024, LineSize: 32, Assoc: 1}
 	}
-	return s.sweepRows(ctx, "cache-size", variants)
-}
-
-// sweepRows runs a sweep whose baseline is its first variant's cycles.
-func (s *Suite) sweepRows(ctx context.Context, sweep string, variants []variantRun) ([]AblationRow, error) {
-	results, err := s.runVariants(ctx, sweep, variants)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	var base uint64
-	for i, res := range results {
-		if base == 0 {
-			base = res.Cycles
-		}
-		rows = append(rows, ablationRow(variants[i].label, variants[i].strat, res, base))
-	}
-	return rows, nil
+	return sw
 }
 
 // AblationLineSize sweeps the cache-line size under NP. The paper's
 // reported effect: larger blocks increase false sharing and with it the
 // invalidation miss total.
 func (s *Suite) AblationLineSize(ctx context.Context, wl string, sizes []int) ([]AblationRow, error) {
+	return s.rows(ctx, lineSizeSweep(wl, sizes))
+}
+
+func lineSizeSweep(wl string, sizes []int) sweep {
 	if len(sizes) == 0 {
 		sizes = []int{16, 32, 64, 128}
 	}
-	var variants []variantRun
-	for _, ls := range sizes {
-		cfg := sim.DefaultConfig()
-		cfg.Geometry = memory.Geometry{CacheSize: 32 * 1024, LineSize: ls, Assoc: 1}
-		variants = append(variants, variantRun{
-			label: fmt.Sprintf("%dB", ls), workload: wl, strat: prefetch.NP, cfg: cfg,
-		})
+	sw := sweep{title: "Ablation: line size (" + wl + ", NP, T=8)", keys: make([]Key, len(sizes)),
+		label: func(k Key) string { return fmt.Sprintf("%dB", k.Geometry.LineSize) }}
+	for i, ls := range sizes {
+		sw.keys[i] = ablationKey(wl, prefetch.NP)
+		sw.keys[i].Geometry = memory.Geometry{CacheSize: 32 * 1024, LineSize: ls, Assoc: 1}
 	}
-	return s.sweepRows(ctx, "line-size", variants)
+	return sw
 }
 
 // AblationAssociativity compares the direct-mapped cache against
@@ -191,25 +152,26 @@ func (s *Suite) AblationLineSize(ctx context.Context, wl string, sizes []int) ([
 // prefetching introduces ("the magnitude of this conflict would likely be
 // reduced by a victim cache or a set-associative cache", §4.3).
 func (s *Suite) AblationAssociativity(ctx context.Context, wl string) ([]AblationRow, error) {
-	type variant struct {
-		label  string
-		assoc  int
-		victim int
+	return s.rows(ctx, associativitySweep(wl))
+}
+
+func associativitySweep(wl string) sweep {
+	sw := sweep{title: "Ablation: associativity & victim cache (" + wl + ", PREF, T=8)", keys: make([]Key, 4),
+		label: func(k Key) string {
+			switch {
+			case k.VictimLines > 0:
+				return fmt.Sprintf("direct+victim%d", k.VictimLines)
+			case k.Geometry.Assoc == 1:
+				return "direct-mapped"
+			}
+			return fmt.Sprintf("%d-way", k.Geometry.Assoc)
+		}}
+	for i, shape := range [4][2]int32{{1, 0}, {1, 8}, {2, 0}, {4, 0}} {
+		sw.keys[i] = ablationKey(wl, prefetch.PREF)
+		sw.keys[i].Geometry = memory.Geometry{CacheSize: 32 * 1024, LineSize: 32, Assoc: int(shape[0])}
+		sw.keys[i].VictimLines = shape[1]
 	}
-	shapes := []variant{
-		{"direct-mapped", 1, 0},
-		{"direct+victim8", 1, 8},
-		{"2-way", 2, 0},
-		{"4-way", 4, 0},
-	}
-	var variants []variantRun
-	for _, v := range shapes {
-		cfg := sim.DefaultConfig()
-		cfg.Geometry = memory.Geometry{CacheSize: 32 * 1024, LineSize: 32, Assoc: v.assoc}
-		cfg.VictimCacheLines = v.victim
-		variants = append(variants, variantRun{label: v.label, workload: wl, strat: prefetch.PREF, cfg: cfg})
-	}
-	return s.sweepRows(ctx, "associativity", variants)
+	return sw
 }
 
 // AblationProtocol compares the three coherence protocols — Illinois, the
@@ -224,23 +186,28 @@ func (s *Suite) AblationAssociativity(ctx context.Context, wl string) ([]Ablatio
 // with fills for the bus. The baseline is Illinois/NP at the first transfer
 // cost.
 func (s *Suite) AblationProtocol(ctx context.Context, wl string, transfers []int) ([]AblationRow, error) {
+	return s.rows(ctx, protocolSweep(wl, transfers))
+}
+
+func protocolSweep(wl string, transfers []int) sweep {
 	if len(transfers) == 0 {
 		transfers = []int{8, 32}
 	}
-	var variants []variantRun
+	protocols := [...]sim.Protocol{sim.Illinois, sim.MSI, sim.Dragon}
+	strategies := [...]prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.EXCL}
+	sw := sweep{title: "Ablation: coherence protocols (" + wl + ", T=8)",
+		keys:  make([]Key, 0, len(transfers)*len(protocols)*len(strategies)),
+		label: func(k Key) string { return fmt.Sprintf("%s/t%d", k.Protocol, k.Transfer) }}
 	for _, tc := range transfers {
-		for _, proto := range []sim.Protocol{sim.Illinois, sim.MSI, sim.Dragon} {
-			for _, strat := range []prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.EXCL} {
-				cfg := sim.DefaultConfig()
-				cfg.Protocol = proto
-				cfg.TransferCycles = tc
-				variants = append(variants, variantRun{
-					label: fmt.Sprintf("%s/t%d", proto, tc), workload: wl, strat: strat, cfg: cfg,
-				})
+		for _, proto := range protocols {
+			for _, strat := range strategies {
+				k := ablationKey(wl, strat)
+				k.Protocol, k.Transfer = proto, tc
+				sw.keys = append(sw.keys, k)
 			}
 		}
 	}
-	return s.sweepRows(ctx, "protocol", variants)
+	return sw
 }
 
 // AblationPrefetchPlacement compares cache prefetching against the
@@ -248,19 +215,23 @@ func (s *Suite) AblationProtocol(ctx context.Context, wl string, transfers []int
 // write-shared data, so on these workloads it covers far less — the paper's
 // reason to study cache prefetching only.
 func (s *Suite) AblationPrefetchPlacement(ctx context.Context, wl string) ([]AblationRow, error) {
-	np := sim.DefaultConfig()
-	buf := sim.DefaultConfig()
-	buf.PrefetchTarget = sim.PrefetchToBuffer
-	variants := []variantRun{
-		{label: "no prefetch", workload: wl, strat: prefetch.NP, cfg: np},
-		{label: "cache prefetch", workload: wl, strat: prefetch.PREF, cfg: np},
-		{label: "buffer prefetch", workload: wl, strat: prefetch.PREF, cfg: buf,
-			annotate: func(o prefetch.Options) prefetch.Options {
-				o.ExcludeWriteShared = true
-				return o
-			}},
-	}
-	return s.sweepRows(ctx, "placement", variants)
+	return s.rows(ctx, placementSweep(wl))
+}
+
+func placementSweep(wl string) sweep {
+	buffered := ablationKey(wl, prefetch.PREF)
+	buffered.Buffer = true
+	return sweep{title: "Ablation: cache vs buffer prefetching (" + wl + ", T=8)",
+		keys: []Key{ablationKey(wl, prefetch.NP), ablationKey(wl, prefetch.PREF), buffered},
+		label: func(k Key) string {
+			switch {
+			case k.Strategy == prefetch.NP:
+				return "no prefetch"
+			case k.Buffer:
+				return "buffer prefetch"
+			}
+			return "cache prefetch"
+		}}
 }
 
 // RenderAblation formats any ablation sweep.
@@ -285,19 +256,19 @@ func (s *Suite) AblationDistance(ctx context.Context, wl string, distances []int
 	if len(distances) == 0 {
 		distances = []int{25, 50, 100, 200, 400, 800}
 	}
-	cfg := sim.DefaultConfig()
-	// Baseline: NP at the same architecture (the sweep's first variant).
-	variants := []variantRun{{label: "NP", workload: wl, strat: prefetch.NP, cfg: cfg}}
+	// Baseline: NP at the same architecture (the sweep's first cell).
+	sw := sweep{keys: []Key{ablationKey(wl, prefetch.NP)}, label: func(k Key) string {
+		if k.Strategy == prefetch.NP {
+			return "NP"
+		}
+		return fmt.Sprintf("dist %d", k.Distance)
+	}}
 	for _, d := range distances {
-		d := d
-		variants = append(variants, variantRun{
-			label: fmt.Sprintf("dist %d", d), workload: wl, strat: prefetch.PREF, cfg: cfg,
-			annotate: func(o prefetch.Options) prefetch.Options {
-				o.Distance = d
-				return o
-			}})
+		k := ablationKey(wl, prefetch.PREF)
+		k.Distance = int32(d)
+		sw.keys = append(sw.keys, k)
 	}
-	return s.sweepRows(ctx, "distance", variants)
+	return s.rows(ctx, sw)
 }
 
 // AblationMemLatency sweeps the total memory latency under NP and PREF. The
@@ -307,27 +278,22 @@ func (s *Suite) AblationMemLatency(ctx context.Context, wl string, latencies []i
 	if len(latencies) == 0 {
 		latencies = []int{25, 50, 100, 200}
 	}
-	var variants []variantRun
+	var keys []Key
 	for _, lat := range latencies {
-		cfg := sim.DefaultConfig()
-		cfg.MemLatency = lat
-		if cfg.TransferCycles > lat {
-			cfg.TransferCycles = lat
+		for _, st := range []prefetch.Strategy{prefetch.NP, prefetch.PREF} {
+			k := ablationKey(wl, st)
+			k.MemLatency, k.Transfer = int32(lat), min(k.Transfer, lat)
+			keys = append(keys, k)
 		}
-		label := fmt.Sprintf("latency %d", lat)
-		variants = append(variants,
-			variantRun{label: label, workload: wl, strat: prefetch.NP, cfg: cfg},
-			variantRun{label: label, workload: wl, strat: prefetch.PREF, cfg: cfg})
 	}
-	results, err := s.runVariants(ctx, "mem-latency", variants)
+	res, err := s.results(ctx, keys)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
-	for i := 0; i < len(results); i += 2 {
-		np, pf := results[i], results[i+1]
+	for i := 0; i < len(res); i += 2 {
 		// RelTime here is PREF relative to NP at the same latency.
-		rows = append(rows, ablationRow(variants[i].label, prefetch.PREF, pf, np.Cycles))
+		rows = append(rows, ablationRow(fmt.Sprintf("latency %d", latencies[i/2]), prefetch.PREF, res[i+1], res[i].Cycles))
 	}
 	return rows, nil
 }

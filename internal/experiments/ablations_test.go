@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"busprefetch/internal/runner"
 )
 
 func ablSuite() *Suite { return NewSuite(Config{Scale: 0.15, Seed: 1}) }
@@ -147,6 +149,52 @@ func TestAblationPrefetchPlacement(t *testing.T) {
 	if bufPf.RelTime <= cachePf.RelTime {
 		t.Errorf("buffer prefetching (%.3f) beat cache prefetching (%.3f) on shared-heavy mp3d",
 			bufPf.RelTime, cachePf.RelTime)
+	}
+}
+
+// TestAblationCheckpointResume: ablation cells take the same checkpoint path
+// as every other cell — a second suite over the same store restores every
+// one of them, recomputes none, and renders byte-identical output.
+func TestAblationCheckpointResume(t *testing.T) {
+	ctx := context.Background()
+	ablations := func(name string) bool { return name == "ablations" }
+	dir := t.TempDir()
+	store1, err := runner.OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := NewSuite(resumeConfig(store1))
+	out1, err := s1.RenderSections(ctx, ablations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sweeps share some cells (every default-geometry mp3d/NP row is
+	// one cell), and each distinct cell is checkpointed once.
+	distinct := map[Key]bool{}
+	for _, sw := range reportSweeps {
+		for _, k := range sw.keys {
+			distinct[k.canonical()] = true
+		}
+	}
+	if puts := store1.Stats().Puts; puts != uint64(len(distinct)) {
+		t.Fatalf("first run checkpointed %d cells, want %d", puts, len(distinct))
+	}
+
+	store2, err := runner.OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewSuite(resumeConfig(store2))
+	out2, err := s2.RenderSections(ctx, ablations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := store2.Stats(); stats.Hits != uint64(len(distinct)) || stats.Puts != 0 {
+		t.Errorf("resume hits=%d puts=%d, want all %d cells restored and none recomputed",
+			stats.Hits, stats.Puts, len(distinct))
+	}
+	if out2 != out1 {
+		t.Errorf("restored ablations render differently:\n--- first ---\n%s\n--- restored ---\n%s", out1, out2)
 	}
 }
 

@@ -11,47 +11,31 @@ import (
 	"busprefetch/internal/sim"
 )
 
-// Checkpointing persists completed sweep cells through Config.Checkpoints so
-// an interrupted sweep (Ctrl-C, a crash, kill -9) resumes with only the
-// missing cells recomputed. Keys are canonical spec strings — every field
-// that determines a cell's result, plus the build revision — so any
-// configuration or code change misses cleanly instead of resurrecting stale
-// data. Payloads are all-integer JSON snapshots: integers round-trip JSON
-// exactly, so a resumed sweep renders byte-identical reports.
+// Checkpointing persists completed cells through Config.Checkpoints so an
+// interrupted sweep (Ctrl-C, a crash, kill -9) resumes with only the
+// missing cells recomputed. Every cell of every section — grid, ablation,
+// recorded or ladder — takes the same path: one key format, the canonical
+// Key spelled out field by field behind the run-wide spec and the build
+// revision, so any configuration or code change misses cleanly instead of
+// resurrecting stale data; and one payload, an all-integer JSON snapshot:
+// integers round-trip JSON exactly, so a resumed sweep renders
+// byte-identical reports.
 //
-// Only successful results are checkpointed; errors always re-run. Ablation
-// sweeps are not checkpointed — they are small deterministic re-runs with
-// within-sweep baselines, cheap to recompute relative to the grid.
+// Only successful results are checkpointed; errors always re-run.
 
-// cellSnapshot is the persisted form of one grid cell's sim.Result. Every
-// field is integral (uint64s, arrays and maps of uint64s), so the JSON
-// round-trip is exact and a resumed render is byte-identical to the original.
-type cellSnapshot struct {
+// snapshot is the persisted form of one cell's sim.Result. Every field is
+// integral (uint64s, arrays and maps of uint64s; obs.Summary keeps fixed
+// histogram bucket counts, not floats), so the JSON round-trip is exact
+// and a resumed render is byte-identical to the original.
+type snapshot struct {
 	Cycles       uint64
 	Counters     sim.Counters
 	Bus          bus.Stats
 	Links        []bus.Stats `json:",omitempty"`
 	Procs        []sim.ProcStats
 	RegionMisses map[string]sim.RegionMisses `json:",omitempty"`
-}
-
-// obsSnapshot is the persisted form of one observability cell. obs.Summary is
-// all-integer by design (fixed histogram bucket counts, not floats), so it
-// shares the exactness guarantee.
-type obsSnapshot struct {
-	Summary           *obs.Summary
-	AdjustedCPUMisses uint64
-}
-
-// onlineSnapshot is the persisted form of one online-vs-oracle cell. Every
-// field is integral (counters, histogram buckets, engine tallies), so it
-// shares the exactness guarantee.
-type onlineSnapshot struct {
-	Cycles   uint64
-	NPCycles uint64
-	Counters sim.Counters
-	Summary  *obs.Summary
-	Stats    *prefetch.EngineStats `json:",omitempty"`
+	Obs          *obs.Summary                `json:",omitempty"`
+	Online       *prefetch.EngineStats       `json:",omitempty"`
 }
 
 // checkpointsEnabled reports whether the suite may consult the checkpoint
@@ -64,53 +48,34 @@ func (s *Suite) checkpointsEnabled() bool {
 
 // SpecString returns the canonical suite-configuration spec: every
 // Config field that is invariant across a sweep's cells, plus the build
-// revision, in the exact form the checkpoint keys embed. The experiment
-// server keys its content-addressed result store on it (plus the per-request
-// fields a cell key ignores — the transfer sweep and the section list), so
-// two sweeps that agree on the spec share one computation and any code or
-// configuration change misses cleanly instead of resurrecting stale reports.
+// revision. The experiment server keys its content-addressed result store
+// on it (plus the per-request fields it omits — the transfer sweep and the
+// section list), so two sweeps that agree on the spec share one
+// computation and any code or configuration change misses cleanly instead
+// of resurrecting stale reports.
 func (c Config) SpecString() string {
 	c = c.withDefaults()
 	return fmt.Sprintf("build=%s|salt=%s|scale=%g|seed=%d|mem=%d|proto=%s|pf=%s|ic=%s",
 		buildinfo.Revision(), c.Salt, c.Scale, c.Seed, c.MemLatency, c.Protocol, c.Prefetcher, c.Interconnect.String())
 }
 
-// specPrefix is the suite-wide portion of every checkpoint key.
-func (s *Suite) specPrefix(kind string) string {
-	return kind + "|" + s.cfg.SpecString()
-}
-
-// cellKey is the canonical spec string for one grid cell.
+// cellKey is the checkpoint key for one cell: the build revision, the
+// run-wide inputs a Key does not carry (salt, scale, seed), and every Key
+// field.
 func (s *Suite) cellKey(k Key) string {
-	return fmt.Sprintf("%s|wl=%s|strat=%s|t=%d|restr=%t",
-		s.specPrefix("busprefetch-cell/v1"), k.Workload, k.Strategy, k.Transfer, k.Restructured)
+	g := k.Geometry
+	return fmt.Sprintf("busprefetch-cell/v2|build=%s|salt=%s|scale=%g|seed=%d|wl=%s|strat=%s|t=%d|restr=%t"+
+		"|rec=%t|buf=%t|pf=%s|proto=%s|ic=%s|mem=%d|geom=%d/%d/%d|victim=%d|dist=%d",
+		buildinfo.Revision(), s.cfg.Salt, s.cfg.Scale, s.cfg.Seed, k.Workload, k.Strategy, k.Transfer, k.Restructured,
+		k.Record, k.Buffer, k.Prefetcher, k.Protocol, k.Fabric.String(), k.MemLatency,
+		g.CacheSize, g.LineSize, g.Assoc, k.VictimLines, k.Distance)
 }
 
-// obsKey is the canonical spec string for one observability cell.
-func (s *Suite) obsKey(c *ObsCell) string {
-	return fmt.Sprintf("%s|wl=%s|strat=%s|t=%d",
-		s.specPrefix("busprefetch-obs/v1"), c.Workload, c.Strategy, c.Transfer)
-}
-
-// onlineKey is the canonical spec string for one online-vs-oracle cell.
-func (s *Suite) onlineKey(c *OnlineCell) string {
-	return fmt.Sprintf("%s|wl=%s|engine=%s|t=%d",
-		s.specPrefix("busprefetch-online/v1"), c.Workload, c.Engine, c.Transfer)
-}
-
-// icKey is the canonical spec string for one interconnect cell. The cell's own
-// topology spec is embedded — the sweep's cells deliberately ignore the
-// suite-level Interconnect, each simulating its own fabric.
-func (s *Suite) icKey(c *InterconnectCell) string {
-	return fmt.Sprintf("%s|wl=%s|topo=%s|strat=%s|t=%d",
-		s.specPrefix("busprefetch-ic/v1"), c.Workload, c.IC.String(), c.Strategy, c.Transfer)
-}
-
-// loadCellCheckpoint returns the persisted result for k, if the store holds a
-// valid one. The Result's Config is rebuilt the way simulate builds it (sans
-// PerRun — checkpointing under PerRun requires a Salt, and the Config field
-// is diagnostic, not measured).
-func (s *Suite) loadCellCheckpoint(k Key) (*sim.Result, bool) {
+// loadCheckpoint returns the persisted result for k, if the store holds a
+// valid one. The Result's Config is rebuilt from k without PerRun:
+// checkpointing under PerRun requires a Salt, and the Config field is
+// diagnostic, not measured.
+func (s *Suite) loadCheckpoint(k Key) (*sim.Result, bool) {
 	if !s.checkpointsEnabled() {
 		return nil, false
 	}
@@ -118,16 +83,11 @@ func (s *Suite) loadCellCheckpoint(k Key) (*sim.Result, bool) {
 	if err != nil || !ok {
 		return nil, false
 	}
-	var snap cellSnapshot
-	if json.Unmarshal(payload, &snap) != nil {
+	var snap snapshot
+	if json.Unmarshal(payload, &snap) != nil || (k.Record && snap.Obs == nil) {
 		return nil, false
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Label = k.String()
-	cfg.MemLatency = s.cfg.MemLatency
-	cfg.TransferCycles = k.Transfer
-	cfg.Protocol = s.cfg.Protocol
-	cfg.Interconnect = s.cfg.Interconnect
+	cfg, _ := machine(k)
 	return &sim.Result{
 		Config:       cfg,
 		Cycles:       snap.Cycles,
@@ -136,141 +96,31 @@ func (s *Suite) loadCellCheckpoint(k Key) (*sim.Result, bool) {
 		Links:        snap.Links,
 		Procs:        snap.Procs,
 		RegionMisses: snap.RegionMisses,
+		Obs:          snap.Obs,
+		Online:       snap.Online,
 	}, true
 }
 
-// storeCellCheckpoint persists a completed cell. Best-effort: a full or
+// storeCheckpoint persists a completed cell. Best-effort: a full or
 // read-only checkpoint volume must not fail the sweep, so errors are dropped
 // (the cell simply re-runs on resume) and surface only through
 // CheckpointStore.Stats.
-func (s *Suite) storeCellCheckpoint(k Key, res *sim.Result) {
+func (s *Suite) storeCheckpoint(k Key, res *sim.Result) {
 	if !s.checkpointsEnabled() {
 		return
 	}
-	payload, err := json.Marshal(cellSnapshot{
+	payload, err := json.Marshal(snapshot{
 		Cycles:       res.Cycles,
 		Counters:     res.Counters,
 		Bus:          res.Bus,
 		Links:        res.Links,
 		Procs:        res.Procs,
 		RegionMisses: res.RegionMisses,
+		Obs:          res.Obs,
+		Online:       res.Online,
 	})
 	if err != nil {
 		return
 	}
 	_ = s.cfg.Checkpoints.Put(s.cellKey(k), payload)
-}
-
-// loadObsCheckpoint fills c from a persisted observability cell, if any.
-func (s *Suite) loadObsCheckpoint(c *ObsCell) bool {
-	if !s.checkpointsEnabled() {
-		return false
-	}
-	payload, ok, err := s.cfg.Checkpoints.Get(s.obsKey(c))
-	if err != nil || !ok {
-		return false
-	}
-	var snap obsSnapshot
-	if json.Unmarshal(payload, &snap) != nil || snap.Summary == nil {
-		return false
-	}
-	c.Summary = snap.Summary
-	c.AdjustedCPUMisses = snap.AdjustedCPUMisses
-	return true
-}
-
-// storeObsCheckpoint persists a completed observability cell, best-effort.
-func (s *Suite) storeObsCheckpoint(c *ObsCell) {
-	if !s.checkpointsEnabled() {
-		return
-	}
-	payload, err := json.Marshal(obsSnapshot{Summary: c.Summary, AdjustedCPUMisses: c.AdjustedCPUMisses})
-	if err != nil {
-		return
-	}
-	_ = s.cfg.Checkpoints.Put(s.obsKey(c), payload)
-}
-
-// loadOnlineCheckpoint fills c from a persisted online cell, if any.
-func (s *Suite) loadOnlineCheckpoint(c *OnlineCell) bool {
-	if !s.checkpointsEnabled() {
-		return false
-	}
-	payload, ok, err := s.cfg.Checkpoints.Get(s.onlineKey(c))
-	if err != nil || !ok {
-		return false
-	}
-	var snap onlineSnapshot
-	if json.Unmarshal(payload, &snap) != nil || snap.Summary == nil {
-		return false
-	}
-	c.Cycles, c.NPCycles = snap.Cycles, snap.NPCycles
-	c.Counters = snap.Counters
-	c.Summary = snap.Summary
-	c.Stats = snap.Stats
-	return true
-}
-
-// icSnapshot is the persisted form of one interconnect cell. Every field is
-// integral, so it shares the exactness guarantee.
-type icSnapshot struct {
-	Cycles   uint64
-	Counters sim.Counters
-	Bus      bus.Stats
-	Links    []bus.Stats `json:",omitempty"`
-}
-
-// loadICCheckpoint fills c from a persisted interconnect cell, if any.
-func (s *Suite) loadICCheckpoint(c *InterconnectCell) bool {
-	if !s.checkpointsEnabled() {
-		return false
-	}
-	payload, ok, err := s.cfg.Checkpoints.Get(s.icKey(c))
-	if err != nil || !ok {
-		return false
-	}
-	var snap icSnapshot
-	if json.Unmarshal(payload, &snap) != nil || snap.Cycles == 0 {
-		return false
-	}
-	c.Cycles = snap.Cycles
-	c.Counters = snap.Counters
-	c.Bus = snap.Bus
-	c.Links = snap.Links
-	return true
-}
-
-// storeICCheckpoint persists a completed interconnect cell, best-effort.
-func (s *Suite) storeICCheckpoint(c *InterconnectCell) {
-	if !s.checkpointsEnabled() {
-		return
-	}
-	payload, err := json.Marshal(icSnapshot{
-		Cycles:   c.Cycles,
-		Counters: c.Counters,
-		Bus:      c.Bus,
-		Links:    c.Links,
-	})
-	if err != nil {
-		return
-	}
-	_ = s.cfg.Checkpoints.Put(s.icKey(c), payload)
-}
-
-// storeOnlineCheckpoint persists a completed online cell, best-effort.
-func (s *Suite) storeOnlineCheckpoint(c *OnlineCell) {
-	if !s.checkpointsEnabled() {
-		return
-	}
-	payload, err := json.Marshal(onlineSnapshot{
-		Cycles:   c.Cycles,
-		NPCycles: c.NPCycles,
-		Counters: c.Counters,
-		Summary:  c.Summary,
-		Stats:    c.Stats,
-	})
-	if err != nil {
-		return
-	}
-	_ = s.cfg.Checkpoints.Put(s.onlineKey(c), payload)
 }

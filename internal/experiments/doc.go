@@ -4,11 +4,16 @@
 // relative execution times across the memory-architecture sweep (Figure 2),
 // processor utilizations (§4.2), the CPU-miss component breakdown (Figure 3),
 // invalidation and false-sharing rates (Table 3), and the restructured-
-// program results (Tables 4 and 5).
+// program results (Tables 4 and 5), plus the ablations, the observability
+// slice, the online-engine rows and the interconnect ladder.
 //
-// A Suite memoizes simulation results so experiments that share runs (for
-// example Figure 1, Table 2 and Figure 2 all need the strategy x transfer
-// grid) simulate each configuration once. Runs are independent and execute
-// in parallel across CPUs; results are deterministic regardless of
-// parallelism.
+// Every cell of every section is a Key, and one executor runs them all: the
+// Key translates to a simulator configuration and annotation options, and a
+// runner.Memo keyed by the Key memoizes the outcome — behind it, the
+// checkpoint store, the retry budget and the per-cell timeout. A section is
+// a key list plus a renderer, so cells that sections share (the grid cells
+// Figure 1, Table 2 and Figure 2 all read, the ablation rows on the paper's
+// machine, the observability cells the online oracle rows repeat) simulate
+// once. Runs are independent and execute in parallel across CPUs; results
+// are deterministic regardless of parallelism.
 package experiments

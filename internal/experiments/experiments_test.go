@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"busprefetch/internal/prefetch"
+	"busprefetch/internal/sim"
 )
 
 // testSuite returns a suite small enough for CI but large enough for the
@@ -27,6 +30,53 @@ func TestSuiteMemoizes(t *testing.T) {
 	}
 	if a != b {
 		t.Error("second Result call did not return the memoized pointer")
+	}
+}
+
+// TestEachCellSimulatesOnce renders every section of a small default suite
+// with a counting PerRun hook, which sees every cell's full Key: no Key may
+// simulate twice, even when two goroutines prewarm the same keys at once,
+// and the default report is exactly its distinct cells.
+func TestEachCellSimulatesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report in -short mode")
+	}
+	var mu sync.Mutex
+	runs := map[Key]int{}
+	s := NewSuite(Config{Scale: 0.05, Seed: 1, PerRun: func(k Key, _ *sim.Config) {
+		mu.Lock()
+		runs[k]++
+		mu.Unlock()
+	}})
+	all := func(string) bool { return true }
+	keys := s.KeysFor(all)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Prewarm(ctx, keys, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := s.RenderSections(ctx, all); err != nil {
+		t.Fatal(err)
+	}
+	for k, n := range runs {
+		if n != 1 {
+			t.Errorf("%v simulated %d times", k, n)
+		}
+	}
+	// 244 section cells: the 155-cell grid, 12 observability cells, 24
+	// online rows, 20 ladder rungs, 15 ablation and 18 protocol rows. 18 of
+	// them repeat another cell: the 4 single-bus ladder rungs, the 3 online
+	// oracle rows at T=8 (observability's PREF cells) and 11 ablation rows
+	// on the paper's machine (grid cells).
+	if len(runs) != 226 {
+		t.Errorf("the default report simulated %d cells, want 226", len(runs))
 	}
 }
 
@@ -189,5 +239,21 @@ func TestRenderersProduceOutput(t *testing.T) {
 		// Utilization needs T=4 and T=32; this config only has T=8, so an
 		// error is acceptable here... but it should not panic.
 		t.Logf("utilization on reduced sweep: %v", err)
+	}
+}
+
+// setupKeys keeps BenchmarkSuiteSetup's result live.
+var setupKeys []Key
+
+// BenchmarkSuiteSetup times suite construction plus KeysFor with every
+// section selected — the work perfbench's suite/setup_s measures before
+// every report.
+func BenchmarkSuiteSetup(b *testing.B) {
+	all := func(string) bool { return true }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.Scale, cfg.Seed, cfg.Parallelism = 0.1, 1, runtime.GOMAXPROCS(0)
+		setupKeys = NewSuite(cfg).KeysFor(all)
 	}
 }

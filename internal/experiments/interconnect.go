@@ -6,11 +6,8 @@ import (
 
 	"busprefetch/internal/bus"
 	"busprefetch/internal/interconnect"
-	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/report"
-	"busprefetch/internal/runner"
-	"busprefetch/internal/sim"
 )
 
 // The interconnect section turns the paper's conclusion into a dial. The
@@ -55,147 +52,96 @@ func InterconnectTransfers() []int { return []int{8, 32} }
 // most bus-bound program and the one where prefetching hurts the most.
 const interconnectWorkload = "mp3d"
 
-// InterconnectCell is one cell of the interconnect sweep: a (topology,
+// InterconnectRow is one row of the interconnect sweep: a (topology,
 // strategy, transfer) triple's execution time and fabric occupancy on the
 // sweep's fixed workload.
-type InterconnectCell struct {
-	Workload string
-	// Topology is the variant's display label; IC is its configuration
-	// (embedded in the checkpoint key, so relabeling is free but retuning a
-	// fabric re-runs its cells).
+type InterconnectRow struct {
+	// Topology is the variant's display label; Fabric is its configuration.
 	Topology string
-	IC       interconnect.Config
+	Fabric   interconnect.Config
 	Strategy prefetch.Strategy
 	Transfer int
-	// Cycles is the cell's parallel execution time.
+	// Cycles is the row's parallel execution time.
 	Cycles uint64
-	// Counters is the run's full counter block.
-	Counters sim.Counters
 	// Bus aggregates occupancy across the fabric's links; Links holds the
 	// per-link split on multi-link fabrics (nil on a single bus).
 	Bus   bus.Stats
 	Links []bus.Stats
 }
 
-// Label returns the cell's label, "workload/topology/strategy/transfer".
-func (c InterconnectCell) Label() string {
-	return fmt.Sprintf("%s/%s/%s/%d", c.Workload, c.Topology, c.Strategy, c.Transfer)
+// Label returns the row's label, "workload/topology/strategy/transfer".
+func (r InterconnectRow) Label() string {
+	return fmt.Sprintf("%s/%s/%s/%d", interconnectWorkload, r.Topology, r.Strategy, r.Transfer)
 }
 
-// links returns the cell's link count (1 on a single bus).
-func (c InterconnectCell) links() int {
-	if len(c.Links) > 1 {
-		return len(c.Links)
+// links returns the row's link count (1 on a single bus).
+func (r InterconnectRow) links() int {
+	if len(r.Links) > 1 {
+		return len(r.Links)
 	}
 	return 1
 }
 
 // Utilization returns the mean per-link fraction of cycles the fabric was
 // occupied (the multi-link generalization of the paper's bus utilization).
-func (c InterconnectCell) Utilization() float64 {
-	if c.Cycles == 0 {
+func (r InterconnectRow) Utilization() float64 {
+	if r.Cycles == 0 {
 		return 0
 	}
-	u := float64(c.Bus.BusyCycles) / (float64(c.Cycles) * float64(c.links()))
+	u := float64(r.Bus.BusyCycles) / (float64(r.Cycles) * float64(r.links()))
 	if u > 1 {
 		u = 1 // rounding guard: a link can be busy through the final cycle
 	}
 	return u
 }
 
-// Interconnect runs the topology sweep — every InterconnectVariants fabric
-// under NP and PREF at InterconnectTransfers (or the given transfers) on the
-// sweep's fixed workload — on the suite's worker pool and returns cells in
-// canonical (topology-major, then strategy, then transfer) order. Unlike the
-// grid sections, the NP baselines are in-sweep: each topology normalizes
-// PREF against its own NP run, so the relative time isolates what
-// prefetching does *given* that fabric. The cells run under the suite's
-// retry budget and per-cell timeout, resume from the checkpoint store when
-// one is configured, and abort when ctx is cancelled. The suite-level
-// Interconnect config is deliberately ignored — each cell simulates its own
-// fabric.
-func (s *Suite) Interconnect(ctx context.Context, transfers []int) ([]InterconnectCell, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// interconnectKeys returns the topology sweep — every InterconnectVariants
+// fabric under NP and PREF at InterconnectTransfers (or the given transfers)
+// on the sweep's fixed workload — in canonical (topology-major, then
+// strategy, then transfer) order. The cells run on the suite's machine
+// except for the fabric, which each rung sets itself, and the prefetcher,
+// held at the oracle so the section isolates the fabric.
+func (s *Suite) interconnectKeys(transfers []int) []Key {
 	if len(transfers) == 0 {
 		transfers = InterconnectTransfers()
 	}
-	var cells []InterconnectCell
-	for _, v := range InterconnectVariants() {
-		for _, strat := range []prefetch.Strategy{prefetch.NP, prefetch.PREF} {
+	variants, strategies := InterconnectVariants(), [...]prefetch.Strategy{prefetch.NP, prefetch.PREF}
+	keys := make([]Key, 0, len(variants)*len(strategies)*len(transfers))
+	for _, v := range variants {
+		for _, st := range strategies {
 			for _, tr := range transfers {
-				cells = append(cells, InterconnectCell{
-					Workload: interconnectWorkload,
-					Topology: v.Label,
-					IC:       v.Cfg,
-					Strategy: strat,
-					Transfer: tr,
-				})
+				k := s.onSuite(Key{Workload: interconnectWorkload, Strategy: st, Transfer: tr})
+				k.Prefetcher, k.Fabric = prefetch.Oracle, v.Cfg
+				keys = append(keys, k)
 			}
 		}
 	}
-	tasks := make([]runner.Task, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		tasks[i] = runner.Task{
-			Label: "ic:" + c.Label(),
-			Run: func(ctx context.Context) error {
-				if s.loadICCheckpoint(c) {
-					return nil
-				}
-				err, _ := runner.Retry(ctx, s.retryPolicy("ic:"+c.Label()), func(ctx context.Context) error {
-					return s.runICCell(ctx, c)
-				})
-				if err == nil {
-					s.storeICCheckpoint(c)
-				}
-				return err
-			},
-		}
-	}
-	errs, times := s.pool.Do(ctx, tasks, nil)
-	s.recordTimings(times)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cells[i].Label(), err)
-		}
-	}
-	return cells, nil
+	return keys
 }
 
-// runICCell runs one interconnect cell attempt, filling c on success. The
-// prefetch annotation is always the oracle's — the section isolates the
-// fabric, so the prefetch decisions are held at the paper's baseline.
-func (s *Suite) runICCell(ctx context.Context, c *InterconnectCell) error {
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Label = "ic:" + c.Label()
-	cfg.MemLatency = s.cfg.MemLatency
-	cfg.TransferCycles = c.Transfer
-	cfg.Protocol = s.cfg.Protocol
-	if s.cfg.PerRun != nil {
-		s.cfg.PerRun(Key{Workload: c.Workload, Strategy: c.Strategy, Transfer: c.Transfer}, &cfg)
-	}
-	cfg.Interconnect = c.IC // after PerRun: the sweep's topology always wins
-	res, err := s.runCell(ctx, cfg, c.Workload, false, memory.Geometry{}, prefetch.Oracle,
-		prefetch.Options{Strategy: c.Strategy, Geometry: cfg.Geometry}, nil)
+// Interconnect runs the topology sweep on the suite's worker pool and
+// returns its rows in canonical order. Unlike the grid sections, the NP
+// baselines are in-sweep: each topology normalizes PREF against its own NP
+// run, so the relative time isolates what prefetching does *given* that
+// fabric.
+func (s *Suite) Interconnect(ctx context.Context, transfers []int) ([]InterconnectRow, error) {
+	keys := s.interconnectKeys(transfers)
+	res, err := s.results(ctx, keys)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.Cycles = res.Cycles
-	c.Counters = res.Counters
-	c.Bus = res.Bus
-	c.Links = res.Links
-	return nil
+	variants := InterconnectVariants()
+	perVariant := len(keys) / len(variants)
+	rows := make([]InterconnectRow, len(keys))
+	for i, k := range keys {
+		rows[i] = InterconnectRow{Topology: variants[i/perVariant].Label, Fabric: k.Fabric,
+			Strategy: k.Strategy, Transfer: k.Transfer, Cycles: res[i].Cycles, Bus: res[i].Bus, Links: res[i].Links}
+	}
+	return rows, nil
 }
 
 // icBaselines indexes the sweep's NP cycles by (topology, transfer).
-func icBaselines(cells []InterconnectCell) map[[2]string]uint64 {
+func icBaselines(cells []InterconnectRow) map[[2]string]uint64 {
 	np := make(map[[2]string]uint64)
 	for _, c := range cells {
 		if c.Strategy == prefetch.NP {
@@ -211,7 +157,7 @@ func icBaselines(cells []InterconnectCell) map[[2]string]uint64 {
 // by one finding line per transfer cost naming the first fabric (in the
 // variants' ascending-bandwidth order) where PREF beats NP, i.e. the
 // interconnect bandwidth at which prefetching flips from harmful to helpful.
-func RenderInterconnect(cells []InterconnectCell) string {
+func RenderInterconnect(cells []InterconnectRow) string {
 	np := icBaselines(cells)
 	t := report.NewTable(
 		fmt.Sprintf("Interconnect bandwidth ladder (%s, oracle PREF vs NP per fabric)", interconnectWorkload),

@@ -59,7 +59,7 @@ func TestInterconnectCells(t *testing.T) {
 		if c.Bus.TotalOps() == 0 {
 			t.Errorf("%s: fabric carried no transactions", c.Label())
 		}
-		if got := len(c.Links); c.IC.Kind == interconnect.SingleBus && got != 0 {
+		if got := len(c.Links); c.Fabric.Kind == interconnect.SingleBus && got != 0 {
 			t.Errorf("%s: single bus reported %d per-link stats, want none", c.Label(), got)
 		}
 		if len(c.Links) > 0 {
@@ -129,14 +129,14 @@ func TestInterconnectCheckpointResume(t *testing.T) {
 }
 
 // TestInterconnectSuiteConfigKeyed: a suite-level fabric override must not
-// alias grid checkpoints across topologies — the spec prefix embeds the
-// canonical fabric string.
+// alias grid checkpoints across topologies — the grid key carries the suite
+// fabric and the checkpoint key spells it out.
 func TestInterconnectSuiteConfigKeyed(t *testing.T) {
 	base := NewSuite(Config{Scale: 0.1, Seed: 1, Transfers: []int{8}})
 	multi := NewSuite(Config{Scale: 0.1, Seed: 1, Transfers: []int{8},
 		Interconnect: InterconnectVariants()[2].Cfg})
 	k := Key{Workload: "mp3d", Strategy: prefetch.NP, Transfer: 8}
-	a, b := base.cellKey(k), multi.cellKey(k)
+	a, b := base.cellKey(base.onSuite(k)), multi.cellKey(multi.onSuite(k))
 	if a == b {
 		t.Fatalf("grid cell key ignores the suite fabric: %q", a)
 	}

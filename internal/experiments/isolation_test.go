@@ -5,10 +5,12 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"busprefetch/internal/cache"
 	"busprefetch/internal/check"
 	"busprefetch/internal/prefetch"
+	"busprefetch/internal/runner"
 	"busprefetch/internal/sim"
 )
 
@@ -112,5 +114,28 @@ func TestPrewarmReportsCellErrors(t *testing.T) {
 	// The healthy key prewarmed fine.
 	if _, err := s.Result(good); err != nil {
 		t.Errorf("healthy cell failed after Prewarm: %v", err)
+	}
+}
+
+// TestPanickingCellFailsAgain: a cell whose run panics is isolated by the
+// pool and not memoized, so a second Prewarm of the same suite runs it
+// again and reports the same terminal panic, rather than waiting on the
+// first run's abandoned flight.
+func TestPanickingCellFailsAgain(t *testing.T) {
+	bad := Key{Workload: "mp3d", Strategy: prefetch.NP, Transfer: 8}
+	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: []int{8}, PerRun: func(k Key, _ *sim.Config) {
+		if k == bad {
+			panic("injected")
+		}
+	}})
+	for round := 1; round <= 2; round++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err := s.Prewarm(ctx, []Key{bad}, nil)
+		cancel()
+		var cells *CellErrors
+		var pe *runner.PanicError
+		if !errors.As(err, &cells) || len(cells.Cells) != 1 || !errors.As(cells.Cells[0].Err, &pe) {
+			t.Fatalf("round %d: Prewarm = %v, want one cell failed with a *runner.PanicError", round, err)
+		}
 	}
 }

@@ -7,24 +7,23 @@ import (
 	"strconv"
 	"strings"
 
-	"busprefetch/internal/memory"
 	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/report"
 	"busprefetch/internal/runner"
-	"busprefetch/internal/sim"
 )
 
-// The observability section re-runs a focused slice of the grid — the
-// Figure 3 workloads under the four prefetching strategies at T=8 — with the
-// internal/obs recorder enabled, and reports what the end-of-run aggregates
-// cannot: the fate of each prefetch that reached the bus (the paper's §4
-// prefetch-fate discussion, cast in the coverage/accuracy/timeliness
-// taxonomy of the prefetching-survey literature) and the distribution — not
-// just the mean — of prefetch latencies, per the service-discipline
-// analyses of the related bus-modeling work. These cells are separate from
-// the memoized grid, which always runs with recording disabled, so the main
-// tables measure the machine the benchmark report times.
+// The observability section records a focused slice of the grid — the
+// Figure 3 workloads under the four prefetching strategies at T=8 — and
+// reports what the end-of-run aggregates cannot: the fate of each prefetch
+// that reached the bus (the paper's §4 prefetch-fate discussion, cast in the
+// coverage/accuracy/timeliness taxonomy of the prefetching-survey
+// literature) and the distribution — not just the mean — of prefetch
+// latencies, per the service-discipline analyses of the related bus-modeling
+// work. Its cells are the grid's cells with the oracle prefetcher and Record
+// set: recording never changes a reported number, but the grid itself runs
+// unrecorded, so the main tables measure the machine the benchmark report
+// times.
 
 // ObsStrategies lists the prefetching strategies the observability section
 // profiles: every discipline that actually issues prefetches.
@@ -36,9 +35,10 @@ func ObsStrategies() []prefetch.Strategy {
 // the paper's headline T=8 point.
 const ObsTransfer = 8
 
-// ObsCell is one recorded cell: a (workload, strategy) pair's observability
-// summary plus the demand-miss count its coverage metric needs.
-type ObsCell struct {
+// ObsRow is one recorded cell's row: a (workload, strategy) pair's
+// observability summary plus the demand-miss count its coverage metric
+// needs.
+type ObsRow struct {
 	Workload string
 	Strategy prefetch.Strategy
 	Transfer int
@@ -48,91 +48,54 @@ type ObsCell struct {
 	AdjustedCPUMisses uint64
 }
 
-// Label returns the cell's metrics-report label, "workload/strategy/transfer".
-func (c ObsCell) Label() string {
-	return fmt.Sprintf("%s/%s/%d", c.Workload, c.Strategy, c.Transfer)
+// Label returns the row's metrics-report label, "workload/strategy/transfer".
+func (r ObsRow) Label() string {
+	return fmt.Sprintf("%s/%s/%d", r.Workload, r.Strategy, r.Transfer)
 }
 
-// Observability runs the recorded slice — the Figure 3 workloads (or the
-// given ones) under ObsStrategies at ObsTransfer — on the suite's worker
-// pool and returns cells in canonical (workload-major) order. Recording is
-// deterministic, so the cells are byte-identical at any worker count. The
-// cells run under the suite's retry budget and per-cell timeout, resume from
-// the checkpoint store when one is configured, and abort when ctx is
-// cancelled.
-func (s *Suite) Observability(ctx context.Context, workloads []string) ([]ObsCell, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// obsKeys returns the recorded slice — the Figure 3 workloads (or the given
+// ones) under ObsStrategies at ObsTransfer — in canonical (workload-major)
+// order, on the suite's machine with the oracle prefetcher.
+func (s *Suite) obsKeys(workloads []string) []Key {
 	if len(workloads) == 0 {
 		workloads = Figure3Workloads()
 	}
-	var cells []ObsCell
+	strategies := ObsStrategies()
+	keys := make([]Key, 0, len(workloads)*len(strategies))
 	for _, wl := range workloads {
-		for _, st := range ObsStrategies() {
-			cells = append(cells, ObsCell{Workload: wl, Strategy: st, Transfer: ObsTransfer})
+		for _, st := range strategies {
+			k := s.onSuite(Key{Workload: wl, Strategy: st, Transfer: ObsTransfer, Record: true})
+			k.Prefetcher = prefetch.Oracle
+			keys = append(keys, k)
 		}
 	}
-	tasks := make([]runner.Task, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		tasks[i] = runner.Task{
-			Label: "obs:" + c.Label(),
-			Run: func(ctx context.Context) error {
-				if s.loadObsCheckpoint(c) {
-					return nil
-				}
-				err, _ := runner.Retry(ctx, s.retryPolicy("obs:"+c.Label()), func(ctx context.Context) error {
-					return s.runObsCell(ctx, c)
-				})
-				if err == nil {
-					s.storeObsCheckpoint(c)
-				}
-				return err
-			},
-		}
-	}
-	errs, times := s.pool.Do(ctx, tasks, nil)
-	s.recordTimings(times)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cells[i].Label(), err)
-		}
-	}
-	return cells, nil
+	return keys
 }
 
-// runObsCell runs one recorded cell attempt, filling c on success.
-func (s *Suite) runObsCell(ctx context.Context, c *ObsCell) error {
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Label = "obs:" + c.Label()
-	cfg.MemLatency = s.cfg.MemLatency
-	cfg.TransferCycles = c.Transfer
-	cfg.Protocol = s.cfg.Protocol
-	if s.cfg.PerRun != nil {
-		s.cfg.PerRun(Key{Workload: c.Workload, Strategy: c.Strategy, Transfer: c.Transfer}, &cfg)
-	}
-	res, err := s.runCell(ctx, cfg, c.Workload, false, memory.Geometry{}, prefetch.Oracle,
-		prefetch.Options{Strategy: c.Strategy, Geometry: cfg.Geometry},
-		func(procs int, cfg *sim.Config) { cfg.Obs = obs.New(procs, obs.Options{}) })
+// Observability runs the recorded slice on the suite's worker pool and
+// returns its rows in canonical (workload-major) order. Recording is
+// deterministic, so the rows are byte-identical at any worker count.
+func (s *Suite) Observability(ctx context.Context, workloads []string) ([]ObsRow, error) {
+	keys := s.obsKeys(workloads)
+	res, err := s.results(ctx, keys)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.Summary = res.Obs
-	c.AdjustedCPUMisses = res.Counters.AdjustedCPUMisses()
-	return nil
+	rows := make([]ObsRow, len(keys))
+	for i, k := range keys {
+		rows[i] = ObsRow{Workload: k.Workload, Strategy: k.Strategy, Transfer: k.Transfer,
+			Summary: res[i].Obs, AdjustedCPUMisses: res[i].Counters.AdjustedCPUMisses()}
+	}
+	return rows, nil
 }
 
 // RecordChromeTrace re-runs the single cell named by label —
-// "workload/strategy/transfer", for example "mp3d/PREF/8" — with full span
-// recording enabled and writes its Chrome trace-event JSON (loadable in
-// Perfetto or chrome://tracing) to w. Span recording holds every phase and
-// bus interval in memory, so this is a one-cell export, not a suite mode.
+// "workload/strategy/transfer", for example "mp3d/PREF/8" — on the
+// observability slice's machine with full span recording enabled and
+// writes its Chrome trace-event JSON (loadable in Perfetto or
+// chrome://tracing) to w. Span recording holds every phase and bus interval
+// in memory, so this is a one-cell export, not a suite mode, and it
+// bypasses the memo and the checkpoint store.
 func (s *Suite) RecordChromeTrace(label string, w io.Writer) error {
 	parts := strings.Split(label, "/")
 	if len(parts) != 3 {
@@ -146,35 +109,20 @@ func (s *Suite) RecordChromeTrace(label string, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("trace cell %q: bad transfer %q", label, parts[2])
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Label = "trace:" + label
-	cfg.MemLatency = s.cfg.MemLatency
-	cfg.TransferCycles = transfer
-	cfg.Protocol = s.cfg.Protocol
-	if s.cfg.PerRun != nil {
-		s.cfg.PerRun(Key{Workload: parts[0], Strategy: strat, Transfer: transfer}, &cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("trace cell %q: %w", label, err)
-	}
-	var rec *obs.Recorder
-	_, err = s.runCell(context.Background(), cfg, parts[0], false, memory.Geometry{}, prefetch.Oracle,
-		prefetch.Options{Strategy: strat, Geometry: cfg.Geometry},
-		func(procs int, cfg *sim.Config) {
-			rec = obs.New(procs, obs.Options{Spans: true})
-			cfg.Obs = rec
-		})
+	k := s.onSuite(Key{Workload: parts[0], Strategy: strat, Transfer: transfer, Record: true})
+	k.Prefetcher = prefetch.Oracle
+	_, rec, err := s.simulate(context.Background(), k, obs.Options{Spans: true})
 	if err != nil {
-		return err
+		return fmt.Errorf("trace cell %q: %w", label, err)
 	}
 	return rec.WriteChromeTrace(w)
 }
 
-// MetricsCells converts recorded cells to the metrics-report form.
-func MetricsCells(cells []ObsCell) []runner.CellMetrics {
-	out := make([]runner.CellMetrics, len(cells))
-	for i, c := range cells {
-		out[i] = runner.CellMetrics{Cell: c.Label(), Summary: c.Summary}
+// MetricsCells converts recorded rows to the metrics-report form.
+func MetricsCells(rows []ObsRow) []runner.CellMetrics {
+	out := make([]runner.CellMetrics, len(rows))
+	for i, r := range rows {
+		out[i] = runner.CellMetrics{Cell: r.Label(), Summary: r.Summary}
 	}
 	return out
 }
@@ -182,14 +130,14 @@ func MetricsCells(cells []ObsCell) []runner.CellMetrics {
 // RenderObservability formats the observability section: one row per cell
 // with the lifetime-class shares, the taxonomy metrics, and issue→fill
 // latency percentiles interpolated from the fixed-bucket histograms.
-func RenderObservability(cells []ObsCell) string {
+func RenderObservability(rows []ObsRow) string {
 	t := report.NewTable(
 		fmt.Sprintf("Observability: prefetch lifetimes and latency (T=%d)", ObsTransfer),
 		"Workload", "Strategy", "Fetched",
 		"Useful", "Late", "Evicted", "Inval", "Unused",
 		"Acc", "Timely", "Cover", "p50", "p90", "p99")
-	for _, c := range cells {
-		s := c.Summary
+	for _, r := range rows {
+		s := r.Summary
 		total := s.LifetimesTotal()
 		share := func(class obs.LifetimeClass) string {
 			if total == 0 {
@@ -197,11 +145,11 @@ func RenderObservability(cells []ObsCell) string {
 			}
 			return fmt.Sprintf("%.1f%%", 100*float64(s.LifetimeCount(class))/float64(total))
 		}
-		t.AddRow(c.Workload, c.Strategy.String(), fmt.Sprintf("%d", total),
+		t.AddRow(r.Workload, r.Strategy.String(), fmt.Sprintf("%d", total),
 			share(obs.LifeUseful), share(obs.LifeLate), share(obs.LifeEvicted),
 			share(obs.LifeInvalidated), share(obs.LifeUnused),
 			fmt.Sprintf("%.2f", s.Accuracy()), fmt.Sprintf("%.2f", s.Timeliness()),
-			fmt.Sprintf("%.2f", s.Coverage(c.AdjustedCPUMisses)),
+			fmt.Sprintf("%.2f", s.Coverage(r.AdjustedCPUMisses)),
 			fmt.Sprintf("%.0f", s.IssueToFill.Quantile(0.50)),
 			fmt.Sprintf("%.0f", s.IssueToFill.Quantile(0.90)),
 			fmt.Sprintf("%.0f", s.IssueToFill.Quantile(0.99)))

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"busprefetch/internal/memory"
 	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/report"
-	"busprefetch/internal/runner"
 	"busprefetch/internal/sim"
 )
 
@@ -19,26 +17,26 @@ import (
 // Figure 3 workloads with the prefetch decisions made at simulation time by
 // each online engine (stride, temporal, pointer), beside the oracle's PREF
 // annotation, at the paper's cheap (T=8) and expensive (T=32) bus points,
-// with the obs recorder classifying every prefetch's fate. Like the
-// observability slice, these cells are separate from the memoized grid; only
-// the NP baselines (for relative time) come from the grid, so the normalizer
-// is the same machine the main tables report.
+// with the obs recorder classifying every prefetch's fate. Its rows run on
+// the grid's machine and normalize against the grid's own NP cells, so the
+// relative times read off the same ruler as Figure 2 (the oracle rows at
+// T=8 are the observability slice's PREF cells).
 
 // OnlineTransfers lists the data-transfer costs the online section sweeps:
 // the paper's headline T=8 point and the bus-saturated T=32 extreme, where
 // the limitation argument is sharpest.
 func OnlineTransfers() []int { return []int{8, 32} }
 
-// OnlineCell is one cell of the online-vs-oracle sweep: a (workload,
+// OnlineRow is one row of the online-vs-oracle sweep: a (workload,
 // prefetcher, transfer) triple's execution time, miss counters, engine
 // bookkeeping, and recorded prefetch lifetimes.
-type OnlineCell struct {
+type OnlineRow struct {
 	Workload string
 	Engine   prefetch.Kind
 	Transfer int
-	// Cycles is the cell's parallel execution time; NPCycles is the
+	// Cycles is the row's parallel execution time; NPCycles is the grid's
 	// no-prefetching baseline at the same transfer cost (the relative-time
-	// denominator, read from the memoized grid).
+	// denominator).
 	Cycles   uint64
 	NPCycles uint64
 	// Counters is the run's full counter block (miss rates, online issue
@@ -50,138 +48,82 @@ type OnlineCell struct {
 	Stats *prefetch.EngineStats
 }
 
-// Label returns the cell's label, "workload/engine/transfer".
-func (c OnlineCell) Label() string {
-	return fmt.Sprintf("%s/%s/%d", c.Workload, c.Engine, c.Transfer)
+// Label returns the row's label, "workload/engine/transfer".
+func (r OnlineRow) Label() string {
+	return fmt.Sprintf("%s/%s/%d", r.Workload, r.Engine, r.Transfer)
 }
 
-// RelativeTime returns the cell's execution time relative to the NP baseline
+// RelativeTime returns the row's execution time relative to the NP baseline
 // (the paper's headline metric; below 1 is a speedup).
-func (c OnlineCell) RelativeTime() float64 {
-	if c.NPCycles == 0 {
+func (r OnlineRow) RelativeTime() float64 {
+	if r.NPCycles == 0 {
 		return 0
 	}
-	return float64(c.Cycles) / float64(c.NPCycles)
+	return float64(r.Cycles) / float64(r.NPCycles)
 }
 
-// onlineNPKeys returns the grid cells the online sweep's baselines need.
-func onlineNPKeys(workloads []string, transfers []int) []Key {
-	var keys []Key
-	for _, wl := range workloads {
-		for _, tr := range transfers {
-			keys = append(keys, Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr})
-		}
-	}
-	return keys
-}
-
-// Online runs the online-vs-oracle sweep — the Figure 3 workloads (or the
-// given ones) under every prefetcher kind at OnlineTransfers (or the given
-// transfers) — on the suite's worker pool and returns cells in canonical
-// (workload-major, then kind, then transfer) order. The NP baselines are
-// prewarmed through the memoized grid first, so every cell's relative time
-// normalizes against the same baseline the main tables use. The cells run
-// under the suite's retry budget and per-cell timeout, resume from the
-// checkpoint store when one is configured, and abort when ctx is cancelled.
-func (s *Suite) Online(ctx context.Context, workloads []string, transfers []int) ([]OnlineCell, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// onlineKeys returns the sweep's n recorded cells — the Figure 3 workloads
+// (or the given ones) under every prefetcher kind at OnlineTransfers (or the
+// given transfers), in canonical (workload-major, then kind, then transfer)
+// order, each running PREF on the suite's machine — followed by the n grid
+// NP baselines they normalize against, in the same order.
+func (s *Suite) onlineKeys(workloads []string, transfers []int) []Key {
 	if len(workloads) == 0 {
 		workloads = Figure3Workloads()
 	}
 	if len(transfers) == 0 {
 		transfers = OnlineTransfers()
 	}
-	if err := s.Prewarm(ctx, onlineNPKeys(workloads, transfers), nil); err != nil {
-		return nil, err
-	}
-	var cells []OnlineCell
+	kinds := prefetch.Kinds()
+	n := len(workloads) * len(kinds) * len(transfers)
+	keys := make([]Key, 0, 2*n)
 	for _, wl := range workloads {
-		for _, k := range prefetch.Kinds() {
+		for _, kind := range kinds {
 			for _, tr := range transfers {
-				cells = append(cells, OnlineCell{Workload: wl, Engine: k, Transfer: tr})
+				k := s.onSuite(Key{Workload: wl, Strategy: prefetch.PREF, Transfer: tr, Record: true})
+				k.Prefetcher = kind
+				keys = append(keys, k)
 			}
 		}
 	}
-	tasks := make([]runner.Task, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		tasks[i] = runner.Task{
-			Label: "online:" + c.Label(),
-			Run: func(ctx context.Context) error {
-				if s.loadOnlineCheckpoint(c) {
-					return nil
-				}
-				err, _ := runner.Retry(ctx, s.retryPolicy("online:"+c.Label()), func(ctx context.Context) error {
-					return s.runOnlineCell(ctx, c)
-				})
-				if err == nil {
-					s.storeOnlineCheckpoint(c)
-				}
-				return err
-			},
-		}
+	for _, k := range keys[:n] {
+		keys = append(keys, s.onSuite(Key{Workload: k.Workload, Strategy: prefetch.NP, Transfer: k.Transfer}))
 	}
-	errs, times := s.pool.Do(ctx, tasks, nil)
-	s.recordTimings(times)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cells[i].Label(), err)
-		}
-	}
-	return cells, nil
+	return keys
 }
 
-// runOnlineCell runs one online cell attempt, filling c on success. The
-// oracle row annotates PREF offline; an engine row replays the bare demand
-// stream and lets the engine issue at simulation time under the same PREF
-// discipline, so the two differ only in *when* the prefetch decision is made.
-func (s *Suite) runOnlineCell(ctx context.Context, c *OnlineCell) error {
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	np, err := s.result(ctx, Key{Workload: c.Workload, Strategy: prefetch.NP, Transfer: c.Transfer})
+// Online runs the online-vs-oracle sweep on the suite's worker pool and
+// returns its rows in canonical order. The oracle row annotates PREF
+// offline; an engine row replays the bare demand stream and lets the engine
+// issue at simulation time under the same PREF discipline, so the two
+// differ only in *when* the prefetch decision is made.
+func (s *Suite) Online(ctx context.Context, workloads []string, transfers []int) ([]OnlineRow, error) {
+	keys := s.onlineKeys(workloads, transfers)
+	res, err := s.results(ctx, keys)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Label = "online:" + c.Label()
-	cfg.MemLatency = s.cfg.MemLatency
-	cfg.TransferCycles = c.Transfer
-	cfg.Protocol = s.cfg.Protocol
-	if s.cfg.PerRun != nil {
-		s.cfg.PerRun(Key{Workload: c.Workload, Strategy: prefetch.PREF, Transfer: c.Transfer}, &cfg)
+	n := len(keys) / 2
+	rows := make([]OnlineRow, n)
+	for i, k := range keys[:n] {
+		r := res[i]
+		rows[i] = OnlineRow{Workload: k.Workload, Engine: k.Prefetcher, Transfer: k.Transfer,
+			Cycles: r.Cycles, NPCycles: res[n+i].Cycles, Counters: r.Counters, Summary: r.Obs, Stats: r.Online}
 	}
-	if c.Engine.Online() {
-		cfg.Online = prefetch.OnlineConfig{Kind: c.Engine, Strategy: prefetch.PREF}
-	}
-	res, err := s.runCell(ctx, cfg, c.Workload, false, memory.Geometry{}, c.Engine,
-		prefetch.Options{Strategy: prefetch.PREF, Geometry: cfg.Geometry},
-		func(procs int, cfg *sim.Config) { cfg.Obs = obs.New(procs, obs.Options{}) })
-	if err != nil {
-		return err
-	}
-	c.Cycles, c.NPCycles = res.Cycles, np.Cycles
-	c.Counters = res.Counters
-	c.Summary = res.Obs
-	c.Stats = res.Online
-	return nil
+	return rows, nil
 }
 
 // RenderOnline formats the online section: one row per cell with the
 // relative execution time, the adjusted miss rate, and the recorded
 // prefetch-fate taxonomy, so oracle and engine rows read off the same
 // ruler.
-func RenderOnline(cells []OnlineCell) string {
+func RenderOnline(rows []OnlineRow) string {
 	t := report.NewTable(
 		"Online engines vs oracle annotation (PREF discipline)",
 		"Workload", "Engine", "T", "Rel.time", "adj MR", "Fetched",
 		"Useful", "Late", "Evicted", "Inval", "Unused",
 		"Acc", "Timely", "Cover")
-	for _, c := range cells {
+	for _, c := range rows {
 		s := c.Summary
 		total := s.LifetimesTotal()
 		share := func(class obs.LifetimeClass) string {

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"busprefetch/internal/interconnect"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
 )
@@ -79,6 +81,46 @@ func TestOnlineCells(t *testing.T) {
 				t.Errorf("%s: oracle run counted %d online emissions", c.Label(), c.Counters.OnlineEmitted)
 			}
 		}
+	}
+}
+
+// TestOnlineOracleMatchesFigure2UnderFabric: the online oracle rows run on
+// the grid's machine, fabric included, so on a quad-bus suite each oracle
+// row's relative time must equal Figure 2's PREF ratio at that transfer —
+// the row and its NP baseline are the same two simulations Figure 2 divides.
+func TestOnlineOracleMatchesFigure2UnderFabric(t *testing.T) {
+	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: OnlineTransfers(),
+		Interconnect: interconnect.Config{Kind: interconnect.MultiBus, Links: 4}})
+	rows, err := s.Online(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig2, err := s.Figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for _, r := range fig2 {
+		if r.Strategy == prefetch.PREF && r.Err == "" {
+			want[fmt.Sprintf("%s/%d", r.Workload, r.Transfer)] = r.RelTime
+		}
+	}
+	checked := 0
+	for _, r := range rows {
+		if r.Engine != prefetch.Oracle {
+			continue
+		}
+		w, ok := want[fmt.Sprintf("%s/%d", r.Workload, r.Transfer)]
+		if !ok {
+			t.Fatalf("%s: Figure 2 has no PREF point", r.Label())
+		}
+		if got := r.RelativeTime(); got != w {
+			t.Errorf("%s: online oracle relative time %.3f, Figure 2 PREF %.3f", r.Label(), got, w)
+		}
+		checked++
+	}
+	if want := len(Figure3Workloads()) * len(OnlineTransfers()); checked != want {
+		t.Errorf("checked %d oracle rows, want %d", checked, want)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+
+	"busprefetch/internal/prefetch"
 )
 
 // This file assembles the full paper report from a suite in one canonical
@@ -13,168 +15,155 @@ import (
 // results in canonical loops, the assembled report is byte-identical
 // regardless of how many workers simulated the cells.
 
+// section is one report section: its name (a valid mkfigures -only value)
+// and its renderer, which builds the section's rows from its cells,
+// running through the suite's executor any cell not memoized yet.
+type section struct {
+	name   string
+	render func(s *Suite, ctx context.Context) (string, error)
+}
+
+// sections lists the report in presentation order.
+var sections = []section{
+	{"table1", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Table1()
+		return RenderTable1(rows), err
+	}},
+	{"fig1", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Figure1()
+		return RenderFigure1(rows), err
+	}},
+	{"table2", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Table2()
+		return RenderTable2(rows), err
+	}},
+	{"fig2", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Figure2()
+		return RenderFigure2(rows, s.cfg.Transfers), err
+	}},
+	{"util", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Utilization()
+		return RenderUtilization(rows), err
+	}},
+	{"fig3", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Figure3()
+		return RenderFigure3(rows), err
+	}},
+	{"table3", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Table3()
+		return RenderTable3(rows), err
+	}},
+	{"table4", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Table4()
+		return RenderTable4(rows), err
+	}},
+	{"table5", func(s *Suite, _ context.Context) (string, error) {
+		rows, err := s.Table5()
+		return RenderTable5(rows, s.cfg.Transfers), err
+	}},
+	{"ablations", func(s *Suite, ctx context.Context) (string, error) {
+		var bodies []string
+		for _, sw := range reportSweeps {
+			rows, err := s.rows(ctx, sw)
+			if err != nil {
+				return "", err
+			}
+			bodies = append(bodies, RenderAblation(sw.title, rows))
+		}
+		return strings.Join(bodies, "\n"), nil
+	}},
+	// The three-way coherence ablation is its own section so the golden
+	// harness can pin it (testdata/golden_protocol_t8.txt) without
+	// re-running the other sweeps.
+	{"protocols", func(s *Suite, ctx context.Context) (string, error) {
+		rows, err := s.rows(ctx, reportProtocols)
+		return RenderAblation(reportProtocols.title, rows), err
+	}},
+	// The observability, online and interconnect sections each have their
+	// own golden file (testdata/golden_{obs,online,interconnect}_t8.txt)
+	// pinning the T=8 point without re-running the grid.
+	{"observability", func(s *Suite, ctx context.Context) (string, error) {
+		rows, err := s.Observability(ctx, nil)
+		return RenderObservability(rows), err
+	}},
+	{"online", func(s *Suite, ctx context.Context) (string, error) {
+		rows, err := s.Online(ctx, nil, nil)
+		return RenderOnline(rows), err
+	}},
+	{"interconnect", func(s *Suite, ctx context.Context) (string, error) {
+		rows, err := s.Interconnect(ctx, nil)
+		return RenderInterconnect(rows), err
+	}},
+}
+
 // SectionNames lists the report sections in presentation order; these are
 // also the valid values of mkfigures' -only flag.
 func SectionNames() []string {
-	return []string{"table1", "fig1", "table2", "fig2", "util", "fig3", "table3", "table4", "table5", "ablations", "protocols", "observability", "online", "interconnect"}
+	names := make([]string, len(sections))
+	for i, sec := range sections {
+		names[i] = sec.name
+	}
+	return names
 }
 
 // ValidSection reports whether name selects a known section
 // (case-insensitive).
 func ValidSection(name string) bool {
-	for _, s := range SectionNames() {
-		if strings.EqualFold(s, name) {
+	for _, sec := range sections {
+		if strings.EqualFold(sec.name, name) {
 			return true
 		}
 	}
 	return false
 }
 
-// KeysFor returns the suite cells the selected sections need, for
-// prewarming. want selects sections by name; the ablations run their own
-// sweeps outside the shared grid, so they contribute no keys.
+// KeysFor returns the grid cells the selected sections read, for
+// prewarming: want selects sections by name. The sections with sweeps of
+// their own (ablations, protocols, observability, online, interconnect) run
+// their cells on the pool when rendered, through the same executor, so a
+// cell they share with the grid or with each other still simulates once.
+// The list takes one allocation, sized up front.
 func (s *Suite) KeysFor(want func(name string) bool) []Key {
-	var keys []Key
-	if want("fig1") || want("table2") || want("fig2") || want("util") || want("fig3") || want("table3") {
-		keys = append(keys, s.GridKeys()...)
+	grid := want("fig1") || want("table2") || want("fig2") || want("util") || want("fig3") || want("table3")
+	restructured := want("table4") || want("table5")
+	names, strategies := WorkloadNames(), prefetch.Strategies()
+	n := 0
+	if grid {
+		n += len(names) * len(strategies)
 	}
-	if want("table4") || want("table5") {
-		keys = append(keys, s.RestructuredKeys()...)
+	if restructured {
+		n += len(restructuredWorkloads) * len(restructuredStrategies)
 	}
-	if want("online") {
-		// The online sweep runs its own recorded cells, but normalizes
-		// against the grid's NP baselines.
-		keys = append(keys, onlineNPKeys(Figure3Workloads(), OnlineTransfers())...)
+	keys := make([]Key, 0, n*len(s.cfg.Transfers))
+	if grid {
+		keys = s.appendGrid(keys, names, strategies, false)
 	}
-	// The interconnect sweep contributes no keys: its NP baselines are
-	// in-sweep (per topology), not grid cells.
+	if restructured {
+		keys = s.appendGrid(keys, restructuredWorkloads, restructuredStrategies, true)
+	}
 	return keys
 }
 
 // RenderSections renders the selected sections in canonical order and joins
 // them exactly as mkfigures prints them. A section that fails to build
-// returns an error naming it; per-cell failures inside a section do not —
+// returns an error naming it; per-cell failures inside a grid table do not —
 // they render as annotated placeholders (see tables.go). ctx cancels the
-// section sweeps that still have cells to run (the ablations and the
-// observability slice; the grid renders from memoized results).
+// cells the sections still have to run (the grid tables read memoized
+// results, computing any missing cell serially).
 func (s *Suite) RenderSections(ctx context.Context, want func(name string) bool) (string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var sections []string
-	add := func(name, body string, err error) error {
+	var bodies []string
+	for _, sec := range sections {
+		if !want(sec.name) {
+			continue
+		}
+		body, err := sec.render(s, ctx)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return "", fmt.Errorf("%s: %w", sec.name, err)
 		}
-		sections = append(sections, body)
-		return nil
+		bodies = append(bodies, body)
 	}
-
-	if want("table1") {
-		rows, err := s.Table1()
-		if err := add("table1", RenderTable1(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("fig1") {
-		rows, err := s.Figure1()
-		if err := add("fig1", RenderFigure1(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("table2") {
-		rows, err := s.Table2()
-		if err := add("table2", RenderTable2(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("fig2") {
-		rows, err := s.Figure2()
-		if err := add("fig2", RenderFigure2(rows, s.cfg.Transfers), err); err != nil {
-			return "", err
-		}
-	}
-	if want("util") {
-		rows, err := s.Utilization()
-		if err := add("util", RenderUtilization(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("fig3") {
-		rows, err := s.Figure3()
-		if err := add("fig3", RenderFigure3(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("table3") {
-		rows, err := s.Table3()
-		if err := add("table3", RenderTable3(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("table4") {
-		rows, err := s.Table4()
-		if err := add("table4", RenderTable4(rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("table5") {
-		rows, err := s.Table5()
-		if err := add("table5", RenderTable5(rows, s.cfg.Transfers), err); err != nil {
-			return "", err
-		}
-	}
-	if want("ablations") {
-		rows, err := s.AblationCacheSize(ctx, "mp3d", nil)
-		if err := add("ablation-cache", RenderAblation("Ablation: cache size (mp3d, NP, T=8)", rows), err); err != nil {
-			return "", err
-		}
-		rows, err = s.AblationLineSize(ctx, "mp3d", nil)
-		if err := add("ablation-line", RenderAblation("Ablation: line size (mp3d, NP, T=8)", rows), err); err != nil {
-			return "", err
-		}
-		rows, err = s.AblationAssociativity(ctx, "topopt")
-		if err := add("ablation-assoc", RenderAblation("Ablation: associativity & victim cache (topopt, PREF, T=8)", rows), err); err != nil {
-			return "", err
-		}
-		rows, err = s.AblationPrefetchPlacement(ctx, "mp3d")
-		if err := add("ablation-placement", RenderAblation("Ablation: cache vs buffer prefetching (mp3d, T=8)", rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("protocols") {
-		// The three-way coherence ablation is its own section so the golden
-		// harness can pin it (testdata/golden_protocol_t8.txt) without
-		// re-running the other sweeps.
-		rows, err := s.AblationProtocol(ctx, "mp3d", nil)
-		if err := add("ablation-protocol", RenderAblation("Ablation: coherence protocols (mp3d, T=8)", rows), err); err != nil {
-			return "", err
-		}
-	}
-	if want("observability") {
-		// Its own golden file (testdata/golden_obs_t8.txt) pins the recorded
-		// slice without re-running the main grid.
-		cells, err := s.Observability(ctx, nil)
-		if err := add("observability", RenderObservability(cells), err); err != nil {
-			return "", err
-		}
-	}
-	if want("online") {
-		// Its own golden file (testdata/golden_online_t8.txt) pins the T=8
-		// half of the online-vs-oracle sweep without re-running the grid.
-		cells, err := s.Online(ctx, nil, nil)
-		if err := add("online", RenderOnline(cells), err); err != nil {
-			return "", err
-		}
-	}
-	if want("interconnect") {
-		// Its own golden file (testdata/golden_interconnect_t8.txt) pins the
-		// T=8 half of the topology ladder without re-running the grid.
-		cells, err := s.Interconnect(ctx, nil)
-		if err := add("interconnect", RenderInterconnect(cells), err); err != nil {
-			return "", err
-		}
-	}
-
-	return strings.Join(sections, "\n"), nil
+	return strings.Join(bodies, "\n"), nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 
 	"busprefetch/internal/interconnect"
 	"busprefetch/internal/memory"
+	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
 	"busprefetch/internal/sim"
@@ -18,7 +20,21 @@ import (
 	"busprefetch/internal/workload"
 )
 
-// Config scales and seeds the whole experiment suite.
+// Config scales and seeds the whole experiment suite and names the machine
+// its grid simulates. Each section takes a fixed part of that machine, and
+// this list is the one place the inheritance is written down:
+//
+//   - the grid (Figures 1-3, Tables 2-5, and the online section's NP
+//     baselines) runs on MemLatency, Protocol, Prefetcher and Interconnect;
+//   - the recorded cells (the observability slice, the online rows and the
+//     -trace-cell export) run on MemLatency, Protocol and Interconnect, so
+//     they measure the same machine as the grid cells they sit beside; the
+//     observability slice and the export record the oracle prefetcher, and
+//     the online section sweeps prefetchers itself;
+//   - the interconnect ladder runs on MemLatency and Protocol and sweeps its
+//     own fabrics, with the oracle prefetcher;
+//   - the ablations and protocols sections run on the paper's machine and
+//     ignore all four fields.
 type Config struct {
 	// Scale multiplies trace lengths (1.0 = calibrated default).
 	Scale float64
@@ -29,28 +45,25 @@ type Config struct {
 	// Transfers is the data-transfer sweep; nil selects the paper's
 	// {4, 8, 16, 24, 32}.
 	Transfers []int
-	// Protocol selects the coherence protocol every grid cell simulates
-	// (the zero value is Illinois, the paper's machine). The protocol
-	// ablation ignores it — it sweeps protocols itself.
+	// Protocol selects the coherence protocol (the zero value is Illinois,
+	// the paper's machine).
 	Protocol sim.Protocol
-	// Prefetcher selects how every grid cell's prefetches are decided: the
-	// oracle annotator (the zero value, the paper's machine) or one of the
-	// online engines, which replay the bare demand stream and issue at
-	// simulation time under each cell's strategy. The online-vs-oracle
-	// section ignores it — it sweeps prefetchers itself — and the
-	// observability slice always records the oracle.
+	// Prefetcher selects how grid cells' prefetches are decided: the oracle
+	// annotator (the zero value, the paper's machine) or one of the online
+	// engines, which replay the bare demand stream and issue at simulation
+	// time under each cell's strategy.
 	Prefetcher prefetch.Kind
-	// Interconnect selects the fabric every grid cell simulates (the zero
-	// value is the paper's single priority bus). The interconnect section
-	// ignores it — it sweeps topologies itself.
+	// Interconnect selects the fabric (the zero value is the paper's single
+	// priority bus).
 	Interconnect interconnect.Config
 	// Parallelism bounds concurrent simulations; 0 selects GOMAXPROCS.
 	Parallelism int
 	// PerRun, when non-nil, adjusts one run's simulator configuration just
-	// before it executes (after the suite's own fields are applied). Tests
-	// use it to enable invariant checking or to poison a single cell with
-	// injected faults (sim.Config.Faults) and prove the rest of the suite
-	// still renders.
+	// before it executes, after the cell's Key has been translated. It sees
+	// every cell the suite simulates, ablations included. Tests use it to
+	// enable invariant checking or to poison a single cell with injected
+	// faults (sim.Config.Faults) and prove the rest of the suite still
+	// renders.
 	PerRun func(k Key, cfg *sim.Config)
 	// Timeout, when positive, bounds each cell attempt's wall clock (trace
 	// generation included): the attempt's context expires and the simulator
@@ -95,20 +108,89 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Key identifies one simulation run.
+// paper is the paper's machine: the configuration every zero Key field
+// names, and the base every cell's simulator configuration starts from.
+var paper = sim.DefaultConfig()
+
+// Key is the one cell spec: every cell the suite runs, in every section, is
+// a Key, and the Key with the suite's scale and seed determines the cell's
+// result. A zero field means
+// the paper's default, so Key{Workload, Strategy, Transfer} names the
+// paper-machine grid cell. Sections build their keys on the suite's machine
+// as Config's doc comment lists. Every report starts by building the grid's
+// keys (KeysFor), so the key stays compact: 128 bytes, with the small
+// numeric variations held in int32s packed beside the flags.
 type Key struct {
 	Workload     string
 	Strategy     prefetch.Strategy
 	Transfer     int
 	Restructured bool
+	// Record attaches an obs recorder to the run; the result then carries
+	// its summary (sim.Result.Obs).
+	Record bool
+	// Buffer prefetches into the non-snooping FIFO buffer of §3.1
+	// (sim.PrefetchToBuffer) and annotates with ExcludeWriteShared, since
+	// the buffer cannot hold write-shared data.
+	Buffer     bool
+	MemLatency int32
+	// Prefetcher decides the prefetches: the oracle annotator (zero) or an
+	// online engine issuing under Strategy at simulation time.
+	Prefetcher  prefetch.Kind
+	Protocol    sim.Protocol
+	Fabric      interconnect.Config
+	Geometry    memory.Geometry
+	VictimLines int32
+	// Distance overrides the strategy's prefetch distance.
+	Distance int32
 }
 
-func (k Key) String() string {
-	r := ""
-	if k.Restructured {
-		r = " restructured"
+// canonical zeroes the fields that spell out a paper default, so two keys
+// for one cell compare equal.
+func (k Key) canonical() Key {
+	if k.MemLatency == int32(paper.MemLatency) {
+		k.MemLatency = 0
 	}
-	return fmt.Sprintf("%s/%s/T=%d%s", k.Workload, k.Strategy, k.Transfer, r)
+	if k.Geometry == paper.Geometry {
+		k.Geometry = memory.Geometry{}
+	}
+	return k
+}
+
+// String labels the cell: "workload/strategy/T=transfer", then each field
+// that differs from the paper default.
+func (k Key) String() string {
+	s := fmt.Sprintf("%s/%s/T=%d", k.Workload, k.Strategy, k.Transfer)
+	if k.Restructured {
+		s += " restructured"
+	}
+	if k.Prefetcher != prefetch.Oracle {
+		s += " pf=" + k.Prefetcher.String()
+	}
+	if k.Protocol != sim.Illinois {
+		s += " proto=" + k.Protocol.String()
+	}
+	if k.Fabric != (interconnect.Config{}) {
+		s += " ic=" + k.Fabric.String()
+	}
+	if k.MemLatency != 0 {
+		s += fmt.Sprintf(" mem=%d", k.MemLatency)
+	}
+	if g := k.Geometry; g != (memory.Geometry{}) {
+		s += fmt.Sprintf(" geom=%dB/%dB/%dway", g.CacheSize, g.LineSize, g.Assoc)
+	}
+	if k.VictimLines != 0 {
+		s += fmt.Sprintf(" victim=%d", k.VictimLines)
+	}
+	if k.Buffer {
+		s += " buffer"
+	}
+	if k.Distance != 0 {
+		s += fmt.Sprintf(" dist=%d", k.Distance)
+	}
+	if k.Record {
+		s += " recorded"
+	}
+	return s
 }
 
 // Suite runs and memoizes simulations. Parallel execution is delegated to
@@ -120,30 +202,31 @@ type Suite struct {
 	cfg    Config
 	pool   *runner.Pool
 	traces *runner.TraceCache
+	// cells memoizes every cell's outcome by its canonical Key, so a cell
+	// two sections share simulates once, and concurrent askers wait on one
+	// flight. Failures are kept too, with their attempt count, so every
+	// table annotates a broken cell the same way without re-simulating —
+	// unless the sweep's own context was dying, which says nothing about
+	// the cell, so a resume recomputes it.
+	cells runner.Memo[Key, outcome]
 
-	mu      sync.Mutex
-	results map[Key]*sim.Result
-	// errs memoizes failed runs: a poisoned or broken configuration fails
-	// once (after its retry budget) and every table that needs the cell gets
-	// the same error without re-simulating. Failures observed while the
-	// sweep's own context was dying are NOT memoized — a cancelled sweep
-	// must not poison the cell for a later resume.
-	errs map[Key]cellFailure
-	// timings accumulates the wall-clock of every pool-executed task for
+	mu sync.Mutex
+	// timings accumulates the wall-clock of every pool-executed cell for
 	// the benchmark report.
 	timings []runner.Timing
+}
+
+// outcome is one cell's memoized outcome: its result, or, on failure, how
+// many attempts the retry policy spent reaching the error.
+type outcome struct {
+	res      *sim.Result
+	attempts int
 }
 
 // NewSuite creates a suite with the given configuration.
 func NewSuite(cfg Config) *Suite {
 	cfg = cfg.withDefaults()
-	return &Suite{
-		cfg:     cfg,
-		pool:    runner.NewPool(cfg.Parallelism),
-		traces:  runner.NewTraceCache(),
-		results: make(map[Key]*sim.Result),
-		errs:    make(map[Key]cellFailure),
-	}
+	return &Suite{cfg: cfg, pool: runner.NewPool(cfg.Parallelism), traces: runner.NewTraceCache()}
 }
 
 // Config returns the suite's effective configuration.
@@ -187,47 +270,82 @@ func (s *Suite) sourceFor(ctx context.Context, name string, restructured bool, g
 	})
 }
 
-// runCell is the shared cell executor: it resolves a workload variant,
-// annotates it with prefetcher pf under opt, and simulates it under cfg.
-// The whole pipeline streams — events flow generator → annotator →
-// simulator in pooled chunks, nothing materialized.
-//
-// genGeom is the layout geometry the trace is generated at (zero selects
-// the default); opt.Geometry is the annotation geometry, which PerRun
-// hooks may have adjusted independently. preRun, when non-nil, runs just
-// before the simulation with the processor count — the observability
-// cells size their recorder with it.
-func (s *Suite) runCell(ctx context.Context, cfg sim.Config, wl string, restructured bool,
-	genGeom memory.Geometry, pf prefetch.Kind, opt prefetch.Options,
-	preRun func(procs int, cfg *sim.Config)) (*sim.Result, error) {
-	src, _, err := s.sourceFor(ctx, wl, restructured, genGeom)
+// onSuite puts k on the suite's machine: its memory latency, protocol,
+// prefetcher and fabric. Sections then override what they pin or sweep
+// (see Config).
+func (s *Suite) onSuite(k Key) Key {
+	k.MemLatency = int32(s.cfg.MemLatency)
+	k.Protocol = s.cfg.Protocol
+	k.Prefetcher = s.cfg.Prefetcher
+	k.Fabric = s.cfg.Interconnect
+	return k.canonical()
+}
+
+// machine translates k into the simulator configuration and annotation
+// options that run it: the paper's machine with every non-zero Key field
+// applied. The caller applies PerRun and then takes the annotation
+// geometry from the final configuration.
+func machine(k Key) (sim.Config, prefetch.Options) {
+	cfg := paper
+	cfg.Label = k.String()
+	cfg.TransferCycles = k.Transfer
+	cfg.Protocol = k.Protocol
+	cfg.Interconnect = k.Fabric
+	cfg.VictimCacheLines = int(k.VictimLines)
+	if k.MemLatency != 0 {
+		cfg.MemLatency = int(k.MemLatency)
+	}
+	if k.Geometry != (memory.Geometry{}) {
+		cfg.Geometry = k.Geometry
+	}
+	if k.Buffer {
+		cfg.PrefetchTarget = sim.PrefetchToBuffer
+	}
+	if k.Prefetcher.Online() {
+		cfg.Online = prefetch.OnlineConfig{Kind: k.Prefetcher, Strategy: k.Strategy}
+	}
+	return cfg, prefetch.Options{Strategy: k.Strategy, Distance: int(k.Distance), ExcludeWriteShared: k.Buffer}
+}
+
+// simulate runs one uncached attempt at k: it resolves the workload
+// variant, annotates it with k's prefetcher, and simulates it. The whole
+// pipeline streams — events flow generator → annotator → simulator in
+// pooled chunks, nothing materialized. When k records, the recorder is
+// built with rec and returned beside the result.
+func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Result, *obs.Recorder, error) {
+	cfg, opt := machine(k)
+	if s.cfg.PerRun != nil {
+		s.cfg.PerRun(k, &cfg)
+	}
+	opt.Geometry = cfg.Geometry
+	// The trace is generated at the cell's own geometry so the layouts
+	// (conflict-pair placement, padding) stay consistent with the simulated
+	// cache; the trace cache keys on geometry, so every cell at the default
+	// shape shares one plan.
+	src, _, err := s.sourceFor(ctx, k.Workload, k.Restructured, k.Geometry)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var prof *trace.SharingProfile
 	if opt.Strategy == prefetch.PWS || opt.ExcludeWriteShared {
 		// The write-shared line set needs a whole-stream pre-pass; memoize
 		// it per (trace, geometry) so the cells that share it analyze once.
-		prof, err = s.traces.SharingProfile(ctx, s.traceKey(wl, restructured, genGeom), opt.Geometry, src)
+		prof, err = s.traces.SharingProfile(ctx, s.traceKey(k.Workload, k.Restructured, k.Geometry), opt.Geometry, src)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	annotated, err := prefetch.ByKind(pf).AnnotateSource(src, opt, prof)
+	annotated, err := prefetch.ByKind(k.Prefetcher).AnnotateSource(src, opt, prof)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if preRun != nil {
-		preRun(annotated.Procs(), &cfg)
+	var recorder *obs.Recorder
+	if k.Record {
+		recorder = obs.New(annotated.Procs(), rec)
+		cfg.Obs = recorder
 	}
-	return sim.RunSourceContext(ctx, cfg, annotated)
-}
-
-// recordTimings appends pool timings for the benchmark report.
-func (s *Suite) recordTimings(times []runner.Timing) {
-	s.mu.Lock()
-	s.timings = append(s.timings, times...)
-	s.mu.Unlock()
+	res, err := sim.RunSourceContext(ctx, cfg, annotated)
+	return res, recorder, err
 }
 
 // Bench assembles the benchmark report for everything the suite has executed
@@ -241,117 +359,62 @@ func (s *Suite) Bench(total time.Duration) *runner.BenchReport {
 		runtime.GOMAXPROCS(0), timings, total, s.traces)
 }
 
-// cellFailure is a memoized failed run: the final error plus how many
-// attempts the retry policy spent reaching it.
-type cellFailure struct {
-	err      error
-	attempts int
-}
-
-// Result simulates (or returns the memoized result for) one configuration.
-// A failed run is memoized too: the error comes back for every table that
-// needs the cell, without re-simulating, and without affecting any other
-// cell.
+// Result simulates (or returns the memoized result for) one cell. A failed
+// run is memoized too: the error comes back for every table that needs the
+// cell, without re-simulating, and without affecting any other cell.
 func (s *Suite) Result(k Key) (*sim.Result, error) {
-	return s.result(context.Background(), k)
+	o, _, err := s.cell(context.Background(), k)
+	return o.res, err
 }
 
-// result is Result under a context: the sweep's cancellation (and the
-// per-cell Timeout) propagate into the simulation's event loop, retryable
-// failures re-run under the suite's retry budget, and completed cells are
-// persisted to the checkpoint store when one is configured.
-func (s *Suite) result(ctx context.Context, k Key) (*sim.Result, error) {
-	s.mu.Lock()
-	if r, ok := s.results[k]; ok {
-		s.mu.Unlock()
-		return r, nil
+// cell is the one path every cell takes: the memo, then the checkpoint
+// store, then the simulation under the suite's retry budget with each
+// attempt bounded by the per-cell timeout, then the checkpoint store again.
+// The sweep's cancellation propagates into the simulation's event loop.
+// hit reports whether the memo already held (or was computing) the cell.
+func (s *Suite) cell(ctx context.Context, k Key) (outcome, bool, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if f, ok := s.errs[k]; ok {
-		s.mu.Unlock()
-		return nil, f.err
-	}
-	s.mu.Unlock()
-
-	if res, ok := s.loadCellCheckpoint(k); ok {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if cached, ok := s.results[k]; ok {
-			return cached, nil
+	k = k.canonical()
+	return s.cells.Do(ctx, k, func() (outcome, bool, error) {
+		if res, ok := s.loadCheckpoint(k); ok {
+			return outcome{res: res}, true, nil
 		}
-		s.results[k] = res
-		return res, nil
-	}
-
-	var res *sim.Result
-	err, attempts := runner.Retry(ctx, s.retryPolicy(k.String()), func(ctx context.Context) error {
-		r, rerr := s.simulate(ctx, k)
-		if rerr == nil {
+		var res *sim.Result
+		err, attempts := runner.Retry(ctx, s.retryPolicy(k), func(ctx context.Context) error {
+			if s.cfg.Timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+				defer cancel()
+			}
+			r, _, err := s.simulate(ctx, k, obs.Options{})
+			if err != nil {
+				return fmt.Errorf("experiments: %v: %w", k, err)
+			}
 			res = r
+			return nil
+		})
+		if err != nil {
+			// A failure while the sweep itself was cancelled is
+			// circumstantial: forget it so a resume recomputes the cell.
+			return outcome{attempts: attempts}, ctx.Err() == nil, err
 		}
-		return rerr
+		s.storeCheckpoint(k, res)
+		return outcome{res: res, attempts: attempts}, true, nil
 	})
-	if err == nil {
-		s.storeCellCheckpoint(k, res)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cached, ok := s.results[k]; ok {
-		return cached, nil
-	}
-	if f, ok := s.errs[k]; ok {
-		return nil, f.err
-	}
-	if err != nil {
-		if ctx == nil || ctx.Err() == nil {
-			// Genuine failure: memoize it (with its attempt count) so every
-			// table annotates the same cell the same way. When the sweep
-			// itself was cancelled the failure is circumstantial — leave the
-			// cell unmemoized so a resume recomputes it.
-			s.errs[k] = cellFailure{err: err, attempts: attempts}
-		}
-		return nil, err
-	}
-	s.results[k] = res
-	return res, nil
 }
 
 // retryPolicy builds the per-cell retry policy. The jitter seed mixes the
 // suite seed with the cell label, so retry schedules are deterministic per
 // cell but decorrelated across cells.
-func (s *Suite) retryPolicy(label string) runner.Policy {
+func (s *Suite) retryPolicy(k Key) runner.Policy {
 	h := fnv.New64a()
-	h.Write([]byte(label))
+	h.Write([]byte(k.String()))
 	return runner.Policy{
 		MaxAttempts: s.cfg.Retries + 1,
 		Seed:        s.cfg.Seed ^ int64(h.Sum64()),
 	}
-}
-
-// simulate runs one cell attempt uncached, under the per-cell timeout.
-func (s *Suite) simulate(ctx context.Context, k Key) (*sim.Result, error) {
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Label = k.String()
-	cfg.MemLatency = s.cfg.MemLatency
-	cfg.TransferCycles = k.Transfer
-	cfg.Protocol = s.cfg.Protocol
-	cfg.Interconnect = s.cfg.Interconnect
-	if s.cfg.PerRun != nil {
-		s.cfg.PerRun(k, &cfg)
-	}
-	if s.cfg.Prefetcher.Online() {
-		cfg.Online = prefetch.OnlineConfig{Kind: s.cfg.Prefetcher, Strategy: k.Strategy}
-	}
-	res, err := s.runCell(ctx, cfg, k.Workload, k.Restructured, memory.Geometry{},
-		s.cfg.Prefetcher, prefetch.Options{Strategy: k.Strategy, Geometry: cfg.Geometry}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %v: %w", k, err)
-	}
-	return res, nil
 }
 
 // CellError records one failed suite cell.
@@ -421,87 +484,124 @@ func (e *CellErrors) Failures() []runner.CellFailure {
 // plan: the trace cache singleflights, so the first cell plans while the
 // rest wait, then all drain the same restartable source. Each cell runs
 // its own simulator with its own progress watchdog (sim.Config.WatchdogCycles),
-// so a hung cell aborts alone.
+// so a hung cell aborts alone. Only cells that were not already memoized
+// enter the benchmark report.
 func (s *Suite) Prewarm(ctx context.Context, keys []Key, progress func(done, total int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// Deduplicate and order deterministically so error reporting is stable.
-	seen := make(map[Key]bool, len(keys))
+	labels := make(map[Key]string, len(keys))
 	var todo []Key
 	for _, k := range keys {
-		if !seen[k] {
-			seen[k] = true
+		k = k.canonical()
+		if _, ok := labels[k]; !ok {
+			labels[k] = k.String()
 			todo = append(todo, k)
 		}
 	}
-	sort.Slice(todo, func(i, j int) bool { return todo[i].String() < todo[j].String() })
+	sort.Slice(todo, func(i, j int) bool { return labels[todo[i]] < labels[todo[j]] })
 
 	tasks := make([]runner.Task, len(todo))
+	done := make([]outcome, len(todo))
+	hits := make([]bool, len(todo))
 	for i, k := range todo {
-		tasks[i] = runner.Task{Label: k.String(), Run: func(ctx context.Context) error {
-			_, err := s.result(ctx, k)
+		tasks[i] = runner.Task{Label: labels[k], Run: func(ctx context.Context) (err error) {
+			done[i], hits[i], err = s.cell(ctx, k)
 			return err
 		}}
 	}
 	errs, times := s.pool.Do(ctx, tasks, progress)
-	s.recordTimings(times)
+	s.mu.Lock()
+	for i, t := range times {
+		if !hits[i] {
+			s.timings = append(s.timings, t)
+		}
+	}
+	s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	var failed []CellError
-	s.mu.Lock()
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			failed = append(failed, CellError{Key: todo[i], Err: err, Attempts: max(done[i].attempts, 1),
+				Terminal: runner.Classify(err) == runner.Terminal})
 		}
-		ce := CellError{Key: todo[i], Err: err, Attempts: 1,
-			Terminal: runner.Classify(err) == runner.Terminal}
-		if f, ok := s.errs[todo[i]]; ok {
-			ce.Attempts = f.attempts
-		}
-		failed = append(failed, ce)
 	}
-	s.mu.Unlock()
 	if len(failed) > 0 {
 		return &CellErrors{Cells: failed}
 	}
 	return nil
 }
 
+// results runs keys through Prewarm and returns their results in key
+// order. Unlike the grid tables, which annotate a failed cell in place, a
+// section built on results fails at its first failed cell (in key order):
+// its rows compare cells with one another, so a partial section would
+// mislead more than it informs.
+func (s *Suite) results(ctx context.Context, keys []Key) ([]*sim.Result, error) {
+	if err := s.Prewarm(ctx, keys, nil); err != nil && !errors.As(err, new(*CellErrors)) {
+		return nil, err
+	}
+	out := make([]*sim.Result, len(keys))
+	for i, k := range keys {
+		o, _, err := s.cell(ctx, k)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = o.res
+	}
+	return out, nil
+}
+
 // WorkloadNames returns the five paper workloads in presentation order.
 func WorkloadNames() []string {
-	var names []string
-	for _, w := range workload.All() {
+	all := workload.All()
+	names := make([]string, 0, len(all))
+	for _, w := range all {
 		names = append(names, w.Name)
 	}
 	return names
 }
 
 // GridKeys returns the (workload x strategy x transfer) grid used by
-// Figures 1-2 and Table 2.
+// Figures 1-2 and Table 2, on the suite's machine.
 func (s *Suite) GridKeys() []Key {
-	var keys []Key
-	for _, wl := range WorkloadNames() {
-		for _, st := range prefetch.Strategies() {
+	names, strategies := WorkloadNames(), prefetch.Strategies()
+	keys := make([]Key, 0, len(names)*len(strategies)*len(s.cfg.Transfers))
+	return s.appendGrid(keys, names, strategies, false)
+}
+
+// The restructured programs Tables 4 and 5 compare, and the disciplines
+// they run.
+var (
+	restructuredWorkloads  = []string{"topopt", "pverify"}
+	restructuredStrategies = []prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.PWS}
+)
+
+// RestructuredKeys returns the runs Tables 4 and 5 need.
+func (s *Suite) RestructuredKeys() []Key {
+	keys := make([]Key, 0, len(restructuredWorkloads)*len(restructuredStrategies)*len(s.cfg.Transfers))
+	return s.appendGrid(keys, restructuredWorkloads, restructuredStrategies, true)
+}
+
+// appendGrid appends the workloads x strategies x transfers grid on the
+// suite's machine to keys.
+func (s *Suite) appendGrid(keys []Key, workloads []string, strategies []prefetch.Strategy, restructured bool) []Key {
+	base := s.onSuite(Key{Restructured: restructured})
+	for _, wl := range workloads {
+		for _, st := range strategies {
 			for _, tr := range s.cfg.Transfers {
-				keys = append(keys, Key{Workload: wl, Strategy: st, Transfer: tr})
+				k := base
+				k.Workload, k.Strategy, k.Transfer = wl, st, tr
+				keys = append(keys, k)
 			}
 		}
 	}
 	return keys
 }
 
-// RestructuredKeys returns the runs Tables 4 and 5 need.
-func (s *Suite) RestructuredKeys() []Key {
-	var keys []Key
-	for _, wl := range []string{"topopt", "pverify"} {
-		for _, st := range []prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.PWS} {
-			for _, tr := range s.cfg.Transfers {
-				keys = append(keys, Key{Workload: wl, Strategy: st, Transfer: tr, Restructured: true})
-			}
-		}
-	}
-	return keys
-}
+// grid returns the grid cell k on the suite's machine.
+func (s *Suite) grid(k Key) (*sim.Result, error) { return s.Result(s.onSuite(k)) }

@@ -114,7 +114,7 @@ func (s *Suite) Figure1() ([]Figure1Row, error) {
 	var rows []Figure1Row
 	for _, wl := range WorkloadNames() {
 		for _, st := range prefetch.Strategies() {
-			res, err := s.Result(Key{Workload: wl, Strategy: st, Transfer: 8})
+			res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: 8})
 			if err != nil {
 				rows = append(rows, Figure1Row{Workload: wl, Strategy: st, Err: err.Error()})
 				continue
@@ -165,7 +165,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 	for _, wl := range WorkloadNames() {
 		for _, st := range prefetch.Strategies() {
 			for _, tr := range []int{4, 8, 16, 32} {
-				res, err := s.Result(Key{Workload: wl, Strategy: st, Transfer: tr})
+				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr})
 				if err != nil {
 					rows = append(rows, Table2Row{Workload: wl, Strategy: st, Transfer: tr, Err: err.Error()})
 					continue
@@ -226,7 +226,7 @@ func (s *Suite) Figure2() ([]Figure2Row, error) {
 		np := make(map[int]uint64)
 		npErr := make(map[int]string)
 		for _, tr := range s.cfg.Transfers {
-			res, err := s.Result(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr})
+			res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr})
 			if err != nil {
 				npErr[tr] = fmt.Sprintf("NP baseline failed: %v", err)
 				continue
@@ -242,7 +242,7 @@ func (s *Suite) Figure2() ([]Figure2Row, error) {
 					rows = append(rows, Figure2Row{Workload: wl, Strategy: st, Transfer: tr, Err: msg})
 					continue
 				}
-				res, err := s.Result(Key{Workload: wl, Strategy: st, Transfer: tr})
+				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr})
 				if err != nil {
 					rows = append(rows, Figure2Row{Workload: wl, Strategy: st, Transfer: tr, Err: err.Error()})
 					continue
@@ -323,12 +323,12 @@ type UtilizationRow struct {
 func (s *Suite) Utilization() ([]UtilizationRow, error) {
 	var rows []UtilizationRow
 	for _, wl := range WorkloadNames() {
-		fast, err := s.Result(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 4})
+		fast, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 4})
 		if err != nil {
 			rows = append(rows, UtilizationRow{Workload: wl, Err: err.Error()})
 			continue
 		}
-		slow, err := s.Result(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 32})
+		slow, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 32})
 		if err != nil {
 			rows = append(rows, UtilizationRow{Workload: wl, Err: err.Error()})
 			continue
@@ -382,7 +382,7 @@ func (s *Suite) Figure3() ([]Figure3Row, error) {
 	var rows []Figure3Row
 	for _, wl := range Figure3Workloads() {
 		for _, st := range prefetch.Strategies() {
-			res, err := s.Result(Key{Workload: wl, Strategy: st, Transfer: 8})
+			res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: 8})
 			if err != nil {
 				rows = append(rows, Figure3Row{Workload: wl, Strategy: st, Err: err.Error()})
 				continue
@@ -440,7 +440,7 @@ type Table3Row struct {
 func (s *Suite) Table3() ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, wl := range WorkloadNames() {
-		res, err := s.Result(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 8})
+		res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 8})
 		if err != nil {
 			rows = append(rows, Table3Row{Workload: wl, Err: err.Error()})
 			continue
@@ -496,7 +496,7 @@ func (s *Suite) Table4() ([]Table4Row, error) {
 	for _, wl := range []string{"topopt", "pverify"} {
 		for _, restr := range []bool{false, true} {
 			for _, st := range []prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.PWS} {
-				res, err := s.Result(Key{Workload: wl, Strategy: st, Transfer: 8, Restructured: restr})
+				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: 8, Restructured: restr})
 				if err != nil {
 					rows = append(rows, Table4Row{Workload: wl, Strategy: st, Restructured: restr, Err: err.Error()})
 					continue
@@ -555,7 +555,7 @@ func (s *Suite) Table5() ([]Table5Row, error) {
 		np := map[int]uint64{}
 		npErr := map[int]string{}
 		for _, tr := range s.cfg.Transfers {
-			res, err := s.Result(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr, Restructured: true})
+			res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr, Restructured: true})
 			if err != nil {
 				npErr[tr] = fmt.Sprintf("NP baseline failed: %v", err)
 				continue
@@ -568,7 +568,7 @@ func (s *Suite) Table5() ([]Table5Row, error) {
 					rows = append(rows, Table5Row{Workload: wl, Strategy: st, Transfer: tr, Err: msg})
 					continue
 				}
-				res, err := s.Result(Key{Workload: wl, Strategy: st, Transfer: tr, Restructured: true})
+				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr, Restructured: true})
 				if err != nil {
 					rows = append(rows, Table5Row{Workload: wl, Strategy: st, Transfer: tr, Err: err.Error()})
 					continue

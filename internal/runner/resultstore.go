@@ -2,15 +2,14 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"sync"
 )
 
 // ResultStore is the content-addressed result cache behind the experiment
 // server: completed results are memoized by canonical spec string so a spec
 // resubmitted by any client — concurrently or days later — is served without
-// recomputation. It generalizes the TraceCache's singleflight discipline from
-// (TraceKey → trace) to (spec string → opaque payload bytes), and layers it
+// recomputation. It memoizes (spec string → opaque payload bytes) in a Memo,
+// the same singleflight the TraceCache plans traces with, and layers it
 // over an optional CheckpointStore so results survive process restarts behind
 // the same CRC-protected, torn-write-quarantining frame checkpoints use.
 //
@@ -22,10 +21,10 @@ import (
 // goldens are what license serving one tenant's cells to another.
 type ResultStore struct {
 	disk *CheckpointStore // nil = memory only
+	memo Memo[string, []byte]
 
-	mu      sync.Mutex
-	entries map[string]*resultEntry
-	stats   ResultStats
+	mu    sync.Mutex
+	stats ResultStats
 }
 
 // ResultStats counts a store's traffic.
@@ -40,19 +39,12 @@ type ResultStats struct {
 	DiskHits uint64 `json:"disk_hits"`
 }
 
-// resultEntry is one slot; ready is closed once payload/err are immutable.
-type resultEntry struct {
-	ready   chan struct{}
-	payload []byte
-	err     error
-}
-
 // NewResultStore returns an empty store. disk, when non-nil, persists every
 // computed payload and is consulted on in-memory misses, so results survive
 // restarts; a corrupt disk entry is quarantined by the CheckpointStore and
 // the result recomputed (see CheckpointStore.Get).
 func NewResultStore(disk *CheckpointStore) *ResultStore {
-	return &ResultStore{disk: disk, entries: make(map[string]*resultEntry)}
+	return &ResultStore{disk: disk}
 }
 
 // Stats returns the traffic counters accumulated so far.
@@ -63,11 +55,7 @@ func (s *ResultStore) Stats() ResultStats {
 }
 
 // Len returns the number of in-memory entries (completed or in flight).
-func (s *ResultStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *ResultStore) Len() int { return s.memo.Len() }
 
 // Do returns the payload for key, calling compute to produce it on first
 // use. compute runs at most once per key across all concurrent callers: the
@@ -90,70 +78,44 @@ func (s *ResultStore) Len() int {
 // makes to clients. Cancellations are likewise evicted so the next caller
 // recomputes instead of inheriting a dead context's failure, and a waiter
 // whose own ctx fires bails with ctx.Err() while the in-flight computation
-// proceeds for everyone else. Mirrors TraceCache.Get.
+// proceeds for everyone else.
 func (s *ResultStore) Do(ctx context.Context, key string, compute func(ctx context.Context) (payload []byte, cacheable bool, err error)) (payload []byte, hit bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.stats.Hits++
-		s.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.payload, true, e.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+	fromDisk := false
+	payload, hit, err = s.memo.Do(ctx, key, func() ([]byte, bool, error) {
+		if s.disk != nil {
+			// A restart dropped the in-memory map but not the disk entries.
+			// Get validates frame, CRC and key, quarantining anything
+			// corrupt, so whatever comes back is exactly what a compute once
+			// produced.
+			if data, ok, derr := s.disk.Get(key); derr == nil && ok {
+				fromDisk = true
+				return data, true, nil
+			}
 		}
-	}
-	e := &resultEntry{ready: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	if s.disk != nil {
-		// A restart dropped the in-memory map but not the disk entries. Get
-		// validates frame, CRC and key, quarantining anything corrupt, so
-		// whatever comes back is exactly what a compute once produced.
-		if data, ok, derr := s.disk.Get(key); derr == nil && ok {
-			e.payload = data
-			s.mu.Lock()
-			s.stats.Hits++
-			s.stats.DiskHits++
-			s.mu.Unlock()
-			close(e.ready)
-			return e.payload, true, nil
-		}
-	}
-
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
-	var cacheable bool
-	e.payload, cacheable, e.err = compute(ctx)
-	evict := false
-	switch {
-	case e.err != nil:
-		// Cancellation never describes the spec; retryable failures promise
-		// the client that resubmission might succeed, so honoring that
-		// promise requires actually recomputing.
-		evict = errors.Is(e.err, context.Canceled) ||
-			errors.Is(e.err, context.DeadlineExceeded) ||
-			Classify(e.err) == Retryable
-	case !cacheable:
-		evict = true
-	}
-	if evict {
 		s.mu.Lock()
-		if s.entries[key] == e {
-			delete(s.entries, key)
+		s.stats.Misses++
+		s.mu.Unlock()
+		payload, cacheable, err := compute(ctx)
+		if err != nil {
+			// Cancellation never describes the spec; retryable failures
+			// promise the client that resubmission might succeed, so
+			// honoring that promise requires actually recomputing.
+			return payload, !cancelled(err) && Classify(err) == Terminal, err
+		}
+		if cacheable && s.disk != nil {
+			// Best-effort, like cell checkpoints: a full or read-only volume
+			// must not fail the computation that just succeeded.
+			_ = s.disk.Put(key, payload)
+		}
+		return payload, cacheable, nil
+	})
+	if hit || fromDisk {
+		s.mu.Lock()
+		s.stats.Hits++
+		if fromDisk {
+			s.stats.DiskHits++
 		}
 		s.mu.Unlock()
 	}
-	if e.err == nil && cacheable && s.disk != nil {
-		// Best-effort, like cell checkpoints: a full or read-only volume
-		// must not fail the computation that just succeeded.
-		_ = s.disk.Put(key, e.payload)
-	}
-	close(e.ready)
-	return e.payload, false, e.err
+	return payload, hit || fromDisk, err
 }

@@ -2,8 +2,7 @@ package runner
 
 import (
 	"context"
-	"errors"
-	"sync"
+	"sync/atomic"
 
 	"busprefetch/internal/memory"
 	"busprefetch/internal/trace"
@@ -33,84 +32,10 @@ func (k TraceKey) NormalizeGeometry() TraceKey {
 	return k
 }
 
-// sourceEntry is one cache slot. ready is closed once the planning
-// goroutine has filled src/info/err; the fields are immutable afterwards.
-type sourceEntry struct {
-	ready chan struct{}
-	src   trace.Source
-	info  workload.Info
-	err   error
-}
-
-// TraceCache memoizes planned workload sources with singleflight
-// semantics: the first goroutine to ask for a key plans it while later
-// askers block on the same entry, so concurrent workers never duplicate a
-// plan. Sources are restartable and return a fresh iterator per Events
-// call, so one cached source serves any number of concurrent cells; the
-// events themselves are generated anew on every drain.
-//
-// Failed plans are memoized too: a broken configuration fails once and
-// every cell that needs it gets the same error.
-type TraceCache struct {
-	mu       sync.Mutex
-	sources  map[TraceKey]*sourceEntry
-	profiles map[profileKey]*profileEntry
-	hits     uint64
-	misses   uint64
-}
-
-// NewTraceCache returns an empty cache.
-func NewTraceCache() *TraceCache {
-	return &TraceCache{
-		sources:  make(map[TraceKey]*sourceEntry),
-		profiles: make(map[profileKey]*profileEntry),
-	}
-}
-
-// GetSource returns the source for k, calling gen to plan it (layout and
-// sizing, no event generation) on first use. Every call for the same key
-// observes the same (Source, Info, error); gen runs at most once per key,
-// on the calling goroutine that missed.
-//
-// Cancellation cannot poison the cache: a waiter whose ctx fires bails
-// with ctx.Err() while the in-flight plan proceeds for everyone else, and
-// a plan that itself fails with a cancellation error is evicted before
-// its waiters are released — later callers plan again instead of
-// inheriting one caller's dead context as a permanent failure.
-func (c *TraceCache) GetSource(ctx context.Context, k TraceKey, gen func() (trace.Source, workload.Info, error)) (trace.Source, workload.Info, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	k = k.NormalizeGeometry()
-	c.mu.Lock()
-	if e, ok := c.sources[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.src, e.info, e.err
-		case <-ctx.Done():
-			return nil, workload.Info{}, ctx.Err()
-		}
-	}
-	e := &sourceEntry{ready: make(chan struct{})}
-	c.sources[k] = e
-	c.misses++
-	c.mu.Unlock()
-
-	e.src, e.info, e.err = gen()
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		// The plan died with its caller's context, not on its own merits:
-		// evict the entry (if it is still ours) so the next caller plans
-		// again rather than observing the memoized cancellation.
-		c.mu.Lock()
-		if c.sources[k] == e {
-			delete(c.sources, k)
-		}
-		c.mu.Unlock()
-	}
-	close(e.ready)
-	return e.src, e.info, e.err
+// planned is one planned workload source and its metadata.
+type planned struct {
+	src  trace.Source
+	info workload.Info
 }
 
 // profileKey identifies one sharing profile: the trace it describes and
@@ -120,48 +45,65 @@ type profileKey struct {
 	geom  memory.Geometry
 }
 
-type profileEntry struct {
-	ready chan struct{}
-	prof  *trace.SharingProfile
-	err   error
+// TraceCache memoizes planned workload sources, and the sharing profiles
+// drawn from them, in two Memos: the first goroutine to ask for a key plans
+// it while later askers wait on the same flight, so concurrent workers
+// never duplicate a plan. Sources are restartable and return a fresh
+// iterator per Events call, so one cached source serves any number of
+// concurrent cells; the events themselves are generated anew on every
+// drain.
+//
+// Both memos keep every outcome except a cancellation: a broken
+// configuration fails once and every cell that needs it gets the same
+// error, but a plan that died with its caller's context is forgotten, so
+// the next caller plans again instead of inheriting a dead context as a
+// permanent failure.
+type TraceCache struct {
+	sources  Memo[TraceKey, planned]
+	profiles Memo[profileKey, *trace.SharingProfile]
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+}
+
+// NewTraceCache returns an empty cache.
+func NewTraceCache() *TraceCache { return &TraceCache{} }
+
+// GetSource returns the source for k, calling gen to plan it (layout and
+// sizing, no event generation) on first use. Every call for the same key
+// observes the same (Source, Info, error); gen runs at most once per key at
+// a time, on the calling goroutine that missed. A waiter whose ctx fires
+// bails with ctx.Err() while the in-flight plan proceeds for everyone else.
+func (c *TraceCache) GetSource(ctx context.Context, k TraceKey, gen func() (trace.Source, workload.Info, error)) (trace.Source, workload.Info, error) {
+	p, hit, err := c.sources.Do(ctx, k.NormalizeGeometry(), func() (planned, bool, error) {
+		src, info, err := gen()
+		return planned{src, info}, !cancelled(err), err
+	})
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return p.src, p.info, err
 }
 
 // SharingProfile memoizes trace.AnalyzeSharingSource(src, geom) per
-// (trace key, geometry) with the same singleflight semantics as GetSource: the
-// profile pre-pass drains the whole source, so the strategies of one
-// sweep cell family (PWS, EXCL variants) must share one analysis instead
-// of re-deriving it per cell. src must be the un-annotated source for k.
+// (trace key, geometry) under the same rules as GetSource: the profile
+// pre-pass drains the whole source, so the strategies of one sweep cell
+// family (PWS, EXCL variants) must share one analysis instead of
+// re-deriving it per cell. src must be the un-annotated source for k.
 func (c *TraceCache) SharingProfile(ctx context.Context, k TraceKey, geom memory.Geometry, src trace.Source) (*trace.SharingProfile, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pk := profileKey{trace: k.NormalizeGeometry(), geom: geom}
-	c.mu.Lock()
-	if e, ok := c.profiles[pk]; ok {
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.prof, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &profileEntry{ready: make(chan struct{})}
-	c.profiles[pk] = e
-	c.mu.Unlock()
-
-	e.prof, e.err = trace.AnalyzeSharingSource(src, geom)
-	close(e.ready)
-	return e.prof, e.err
+	prof, _, err := c.profiles.Do(ctx, profileKey{trace: k.NormalizeGeometry(), geom: geom}, func() (*trace.SharingProfile, bool, error) {
+		prof, err := trace.AnalyzeSharingSource(src, geom)
+		return prof, !cancelled(err), err
+	})
+	return prof, err
 }
 
 // Stats returns how many GetSource calls were served from the cache
 // (hits, including waits on an in-flight plan) and how many planned
 // (misses).
 func (c *TraceCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any access.
