@@ -33,11 +33,13 @@
 package busprefetch
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
-	"busprefetch/internal/coherence"
-	"busprefetch/internal/interconnect"
+	"busprefetch/internal/experiments"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
@@ -74,146 +76,122 @@ func Workloads() []WorkloadInfo {
 	return out
 }
 
-// RunSpec configures one simulation.
+// RunSpec configures one simulation. It is also the body of the
+// experiment server's POST /v1/runs, field for field under the JSON names
+// below.
 type RunSpec struct {
-	// Workload is one of the names returned by Workloads. Required.
-	Workload string
+	// Workload is one of the names returned by Workloads (case
+	// insensitive). Required.
+	Workload string `json:"workload"`
 	// Strategy is one of "NP", "PREF", "EXCL", "LPD", "PWS" (case
 	// insensitive). Empty means NP.
-	Strategy string
+	Strategy string `json:"strategy,omitempty"`
 	// Prefetcher selects how prefetches are decided: "oracle" (the default,
 	// the paper's offline annotator with perfect future knowledge) or one of
 	// the online engines — "stride", "temporal", "pointer" — which train on
 	// the demand stream during the run and issue prefetches at simulation
 	// time under the selected Strategy. Case insensitive.
-	Prefetcher string
+	Prefetcher string `json:"prefetcher,omitempty"`
 	// Transfer is the contended data-transfer latency in cycles (the paper
 	// sweeps 4-32). Zero selects 8.
-	Transfer int
+	Transfer int `json:"transfer,omitempty"`
 	// MemLatency is the total memory latency in cycles; zero selects the
 	// paper's 100.
-	MemLatency int
+	MemLatency int `json:"mem_latency,omitempty"`
 	// Procs overrides the workload's process count (0 = default).
-	Procs int
+	Procs int `json:"procs,omitempty"`
 	// Scale multiplies trace length (0 = 1.0, roughly 10^5 references per
 	// process).
-	Scale float64
+	Scale float64 `json:"scale,omitempty"`
 	// Seed seeds the deterministic workload generator (0 = 1).
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Restructured uses the false-sharing-restructured data layout
 	// (meaningful for topopt and pverify, the programs the paper
 	// restructures).
-	Restructured bool
+	Restructured bool `json:"restructured,omitempty"`
 	// Distance overrides the prefetch distance in estimated CPU cycles
 	// (0 = the strategy default: 100, or 400 for LPD).
-	Distance int
+	Distance int `json:"distance,omitempty"`
 	// CacheKB and LineBytes override the cache geometry (0 = the paper's
-	// 32 KB direct-mapped cache with 32-byte lines).
-	CacheKB   int
-	LineBytes int
+	// 32 KB direct-mapped cache with 32-byte lines), up to 32,768 lines.
+	CacheKB   int `json:"cache_kb,omitempty"`
+	LineBytes int `json:"line_bytes,omitempty"`
 	// Protocol selects the coherence protocol: "illinois" (default, the
 	// paper's), "msi" (the ablation without the private-clean state), or
 	// "dragon" (write-update: updates broadcast instead of invalidating).
-	Protocol string
+	Protocol string `json:"protocol,omitempty"`
 	// VictimCacheLines adds a fully-associative victim cache of that many
-	// lines behind each data cache (0 = none) — the paper's §4.3
-	// suggestion for prefetch-induced conflict misses.
-	VictimCacheLines int
+	// lines, at most 1,024, behind each data cache (0 = none) — the paper's
+	// §4.3 suggestion for prefetch-induced conflict misses.
+	VictimCacheLines int `json:"victim_cache_lines,omitempty"`
 	// BufferPrefetch routes prefetches into a non-snooping FIFO buffer
 	// instead of the cache (the §3.1 alternative the paper rejects).
 	// Write-shared lines are automatically excluded from prefetching, as
 	// the buffer's correctness requires.
-	BufferPrefetch bool
+	BufferPrefetch bool `json:"buffer_prefetch,omitempty"`
 	// Interconnect selects the fabric: "bus" (default, the paper's single
 	// split-transaction bus), "multibus" (address-interleaved data buses),
 	// or "directory" (point-to-point with a home-node lookup latency). Case
 	// insensitive.
-	Interconnect string
-	// Buses sets the link count for multibus/directory fabrics (0 = the
-	// fabric default: 2 buses, or one directory link per processor).
-	Buses int
+	Interconnect string `json:"interconnect,omitempty"`
+	// Buses sets the link count, at most 64 (0 = the fabric default: one
+	// bus, 2 multibus buses, or one directory link per processor).
+	Buses int `json:"buses,omitempty"`
 	// Discipline selects the bus arbitration order: "priority" (default,
 	// the paper's demand > prefetch > writeback) or "fcfs". Case
 	// insensitive.
-	Discipline string
+	Discipline string `json:"discipline,omitempty"`
 }
 
-func (s RunSpec) normalize() (RunSpec, error) {
-	if s.Workload == "" {
-		return s, fmt.Errorf("busprefetch: RunSpec.Workload is required")
+// Limits on the spec fields that size a run's per-processor allocations.
+const (
+	maxCacheLines  = 32768 // 8x the lines of the 128 KB cache-size ablation
+	maxVictimLines = 1024
+)
+
+// resolve turns the spec into the Key of its simulation, every name parsed
+// and every default filled in, and the workload parameters its trace is
+// generated from, which carry the inputs a Key does not: procs, scale and
+// seed. Out-of-range values are rejected, never aliased.
+func (s RunSpec) resolve() (experiments.Key, workload.Params, error) {
+	w, err := workload.ByName(s.Workload)
+	if err != nil {
+		return experiments.Key{}, workload.Params{}, err
 	}
-	if s.Strategy == "" {
-		s.Strategy = "NP"
+	k, err := experiments.ParseMachine(s.MemLatency, s.Protocol, s.Prefetcher, s.Interconnect, s.Buses, s.Discipline)
+	if err == nil && s.Strategy != "" {
+		k.Strategy, err = prefetch.ParseStrategy(s.Strategy)
 	}
-	if s.Prefetcher == "" {
-		s.Prefetcher = "oracle"
+	kb, line := cmp.Or(s.CacheKB, 32), cmp.Or(s.LineBytes, 32)
+	if line > 0 && kb > maxCacheLines/1024*line {
+		err = errors.Join(err, fmt.Errorf("cache_kb %d of %d-byte lines exceeds %d lines", kb, line, maxCacheLines))
 	}
-	if s.Interconnect == "" {
-		s.Interconnect = "bus"
+	if err = errors.Join(err, experiments.CheckRange("distance", s.Distance, math.MinInt32, math.MaxInt32),
+		experiments.CheckRange("victim_cache_lines", s.VictimCacheLines, 0, maxVictimLines)); err != nil {
+		return experiments.Key{}, workload.Params{}, err
 	}
-	if s.Discipline == "" {
-		s.Discipline = "priority"
-	}
-	if s.Transfer == 0 {
-		s.Transfer = 8
-	}
-	if s.MemLatency == 0 {
-		s.MemLatency = 100
-	}
-	if s.Scale == 0 {
-		s.Scale = 1.0
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.CacheKB == 0 {
-		s.CacheKB = 32
-	}
-	if s.LineBytes == 0 {
-		s.LineBytes = 32
-	}
-	return s, nil
+	k.Workload, k.Transfer, k.Restructured, k.Buffer = w.Name, cmp.Or(s.Transfer, 8), s.Restructured, s.BufferPrefetch
+	k.Geometry = memory.Geometry{CacheSize: kb * 1024, LineSize: line, Assoc: 1}
+	k.VictimLines, k.Distance = int32(s.VictimCacheLines), int32(s.Distance)
+	return k, workload.Params{Procs: cmp.Or(s.Procs, w.DefaultProcs), Scale: cmp.Or(s.Scale, 1), Seed: cmp.Or(s.Seed, 1),
+		Restructured: s.Restructured, Geometry: k.Geometry}, nil
 }
 
-// SpecString returns the canonical one-line form of the spec: defaults
-// filled in, names parsed to their canonical case, every field that
-// determines the simulation's result included. Two specs with equal
-// SpecStrings produce byte-identical results (runs are deterministic in the
-// spec), which is what lets the experiment server key its content-addressed
-// result store on it — alongside the build revision — and serve a cached
-// result to any client that resubmits the spec. Invalid specs (unknown
-// workload names excepted, which fail at generation) return the parse error
-// a Run of the same spec would.
+// SpecString returns the canonical one-line form of the spec: the trace
+// inputs (procs, scale, seed), then the spelling of the suite Key the spec
+// resolves to, with every default filled in and every name parsed to its
+// canonical case. Two specs with equal SpecStrings produce byte-identical
+// results (runs are deterministic in the spec), which is what lets the
+// experiment server key its content-addressed result store on it —
+// alongside the build revision — and serve a cached result to any client
+// that resubmits the spec. Invalid specs return the error a Run of the same
+// spec would.
 func (s RunSpec) SpecString() (string, error) {
-	s, err := s.normalize()
+	k, p, err := s.resolve()
 	if err != nil {
 		return "", err
 	}
-	strat, err := prefetch.ParseStrategy(s.Strategy)
-	if err != nil {
-		return "", err
-	}
-	pf, err := prefetch.ParsePrefetcher(s.Prefetcher)
-	if err != nil {
-		return "", err
-	}
-	// Run leaves the simulator's default (Illinois) in place for an empty
-	// Protocol; the canonical form names it explicitly.
-	if s.Protocol == "" {
-		s.Protocol = "illinois"
-	}
-	proto, err := coherence.Parse(s.Protocol)
-	if err != nil {
-		return "", err
-	}
-	ic, err := interconnect.ParseConfig(s.Interconnect, s.Buses, s.Discipline)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("wl=%s|strat=%s|pf=%s|t=%d|mem=%d|procs=%d|scale=%g|seed=%d|restr=%t|dist=%d|cache=%d|line=%d|proto=%s|victim=%d|buffer=%t|ic=%s",
-		s.Workload, strat, pf, s.Transfer, s.MemLatency, s.Procs, s.Scale, s.Seed,
-		s.Restructured, s.Distance, s.CacheKB, s.LineBytes, proto, s.VictimCacheLines,
-		s.BufferPrefetch, ic.String()), nil
+	return fmt.Sprintf("procs=%d|scale=%g|seed=%d|%s", p.Procs, p.Scale, p.Seed, k.SpecString()), nil
 }
 
 // MissComponents is the paper's Figure 3 taxonomy, as rates per demand
@@ -229,7 +207,9 @@ type MissComponents struct {
 // Metrics is the outcome of one simulation, exposing every metric the paper
 // reports.
 type Metrics struct {
-	// Workload, Strategy and Transfer echo the spec.
+	// Workload, Strategy and Transfer echo the spec in canonical form: the
+	// workload's and the strategy's names as Workloads and Strategies spell
+	// them, and the transfer cost with its default filled in.
 	Workload string
 	Strategy string
 	Transfer int
@@ -275,11 +255,11 @@ type Metrics struct {
 	BusOps uint64
 }
 
-func metricsFrom(spec RunSpec, res *sim.Result) *Metrics {
+func metricsFrom(k experiments.Key, res *sim.Result) *Metrics {
 	m := &Metrics{
-		Workload:             spec.Workload,
-		Strategy:             spec.Strategy,
-		Transfer:             spec.Transfer,
+		Workload:             k.Workload,
+		Strategy:             k.Strategy.String(),
+		Transfer:             k.Transfer,
 		Cycles:               res.Cycles,
 		DemandRefs:           res.Counters.DemandRefs(),
 		CPUMissRate:          res.CPUMissRate(),
@@ -331,69 +311,23 @@ func Run(spec RunSpec) (*Metrics, error) {
 // its next cancellation poll and returns ctx's error. The experiment server
 // uses it to drain in-flight runs on shutdown.
 func RunContext(ctx context.Context, spec RunSpec) (*Metrics, error) {
-	spec, err := spec.normalize()
+	k, p, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
-	w, err := workload.ByName(spec.Workload)
+	w, err := workload.ByName(k.Workload)
 	if err != nil {
 		return nil, err
 	}
-	geom := memory.Geometry{CacheSize: spec.CacheKB * 1024, LineSize: spec.LineBytes, Assoc: 1}
-	src, _, err := w.Source(workload.Params{
-		Procs:        spec.Procs,
-		Scale:        spec.Scale,
-		Seed:         spec.Seed,
-		Restructured: spec.Restructured,
-		Geometry:     geom,
-	})
+	src, _, err := w.Source(p)
 	if err != nil {
 		return nil, err
 	}
-	strat, err := prefetch.ParseStrategy(spec.Strategy)
+	res, err := experiments.Simulate(ctx, k, src, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	pfKind, err := prefetch.ParsePrefetcher(spec.Prefetcher)
-	if err != nil {
-		return nil, err
-	}
-	annotated, err := prefetch.ByKind(pfKind).AnnotateSource(src, prefetch.Options{
-		Strategy:           strat,
-		Geometry:           geom,
-		Distance:           spec.Distance,
-		ExcludeWriteShared: spec.BufferPrefetch && strat != prefetch.NP,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Geometry = geom
-	cfg.MemLatency = spec.MemLatency
-	cfg.TransferCycles = spec.Transfer
-	cfg.VictimCacheLines = spec.VictimCacheLines
-	if pfKind.Online() {
-		cfg.Online = prefetch.OnlineConfig{Kind: pfKind, Strategy: strat}
-	}
-	if spec.BufferPrefetch {
-		cfg.PrefetchTarget = sim.PrefetchToBuffer
-	}
-	if spec.Protocol != "" {
-		proto, err := coherence.Parse(spec.Protocol)
-		if err != nil {
-			return nil, fmt.Errorf("busprefetch: unknown protocol %q", spec.Protocol)
-		}
-		cfg.Protocol = proto
-	}
-	cfg.Interconnect, err = interconnect.ParseConfig(spec.Interconnect, spec.Buses, spec.Discipline)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunSourceContext(ctx, cfg, annotated)
-	if err != nil {
-		return nil, err
-	}
-	return metricsFrom(spec, res), nil
+	return metricsFrom(k, res), nil
 }
 
 // Comparison holds one strategy's metrics plus its execution time relative

@@ -2,6 +2,12 @@ package busprefetch
 
 import (
 	"testing"
+
+	"busprefetch/internal/bus"
+	"busprefetch/internal/coherence"
+	"busprefetch/internal/experiments"
+	"busprefetch/internal/interconnect"
+	"busprefetch/internal/prefetch"
 )
 
 func TestWorkloadsAndStrategies(t *testing.T) {
@@ -66,6 +72,14 @@ func TestRunProducesMetrics(t *testing.T) {
 		m.Components.PrefetchInProgress
 	if diff := sum - m.CPUMissRate; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("components sum %f != CPU MR %f", sum, m.CPUMissRate)
+	}
+	// Names are case insensitive, and the metrics echo their canonical form.
+	again, err := Run(RunSpec{Workload: "WATER", Strategy: "pref", Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Workload != "water" || again.Strategy != "PREF" || *again != *m {
+		t.Errorf("WATER/pref ran as %s/%s, want the water/PREF metrics", again.Workload, again.Strategy)
 	}
 }
 
@@ -230,5 +244,57 @@ func TestInterconnectOption(t *testing.T) {
 	}
 	if _, err := Run(RunSpec{Workload: "mp3d", Scale: 0.05, Buses: 2}); err == nil {
 		t.Error("multi-link single bus accepted")
+	}
+}
+
+// TestRunMatchesSuiteCell runs one spec per seam through Run and the
+// matching Key through the experiment suite: both must simulate the same
+// machine, so a second pipeline cannot drift from the suite's unnoticed.
+func TestRunMatchesSuiteCell(t *testing.T) {
+	const scale = 0.05
+	suite := experiments.NewSuite(experiments.Config{Scale: scale, Seed: 1})
+	cases := []struct {
+		spec RunSpec
+		key  experiments.Key
+	}{
+		{RunSpec{Workload: "mp3d", Strategy: "PREF"},
+			experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8}},
+		{RunSpec{Workload: "pverify", Strategy: "PWS"},
+			experiments.Key{Workload: "pverify", Strategy: prefetch.PWS, Transfer: 8}},
+		{RunSpec{Workload: "water", Strategy: "LPD", Transfer: 16},
+			experiments.Key{Workload: "water", Strategy: prefetch.LPD, Transfer: 16}},
+		{RunSpec{Workload: "topopt", Strategy: "PREF", Restructured: true},
+			experiments.Key{Workload: "topopt", Strategy: prefetch.PREF, Transfer: 8, Restructured: true}},
+		{RunSpec{Workload: "mp3d", Strategy: "PREF", Protocol: "dragon"},
+			experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8, Protocol: coherence.Dragon}},
+		{RunSpec{Workload: "mp3d", Strategy: "PREF", Transfer: 32, Interconnect: "multibus", Buses: 4},
+			experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 32,
+				Fabric: interconnect.Config{Kind: interconnect.MultiBus, Links: 4}}},
+		{RunSpec{Workload: "mp3d", Strategy: "PREF", Discipline: "fcfs"},
+			experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8,
+				Fabric: interconnect.Config{Discipline: bus.FCFS}}},
+		{RunSpec{Workload: "mp3d", Strategy: "PREF", Prefetcher: "stride"},
+			experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8, Prefetcher: prefetch.Stride}},
+		{RunSpec{Workload: "topopt", Strategy: "PREF", VictimCacheLines: 8},
+			experiments.Key{Workload: "topopt", Strategy: prefetch.PREF, Transfer: 8, VictimLines: 8}},
+		{RunSpec{Workload: "mp3d", Strategy: "PREF", BufferPrefetch: true},
+			experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8, Buffer: true}},
+		{RunSpec{Workload: "water", Strategy: "PREF", MemLatency: 200, Distance: 250},
+			experiments.Key{Workload: "water", Strategy: prefetch.PREF, Transfer: 8, MemLatency: 200, Distance: 250}},
+	}
+	for _, c := range cases {
+		c.spec.Scale = scale
+		m, err := Run(c.spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		res, err := suite.Result(c.key)
+		if err != nil {
+			t.Fatalf("%v: %v", c.key, err)
+		}
+		if m.Cycles != res.Cycles || m.BusOps != res.Bus.TotalOps() || m.CPUMissRate != res.CPUMissRate() {
+			t.Errorf("%v: Run gives %d cycles, %d bus ops, CPU MR %v; the suite %d, %d, %v",
+				c.key, m.Cycles, m.BusOps, m.CPUMissRate, res.Cycles, res.Bus.TotalOps(), res.CPUMissRate())
+		}
 	}
 }

@@ -39,11 +39,8 @@ import (
 	"time"
 
 	"busprefetch/internal/buildinfo"
-	"busprefetch/internal/coherence"
 	"busprefetch/internal/experiments"
-	"busprefetch/internal/interconnect"
 	"busprefetch/internal/obs"
-	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
 )
 
@@ -115,15 +112,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("-trace-cell has no effect without -trace-out")
 		}
 	}
-	proto, err := coherence.Parse(*protoStr)
-	if err != nil {
-		return err
-	}
-	pfKind, err := prefetch.ParsePrefetcher(*pfName)
-	if err != nil {
-		return err
-	}
-	icCfg, err := interconnect.ParseConfig(*icName, *buses, *discName)
+	machine, err := experiments.ParseMachine(0, *protoStr, *pfName, *icName, *buses, *discName)
 	if err != nil {
 		return err
 	}
@@ -137,8 +126,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "mkfigures: pprof listening on http://%s/debug/pprof/\n", addr)
 	}
 
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *jobs, Protocol: proto,
-		Prefetcher: pfKind, Interconnect: icCfg, Timeout: *timeout, Retries: *retries}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *jobs, Protocol: machine.Protocol,
+		Prefetcher: machine.Prefetcher, Interconnect: machine.Fabric, Timeout: *timeout, Retries: *retries}
 	if *resume != "" {
 		store, err := runner.OpenCheckpointStore(*resume)
 		if err != nil {

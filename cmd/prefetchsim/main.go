@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -28,8 +29,9 @@ import (
 
 	"busprefetch/internal/buildinfo"
 	"busprefetch/internal/bus"
-	"busprefetch/internal/coherence"
+	"busprefetch/internal/experiments"
 	"busprefetch/internal/interconnect"
+	"busprefetch/internal/memory"
 	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
@@ -169,17 +171,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Resolve the protocol and strategy before the (possibly expensive)
+	// Resolve the machine and strategy before the (possibly expensive)
 	// trace generation so a typo'd flag fails in milliseconds.
-	proto, err := coherence.Parse(*protoStr)
-	if err != nil {
-		return err
+	machine, err := experiments.ParseMachine(*latency, *protoStr, *pfName, *icName, *buses, *discName)
+	if err == nil {
+		err = experiments.CheckRange("distance", *distance, math.MinInt32, math.MaxInt32)
 	}
-	pfKind, err := prefetch.ParsePrefetcher(*pfName)
-	if err != nil {
-		return err
-	}
-	icCfg, err := interconnect.ParseConfig(*icName, *buses, *discName)
 	if err != nil {
 		return err
 	}
@@ -225,40 +222,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	cfg := sim.DefaultConfig()
-	cfg.MemLatency = *latency
-	cfg.TransferCycles = *transfer
-	cfg.Protocol = proto
-	cfg.Interconnect = icCfg
-	if *regions {
-		cfg.Regions = info.Regions
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-
-	st, err := trace.SummarizeSource(src, cfg.Geometry)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "workload %s: %d procs, %d demand refs (%d reads, %d writes), %d locks, %d barriers\n",
-		info.Name, st.Procs, st.DemandRefs, st.Reads, st.Writes, st.Locks, st.Barriers)
-	fabric := ""
-	if spec := icCfg.String(); spec != "bus" {
-		// Non-default fabrics are worth a header mention; the default single
-		// bus keeps the paper-baseline output byte-identical.
-		fabric = "; " + spec + " fabric"
-	}
-	fmt.Fprintf(stdout, "data touched %d KB, shared %d KB, write-shared %d KB; transfer latency %d/%d cycles; %s protocol%s\n\n",
-		st.TouchedData/1024, st.SharedData/1024, st.WriteShared/1024, *transfer, *latency, proto, fabric)
-
 	// The per-strategy runs are independent simulations of the same base
 	// trace: shard them across the worker pool and print in canonical
 	// strategy order afterwards, so the output is identical at any -jobs.
+	// Nothing prints until every run succeeds, so a failure is one
+	// diagnostic and no partial report.
 	results := make([]*sim.Result, len(strategies))
 	tasks := make([]runner.Task, len(strategies))
 	var rec *obs.Recorder
 	for i, s := range strategies {
+		k := machine
+		k.Workload, k.Strategy, k.Transfer, k.Restructured, k.Distance = info.Name, s, *transfer, *restructured, int32(*distance)
 		tasks[i] = runner.Task{Label: s.String(), Run: func(ctx context.Context) error {
 			err, _ := runner.Retry(ctx, runner.Policy{MaxAttempts: *retries + 1, Seed: *seed}, func(ctx context.Context) error {
 				if *timeout > 0 {
@@ -266,24 +240,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 					ctx, cancel = context.WithTimeout(ctx, *timeout)
 					defer cancel()
 				}
-				opts := prefetch.Options{Strategy: s, Geometry: cfg.Geometry, Distance: *distance}
-				runCfg := cfg
-				runCfg.Label = info.Name + "/" + s.String()
-				if pfKind.Online() {
-					runCfg.Online = prefetch.OnlineConfig{Kind: pfKind, Strategy: s}
-					runCfg.Label += "/" + pfKind.String()
-				}
-				annotated, err := prefetch.ByKind(pfKind).AnnotateSource(src, opts, nil)
-				if err != nil {
-					return err
-				}
-				if *traceOut != "" {
-					// -all is excluded above, so this is the only task and
-					// the recorder assignment is race-free.
-					rec = obs.New(annotated.Procs(), obs.Options{Spans: true})
-					runCfg.Obs = rec
-				}
-				res, err := sim.RunSourceContext(ctx, runCfg, annotated)
+				res, err := experiments.Simulate(ctx, k, src, func(cfg *sim.Config) {
+					if *regions {
+						cfg.Regions = info.Regions
+					}
+					if *traceOut != "" {
+						// -all is excluded above, so this is the only task and
+						// the recorder assignment is race-free.
+						rec = obs.New(src.Procs(), obs.Options{Spans: true})
+						cfg.Obs = rec
+					}
+				}, nil)
 				if err != nil {
 					return fmt.Errorf("strategy %s: %w", s, err)
 				}
@@ -299,6 +266,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
+
+	st, err := trace.SummarizeSource(src, memory.DefaultGeometry())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "workload %s: %d procs, %d demand refs (%d reads, %d writes), %d locks, %d barriers\n",
+		info.Name, st.Procs, st.DemandRefs, st.Reads, st.Writes, st.Locks, st.Barriers)
+	// The header names the machine as simulated, defaults filled in.
+	cfg := results[0].Config
+	fabric := ""
+	if spec := cfg.Interconnect.String(); spec != "bus" {
+		// Non-default fabrics are worth a header mention; the default single
+		// bus keeps the paper-baseline output byte-identical.
+		fabric = "; " + spec + " fabric"
+	}
+	fmt.Fprintf(stdout, "data touched %d KB, shared %d KB, write-shared %d KB; transfer latency %d/%d cycles; %s protocol%s\n\n",
+		st.TouchedData/1024, st.SharedData/1024, st.WriteShared/1024, cfg.TransferCycles, cfg.MemLatency, cfg.Protocol, fabric)
 
 	var npCycles uint64
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)

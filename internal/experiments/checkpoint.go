@@ -60,15 +60,11 @@ func (c Config) SpecString() string {
 }
 
 // cellKey is the checkpoint key for one cell: the build revision, the
-// run-wide inputs a Key does not carry (salt, scale, seed), and every Key
-// field.
+// run-wide inputs a Key does not carry (salt, scale, seed), and the Key's
+// spelling.
 func (s *Suite) cellKey(k Key) string {
-	g := k.Geometry
-	return fmt.Sprintf("busprefetch-cell/v2|build=%s|salt=%s|scale=%g|seed=%d|wl=%s|strat=%s|t=%d|restr=%t"+
-		"|rec=%t|buf=%t|pf=%s|proto=%s|ic=%s|mem=%d|geom=%d/%d/%d|victim=%d|dist=%d",
-		buildinfo.Revision(), s.cfg.Salt, s.cfg.Scale, s.cfg.Seed, k.Workload, k.Strategy, k.Transfer, k.Restructured,
-		k.Record, k.Buffer, k.Prefetcher, k.Protocol, k.Fabric.String(), k.MemLatency,
-		g.CacheSize, g.LineSize, g.Assoc, k.VictimLines, k.Distance)
+	return fmt.Sprintf("busprefetch-cell/v2|build=%s|salt=%s|scale=%g|seed=%d|%s",
+		buildinfo.Revision(), s.cfg.Salt, s.cfg.Scale, s.cfg.Seed, k.SpecString())
 }
 
 // loadCheckpoint returns the persisted result for k, if the store holds a

@@ -16,4 +16,11 @@
 // machine, the observability cells the online oracle rows repeat) simulate
 // once. Runs are independent and execute in parallel across CPUs; results
 // are deterministic regardless of parallelism.
+//
+// A Key is also the spec of every single simulation outside the suite:
+// Simulate is the one pipeline (Key, machine, the caller's configuration
+// edit, annotation, simulation) that the suite, busprefetch.Run and
+// cmd/prefetchsim all call, ParseMachine is the one parser of the machine
+// names the front ends take, and Key.SpecString is the one spelling of a
+// Key in the checkpoint and result stores.
 package experiments

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"busprefetch/internal/interconnect"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
 )
@@ -33,50 +34,74 @@ func TestSuiteMemoizes(t *testing.T) {
 	}
 }
 
-// TestEachCellSimulatesOnce renders every section of a small default suite
-// with a counting PerRun hook, which sees every cell's full Key: no Key may
-// simulate twice, even when two goroutines prewarm the same keys at once,
-// and the default report is exactly its distinct cells.
+// TestEachCellSimulatesOnce renders every section of a small suite with a
+// counting PerRun hook, which sees every cell's full Key: no Key may
+// simulate twice, even when two goroutines prewarm the same keys at once, no
+// two simulated Keys may share a checkpoint key (two spellings of one cell),
+// and the report is exactly its distinct cells. Besides the default bus, it
+// covers the two fabrics a Key can spell with or without the default link
+// count: multibus (the ladder's dual rungs name 2 links) and a single bus
+// given as one link.
 func TestEachCellSimulatesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report in -short mode")
 	}
-	var mu sync.Mutex
-	runs := map[Key]int{}
-	s := NewSuite(Config{Scale: 0.05, Seed: 1, PerRun: func(k Key, _ *sim.Config) {
-		mu.Lock()
-		runs[k]++
-		mu.Unlock()
-	}})
-	all := func(string) bool { return true }
-	keys := s.KeysFor(all)
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := s.Prewarm(ctx, keys, nil); err != nil {
-				t.Error(err)
-			}
-		}()
+	cases := []struct {
+		cfg  Config
+		want int
+	}{
+		// 244 section cells: the 155-cell grid, 12 observability cells, 24
+		// online rows, 20 ladder rungs, 15 ablation and 18 protocol rows. 18
+		// of them repeat another cell: the 4 single-bus ladder rungs, the 3
+		// online oracle rows at T=8 (observability's PREF cells) and 11
+		// ablation rows on the paper's machine (grid cells).
+		{Config{Scale: 0.05, Seed: 1}, 226},
+		// On a multibus grid, 15 of the 244 repeat another cell, among them
+		// the 4 dual rungs.
+		{Config{Scale: 0.02, Seed: 1, Interconnect: interconnect.Config{Kind: interconnect.MultiBus}}, 229},
+		// A single bus spelled as one link is the default machine.
+		{Config{Scale: 0.02, Seed: 1, Interconnect: interconnect.Config{Links: 1}}, 226},
 	}
-	wg.Wait()
-	if _, err := s.RenderSections(ctx, all); err != nil {
-		t.Fatal(err)
-	}
-	for k, n := range runs {
-		if n != 1 {
-			t.Errorf("%v simulated %d times", k, n)
+	for _, c := range cases {
+		var mu sync.Mutex
+		runs := map[Key]int{}
+		cfg := c.cfg
+		cfg.PerRun = func(k Key, _ *sim.Config) {
+			mu.Lock()
+			runs[k]++
+			mu.Unlock()
 		}
-	}
-	// 244 section cells: the 155-cell grid, 12 observability cells, 24
-	// online rows, 20 ladder rungs, 15 ablation and 18 protocol rows. 18 of
-	// them repeat another cell: the 4 single-bus ladder rungs, the 3 online
-	// oracle rows at T=8 (observability's PREF cells) and 11 ablation rows
-	// on the paper's machine (grid cells).
-	if len(runs) != 226 {
-		t.Errorf("the default report simulated %d cells, want 226", len(runs))
+		s := NewSuite(cfg)
+		all := func(string) bool { return true }
+		keys := s.KeysFor(all)
+		ctx := context.Background()
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := s.Prewarm(ctx, keys, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if _, err := s.RenderSections(ctx, all); err != nil {
+			t.Fatal(err)
+		}
+		spelled := map[string]Key{}
+		for k, n := range runs {
+			if n != 1 {
+				t.Errorf("%v: %v simulated %d times", c.cfg.Interconnect, k, n)
+			}
+			if prev, ok := spelled[s.cellKey(k)]; ok {
+				t.Errorf("%v: %v and %v are one cell spelled two ways", c.cfg.Interconnect, prev, k)
+			}
+			spelled[s.cellKey(k)] = k
+		}
+		if len(runs) != c.want {
+			t.Errorf("%v: the report simulated %d cells, want %d", c.cfg.Interconnect, len(runs), c.want)
+		}
 	}
 }
 

@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
+	"busprefetch/internal/coherence"
 	"busprefetch/internal/interconnect"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/obs"
@@ -153,7 +156,58 @@ func (k Key) canonical() Key {
 	if k.Geometry == paper.Geometry {
 		k.Geometry = memory.Geometry{}
 	}
+	if f := k.Fabric; (f.Kind == interconnect.SingleBus && f.Links == 1) ||
+		(f.Kind == interconnect.MultiBus && f.Links == interconnect.DefaultMultiBusLinks) {
+		k.Fabric.Links = 0
+	}
 	return k
+}
+
+// SpecString spells every field of the canonical Key. It is the one
+// spelling of a cell in the stores: the checkpoint key ends with it, and so
+// does a single run's result-store key (busprefetch.RunSpec.SpecString).
+func (k Key) SpecString() string {
+	k = k.canonical()
+	g := k.Geometry
+	return fmt.Sprintf("wl=%s|strat=%s|t=%d|restr=%t|rec=%t|buf=%t|pf=%s|proto=%s|ic=%s|mem=%d|geom=%d/%d/%d|victim=%d|dist=%d",
+		k.Workload, k.Strategy, k.Transfer, k.Restructured, k.Record, k.Buffer, k.Prefetcher, k.Protocol,
+		k.Fabric.String(), k.MemLatency, g.CacheSize, g.LineSize, g.Assoc, k.VictimLines, k.Distance)
+}
+
+// maxLinks bounds a client's link count: the workloads' processor bound,
+// since the fabric allocates per link.
+const maxLinks = 64
+
+// ParseMachine resolves the machine every front end names — a memory
+// latency, a coherence protocol, a prefetcher, and a fabric with its link
+// count and arbitration discipline — into the Key fields they set. Names
+// are case insensitive, and a zero latency or an empty name selects the
+// paper's default.
+func ParseMachine(memLatency int, protocol, prefetcher, fabric string, links int, discipline string) (Key, error) {
+	var k Key
+	err := errors.Join(CheckRange("mem_latency", memLatency, 0, math.MaxInt32), CheckRange("buses", links, 0, maxLinks))
+	if err == nil && protocol != "" {
+		k.Protocol, err = coherence.Parse(protocol)
+	}
+	if err == nil && prefetcher != "" {
+		k.Prefetcher, err = prefetch.ParsePrefetcher(prefetcher)
+	}
+	if err == nil {
+		k.Fabric, err = interconnect.ParseConfig(cmp.Or(fabric, "bus"), links, cmp.Or(discipline, "priority"))
+	}
+	k.MemLatency = int32(memLatency)
+	return k.canonical(), err
+}
+
+// CheckRange rejects a client's value outside [lo, hi], naming the field.
+// Values bound for a Key's int32 fields pass through it, so an out-of-range
+// value fails instead of aliasing another cell, and so do values that size
+// a per-processor allocation.
+func CheckRange(field string, v, lo, hi int) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("%s %d outside [%d, %d]", field, v, lo, hi)
+	}
+	return nil
 }
 
 // String labels the cell: "workload/strategy/T=transfer", then each field
@@ -307,17 +361,11 @@ func machine(k Key) (sim.Config, prefetch.Options) {
 	return cfg, prefetch.Options{Strategy: k.Strategy, Distance: int(k.Distance), ExcludeWriteShared: k.Buffer}
 }
 
-// simulate runs one uncached attempt at k: it resolves the workload
-// variant, annotates it with k's prefetcher, and simulates it. The whole
-// pipeline streams — events flow generator → annotator → simulator in
-// pooled chunks, nothing materialized. When k records, the recorder is
+// simulate runs one uncached attempt at k through Simulate, with the
+// suite's own lookups: the cached source of k's workload variant, the
+// memoized sharing profile, and PerRun. When k records, the recorder is
 // built with rec and returned beside the result.
 func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Result, *obs.Recorder, error) {
-	cfg, opt := machine(k)
-	if s.cfg.PerRun != nil {
-		s.cfg.PerRun(k, &cfg)
-	}
-	opt.Geometry = cfg.Geometry
 	// The trace is generated at the cell's own geometry so the layouts
 	// (conflict-pair placement, padding) stay consistent with the simulated
 	// cache; the trace cache keys on geometry, so every cell at the default
@@ -326,26 +374,51 @@ func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Resu
 	if err != nil {
 		return nil, nil, err
 	}
+	var recorder *obs.Recorder
+	res, err := Simulate(ctx, k, src, func(cfg *sim.Config) {
+		if s.cfg.PerRun != nil {
+			s.cfg.PerRun(k, cfg)
+		}
+		if k.Record {
+			recorder = obs.New(src.Procs(), rec)
+			cfg.Obs = recorder
+		}
+	}, func(g memory.Geometry) (*trace.SharingProfile, error) {
+		// Memoized per (trace, geometry), so the cells that share the
+		// whole-stream pre-pass analyze once.
+		return s.traces.SharingProfile(ctx, s.traceKey(k.Workload, k.Restructured, k.Geometry), g, src)
+	})
+	return res, recorder, err
+}
+
+// Simulate runs the cell k once over src, the unannotated source of k's
+// workload variant: k's machine, then edit (when non-nil) on its simulator
+// configuration, then k's prefetcher annotating src at the configured
+// geometry, then the simulator. It is the one pipeline every simulation
+// takes, suite cells and single runs alike. The pipeline streams: events
+// flow generator → annotator → simulator in pooled chunks, nothing
+// materialized. For a PWS or buffer-prefetching k, sharing (when non-nil)
+// supplies src's write-shared line set; with a nil sharing the oracle
+// computes it with a pre-pass of its own where it needs one.
+func Simulate(ctx context.Context, k Key, src trace.Source, edit func(*sim.Config),
+	sharing func(memory.Geometry) (*trace.SharingProfile, error)) (*sim.Result, error) {
+	cfg, opt := machine(k.canonical())
+	if edit != nil {
+		edit(&cfg)
+	}
+	opt.Geometry = cfg.Geometry
 	var prof *trace.SharingProfile
-	if opt.Strategy == prefetch.PWS || opt.ExcludeWriteShared {
-		// The write-shared line set needs a whole-stream pre-pass; memoize
-		// it per (trace, geometry) so the cells that share it analyze once.
-		prof, err = s.traces.SharingProfile(ctx, s.traceKey(k.Workload, k.Restructured, k.Geometry), opt.Geometry, src)
-		if err != nil {
-			return nil, nil, err
+	if sharing != nil && (opt.Strategy == prefetch.PWS || opt.ExcludeWriteShared) {
+		var err error
+		if prof, err = sharing(opt.Geometry); err != nil {
+			return nil, err
 		}
 	}
 	annotated, err := prefetch.ByKind(k.Prefetcher).AnnotateSource(src, opt, prof)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var recorder *obs.Recorder
-	if k.Record {
-		recorder = obs.New(annotated.Procs(), rec)
-		cfg.Obs = recorder
-	}
-	res, err := sim.RunSourceContext(ctx, cfg, annotated)
-	return res, recorder, err
+	return sim.RunSourceContext(ctx, cfg, annotated)
 }
 
 // Bench assembles the benchmark report for everything the suite has executed

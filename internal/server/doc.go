@@ -1,6 +1,7 @@
 // Package server is the always-on experiment service behind cmd/benchserver:
-// an HTTP/JSON API that accepts single simulations (RunSpecs) and whole
-// sweep grids, schedules them onto bounded worker goroutines with per-tenant
+// an HTTP/JSON API that accepts single simulations (a run's body is
+// busprefetch.RunSpec itself, which RunRequest aliases) and whole sweep
+// grids, schedules them onto bounded worker goroutines with per-tenant
 // queue backpressure, and fronts every computation with a content-addressed
 // result store keyed by (canonical spec string, build revision) so a spec
 // resubmitted by any client is served from cache without recomputation.

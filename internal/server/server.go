@@ -136,51 +136,9 @@ type JobResource struct {
 	Error  *APIError       `json:"error,omitempty"`
 }
 
-// RunRequest is the body of POST /v1/runs: busprefetch.RunSpec field for
-// field, in wire case. Zero values select the same defaults RunSpec does.
-type RunRequest struct {
-	Workload         string  `json:"workload"`
-	Strategy         string  `json:"strategy,omitempty"`
-	Prefetcher       string  `json:"prefetcher,omitempty"`
-	Transfer         int     `json:"transfer,omitempty"`
-	MemLatency       int     `json:"mem_latency,omitempty"`
-	Procs            int     `json:"procs,omitempty"`
-	Scale            float64 `json:"scale,omitempty"`
-	Seed             int64   `json:"seed,omitempty"`
-	Restructured     bool    `json:"restructured,omitempty"`
-	Distance         int     `json:"distance,omitempty"`
-	CacheKB          int     `json:"cache_kb,omitempty"`
-	LineBytes        int     `json:"line_bytes,omitempty"`
-	Protocol         string  `json:"protocol,omitempty"`
-	VictimCacheLines int     `json:"victim_cache_lines,omitempty"`
-	BufferPrefetch   bool    `json:"buffer_prefetch,omitempty"`
-	Interconnect     string  `json:"interconnect,omitempty"`
-	Buses            int     `json:"buses,omitempty"`
-	Discipline       string  `json:"discipline,omitempty"`
-}
-
-func (r RunRequest) spec() busprefetch.RunSpec {
-	return busprefetch.RunSpec{
-		Workload:         r.Workload,
-		Strategy:         r.Strategy,
-		Prefetcher:       r.Prefetcher,
-		Transfer:         r.Transfer,
-		MemLatency:       r.MemLatency,
-		Procs:            r.Procs,
-		Scale:            r.Scale,
-		Seed:             r.Seed,
-		Restructured:     r.Restructured,
-		Distance:         r.Distance,
-		CacheKB:          r.CacheKB,
-		LineBytes:        r.LineBytes,
-		Protocol:         r.Protocol,
-		VictimCacheLines: r.VictimCacheLines,
-		BufferPrefetch:   r.BufferPrefetch,
-		Interconnect:     r.Interconnect,
-		Buses:            r.Buses,
-		Discipline:       r.Discipline,
-	}
-}
+// RunRequest is the body of POST /v1/runs: busprefetch.RunSpec itself,
+// whose fields carry the wire names. Zero values select RunSpec's defaults.
+type RunRequest = busprefetch.RunSpec
 
 // Handler returns the service's HTTP handler (the full /v1 surface).
 func (s *Server) Handler() http.Handler {
@@ -269,18 +227,17 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decodeBody(r, &req); err != nil {
+	var spec RunRequest
+	if err := decodeBody(r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_body", err.Error())
 		return
 	}
-	spec := req.spec()
 	key, err := runKey(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_spec", err.Error())
 		return
 	}
-	echo, _ := json.Marshal(req)
+	echo, _ := json.Marshal(spec)
 	id := fmt.Sprintf("run-%d", s.seq.Add(1))
 	j := newJob(id, "run", tenant(r), echo, key,
 		func(ctx context.Context, j *Job) ([]byte, bool, error) {

@@ -89,8 +89,18 @@ func TestSubmitRunWaitAndCacheHit(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Errorf("cached result differs from original:\n%s\nvs\n%s", first.Result, second.Result)
 	}
-	if st := s.results.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("result-store stats = %+v, want 1 miss + 1 hit", st)
+
+	// Every default spelled out, the workload upper-cased: still one key.
+	req3 := RunRequest{Workload: "MP3D", Strategy: "PREF", Prefetcher: "oracle", Transfer: 8, MemLatency: 100,
+		Procs: 12, Scale: 0.02, Seed: 1, CacheKB: 32, LineBytes: 32, Protocol: "illinois",
+		Interconnect: "bus", Buses: 1, Discipline: "priority"}
+	var third JobResource
+	do(t, h, "POST", "/v1/runs?wait=1", "carol", req3, &third)
+	if third.Status != StatusDone || !third.Cached || !bytes.Equal(first.Result, third.Result) {
+		t.Errorf("third = status %s cached %v result %s, want the cached original", third.Status, third.Cached, third.Result)
+	}
+	if st := s.results.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("result-store stats = %+v, want 1 miss + 2 hits", st)
 	}
 }
 
@@ -121,8 +131,10 @@ func TestSubmitAsyncAndPoll(t *testing.T) {
 }
 
 // TestValidationErrors pins the 400 taxonomy: malformed JSON and unknown
-// fields are invalid_body; a well-formed body with a bad name is
-// invalid_spec; a bad sweep section likewise.
+// fields are invalid_body; a well-formed body with a bad name, or a value
+// beyond its documented limit, is invalid_spec; a bad sweep section
+// likewise. The limit rows would otherwise alias another spec's key or size
+// gigabytes of per-processor allocations.
 func TestValidationErrors(t *testing.T) {
 	_, h := testServer(t, Options{Workers: 1})
 	cases := []struct {
@@ -134,9 +146,21 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/runs", `{"workload":"mp3d","no_such_knob":1}`, "invalid_body"},
 		{"/v1/runs", `{"workload":"mp3d","strategy":"WARP"}`, "invalid_spec"},
 		{"/v1/runs", `{"workload":"mp3d","protocol":"mesif"}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"no-such-program"}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","mem_latency":4294967396}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","mem_latency":2147483698}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","distance":4294967546}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","victim_cache_lines":16777216}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","victim_cache_lines":-4294967288}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","cache_kb":4194304}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","cache_kb":4096,"line_bytes":64}`, "invalid_spec"},
+		{"/v1/runs", `{"workload":"mp3d","interconnect":"multibus","buses":65}`, "invalid_spec"},
 		{"/v1/sweeps", `{"sections":["table9"]}`, "invalid_spec"},
 		{"/v1/sweeps", `{"prefetcher":"psychic"}`, "invalid_spec"},
 		{"/v1/sweeps", `{"transfers":[0]}`, "invalid_spec"},
+		{"/v1/sweeps", `{"mem_latency":4294967396}`, "invalid_spec"},
+		{"/v1/sweeps", `{"mem_latency":2147483698}`, "invalid_spec"},
+		{"/v1/sweeps", `{"interconnect":"directory","buses":100000}`, "invalid_spec"},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest("POST", c.path, strings.NewReader(c.body))
@@ -305,13 +329,13 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	}
 }
 
-// TestFailedJobCarriesClassifiedError: a run against a nonexistent workload
-// fails at compute time; the resource reports status failed with the
-// runner.Classify taxonomy attached, and resubmission gets the memoized
-// failure (still classified) without recomputation.
+// TestFailedJobCarriesClassifiedError: a run whose transfer cost exceeds
+// its memory latency fails at compute time; the resource reports status
+// failed with the runner.Classify taxonomy attached, and resubmission gets
+// the memoized failure (still classified) without recomputation.
 func TestFailedJobCarriesClassifiedError(t *testing.T) {
 	_, h := testServer(t, Options{Workers: 1})
-	req := RunRequest{Workload: "no-such-program", Scale: 0.02}
+	req := RunRequest{Workload: "mp3d", Transfer: 999, Scale: 0.02}
 	var r JobResource
 	if w := do(t, h, "POST", "/v1/runs?wait=1", "", req, &r); w.Code != http.StatusOK {
 		t.Fatalf("submit: %d %s", w.Code, w.Body.String())

@@ -10,10 +10,7 @@ import (
 
 	"busprefetch"
 	"busprefetch/internal/buildinfo"
-	"busprefetch/internal/coherence"
 	"busprefetch/internal/experiments"
-	"busprefetch/internal/interconnect"
-	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
 )
 
@@ -72,27 +69,7 @@ func (p sweepPlan) want(name string) bool {
 // mkfigures defaults its flags. Every validation failure is a 400 naming the
 // offending field.
 func planSweep(req SweepRequest, opts Options) (sweepPlan, error) {
-	if req.Protocol == "" {
-		req.Protocol = "illinois"
-	}
-	proto, err := coherence.Parse(req.Protocol)
-	if err != nil {
-		return sweepPlan{}, err
-	}
-	if req.Prefetcher == "" {
-		req.Prefetcher = "oracle"
-	}
-	pf, err := prefetch.ParsePrefetcher(req.Prefetcher)
-	if err != nil {
-		return sweepPlan{}, err
-	}
-	if req.Interconnect == "" {
-		req.Interconnect = "bus"
-	}
-	if req.Discipline == "" {
-		req.Discipline = "priority"
-	}
-	ic, err := interconnect.ParseConfig(req.Interconnect, req.Buses, req.Discipline)
+	m, err := experiments.ParseMachine(req.MemLatency, req.Protocol, req.Prefetcher, req.Interconnect, req.Buses, req.Discipline)
 	if err != nil {
 		return sweepPlan{}, err
 	}
@@ -129,9 +106,9 @@ func planSweep(req SweepRequest, opts Options) (sweepPlan, error) {
 			Seed:         req.Seed,
 			MemLatency:   req.MemLatency,
 			Transfers:    req.Transfers,
-			Protocol:     proto,
-			Prefetcher:   pf,
-			Interconnect: ic,
+			Protocol:     m.Protocol,
+			Prefetcher:   m.Prefetcher,
+			Interconnect: m.Fabric,
 			Parallelism:  opts.Shards,
 			Timeout:      opts.Timeout,
 			Retries:      opts.Retries,
@@ -238,7 +215,7 @@ func runKey(spec busprefetch.RunSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("busprefetch-run/v1|build=%s|%s", buildinfo.Revision(), s), nil
+	return fmt.Sprintf("busprefetch-run/v2|build=%s|%s", buildinfo.Revision(), s), nil
 }
 
 // computeRun executes one RunSpec and returns the canonical result JSON.
