@@ -41,6 +41,7 @@ import (
 
 	"busprefetch/internal/experiments"
 	"busprefetch/internal/memory"
+	"busprefetch/internal/names"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
 	"busprefetch/internal/workload"
@@ -48,13 +49,7 @@ import (
 
 // Strategies lists the paper's five prefetch disciplines in presentation
 // order: "NP", "PREF", "EXCL", "LPD", "PWS".
-func Strategies() []string {
-	var out []string
-	for _, s := range prefetch.Strategies() {
-		out = append(out, s.String())
-	}
-	return out
-}
+func Strategies() []string { return names.List(prefetch.Strategies(), prefetch.Strategy.String) }
 
 // WorkloadInfo describes one of the five workloads (the paper's Table 1).
 type WorkloadInfo struct {

@@ -32,6 +32,7 @@ import (
 	"busprefetch/internal/experiments"
 	"busprefetch/internal/interconnect"
 	"busprefetch/internal/memory"
+	"busprefetch/internal/names"
 	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
@@ -53,51 +54,6 @@ func main() {
 	}
 }
 
-// workloadNames returns the valid -workload values.
-func workloadNames() string {
-	var names []string
-	for _, w := range workload.All() {
-		names = append(names, w.Name)
-	}
-	return strings.Join(names, ", ")
-}
-
-// strategyNames returns the valid -strategy values.
-func strategyNames() string {
-	var names []string
-	for _, s := range prefetch.Strategies() {
-		names = append(names, s.String())
-	}
-	return strings.Join(names, ", ")
-}
-
-// prefetcherNames returns the valid -prefetcher values.
-func prefetcherNames() string {
-	var names []string
-	for _, k := range prefetch.Kinds() {
-		names = append(names, k.String())
-	}
-	return strings.Join(names, ", ")
-}
-
-// interconnectNames returns the valid -interconnect values.
-func interconnectNames() string {
-	var names []string
-	for _, k := range interconnect.Kinds() {
-		names = append(names, k.String())
-	}
-	return strings.Join(names, ", ")
-}
-
-// disciplineNames returns the valid -discipline values.
-func disciplineNames() string {
-	var names []string
-	for _, d := range bus.Disciplines() {
-		names = append(names, d.String())
-	}
-	return strings.Join(names, ", ")
-}
-
 // run is the whole command: every failure — an unknown workload, a bad flag
 // combination, a corrupt trace file, a simulation fault — comes back as an
 // error and turns into one diagnostic line and a non-zero exit, never a panic.
@@ -105,14 +61,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The valid values of each enum flag, for its help text and errors.
+	valid := func(ns []string) string { return strings.Join(ns, ", ") }
+	var (
+		workloadNames     = valid(names.List(workload.All(), func(w *workload.Workload) string { return w.Name }))
+		strategyNames     = valid(names.List(prefetch.Strategies(), prefetch.Strategy.String))
+		prefetcherNames   = valid(names.List(prefetch.Kinds(), prefetch.Kind.String))
+		interconnectNames = valid(names.List(interconnect.Kinds(), interconnect.Kind.String))
+		disciplineNames   = valid(names.List(bus.Disciplines(), bus.Discipline.String))
+	)
 	fs := flag.NewFlagSet("prefetchsim", flag.ContinueOnError)
 	var (
-		wlName       = fs.String("workload", "mp3d", "workload: "+workloadNames())
-		stratName    = fs.String("strategy", "NP", "prefetch strategy: "+strategyNames())
-		pfName       = fs.String("prefetcher", "oracle", "prefetcher: "+prefetcherNames()+" (online engines issue at simulation time)")
-		icName       = fs.String("interconnect", "bus", "interconnect fabric: "+interconnectNames())
+		wlName       = fs.String("workload", "mp3d", "workload: "+workloadNames)
+		stratName    = fs.String("strategy", "NP", "prefetch strategy: "+strategyNames)
+		pfName       = fs.String("prefetcher", "oracle", "prefetcher: "+prefetcherNames+" (online engines issue at simulation time)")
+		icName       = fs.String("interconnect", "bus", "interconnect fabric: "+interconnectNames)
 		buses        = fs.Int("buses", 0, "link count for multibus/directory fabrics (0 = fabric default)")
-		discName     = fs.String("discipline", "priority", "bus arbitration discipline: "+disciplineNames())
+		discName     = fs.String("discipline", "priority", "bus arbitration discipline: "+disciplineNames)
 		all          = fs.Bool("all", false, "run all five strategies and compare")
 		transfer     = fs.Int("transfer", 8, "contended data-transfer latency in cycles (paper: 4-32)")
 		latency      = fs.Int("latency", 100, "total memory latency in cycles")
@@ -186,7 +151,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	} else {
 		s, err := prefetch.ParseStrategy(*stratName)
 		if err != nil {
-			return fmt.Errorf("unknown strategy %q (valid: %s)", *stratName, strategyNames())
+			return fmt.Errorf("unknown strategy %q (valid: %s)", *stratName, strategyNames)
 		}
 		strategies = append(strategies, s)
 	}
@@ -214,7 +179,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	} else {
 		w, err := workload.ByName(*wlName)
 		if err != nil {
-			return fmt.Errorf("unknown workload %q (valid: %s)", *wlName, workloadNames())
+			return fmt.Errorf("unknown workload %q (valid: %s)", *wlName, workloadNames)
 		}
 		src, info, err = w.Source(workload.Params{Procs: *procs, Scale: *scale, Seed: *seed, Restructured: *restructured})
 		if err != nil {

@@ -85,7 +85,7 @@ func TestPrefetchAccounting(t *testing.T) {
 		t.Errorf("idle accounting rejected: %v", v)
 	}
 	cases := []struct{ outstanding, inflight, depth int }{
-		{2, 3, 16},  // leaked slot
+		{2, 3, 16},                                      // leaked slot
 		{-1, -1, 16} /* negative count */, {17, 17, 16}, // over depth
 	}
 	for _, c := range cases {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"busprefetch/internal/coherence"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/report"
@@ -193,7 +194,7 @@ func protocolSweep(wl string, transfers []int) sweep {
 	if len(transfers) == 0 {
 		transfers = []int{8, 32}
 	}
-	protocols := [...]sim.Protocol{sim.Illinois, sim.MSI, sim.Dragon}
+	protocols := [...]coherence.Kind{coherence.Illinois, coherence.MSI, coherence.Dragon}
 	strategies := [...]prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.EXCL}
 	sw := sweep{title: "Ablation: coherence protocols (" + wl + ", T=8)",
 		keys:  make([]Key, 0, len(transfers)*len(protocols)*len(strategies)),

@@ -50,7 +50,7 @@ type Config struct {
 	Transfers []int
 	// Protocol selects the coherence protocol (the zero value is Illinois,
 	// the paper's machine).
-	Protocol sim.Protocol
+	Protocol coherence.Kind
 	// Prefetcher selects how grid cells' prefetches are decided: the oracle
 	// annotator (the zero value, the paper's machine) or one of the online
 	// engines, which replay the bare demand stream and issue at simulation
@@ -121,7 +121,7 @@ var paper = sim.DefaultConfig()
 // the paper's default, so Key{Workload, Strategy, Transfer} names the
 // paper-machine grid cell. Sections build their keys on the suite's machine
 // as Config's doc comment lists. Every report starts by building the grid's
-// keys (KeysFor), so the key stays compact: 128 bytes, with the small
+// keys (KeysFor), so the key stays compact: 120 bytes, with the small
 // numeric variations held in int32s packed beside the flags.
 type Key struct {
 	Workload     string
@@ -139,7 +139,7 @@ type Key struct {
 	// Prefetcher decides the prefetches: the oracle annotator (zero) or an
 	// online engine issuing under Strategy at simulation time.
 	Prefetcher  prefetch.Kind
-	Protocol    sim.Protocol
+	Protocol    coherence.Kind
 	Fabric      interconnect.Config
 	Geometry    memory.Geometry
 	VictimLines int32
@@ -220,7 +220,7 @@ func (k Key) String() string {
 	if k.Prefetcher != prefetch.Oracle {
 		s += " pf=" + k.Prefetcher.String()
 	}
-	if k.Protocol != sim.Illinois {
+	if k.Protocol != coherence.Illinois {
 		s += " proto=" + k.Protocol.String()
 	}
 	if k.Fabric != (interconnect.Config{}) {

@@ -179,30 +179,57 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 
 // RenderTable2 formats Table 2 with one row per (workload, strategy).
 func RenderTable2(rows []Table2Row) string {
-	t := report.NewTable("Table 2: Selected bus utilizations",
-		"Workload", "Strategy", "4 cycles", "8 cycles", "16 cycles", "32 cycles")
+	cells := make([]pivotCell, len(rows))
+	for i, r := range rows {
+		cells[i] = pivotCell{r.Workload, r.Strategy, r.Transfer, fmt.Sprintf("%.2f", r.BusUtil), r.Err}
+	}
+	return renderPivot("Table 2: Selected bus utilizations", "%d cycles", []int{4, 8, 16, 32}, cells)
+}
+
+// pivotCell is one value of a (workload, strategy) × transfer table: the
+// formatted number, or the error that replaced it.
+type pivotCell struct {
+	wl       string
+	st       prefetch.Strategy
+	tr       int
+	val, err string
+}
+
+// renderPivot lays cells out one row per (workload, strategy), in the order
+// they first appear, and one column per transfer, headed by colFmt. A
+// failed cell shows "—" and its error becomes a note under the table.
+func renderPivot(title, colFmt string, transfers []int, cells []pivotCell) string {
+	headers := []string{"Workload", "Strategy"}
+	for _, tr := range transfers {
+		headers = append(headers, fmt.Sprintf(colFmt, tr))
+	}
+	t := report.NewTable(title, headers...)
 	type key struct {
 		wl string
 		st prefetch.Strategy
 	}
-	cells := map[key]map[int]string{}
+	vals := map[key]map[int]string{}
 	var order []key
 	var notes []string
-	for _, r := range rows {
-		k := key{r.Workload, r.Strategy}
-		if cells[k] == nil {
-			cells[k] = map[int]string{}
+	for _, c := range cells {
+		k := key{c.wl, c.st}
+		if vals[k] == nil {
+			vals[k] = map[int]string{}
 			order = append(order, k)
 		}
-		if r.Err != "" {
-			cells[k][r.Transfer] = "—"
-			notes = append(notes, fmt.Sprintf("%s/%s/T=%d: %s", r.Workload, r.Strategy, r.Transfer, r.Err))
+		if c.err != "" {
+			vals[k][c.tr] = "—"
+			notes = append(notes, fmt.Sprintf("%s/%s/T=%d: %s", c.wl, c.st, c.tr, c.err))
 			continue
 		}
-		cells[k][r.Transfer] = fmt.Sprintf("%.2f", r.BusUtil)
+		vals[k][c.tr] = c.val
 	}
 	for _, k := range order {
-		t.AddRow(k.wl, k.st.String(), cells[k][4], cells[k][8], cells[k][16], cells[k][32])
+		row := []interface{}{k.wl, k.st.String()}
+		for _, tr := range transfers {
+			row = append(row, vals[k][tr])
+		}
+		t.AddRow(row...)
 	}
 	return errNotes(t.String(), notes)
 }
@@ -221,47 +248,45 @@ type Figure2Row struct {
 // Figure2 reproduces the relative-execution-time curves for the four
 // prefetching strategies over the data-bus latency sweep.
 func (s *Suite) Figure2() ([]Figure2Row, error) {
+	// Every strategy but NP, which Strategies lists first.
+	return s.relativeTimes(WorkloadNames(), prefetch.Strategies()[1:], false), nil
+}
+
+// relativeTimes builds each (workload, strategy, transfer) cell's execution
+// time relative to the workload's NP run on the same layout at the same
+// transfer latency, over the suite's transfer sweep.
+func (s *Suite) relativeTimes(workloads []string, strategies []prefetch.Strategy, restructured bool) []Figure2Row {
 	var rows []Figure2Row
-	for _, wl := range WorkloadNames() {
+	for _, wl := range workloads {
 		np := make(map[int]uint64)
 		npErr := make(map[int]string)
 		for _, tr := range s.cfg.Transfers {
-			res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr})
+			res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr, Restructured: restructured})
 			if err != nil {
 				npErr[tr] = fmt.Sprintf("NP baseline failed: %v", err)
 				continue
 			}
 			np[tr] = res.Cycles
 		}
-		for _, st := range prefetch.Strategies() {
-			if st == prefetch.NP {
-				continue
-			}
+		for _, st := range strategies {
 			for _, tr := range s.cfg.Transfers {
+				row := Figure2Row{Workload: wl, Strategy: st, Transfer: tr}
 				if msg, bad := npErr[tr]; bad {
-					rows = append(rows, Figure2Row{Workload: wl, Strategy: st, Transfer: tr, Err: msg})
-					continue
-				}
-				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr})
-				if err != nil {
-					rows = append(rows, Figure2Row{Workload: wl, Strategy: st, Transfer: tr, Err: err.Error()})
-					continue
-				}
-				if np[tr] == 0 {
+					row.Err = msg
+				} else if res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr, Restructured: restructured}); err != nil {
+					row.Err = err.Error()
+				} else if np[tr] == 0 {
 					// A degenerate (empty) trace finishes in zero cycles;
 					// dividing by it would put NaN in the chart.
-					rows = append(rows, Figure2Row{Workload: wl, Strategy: st, Transfer: tr,
-						Err: "NP baseline ran 0 cycles"})
-					continue
+					row.Err = "NP baseline ran 0 cycles"
+				} else {
+					row.RelTime = float64(res.Cycles) / float64(np[tr])
 				}
-				rows = append(rows, Figure2Row{
-					Workload: wl, Strategy: st, Transfer: tr,
-					RelTime: float64(res.Cycles) / float64(np[tr]),
-				})
+				rows = append(rows, row)
 			}
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderFigure2 formats Figure 2 as one chart per workload. A workload with
@@ -537,92 +562,22 @@ func RenderTable4(rows []Table4Row) string {
 }
 
 // Table5Row reports a restructured program's execution time relative to its
-// own NP run at the same transfer latency.
-type Table5Row struct {
-	Workload string
-	Strategy prefetch.Strategy
-	Transfer int
-	RelTime  float64
-	// Err is non-empty when this cell's run — or its NP baseline — failed.
-	Err string
-}
+// own NP run at the same transfer latency: Figure 2's quantity.
+type Table5Row = Figure2Row
 
 // Table5 reproduces the relative execution times for the restructured
 // programs over the transfer sweep.
 func (s *Suite) Table5() ([]Table5Row, error) {
-	var rows []Table5Row
-	for _, wl := range []string{"topopt", "pverify"} {
-		np := map[int]uint64{}
-		npErr := map[int]string{}
-		for _, tr := range s.cfg.Transfers {
-			res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr, Restructured: true})
-			if err != nil {
-				npErr[tr] = fmt.Sprintf("NP baseline failed: %v", err)
-				continue
-			}
-			np[tr] = res.Cycles
-		}
-		for _, st := range []prefetch.Strategy{prefetch.PREF, prefetch.PWS} {
-			for _, tr := range s.cfg.Transfers {
-				if msg, bad := npErr[tr]; bad {
-					rows = append(rows, Table5Row{Workload: wl, Strategy: st, Transfer: tr, Err: msg})
-					continue
-				}
-				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr, Restructured: true})
-				if err != nil {
-					rows = append(rows, Table5Row{Workload: wl, Strategy: st, Transfer: tr, Err: err.Error()})
-					continue
-				}
-				if np[tr] == 0 {
-					// Same guard as Figure2: never divide by a zero-cycle
-					// baseline.
-					rows = append(rows, Table5Row{Workload: wl, Strategy: st, Transfer: tr,
-						Err: "NP baseline ran 0 cycles"})
-					continue
-				}
-				rows = append(rows, Table5Row{Workload: wl, Strategy: st, Transfer: tr,
-					RelTime: float64(res.Cycles) / float64(np[tr])})
-			}
-		}
-	}
-	return rows, nil
+	return s.relativeTimes([]string{"topopt", "pverify"}, []prefetch.Strategy{prefetch.PREF, prefetch.PWS}, true), nil
 }
 
 // RenderTable5 formats Table 5.
 func RenderTable5(rows []Table5Row, transfers []int) string {
-	headers := []string{"Workload", "Strategy"}
-	for _, tr := range transfers {
-		headers = append(headers, fmt.Sprintf("T=%d", tr))
+	cells := make([]pivotCell, len(rows))
+	for i, r := range rows {
+		cells[i] = pivotCell{r.Workload, r.Strategy, r.Transfer, fmt.Sprintf("%.3f", r.RelTime), r.Err}
 	}
-	t := report.NewTable("Table 5: Relative execution times for restructured programs", headers...)
-	type key struct {
-		wl string
-		st prefetch.Strategy
-	}
-	cells := map[key]map[int]string{}
-	var order []key
-	var notes []string
-	for _, r := range rows {
-		k := key{r.Workload, r.Strategy}
-		if cells[k] == nil {
-			cells[k] = map[int]string{}
-			order = append(order, k)
-		}
-		if r.Err != "" {
-			cells[k][r.Transfer] = "—"
-			notes = append(notes, fmt.Sprintf("%s/%s/T=%d: %s", r.Workload, r.Strategy, r.Transfer, r.Err))
-			continue
-		}
-		cells[k][r.Transfer] = fmt.Sprintf("%.3f", r.RelTime)
-	}
-	for _, k := range order {
-		row := []interface{}{k.wl, k.st.String()}
-		for _, tr := range transfers {
-			row = append(row, cells[k][tr])
-		}
-		t.AddRow(row...)
-	}
-	return errNotes(t.String(), notes)
+	return renderPivot("Table 5: Relative execution times for restructured programs", "T=%d", transfers, cells)
 }
 
 // SharingSummary summarizes a workload's sharing profile (supporting data

@@ -115,10 +115,10 @@ type traceEntry struct {
 
 // runConformance executes the shared plan on a fresh fabric and returns the
 // observed event log plus the per-request grant/complete/link records.
-func runConformance(t *testing.T, cfg Config) (ic Interconnect, log []traceEntry, reqs []*bus.Request) {
+func runConformance(t *testing.T, cfg Config) (ic *Fabric, log []traceEntry, reqs []*bus.Request) {
 	t.Helper()
 	sched := &fakeSched{}
-	ic, err := New(cfg, sched, confProcs)
+	ic, err := New(cfg, confShift, sched, confProcs)
 	if err != nil {
 		t.Fatalf("New(%v): %v", cfg, err)
 	}
@@ -282,8 +282,7 @@ func TestConformance(t *testing.T) {
 
 // TestSingleBusMatchesRawBus pins the seam itself: the SingleBus fabric must
 // produce exactly the schedule a bare bus.Bus produces for the same
-// submissions — the refactor moved the bus behind an interface, not changed
-// it.
+// submissions — the fabric wraps the bus, it does not change it.
 func TestSingleBusMatchesRawBus(t *testing.T) {
 	type run struct{ log []string }
 	drive := func(submit func(sched *fakeSched, reqs []*bus.Request)) run {
@@ -304,7 +303,7 @@ func TestSingleBusMatchesRawBus(t *testing.T) {
 	}
 
 	viaSeam := drive(func(sched *fakeSched, reqs []*bus.Request) {
-		ic, err := New(Config{}, sched, confProcs)
+		ic, err := New(Config{}, confShift, sched, confProcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +343,7 @@ func TestDisciplineSwapContentionFree(t *testing.T) {
 	drive := func(d bus.Discipline) []string {
 		var log []string
 		sched := &fakeSched{}
-		ic, err := New(Config{Discipline: d}, sched, confProcs)
+		ic, err := New(Config{Discipline: d}, confShift, sched, confProcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +378,7 @@ func TestDisciplinesDivergeUnderContention(t *testing.T) {
 	order := func(d bus.Discipline) []string {
 		var log []string
 		sched := &fakeSched{}
-		ic, err := New(Config{Discipline: d}, sched, 2)
+		ic, err := New(Config{Discipline: d}, confShift, sched, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +411,7 @@ func TestDisciplinesDivergeUnderContention(t *testing.T) {
 func TestDirectoryLookupLatency(t *testing.T) {
 	grantAt := func(cfg Config) uint64 {
 		sched := &fakeSched{}
-		ic, err := New(cfg, sched, 2)
+		ic, err := New(cfg, confShift, sched, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +441,7 @@ func TestDirectoryLookupLatency(t *testing.T) {
 // used, because routing is a pure function of the stable Addr.
 func TestPromoteCancelRouteStably(t *testing.T) {
 	sched := &fakeSched{}
-	ic, err := New(Config{Kind: MultiBus, Links: 4, RouteShift: confShift}, sched, confProcs)
+	ic, err := New(Config{Kind: MultiBus, Links: 4}, confShift, sched, confProcs)
 	if err != nil {
 		t.Fatal(err)
 	}

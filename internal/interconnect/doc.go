@@ -1,7 +1,7 @@
 // Package interconnect generalizes the machine's contended memory fabric
-// behind one seam, the Interconnect interface: request admission, service
-// discipline, occupancy accounting, and the grant/complete callbacks the
-// coherence layer snoops through. The paper hard-codes a single
+// into one concrete type, Fabric: request admission, service discipline,
+// occupancy accounting, and the grant/complete callbacks the coherence
+// layer snoops through. The paper hard-codes a single
 // split-transaction bus; this package keeps that machine as the zero-value
 // configuration — byte-identical to the pre-seam simulator — and adds the
 // topologies the paper's open question needs:
@@ -17,9 +17,11 @@
 //     added to each transaction's uncontended phase — the "what replaced
 //     buses" endpoint.
 //
-// Every topology is composed from bus.Bus links; a request's line address
-// (bus.Request.Addr) picks its link, so transactions on the same line still
-// serialize on one resource and the grant remains the coherence
+// Every topology is the same composition — bus.Bus links, a routing
+// function and an admission latency — so Fabric is a struct, not an
+// interface. A request's line address (bus.Request.Addr), shifted right by
+// the route shift New takes, picks its link, so transactions on the same
+// line still serialize on one resource and the grant remains the coherence
 // serialization point. The sharer bookkeeping in internal/sim is already
 // directory-precise — snoops touch only caches that hold copies — so the
 // topologies differ purely in timing and bandwidth, never in coherence

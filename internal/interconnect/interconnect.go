@@ -86,10 +86,6 @@ type Config struct {
 	// transaction's uncontended phase (0 selects DefaultLookupCycles).
 	// Only Directory pays it; other kinds require it to be 0.
 	LookupCycles int
-	// RouteShift drops the line-offset bits before interleaving, so
-	// consecutive lines land on consecutive links. The simulator sets it to
-	// log2(line size); it only matters when Links > 1.
-	RouteShift uint
 }
 
 // Validate reports an error for inconsistent configurations.
@@ -107,8 +103,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("interconnect: negative lookup latency %d", c.LookupCycles)
 	case c.Kind != Directory && c.LookupCycles != 0:
 		return fmt.Errorf("interconnect: lookup latency %d on a %s topology (directory only)", c.LookupCycles, c.Kind)
-	case c.RouteShift > 63:
-		return fmt.Errorf("interconnect: route shift %d exceeds the address width", c.RouteShift)
 	}
 	return nil
 }
@@ -166,51 +160,43 @@ func (c Config) String() string {
 // held, and the requesting processor.
 type Observer func(link int, grant, occupancy uint64, op bus.Op, class bus.Class, proc int)
 
-// Interconnect is the contended memory fabric: it admits requests, arbitrates
-// them onto links under a service discipline, accounts occupancy, and fires
-// each request's OnGrant (the coherence serialization point, where the
-// simulator snoops) and OnComplete callbacks.
+// Fabric is the contended memory fabric: it admits requests, arbitrates them
+// onto links under a service discipline, accounts occupancy, and fires each
+// request's OnGrant (the coherence serialization point, where the simulator
+// snoops) and OnComplete callbacks. Every topology is one or more bus.Bus
+// links plus a routing function and an admission latency. Requests route by
+// line address, so all transactions on a line serialize on the same link and
+// the grant stays a coherence serialization point regardless of link count.
 //
-// The contract every implementation obeys (pinned by the conformance suite):
-// a submitted request is granted exactly once, no earlier than its Ready
-// time, and completed exactly once at grant+Occupancy; grants on one link
-// never overlap; requests for the same Addr serialize on one link, so their
-// grant order is a total order the coherence layer can rely on; and the
-// whole schedule is a deterministic function of the submission sequence.
-type Interconnect interface {
-	// Submit queues a request at simulation time now. The request's Addr
-	// routes it; Ready may be adjusted upward by topology latency (the
-	// Directory lookup) before admission.
-	Submit(now uint64, r *bus.Request) error
-	// Promote raises a still-pending request to Demand class on its link.
-	Promote(r *bus.Request)
-	// Cancel removes a still-pending request, reporting whether it was
-	// removed before being granted.
-	Cancel(r *bus.Request) bool
-	// Pending returns the number of requests awaiting a grant, across links.
-	Pending() int
-	// Links returns the parallel-link count.
-	Links() int
-	// Stats returns the aggregate traffic counters, summed across links.
-	Stats() bus.Stats
-	// LinkStats returns per-link traffic counters, indexed by link.
-	LinkStats() []bus.Stats
-	// SetObserver installs (or, with nil, removes) the per-grant observer.
-	SetObserver(fn Observer)
+// The contract every topology obeys (pinned by the conformance suite): a
+// submitted request is granted exactly once, no earlier than its Ready time,
+// and completed exactly once at grant+Occupancy; grants on one link never
+// overlap; requests for the same Addr serialize on one link, so their grant
+// order is a total order the coherence layer can rely on; and the whole
+// schedule is a deterministic function of the submission sequence.
+type Fabric struct {
+	links  []*bus.Bus
+	shift  uint
+	lookup uint64
 }
 
-// New builds the configured fabric for nproc processors on sched. Every
-// topology is composed from bus.Bus links; the zero Config yields the
-// paper's single priority bus.
-func New(cfg Config, sched bus.Scheduler, nproc int) (Interconnect, error) {
+// New builds the configured fabric for nproc processors on sched; the zero
+// Config yields the paper's single priority bus. routeShift drops the line-offset bits before
+// interleaving, so consecutive lines land on consecutive links; the
+// simulator passes log2(line size), and it only matters when there is more
+// than one link.
+func New(cfg Config, routeShift uint, sched bus.Scheduler, nproc int) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if routeShift > 63 {
+		return nil, fmt.Errorf("interconnect: route shift %d exceeds the address width", routeShift)
 	}
 	n := cfg.links(nproc)
 	if n <= 0 {
 		return nil, fmt.Errorf("interconnect: resolved link count %d for %d processors", n, nproc)
 	}
-	f := &fabric{shift: cfg.RouteShift, lookup: cfg.lookup(), links: make([]*bus.Bus, n)}
+	f := &Fabric{shift: routeShift, lookup: cfg.lookup(), links: make([]*bus.Bus, n)}
 	for i := range f.links {
 		b, err := bus.NewWithDiscipline(sched, nproc, cfg.Discipline)
 		if err != nil {
@@ -221,26 +207,19 @@ func New(cfg Config, sched bus.Scheduler, nproc int) (Interconnect, error) {
 	return f, nil
 }
 
-// fabric implements every topology: one or more bus links plus a routing
-// function and an admission latency. Requests route by line address, so all
-// transactions on a line serialize on the same link and the grant stays a
-// coherence serialization point regardless of link count.
-type fabric struct {
-	links  []*bus.Bus
-	shift  uint
-	lookup uint64
-}
-
 // route returns the link a request belongs to. Addr is stable for the life
 // of a request, so Promote and Cancel recompute the same link Submit used.
-func (f *fabric) route(r *bus.Request) *bus.Bus {
+func (f *Fabric) route(r *bus.Request) *bus.Bus {
 	if len(f.links) == 1 {
 		return f.links[0]
 	}
 	return f.links[(r.Addr>>f.shift)%uint64(len(f.links))]
 }
 
-func (f *fabric) Submit(now uint64, r *bus.Request) error {
+// Submit queues a request at simulation time now. The request's Addr routes
+// it; Ready may be adjusted upward by topology latency (the Directory
+// lookup) before admission.
+func (f *Fabric) Submit(now uint64, r *bus.Request) error {
 	if r == nil {
 		return fmt.Errorf("interconnect: nil request at cycle %d", now)
 	}
@@ -252,11 +231,15 @@ func (f *fabric) Submit(now uint64, r *bus.Request) error {
 	return f.route(r).Submit(now, r)
 }
 
-func (f *fabric) Promote(r *bus.Request) { f.route(r).Promote(r) }
+// Promote raises a still-pending request to Demand class on its link.
+func (f *Fabric) Promote(r *bus.Request) { f.route(r).Promote(r) }
 
-func (f *fabric) Cancel(r *bus.Request) bool { return f.route(r).Cancel(r) }
+// Cancel removes a still-pending request, reporting whether it was removed
+// before being granted.
+func (f *Fabric) Cancel(r *bus.Request) bool { return f.route(r).Cancel(r) }
 
-func (f *fabric) Pending() int {
+// Pending returns the number of requests awaiting a grant, across links.
+func (f *Fabric) Pending() int {
 	n := 0
 	for _, b := range f.links {
 		n += b.Pending()
@@ -264,9 +247,11 @@ func (f *fabric) Pending() int {
 	return n
 }
 
-func (f *fabric) Links() int { return len(f.links) }
+// Links returns the parallel-link count.
+func (f *Fabric) Links() int { return len(f.links) }
 
-func (f *fabric) Stats() bus.Stats {
+// Stats returns the aggregate traffic counters, summed across links.
+func (f *Fabric) Stats() bus.Stats {
 	var agg bus.Stats
 	for _, b := range f.links {
 		s := b.Stats()
@@ -280,7 +265,8 @@ func (f *fabric) Stats() bus.Stats {
 	return agg
 }
 
-func (f *fabric) LinkStats() []bus.Stats {
+// LinkStats returns per-link traffic counters, indexed by link.
+func (f *Fabric) LinkStats() []bus.Stats {
 	out := make([]bus.Stats, len(f.links))
 	for i, b := range f.links {
 		out[i] = b.Stats()
@@ -288,7 +274,8 @@ func (f *fabric) LinkStats() []bus.Stats {
 	return out
 }
 
-func (f *fabric) SetObserver(fn Observer) {
+// SetObserver installs (or, with nil, removes) the per-grant observer.
+func (f *Fabric) SetObserver(fn Observer) {
 	for i, b := range f.links {
 		if fn == nil {
 			b.SetObserver(nil)

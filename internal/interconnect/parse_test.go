@@ -68,7 +68,6 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Kind: SingleBus, Links: 2}, false},       // single bus, many links
 		{Config{LookupCycles: -1}, false},                // negative latency
 		{Config{Kind: MultiBus, LookupCycles: 5}, false}, // lookup on a bus
-		{Config{RouteShift: 64}, false},                  // shift past address width
 	} {
 		err := tc.cfg.Validate()
 		if tc.ok && err != nil {
@@ -77,6 +76,9 @@ func TestConfigValidate(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("Validate(%+v) accepted", tc.cfg)
 		}
+	}
+	if _, err := New(Config{}, 64, &fakeSched{}, 2); err == nil {
+		t.Error("New accepted a route shift past the address width")
 	}
 }
 

@@ -25,3 +25,13 @@ func Parse(typ string, names []string, s string) (int, error) {
 	}
 	return 0, fmt.Errorf("unknown %s %q (valid: %s)", typ, s, strings.Join(names, ", "))
 }
+
+// List returns name(v) for each value, in order: the valid names of an
+// enum's listing, for a flag's help text or the service's vocabulary.
+func List[T any](vs []T, name func(T) string) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = name(v)
+	}
+	return out
+}

@@ -266,9 +266,6 @@ type OnlineConfig struct {
 	// Strategy is the discipline the engine applies (see
 	// EngineOptions.Strategy).
 	Strategy Strategy
-	// Degree bounds candidates per observed reference; zero selects
-	// DefaultDegree.
-	Degree int
 }
 
 // Enabled reports whether an online engine is configured.
@@ -282,9 +279,6 @@ func (c OnlineConfig) Validate() error {
 	if c.Strategy < NP || c.Strategy >= NumStrategies {
 		return fmt.Errorf("prefetch: bad strategy %d", int(c.Strategy))
 	}
-	if c.Degree < 0 {
-		return fmt.Errorf("prefetch: negative degree %d", c.Degree)
-	}
 	return nil
 }
 
@@ -294,7 +288,7 @@ func (c OnlineConfig) NewEngine(g memory.Geometry) Engine {
 	if !c.Enabled() {
 		return nil
 	}
-	return ByKind(c.Kind).NewEngine(EngineOptions{Strategy: c.Strategy, Geometry: g, Degree: c.Degree})
+	return ByKind(c.Kind).NewEngine(EngineOptions{Strategy: c.Strategy, Geometry: g})
 }
 
 // oraclePrefetcher adapts the offline annotator to the Prefetcher

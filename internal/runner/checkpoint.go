@@ -82,6 +82,26 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 	return &CheckpointStore{dir: dir}, nil
 }
 
+// writeFileAtomic writes data to path through a temp file in the same
+// directory, named <base>.tmp* (the pattern OpenCheckpointStore sweeps),
+// and a rename: a reader sees the previous file or the complete new one,
+// never a torn write.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
 // Dir returns the store's root directory.
 func (s *CheckpointStore) Dir() string { return s.dir }
 
@@ -112,21 +132,7 @@ func (s *CheckpointStore) Put(key string, payload []byte) error {
 	if len(payload) > maxCkptPayloadLen {
 		return fmt.Errorf("runner: checkpoint payload of %d bytes exceeds the %d-byte limit", len(payload), maxCkptPayloadLen)
 	}
-	data := encodeCheckpoint(key, payload)
-	path := s.path(key)
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runner: writing checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runner: writing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runner: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := writeFileAtomic(s.path(key), encodeCheckpoint(key, payload)); err != nil {
 		return fmt.Errorf("runner: writing checkpoint: %w", err)
 	}
 	s.count(func(st *CheckpointStats) { st.Puts++ })

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"busprefetch/internal/obs"
@@ -77,21 +76,7 @@ func (r *MetricsReport) WriteFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding metrics report: %w", err)
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runner: writing metrics report: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runner: writing metrics report: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runner: writing metrics report: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
 		return fmt.Errorf("runner: writing metrics report: %w", err)
 	}
 	return nil

@@ -105,8 +105,6 @@ type Policy struct {
 	// [0.5, 1.5) so a sweep's failed cells do not retry in lockstep. A fixed
 	// seed makes retry schedules reproducible in tests.
 	Seed int64
-	// Classify overrides the error taxonomy; nil selects Classify.
-	Classify func(error) ErrClass
 }
 
 func (p Policy) withDefaults() Policy {
@@ -119,15 +117,12 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
 	}
-	if p.Classify == nil {
-		p.Classify = Classify
-	}
 	return p
 }
 
 // Retry runs fn up to p.MaxAttempts times, backing off exponentially with
-// jitter between attempts, until it succeeds, fails terminally (per the
-// policy's classification), or the context is cancelled. Terminal errors and
+// jitter between attempts, until it succeeds, fails terminally (per
+// Classify), or the context is cancelled. Terminal errors and
 // single-attempt failures return as-is; a retryable error that survives every
 // attempt returns wrapped in *ExhaustedError carrying the attempt count.
 // attempts reports how many times fn ran.
@@ -144,7 +139,7 @@ func Retry(ctx context.Context, p Policy, fn func(ctx context.Context) error) (e
 		if err == nil {
 			return nil, attempts
 		}
-		if p.Classify(err) == Terminal || attempts >= p.MaxAttempts {
+		if Classify(err) == Terminal || attempts >= p.MaxAttempts {
 			break
 		}
 		if ctx.Err() != nil {

@@ -15,7 +15,6 @@ import (
 // workload's five strategies share one plan.
 type TraceKey struct {
 	Workload     string
-	Procs        int
 	Scale        float64
 	Seed         int64
 	Restructured bool

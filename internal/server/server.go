@@ -12,9 +12,11 @@ import (
 
 	"busprefetch"
 	"busprefetch/internal/buildinfo"
+	"busprefetch/internal/bus"
 	"busprefetch/internal/coherence"
 	"busprefetch/internal/experiments"
 	"busprefetch/internal/interconnect"
+	"busprefetch/internal/names"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
 )
@@ -179,13 +181,28 @@ func tenant(r *http.Request) string {
 	return "default"
 }
 
-// decodeBody strictly decodes the request body into v; unknown fields are a
-// client error (they are almost always a typo'd knob that would otherwise
-// silently revert to its default).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body. A run or sweep spec is a few hundred
+// bytes; the bound stops a client from making the server buffer, and echo
+// back in an error, an arbitrarily large body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes the request body into v, or answers the
+// client error itself and reports false. Unknown fields are a client error
+// (they are almost always a typo'd knob that would otherwise silently
+// revert to its default), and so is a body over maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "invalid_body", err.Error())
+	}
+	return err == nil
 }
 
 // submit registers and schedules a new job, mapping admission failures to
@@ -228,8 +245,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunRequest
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_body", err.Error())
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	key, err := runKey(spec)
@@ -250,8 +266,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_body", err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	plan, err := planSweep(req, s.opts)
@@ -406,23 +421,13 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 			"name": wl.Name, "description": wl.Description, "default_procs": wl.DefaultProcs,
 		})
 	}
-	names := func(n int, at func(i int) string) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = at(i)
-		}
-		return out
-	}
-	protos := coherence.Kinds()
-	ics := interconnect.Kinds()
-	pfs := prefetch.Kinds()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workloads":     workloads,
 		"strategies":    busprefetch.Strategies(),
-		"prefetchers":   names(len(pfs), func(i int) string { return pfs[i].String() }),
-		"protocols":     names(len(protos), func(i int) string { return protos[i].String() }),
-		"interconnects": names(len(ics), func(i int) string { return ics[i].String() }),
-		"disciplines":   []string{"priority", "fcfs"},
+		"prefetchers":   names.List(prefetch.Kinds(), prefetch.Kind.String),
+		"protocols":     names.List(coherence.Kinds(), coherence.Kind.String),
+		"interconnects": names.List(interconnect.Kinds(), interconnect.Kind.String),
+		"disciplines":   names.List(bus.Disciplines(), bus.Discipline.String),
 		"sections":      experiments.SectionNames(),
 		"transfers":     experiments.DefaultConfig().Transfers,
 		"workers":       s.opts.Workers,

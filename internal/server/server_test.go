@@ -5,12 +5,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"busprefetch/internal/bus"
+	"busprefetch/internal/coherence"
+	"busprefetch/internal/interconnect"
+	"busprefetch/internal/prefetch"
 )
 
 // testServer builds a Server plus its handler over a cancellable base
@@ -130,51 +136,54 @@ func TestSubmitAsyncAndPoll(t *testing.T) {
 	}
 }
 
-// TestValidationErrors pins the 400 taxonomy: malformed JSON and unknown
-// fields are invalid_body; a well-formed body with a bad name, or a value
-// beyond its documented limit, is invalid_spec; a bad sweep section
+// TestValidationErrors pins the client-error taxonomy: malformed JSON and
+// unknown fields are invalid_body; a well-formed body with a bad name, or a
+// value beyond its documented limit, is invalid_spec; a bad sweep section
 // likewise. The limit rows would otherwise alias another spec's key or size
-// gigabytes of per-processor allocations.
+// gigabytes of per-processor allocations. A body over the size limit is 413
+// body_too_large even when it is valid JSON.
 func TestValidationErrors(t *testing.T) {
 	_, h := testServer(t, Options{Workers: 1})
 	cases := []struct {
-		path string
-		body string
-		code string
+		path   string
+		status int
+		body   string
+		code   string
 	}{
-		{"/v1/runs", `{"workload": }`, "invalid_body"},
-		{"/v1/runs", `{"workload":"mp3d","no_such_knob":1}`, "invalid_body"},
-		{"/v1/runs", `{"workload":"mp3d","strategy":"WARP"}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","protocol":"mesif"}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"no-such-program"}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","mem_latency":4294967396}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","mem_latency":2147483698}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","distance":4294967546}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","victim_cache_lines":16777216}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","victim_cache_lines":-4294967288}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","cache_kb":4194304}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","cache_kb":4096,"line_bytes":64}`, "invalid_spec"},
-		{"/v1/runs", `{"workload":"mp3d","interconnect":"multibus","buses":65}`, "invalid_spec"},
-		{"/v1/sweeps", `{"sections":["table9"]}`, "invalid_spec"},
-		{"/v1/sweeps", `{"prefetcher":"psychic"}`, "invalid_spec"},
-		{"/v1/sweeps", `{"transfers":[0]}`, "invalid_spec"},
-		{"/v1/sweeps", `{"mem_latency":4294967396}`, "invalid_spec"},
-		{"/v1/sweeps", `{"mem_latency":2147483698}`, "invalid_spec"},
-		{"/v1/sweeps", `{"interconnect":"directory","buses":100000}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload": }`, "invalid_body"},
+		{"/v1/runs", 400, `{"workload":"mp3d","no_such_knob":1}`, "invalid_body"},
+		{"/v1/runs", 400, `{"workload":"mp3d","strategy":"WARP"}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","protocol":"mesif"}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"no-such-program"}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","mem_latency":4294967396}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","mem_latency":2147483698}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","distance":4294967546}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","victim_cache_lines":16777216}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","victim_cache_lines":-4294967288}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","cache_kb":4194304}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","cache_kb":4096,"line_bytes":64}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","interconnect":"multibus","buses":65}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"sections":["table9"]}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"prefetcher":"psychic"}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"transfers":[0]}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"mem_latency":4294967396}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"mem_latency":2147483698}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"interconnect":"directory","buses":100000}`, "invalid_spec"},
+		{"/v1/runs", 413, strings.Repeat(" ", 2<<20) + `{"workload":"mp3d","scale":0.02}`, "body_too_large"},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest("POST", c.path, strings.NewReader(c.body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s %s: code %d, want 400", c.path, c.body, w.Code)
+		if w.Code != c.status {
+			t.Errorf("%s %.80q: code %d, want %d", c.path, c.body, w.Code, c.status)
 			continue
 		}
 		var resp struct {
 			Error APIError `json:"error"`
 		}
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Error.Code != c.code {
-			t.Errorf("%s %s: error %+v (decode %v), want code %s", c.path, c.body, resp.Error, err, c.code)
+			t.Errorf("%s %.80q: error %+v (decode %v), want code %s", c.path, c.body, resp.Error, err, c.code)
 		}
 	}
 }
@@ -312,15 +321,35 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		t.Errorf("healthz: %d %+v", w.Code, hz)
 	}
 	var meta struct {
-		Workloads  []map[string]any `json:"workloads"`
-		Strategies []string         `json:"strategies"`
-		Sections   []string         `json:"sections"`
-		Transfers  []int            `json:"transfers"`
-		Shards     int              `json:"shards"`
+		Workloads     []map[string]any `json:"workloads"`
+		Strategies    []string         `json:"strategies"`
+		Prefetchers   []string         `json:"prefetchers"`
+		Protocols     []string         `json:"protocols"`
+		Interconnects []string         `json:"interconnects"`
+		Disciplines   []string         `json:"disciplines"`
+		Sections      []string         `json:"sections"`
+		Transfers     []int            `json:"transfers"`
+		Shards        int              `json:"shards"`
 	}
 	do(t, h, "GET", "/v1/meta", "", nil, &meta)
 	if len(meta.Workloads) != 5 || len(meta.Strategies) != 5 || len(meta.Sections) == 0 || meta.Shards != 3 {
 		t.Errorf("meta = %+v", meta)
+	}
+	// Each enum listing names exactly its package's values, in order: fmt
+	// renders a slice of values through their String methods.
+	for _, c := range []struct {
+		field string
+		got   []string
+		want  any
+	}{
+		{"prefetchers", meta.Prefetchers, prefetch.Kinds()},
+		{"protocols", meta.Protocols, coherence.Kinds()},
+		{"interconnects", meta.Interconnects, interconnect.Kinds()},
+		{"disciplines", meta.Disciplines, bus.Disciplines()},
+	} {
+		if got, want := fmt.Sprint(c.got), fmt.Sprint(c.want); got != want {
+			t.Errorf("meta %s = %s, want %s", c.field, got, want)
+		}
 	}
 	var stats statsResponse
 	do(t, h, "GET", "/v1/stats", "", nil, &stats)

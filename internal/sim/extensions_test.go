@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"busprefetch/internal/coherence"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/sim"
 	"busprefetch/internal/trace"
@@ -13,7 +14,7 @@ import (
 
 func TestMSIReadFillsShared(t *testing.T) {
 	c := cfg()
-	c.Protocol = sim.MSI
+	c.Protocol = coherence.MSI
 	// Under MSI a sole read fills Shared, so the following write costs an
 	// invalidation bus operation — unlike Illinois (see
 	// TestSiloWriteGetsExclusiveSilently).
@@ -37,7 +38,7 @@ func TestMSICostsMoreThanIllinois(t *testing.T) {
 	}
 	illinois := run(t, cfg(), s)
 	c := cfg()
-	c.Protocol = sim.MSI
+	c.Protocol = coherence.MSI
 	msi := run(t, c, s)
 	if msi.Cycles <= illinois.Cycles {
 		t.Errorf("MSI (%d cycles) not slower than Illinois (%d)", msi.Cycles, illinois.Cycles)
@@ -52,7 +53,7 @@ func TestMSICostsMoreThanIllinois(t *testing.T) {
 
 func TestMSIInvariantsHold(t *testing.T) {
 	c := cfg()
-	c.Protocol = sim.MSI
+	c.Protocol = coherence.MSI
 	c.CheckInvariants = true
 	res := run(t, c,
 		trace.Stream{
@@ -74,7 +75,7 @@ func TestMSIInvariantsHold(t *testing.T) {
 
 func TestDragonWriteToSharedBroadcastsUpdate(t *testing.T) {
 	c := cfg()
-	c.Protocol = sim.Dragon
+	c.Protocol = coherence.Dragon
 	// Both processors read the line; proc 0 then writes it. Under Dragon the
 	// write broadcasts a word update instead of invalidating, so proc 1's
 	// copy stays valid and its second read hits.
@@ -123,7 +124,7 @@ func TestDragonTradesInvalidationMissesForBusOccupancy(t *testing.T) {
 	}
 	illinois := run(t, cfg(), mk(0), mk(60))
 	c := cfg()
-	c.Protocol = sim.Dragon
+	c.Protocol = coherence.Dragon
 	dragon := run(t, c, mk(0), mk(60))
 	if got := illinois.Counters.InvalidationMisses(); got == 0 {
 		t.Fatal("pattern produced no invalidation misses under Illinois")
@@ -138,7 +139,7 @@ func TestDragonTradesInvalidationMissesForBusOccupancy(t *testing.T) {
 
 func TestDragonLoneWriterStopsUpdating(t *testing.T) {
 	c := cfg()
-	c.Protocol = sim.Dragon
+	c.Protocol = coherence.Dragon
 	// Proc 1 reads the line, then displaces it with a conflicting read (same
 	// cache set, one cache-size apart). Proc 0's first write broadcasts an
 	// update, finds no remaining sharer, and takes the line exclusive; the
@@ -164,7 +165,7 @@ func TestDragonLoneWriterStopsUpdating(t *testing.T) {
 
 func TestDragonInvariantsHold(t *testing.T) {
 	c := cfg()
-	c.Protocol = sim.Dragon
+	c.Protocol = coherence.Dragon
 	c.CheckInvariants = true
 	// Interleaved writes from both processors hand the update-owner (Sm)
 	// role back and forth; the checker verifies single-ownership at every
@@ -355,7 +356,7 @@ func TestConfigValidationExtensions(t *testing.T) {
 		t.Error("negative victim cache accepted")
 	}
 	c = cfg()
-	c.Protocol = sim.Protocol(9)
+	c.Protocol = coherence.Kind(9)
 	if err := c.Validate(); err == nil {
 		t.Error("unknown protocol accepted")
 	}

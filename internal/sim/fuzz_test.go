@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"busprefetch/internal/coherence"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/sim"
 	"busprefetch/internal/trace"
@@ -38,7 +39,7 @@ func TestCoherenceFuzz(t *testing.T) {
 	}
 	variants := []func(*sim.Config){
 		func(c *sim.Config) {},
-		func(c *sim.Config) { c.Protocol = sim.MSI },
+		func(c *sim.Config) { c.Protocol = coherence.MSI },
 		func(c *sim.Config) { c.VictimCacheLines = 4 },
 		func(c *sim.Config) { c.PrefetchTarget = sim.PrefetchToBuffer; c.StreamBufferLines = 4 },
 		func(c *sim.Config) { c.TransferCycles = 32 },

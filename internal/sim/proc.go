@@ -849,10 +849,10 @@ func (p *proc) startWriteOp(a, la memory.Addr, action coherence.WriteAction) {
 	w.failed = false
 	w.req.Reset()
 	w.req.Ready = p.clock
-	w.req.Occupancy = uint64(p.s.cfg.InvalidateCycles)
+	w.req.Occupancy = invalidateCycles
 	w.req.Op = bus.OpInvalidate
 	if action == coherence.WriteUpdate {
-		w.req.Op, w.req.Occupancy = bus.OpUpdate, p.s.updCycles
+		w.req.Op, w.req.Occupancy = bus.OpUpdate, updateCycles
 	}
 	w.req.Class = bus.Demand
 	w.req.Addr = uint64(la)

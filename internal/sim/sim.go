@@ -19,20 +19,18 @@ import (
 	"busprefetch/internal/trace"
 )
 
-// Protocol selects the coherence protocol. It aliases coherence.Kind, so
-// sim.Illinois and coherence.Illinois are interchangeable; the state machine
-// each kind names lives in internal/coherence.
-type Protocol = coherence.Kind
-
+// Fixed bus costs, in cycles of bus occupancy: the paper's invalidation,
+// and the word update of the Dragon ablation.
 const (
-	// Illinois is the paper's protocol (Papamarcos & Patel); see
-	// coherence.Illinois.
-	Illinois = coherence.Illinois
-	// MSI is the ablation protocol without the private-clean state; see
-	// coherence.MSI.
-	MSI = coherence.MSI
-	// Dragon is the write-update ablation; see coherence.Dragon.
-	Dragon = coherence.Dragon
+	// invalidateCycles is an address-only invalidation: a write upgrading a
+	// Shared line.
+	invalidateCycles = 2
+	// updateCycles is a word-update broadcast under a write-update protocol
+	// (Dragon): the address cycles of an invalidation plus a data-word cycle
+	// and the snoop-ack turnaround that tells the writer whether any sharer
+	// remains — more than an address-only invalidation, far less than a line
+	// transfer.
+	updateCycles = invalidateCycles + 2
 )
 
 // PrefetchTarget selects where prefetched lines land.
@@ -76,27 +74,16 @@ type Config struct {
 	// TransferCycles is the contended data-transfer portion of MemLatency
 	// (the paper sweeps 4-32). Must be <= MemLatency.
 	TransferCycles int
-	// InvalidateCycles is the bus occupancy of an address-only invalidation
-	// operation (a write upgrading a Shared line).
-	InvalidateCycles int
-	// UpdateCycles is the bus occupancy of a word-update broadcast under a
-	// write-update protocol (Dragon): the address cycles of an invalidation
-	// plus a data-word cycle and the snoop-ack turnaround that tells the
-	// writer whether any sharer remains — more than an address-only
-	// invalidation, far less than a line transfer. Zero selects
-	// InvalidateCycles+2.
-	UpdateCycles int
 	// PrefetchBufferDepth is the number of outstanding prefetches a
 	// processor may have (the paper uses 16).
 	PrefetchBufferDepth int
 	// Protocol selects Illinois (default), the MSI ablation, or the Dragon
 	// write-update ablation.
-	Protocol Protocol
+	Protocol coherence.Kind
 	// Interconnect selects the contended fabric's topology and service
 	// discipline. The zero value is the paper's machine — one
 	// priority-arbitrated split-transaction bus — and simulates
-	// byte-identically to the pre-seam simulator. RouteShift is set by the
-	// simulator from Geometry; callers leave it zero.
+	// byte-identically to the pre-seam simulator.
 	Interconnect interconnect.Config
 	// VictimCacheLines, when non-zero, adds a small fully-associative
 	// victim cache (Jouppi) behind each data cache — the fix the paper
@@ -159,8 +146,6 @@ func DefaultConfig() Config {
 		Geometry:            memory.DefaultGeometry(),
 		MemLatency:          100,
 		TransferCycles:      8,
-		InvalidateCycles:    2,
-		UpdateCycles:        4,
 		PrefetchBufferDepth: 16,
 	}
 }
@@ -175,10 +160,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: memory latency %d", c.MemLatency)
 	case c.TransferCycles <= 0 || c.TransferCycles > c.MemLatency:
 		return fmt.Errorf("sim: transfer cycles %d outside (0, %d]", c.TransferCycles, c.MemLatency)
-	case c.InvalidateCycles <= 0:
-		return fmt.Errorf("sim: invalidate cycles %d", c.InvalidateCycles)
-	case c.UpdateCycles < 0:
-		return fmt.Errorf("sim: negative update cycles %d", c.UpdateCycles)
 	case c.PrefetchBufferDepth <= 0:
 		return fmt.Errorf("sim: prefetch buffer depth %d", c.PrefetchBufferDepth)
 	case c.Geometry.WordsPerLine() > 64:
@@ -606,7 +587,7 @@ type simulator struct {
 	eng *engine
 	// ic is the contended fabric (Config.Interconnect); the default is the
 	// paper's single bus.
-	ic    interconnect.Interconnect
+	ic    *interconnect.Fabric
 	procs []*proc
 	// Lock and barrier state lives in dense slices; lockIdx/barrIdx resolve
 	// an object's address to its slot, registered lazily on first use
@@ -630,13 +611,11 @@ type simulator struct {
 	uncont         uint64 // MemLatency - TransferCycles
 
 	// proto is the coherence state machine, tab its transitions flattened
-	// into dense tables (the form every hot path consults), rule its
-	// legality predicate, and updCycles the resolved bus occupancy of a
-	// word-update broadcast.
-	proto     coherence.Protocol
-	tab       protoTables
-	rule      check.LineRule
-	updCycles uint64
+	// into dense tables (the form every hot path consults), and rule its
+	// legality predicate.
+	proto coherence.Protocol
+	tab   protoTables
+	rule  check.LineRule
 
 	// rec is the observability recorder (Config.Obs); nil when disabled.
 	// Every use is behind a nil check so a disabled run allocates nothing.
@@ -825,15 +804,11 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 		geom:           cfg.Geometry,
 		uncont:         uint64(cfg.MemLatency - cfg.TransferCycles),
 		proto:          coherence.ByKind(cfg.Protocol),
-		updCycles:      uint64(cfg.UpdateCycles),
 		watchdogCycles: cfg.WatchdogCycles,
 		minEndBarriers: math.MaxInt,
 	}
 	s.tab = buildProtoTables(s.proto)
 	s.rule = s.proto.Invariant()
-	if s.updCycles == 0 {
-		s.updCycles = uint64(cfg.InvalidateCycles + 2)
-	}
 	if s.watchdogCycles == 0 {
 		s.watchdogCycles = defaultWatchdogCycles
 	}
@@ -844,11 +819,10 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 	}
 	s.lockIdx = make(map[memory.Addr]int32)
 	s.barrIdx = make(map[memory.Addr]int32)
-	icCfg := cfg.Interconnect
 	// Route on line numbers, not raw line addresses: dropping the offset bits
 	// interleaves consecutive lines across links.
-	icCfg.RouteShift = uint(bits.TrailingZeros64(uint64(cfg.Geometry.LineSize)))
-	ic, err := interconnect.New(icCfg, s.eng, nprocs)
+	routeShift := uint(bits.TrailingZeros64(uint64(cfg.Geometry.LineSize)))
+	ic, err := interconnect.New(cfg.Interconnect, routeShift, s.eng, nprocs)
 	if err != nil {
 		return nil, err
 	}

@@ -37,11 +37,10 @@ func generate(w *workload.Workload, p workload.Params) (*trace.Trace, workload.I
 func TestConfigValidation(t *testing.T) {
 	bad := []sim.Config{
 		{},
-		{Geometry: memory.DefaultGeometry(), MemLatency: 0, TransferCycles: 8, InvalidateCycles: 2, PrefetchBufferDepth: 16},
-		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 0, InvalidateCycles: 2, PrefetchBufferDepth: 16},
-		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 101, InvalidateCycles: 2, PrefetchBufferDepth: 16},
-		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 8, InvalidateCycles: 0, PrefetchBufferDepth: 16},
-		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 8, InvalidateCycles: 2, PrefetchBufferDepth: 0},
+		{Geometry: memory.DefaultGeometry(), MemLatency: 0, TransferCycles: 8, PrefetchBufferDepth: 16},
+		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 0, PrefetchBufferDepth: 16},
+		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 101, PrefetchBufferDepth: 16},
+		{Geometry: memory.DefaultGeometry(), MemLatency: 100, TransferCycles: 8, PrefetchBufferDepth: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
