@@ -320,7 +320,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // replays). "none" is the oracle path — no engine configured — and is the
 // regression gate for the zero-overhead-when-disabled guarantee: every
 // online hook hides behind a nil engine check, so its ns/op must track
-// BenchmarkSimulator (CI gates it against bench/baseline.txt). The engine
+// BenchmarkSimulator (CI gates it against the merge-base). The engine
 // variants price each training structure's per-reference Observe cost.
 // Compare with:
 //

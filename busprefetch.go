@@ -96,7 +96,7 @@ type RunSpec struct {
 	// Procs overrides the workload's process count (0 = default).
 	Procs int `json:"procs,omitempty"`
 	// Scale multiplies trace length (0 = 1.0, roughly 10^5 references per
-	// process).
+	// process), at most experiments.MaxScale (100).
 	Scale float64 `json:"scale,omitempty"`
 	// Seed seeds the deterministic workload generator (0 = 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -161,7 +161,8 @@ func (s RunSpec) resolve() (experiments.Key, workload.Params, error) {
 	if line > 0 && kb > maxCacheLines/1024*line {
 		err = errors.Join(err, fmt.Errorf("cache_kb %d of %d-byte lines exceeds %d lines", kb, line, maxCacheLines))
 	}
-	if err = errors.Join(err, experiments.CheckRange("distance", s.Distance, math.MinInt32, math.MaxInt32),
+	if err = errors.Join(err, experiments.CheckScale(s.Scale),
+		experiments.CheckRange("distance", s.Distance, math.MinInt32, math.MaxInt32),
 		experiments.CheckRange("victim_cache_lines", s.VictimCacheLines, 0, maxVictimLines)); err != nil {
 		return experiments.Key{}, workload.Params{}, err
 	}

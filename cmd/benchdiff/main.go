@@ -1,8 +1,9 @@
 // Command benchdiff compares two files of standard `go test -bench` output
 // and reports, per benchmark, the median ns/op of each side and the delta.
 // It is the repository's dependency-free stand-in for benchstat: CI runs the
-// microbenchmark suite and gates merges on benchdiff against the checked-in
-// bench/baseline.txt (see PERFORMANCE.md for the workflow).
+// microbenchmarks of a change and of its merge-base in alternating pairs on
+// one runner and gates merges on benchdiff between the two (see
+// PERFORMANCE.md for the workflow).
 //
 // Usage:
 //

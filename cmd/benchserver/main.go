@@ -55,6 +55,12 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and trickles bytes
+// cannot pin a server goroutine and a file descriptor per connection
+// indefinitely. Bodies are bounded separately, at 1 MiB, by internal/server.
+const readHeaderTimeout = 5 * time.Second
+
 // run is the whole command behind flag parsing; every failure comes back as
 // an error and turns into one diagnostic line and a non-zero exit. It
 // returns nil on a clean drain after ctx is cancelled.
@@ -125,7 +131,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(stdout, "benchserver: listening on http://%s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -36,12 +38,13 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestServeAndGracefulExit boots the server on an ephemeral port, exercises
-// a real request over TCP, then cancels the context and expects a clean
-// drain — the SIGINT path end to end.
-func TestServeAndGracefulExit(t *testing.T) {
+// startServer boots run on an ephemeral port and returns the bound address
+// and a stop function that cancels the context and requires a clean drain
+// — the SIGINT path end to end.
+func startServer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	pr, pw := newPipeWriter()
 	done := make(chan error, 1)
 	go func() {
@@ -57,7 +60,25 @@ func TestServeAndGracefulExit(t *testing.T) {
 	if !ok {
 		t.Fatalf("startup line %q", line)
 	}
+	return addr, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run exited with %v, want clean drain", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("server did not exit after cancellation")
+		}
+	}
+}
 
+// TestServeAndGracefulExit boots the server on an ephemeral port, exercises
+// a real request over TCP, then cancels the context and expects a clean
+// drain — the SIGINT path end to end.
+func TestServeAndGracefulExit(t *testing.T) {
+	addr, stop := startServer(t)
 	resp, err := http.Get("http://" + addr + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -70,15 +91,31 @@ func TestServeAndGracefulExit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || hz.Status != "ok" {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, hz)
 	}
+	stop()
+}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run exited with %v, want clean drain", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not exit after cancellation")
+// TestSlowHeadersDisconnected: a client that never finishes its request
+// headers is disconnected once readHeaderTimeout passes, instead of holding
+// a connection and a server goroutine open for as long as it likes.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/healthz HTTP/1.1\r\nHost: bench\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns nil once the server closes the connection, and the
+	// deadline's timeout error if it never does.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with unfinished headers still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
 	}
 }
 

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"busprefetch/internal/names"
 )
@@ -173,11 +174,15 @@ type Observer func(grant, occupancy uint64, op Op, class Class, proc int)
 // scanned slice: arbitration order is (class, round-robin distance from the
 // last winner, submission order), so the winner is found by walking the
 // processors of the highest non-empty class in round-robin order and taking
-// the first ready request — no full scan, no mid-slice splice. Each queue
-// holds one processor's same-class requests in submission (seq) order; the
-// queues are tiny (a processor has at most one outstanding demand fetch, a
-// prefetch-buffer-depth of prefetches, and a handful of writebacks), so the
-// occasional mid-queue removal is a short copy within one small slice.
+// the first ready request — no full scan, no mid-slice splice. A per-class
+// occupancy mask (bit p set while processor p's queue is non-empty) lets the
+// walk visit only processors with requests: rotate the mask so the processor
+// after the last winner is bit 0, and the set bits in ascending order are
+// the round-robin order. Each queue holds one processor's same-class
+// requests in submission (seq) order; the queues are tiny (a processor has
+// at most one outstanding demand fetch, a prefetch-buffer-depth of
+// prefetches, and a handful of writebacks), so the occasional mid-queue
+// removal is a short copy within one small slice.
 type Bus struct {
 	sched      Scheduler
 	nproc      int
@@ -188,12 +193,12 @@ type Bus struct {
 	discipline Discipline
 
 	// queues[class][proc] holds that processor's pending requests of that
-	// class in submission order. classCount tracks entries per class so
-	// arbitration skips empty classes without touching their queues;
-	// npending is the total.
-	queues     [numClasses][]procQueue
-	classCount [numClasses]int
-	npending   int
+	// class in submission order. occupied[class] has bit proc set exactly
+	// when that queue is non-empty, so arbitration skips empty classes and
+	// empty queues without touching them; npending is the total.
+	queues   [numClasses][]procQueue
+	occupied [numClasses]uint64
+	npending int
 
 	// attemptAt is the earliest outstanding grant-attempt event, or noAttempt.
 	attemptAt uint64
@@ -222,6 +227,9 @@ type procQueue []*Request
 
 const noAttempt = ^uint64(0)
 
+// maxProcs is the processor limit: the occupancy masks are uint64.
+const maxProcs = 64
+
 // New creates a bus for nproc processors using sched for future events,
 // arbitrating with the paper's Priority discipline.
 func New(sched Scheduler, nproc int) (*Bus, error) {
@@ -234,8 +242,8 @@ func NewWithDiscipline(sched Scheduler, nproc int, d Discipline) (*Bus, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("bus: nil scheduler")
 	}
-	if nproc <= 0 {
-		return nil, fmt.Errorf("bus: processor count %d must be positive", nproc)
+	if nproc <= 0 || nproc > maxProcs {
+		return nil, fmt.Errorf("bus: processor count %d outside [1, %d]", nproc, maxProcs)
 	}
 	if !d.Valid() {
 		return nil, fmt.Errorf("bus: unknown discipline %d", int(d))
@@ -285,10 +293,7 @@ func (b *Bus) Submit(now uint64, r *Request) error {
 	b.seq++
 	r.seq = b.seq
 	r.pending = true
-	q := &b.queues[r.Class][r.Proc]
-	*q = append(*q, r)
-	b.classCount[r.Class]++
-	b.npending++
+	b.enqueue(r, len(b.queues[r.Class][r.Proc]))
 	b.scheduleAttempt(now, max(r.Ready, b.freeAt))
 	return nil
 }
@@ -302,8 +307,20 @@ func (b *Bus) remove(class Class, proc, i int) {
 	copy(q[i:], q[i+1:])
 	q[len(q)-1] = nil
 	b.queues[class][proc] = q[:len(q)-1]
-	b.classCount[class]--
+	if len(q) == 1 {
+		b.occupied[class] &^= 1 << uint(proc)
+	}
 	b.npending--
+}
+
+// enqueue inserts r at index at of its class/proc queue.
+func (b *Bus) enqueue(r *Request, at int) {
+	q := append(b.queues[r.Class][r.Proc], nil)
+	copy(q[at+1:], q[at:])
+	q[at] = r
+	b.queues[r.Class][r.Proc] = q
+	b.occupied[r.Class] |= 1 << uint(r.Proc)
+	b.npending++
 }
 
 // Promote raises a still-pending request to Demand class (a CPU is now
@@ -327,12 +344,7 @@ func (b *Bus) Promote(r *Request) {
 	for at > 0 && dq[at-1].seq > r.seq {
 		at--
 	}
-	dq = append(dq, nil)
-	copy(dq[at+1:], dq[at:])
-	dq[at] = r
-	b.queues[Demand][r.Proc] = dq
-	b.classCount[Demand]++
-	b.npending++
+	b.enqueue(r, at)
 }
 
 // Cancel removes a still-pending request (unused by the core simulator but
@@ -378,11 +390,8 @@ func (b *Bus) attempt(now uint64) {
 		// Nothing ready yet: re-arm at the earliest future Ready.
 		earliest := noAttempt
 		for c := range b.queues {
-			if b.classCount[c] == 0 {
-				continue
-			}
-			for _, q := range b.queues[c] {
-				for _, p := range q {
+			for m := b.occupied[c]; m != 0; m &= m - 1 {
+				for _, p := range b.queues[c][bits.TrailingZeros64(m)] {
 					if p.Ready < earliest {
 						earliest = p.Ready
 					}
@@ -439,24 +448,22 @@ func (b *Bus) complete(t uint64) {
 // Priority discipline the selection order is: highest class (Demand <
 // Prefetch < Writeback numerically), then round-robin distance from the last
 // winner, then submission order. With per-class per-proc queues that order is
-// positional: walk the processors of the first non-empty class starting just
-// past the last winner, and within a processor's queue (kept in submission
-// order) take the first ready entry.
+// positional: walk the occupied processors of each class starting just past
+// the last winner, and within a processor's queue (kept in submission order)
+// take the first ready entry. Rotating the occupancy mask right by
+// lastWin+1 makes the round-robin distance of processor p bit p's position,
+// so the walk is a trailing-zeros count per occupied processor. Bits at or
+// above nproc are never set, so rotating modulo 64 rather than nproc visits
+// the same processors in the same order.
 func (b *Bus) pick(now uint64) (*Request, Class, int, int) {
 	if b.discipline == FCFS {
 		return b.pickFCFS(now)
 	}
+	start := b.lastWin + 1
 	for c := Class(0); c < numClasses; c++ {
-		if b.classCount[c] == 0 {
-			continue
-		}
-		qs := b.queues[c]
-		for k := 1; k <= b.nproc; k++ {
-			p := b.lastWin + k
-			if p >= b.nproc {
-				p -= b.nproc
-			}
-			for i, r := range qs[p] {
+		for m := bits.RotateLeft64(b.occupied[c], -start); m != 0; m &= m - 1 {
+			p := (start + bits.TrailingZeros64(m)) & (maxProcs - 1)
+			for i, r := range b.queues[c][p] {
 				if r.Ready <= now {
 					return r, c, p, i
 				}
@@ -480,11 +487,9 @@ func (b *Bus) pickFCFS(now uint64) (*Request, Class, int, int) {
 		haveBest = false
 	)
 	for c := Class(0); c < numClasses; c++ {
-		if b.classCount[c] == 0 {
-			continue
-		}
-		for p, q := range b.queues[c] {
-			for i, r := range q {
+		for m := b.occupied[c]; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros64(m)
+			for i, r := range b.queues[c][p] {
 				if r.Ready > now {
 					continue
 				}

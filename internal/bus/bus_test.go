@@ -294,6 +294,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(&testSched{}, -3); err == nil {
 		t.Error("New accepted negative processors")
 	}
+	if _, err := New(&testSched{}, 65); err == nil {
+		t.Error("New accepted 65 processors, past the occupancy masks' 64 bits")
+	}
 	if _, err := New(nil, 4); err == nil {
 		t.Error("New accepted nil scheduler")
 	}

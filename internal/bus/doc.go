@@ -15,7 +15,9 @@
 // over prefetches" (paper §3.3) — all Demand-class requests are considered
 // before any Prefetch-class request, and writebacks come last. FCFS instead
 // grants strictly in submission order regardless of class, the alternative
-// service discipline the related queueing analyses consider.
+// service discipline the related queueing analyses consider. Both walk
+// per-class bitmasks of the processors with pending requests, so a bus
+// serves at most 64 processors.
 //
 // One Bus is one link. internal/interconnect composes buses into larger
 // fabrics (multi-bus, directory) and routes requests by Request.Addr; the

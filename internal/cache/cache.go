@@ -53,11 +53,19 @@ func (s State) Dirty() bool { return s == Modified || s == SharedMod }
 // (or whose invalidation word is unknown).
 const NoInvalidatingWord = -1
 
-// Line is one cache line with the metadata the paper's analysis needs.
+// Line is one cache line with the metadata the paper's analysis needs. Its
+// fields are ordered widest first so a Line packs into 32 bytes: the
+// simulation kernel walks arrays of them on every reference.
 type Line struct {
 	// Tag is the global line number (address / line size). Meaningful even
 	// when State is Invalid, so invalidation misses can be recognized.
 	Tag uint64
+	// WordsAccessed is a bitmask of words demand-accessed by the local
+	// processor during the line's current (or, after invalidation, most
+	// recent) residence. Used for false-sharing classification.
+	WordsAccessed uint64
+	// lru is the per-set recency stamp (larger = more recent).
+	lru uint64
 	// State is the coherence state.
 	State State
 	// PrefetchedUnused is set when the line was filled by a prefetch and no
@@ -65,18 +73,12 @@ type Line struct {
 	// subsequent miss can be classified "prefetched, but disappeared from
 	// the cache before use".
 	PrefetchedUnused bool
-	// WordsAccessed is a bitmask of words demand-accessed by the local
-	// processor during the line's current (or, after invalidation, most
-	// recent) residence. Used for false-sharing classification.
-	WordsAccessed uint64
 	// InvalidatingWord is the word index written by the remote processor
 	// whose write invalidated this line, or NoInvalidatingWord. An
 	// invalidation miss is a false-sharing miss when the local processor
 	// never accessed that word (Eggers & Jeremiassen's definition, paper
 	// §4.4).
 	InvalidatingWord int8
-	// lru is the per-set recency stamp (larger = more recent).
-	lru uint64
 
 	// tagValid distinguishes a never-used line from an invalidated one.
 	tagValid bool
@@ -119,6 +121,12 @@ type Cache struct {
 	// dominating Lookup before these were cached.
 	lineShift uint
 	setMask   uint64
+
+	// tags, when non-nil, is the duplicate-tag array this cache belongs to
+	// (Tags.NewCache); tagOff is the offset of this cache's ways within
+	// each of its rows.
+	tags   *Tags
+	tagOff int
 }
 
 // New builds an empty cache with the given geometry. It panics on an invalid
@@ -144,11 +152,6 @@ func New(geom memory.Geometry) *Cache {
 
 // Geometry returns the cache's geometry.
 func (c *Cache) Geometry() memory.Geometry { return c.geom }
-
-func (c *Cache) set(a memory.Addr) []Line {
-	s := int((uint64(a) >> c.lineShift) & c.setMask)
-	return c.lines[s*c.ways : (s+1)*c.ways]
-}
 
 // Lookup returns the line whose tag matches a (valid or invalidated), or nil.
 // It does not update recency.
@@ -184,8 +187,9 @@ func (c *Cache) Probe(a memory.Addr) (line *Line, hit bool) {
 // already present in the set (for example an invalidated line being
 // re-fetched), that entry is reused and Eviction.HadTag is false.
 func (c *Cache) Allocate(a memory.Addr) (*Line, Eviction) {
-	tag := c.geom.LineNumber(a)
-	set := c.set(a)
+	tag := uint64(a) >> c.lineShift
+	si := int(tag & c.setMask)
+	set := c.lines[si*c.ways : (si+1)*c.ways]
 	victim := -1
 	for i := range set {
 		if set[i].tagValid && set[i].Tag == tag {
@@ -231,38 +235,21 @@ func (c *Cache) Allocate(a memory.Addr) (*Line, Eviction) {
 	l := &set[victim]
 	c.clock++
 	*l = Line{Tag: tag, tagValid: true, lru: c.clock, InvalidatingWord: NoInvalidatingWord}
+	if c.tags != nil {
+		c.tags.slots[si*c.tags.rowLen+c.tagOff+victim] = tag + 1
+	}
 	return l, ev
 }
 
-// Snoop applies a coherence-protocol transition to the line containing a, if
-// this cache holds it valid, and returns the line's prior state (Invalid when
-// it did not hold the line). next maps the held state to its post-snoop
-// state; internal/coherence supplies it per protocol and bus operation. When
-// the transition invalidates the line, the tag and word-access history are
-// kept and word is recorded as the invalidating word for false-sharing
-// classification (pass NoInvalidatingWord when no specific word applies).
-func (c *Cache) Snoop(a memory.Addr, word int, next func(State) State) State {
-	l := c.Lookup(a)
-	if l == nil || !l.State.Valid() {
-		return Invalid
-	}
-	prior := l.State
-	l.State = next(prior)
-	if l.State == Invalid {
-		if word >= 0 && word < 64 {
-			l.InvalidatingWord = int8(word)
-		} else {
-			l.InvalidatingWord = NoInvalidatingWord
-		}
-	}
-	return prior
-}
-
-// SnoopTable is Snoop with the transition supplied as a dense state table
-// instead of a function: next[s] is the post-snoop state of a copy held in
-// state s. It is the simulation kernel's hot snoop path — a table lookup
-// instead of an indirect call per resident copy — and is otherwise identical
-// to Snoop, including the invalidating-word bookkeeping.
+// SnoopTable applies a coherence-protocol transition to the line containing
+// a, if this cache holds it valid, and returns the line's prior state
+// (Invalid when it did not hold the line). next[s] is the post-snoop state of
+// a copy held in state s; internal/coherence supplies the transitions per
+// protocol and bus operation, flattened into a dense table so the kernel's
+// per-copy snoop is an index, not an indirect call. When the transition
+// invalidates the line, the tag and word-access history are kept and word is
+// recorded as the invalidating word for false-sharing classification (pass
+// NoInvalidatingWord when no specific word applies).
 func (c *Cache) SnoopTable(a memory.Addr, word int, next *[NumStates]State) State {
 	l := c.Lookup(a)
 	if l == nil || !l.State.Valid() {
@@ -287,7 +274,7 @@ func (c *Cache) SnoopTable(a memory.Addr, word int, next *[NumStates]State) Stat
 // classification. It returns the line's prior state (Invalid if the cache
 // did not hold it).
 func (c *Cache) SnoopInvalidate(a memory.Addr, word int) State {
-	return c.Snoop(a, word, func(State) State { return Invalid })
+	return c.SnoopTable(a, word, &invalidateAll)
 }
 
 // SnoopRead handles a remote read of the line containing a under a
@@ -295,13 +282,14 @@ func (c *Cache) SnoopInvalidate(a memory.Addr, word int) State {
 // downgraded to Shared; in the Illinois protocol the holding cache also
 // supplies the data. It returns the prior state.
 func (c *Cache) SnoopRead(a memory.Addr) State {
-	return c.Snoop(a, NoInvalidatingWord, func(s State) State {
-		if s == Exclusive || s == Modified {
-			return Shared
-		}
-		return s
-	})
+	return c.SnoopTable(a, NoInvalidatingWord, &downgradeOwned)
 }
+
+// The write-invalidate transitions behind SnoopInvalidate and SnoopRead.
+var (
+	invalidateAll  = [NumStates]State{}
+	downgradeOwned = [NumStates]State{Invalid, Shared, Shared, Shared, SharedMod}
+)
 
 // HoldsValid reports whether the cache currently holds a valid copy of the
 // line containing a.

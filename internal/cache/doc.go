@@ -8,7 +8,13 @@
 // state machine itself lives in internal/coherence (one Protocol
 // implementation per protocol), and the protocol's bus side (who supplies
 // data, when invalidations are posted) in internal/sim, which sees all
-// caches at once. Snoop applies a protocol-supplied transition; the
-// SnoopInvalidate and SnoopRead conveniences bake in the write-invalidate
-// transitions shared by Illinois and MSI.
+// caches at once. SnoopTable applies a protocol-supplied transition table
+// and is, beside Allocate, the one state-changing snoop primitive; the
+// SnoopInvalidate and SnoopRead conveniences call it with the
+// write-invalidate transitions shared by Illinois and MSI.
+//
+// Tags is a duplicate-tag array shared by a group of caches: the snoop
+// filter that lets the simulator send a bus operation only to the caches
+// holding its line. Allocate keeps it current, and it is exact — a holder
+// set names precisely the caches whose Lookup finds the line's tag.
 package cache

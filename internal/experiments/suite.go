@@ -199,6 +199,20 @@ func ParseMachine(memLatency int, protocol, prefetcher, fabric string, links int
 	return k.canonical(), err
 }
 
+// MaxScale bounds the trace-length multiplier a client's run or sweep may
+// ask for: 100 times the paper's trace lengths is about 10^7 references per
+// process, already hours of simulation for a full sweep.
+const MaxScale = 100
+
+// CheckScale rejects a client's trace-length multiplier outside
+// [0, MaxScale] (zero selects the default of 1), NaN included.
+func CheckScale(scale float64) error {
+	if !(scale >= 0 && scale <= MaxScale) {
+		return fmt.Errorf("scale %g outside [0, %d]", scale, MaxScale)
+	}
+	return nil
+}
+
 // CheckRange rejects a client's value outside [lo, hi], naming the field.
 // Values bound for a Key's int32 fields pass through it, so an out-of-range
 // value fails instead of aliasing another cell, and so do values that size

@@ -169,6 +169,11 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/sweeps", 400, `{"mem_latency":4294967396}`, "invalid_spec"},
 		{"/v1/sweeps", 400, `{"mem_latency":2147483698}`, "invalid_spec"},
 		{"/v1/sweeps", 400, `{"interconnect":"directory","buses":100000}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","scale":1e9}`, "invalid_spec"},
+		{"/v1/runs", 400, `{"workload":"mp3d","scale":-0.5}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"scale":1e9}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"scale":-1}`, "invalid_spec"},
+		{"/v1/sweeps", 400, `{"scale":0.05,"transfers":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]}`, "invalid_spec"},
 		{"/v1/runs", 413, strings.Repeat(" ", 2<<20) + `{"workload":"mp3d","scale":0.02}`, "body_too_large"},
 	}
 	for _, c := range cases {

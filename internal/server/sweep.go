@@ -20,14 +20,14 @@ import (
 // parameter surface of cmd/mkfigures, so a sweep served over HTTP and a
 // sweep run from the command line are the same computation.
 type SweepRequest struct {
-	// Scale multiplies trace lengths (0 = 1.0). Seed seeds the workload
-	// generators (0 = 1). MemLatency is the total memory latency (0 = the
-	// paper's 100).
+	// Scale multiplies trace lengths (0 = 1.0, at most experiments.MaxScale).
+	// Seed seeds the workload generators (0 = 1). MemLatency is the total
+	// memory latency (0 = the paper's 100).
 	Scale      float64 `json:"scale,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
 	MemLatency int     `json:"mem_latency,omitempty"`
-	// Transfers is the data-transfer sweep; empty selects the paper's
-	// {4, 8, 16, 24, 32}.
+	// Transfers is the data-transfer sweep, at most 16 values; empty
+	// selects the paper's {4, 8, 16, 24, 32}.
 	Transfers []int `json:"transfers,omitempty"`
 	// Protocol, Prefetcher, Interconnect, Buses and Discipline shape the
 	// machine every grid cell simulates, with the same names and defaults as
@@ -65,6 +65,10 @@ func (p sweepPlan) want(name string) bool {
 	return false
 }
 
+// maxTransfers caps a sweep's transfers list: every value multiplies the
+// grid, and the paper's sweep has five.
+const maxTransfers = 16
+
 // planSweep validates a request into a sweepPlan, defaulting names the way
 // mkfigures defaults its flags. Every validation failure is a 400 naming the
 // offending field.
@@ -73,8 +77,11 @@ func planSweep(req SweepRequest, opts Options) (sweepPlan, error) {
 	if err != nil {
 		return sweepPlan{}, err
 	}
-	if req.Scale < 0 {
-		return sweepPlan{}, fmt.Errorf("scale must be non-negative, got %g", req.Scale)
+	if err := experiments.CheckScale(req.Scale); err != nil {
+		return sweepPlan{}, err
+	}
+	if len(req.Transfers) > maxTransfers {
+		return sweepPlan{}, fmt.Errorf("transfers lists %d values, more than %d", len(req.Transfers), maxTransfers)
 	}
 	for _, t := range req.Transfers {
 		if t <= 0 {

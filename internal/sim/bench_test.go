@@ -16,7 +16,7 @@ import (
 // experiment cell (mp3d, PREF annotation, 8-cycle transfer) simulated end to
 // end, the unit of work every table and figure of the paper is assembled
 // from. The perf CI job gates on this benchmark regressing more than 10%
-// against bench/baseline.txt, and PERFORMANCE.md records its trajectory.
+// against the merge-base, and PERFORMANCE.md records its trajectory.
 //
 // The benchmark body is benchCell, a plain function; TestFullCellBodyMatchesSim
 // asserts in normal `go test` mode that it returns a Result byte-identical to
@@ -121,7 +121,7 @@ func drainCell(b *testing.B, src trace.Source) int {
 // the PREF oracle annotator in pooled fixed-size chunks and are drained at
 // the simulator's seam. This is the producer side every streamed simulation
 // rides on; the perf CI job gates on it regressing more than 10% against
-// bench/baseline.txt.
+// the merge-base.
 func BenchmarkStreamingCell(b *testing.B) {
 	src, _ := benchCellSource(b)
 	events := 0

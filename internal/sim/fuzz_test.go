@@ -1,11 +1,15 @@
 package sim_test
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 
+	"busprefetch/internal/bus"
 	"busprefetch/internal/coherence"
+	"busprefetch/internal/interconnect"
 	"busprefetch/internal/memory"
+	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
 	"busprefetch/internal/trace"
 )
@@ -29,37 +33,56 @@ func randomTrace(seed int64, procs, events, lines int) *trace.Trace {
 }
 
 // TestCoherenceFuzz runs randomized high-contention traces with the MESI
-// invariant checker enabled, across protocols, victim caches and prefetch
-// targets. This exact harness found a real grant-before-install ordering
-// bug in the bus during development; it stays as a regression net.
+// invariant checker enabled, across protocols, victim caches, prefetch
+// targets, cache geometries, fabrics, arbitration disciplines and online
+// engines. The checker also cross-checks the snoop filter at every snoop:
+// the duplicate tags must name exactly the caches a full scan finds holding
+// the line, so the variants cover every snoop path (fetch, invalidation,
+// update; data and victim caches; the prefetch buffer's full loop) and
+// masks wider than one byte. This exact harness found a real
+// grant-before-install ordering bug in the bus during development; it stays
+// as a regression net.
 func TestCoherenceFuzz(t *testing.T) {
 	iterations := 300
 	if testing.Short() {
 		iterations = 50
 	}
-	variants := []func(*sim.Config){
-		func(c *sim.Config) {},
-		func(c *sim.Config) { c.Protocol = coherence.MSI },
-		func(c *sim.Config) { c.VictimCacheLines = 4 },
-		func(c *sim.Config) { c.PrefetchTarget = sim.PrefetchToBuffer; c.StreamBufferLines = 4 },
-		func(c *sim.Config) { c.TransferCycles = 32 },
-		func(c *sim.Config) { c.Geometry = memory.Geometry{CacheSize: 2 * 32, LineSize: 32, Assoc: 1} },
+	tiny := memory.Geometry{CacheSize: 2 * 32, LineSize: 32, Assoc: 1}
+	variants := []struct {
+		procs, lines int // trace shape: 3 processors on 3 lines unless set
+		cfg          func(*sim.Config)
+	}{
+		{cfg: func(c *sim.Config) {}},
+		{cfg: func(c *sim.Config) { c.Protocol = coherence.MSI }},
+		{cfg: func(c *sim.Config) { c.VictimCacheLines = 4 }},
+		{cfg: func(c *sim.Config) { c.PrefetchTarget = sim.PrefetchToBuffer; c.StreamBufferLines = 4 }},
+		{cfg: func(c *sim.Config) { c.TransferCycles = 32 }},
+		{cfg: func(c *sim.Config) { c.Geometry = tiny }},
+		{cfg: func(c *sim.Config) { c.Protocol = coherence.Dragon }},
+		{cfg: func(c *sim.Config) { c.Protocol = coherence.Dragon; c.VictimCacheLines = 2; c.Geometry = tiny }},
+		{lines: 5, cfg: func(c *sim.Config) { c.Geometry = memory.Geometry{CacheSize: 4 * 32, LineSize: 32, Assoc: 2} }},
+		{cfg: func(c *sim.Config) { c.Geometry = memory.Geometry{CacheSize: 2 * 32, LineSize: 32, Assoc: 0} }},
+		{cfg: func(c *sim.Config) { c.Interconnect = interconnect.Config{Kind: interconnect.MultiBus, Links: 2} }},
+		{cfg: func(c *sim.Config) { c.Interconnect.Discipline = bus.FCFS }},
+		{cfg: func(c *sim.Config) { c.Online = prefetch.OnlineConfig{Kind: prefetch.Stride, Strategy: prefetch.PREF} }},
+		{procs: 9, cfg: func(c *sim.Config) {}},
 	}
 	for seed := 0; seed < iterations; seed++ {
-		tr := randomTrace(int64(seed), 3, 40, 3)
-		v := variants[seed%len(variants)]
+		vi := seed % len(variants)
+		v := variants[vi]
+		tr := randomTrace(int64(seed), cmp.Or(v.procs, 3), 40, cmp.Or(v.lines, 3))
 		c := sim.DefaultConfig()
-		v(&c)
+		v.cfg(&c)
 		c.CheckInvariants = true
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					t.Fatalf("seed %d variant %d: %v", seed, seed%len(variants), p)
+					t.Fatalf("seed %d variant %d: %v", seed, vi, p)
 				}
 			}()
 			res, err := sim.RunSource(c, trace.FromTrace(tr))
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d variant %d: %v", seed, vi, err)
 			}
 			// Conservation: every demand reference either hit or missed;
 			// misses never exceed references.

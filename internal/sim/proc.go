@@ -151,7 +151,7 @@ func newProc(s *simulator, id int) *proc {
 	p := &proc{
 		s:      s,
 		id:     id,
-		cache:  cache.New(s.cfg.Geometry),
+		cache:  s.tags.NewCache(id),
 		held:   make(map[memory.Addr]bool),
 		wasted: make(map[memory.Addr]bool),
 		online: s.cfg.Online.NewEngine(s.cfg.Geometry),
@@ -159,12 +159,8 @@ func newProc(s *simulator, id int) *proc {
 	p.runFn = p.run
 	p.wop.req.OnGrant = func(g uint64) { p.grantWriteOp(g) }
 	p.wop.req.OnComplete = func(t uint64) { p.completeWriteOp(t) }
-	if n := s.cfg.VictimCacheLines; n > 0 {
-		p.victim = cache.New(memory.Geometry{
-			CacheSize: n * s.cfg.Geometry.LineSize,
-			LineSize:  s.cfg.Geometry.LineSize,
-			Assoc:     0,
-		})
+	if s.victimTags != nil {
+		p.victim = s.victimTags.NewCache(id)
 	}
 	return p
 }

@@ -589,6 +589,11 @@ type simulator struct {
 	// paper's single bus.
 	ic    *interconnect.Fabric
 	procs []*proc
+	// tags and victimTags are the duplicate tags of the processors' data
+	// and victim caches (victimTags is nil without a victim cache): the
+	// snoop filter that lets a bus operation visit only the caches holding
+	// its line.
+	tags, victimTags *cache.Tags
 	// Lock and barrier state lives in dense slices; lockIdx/barrIdx resolve
 	// an object's address to its slot, registered lazily on first use
 	// (lockSlot/barrSlot). Lazy registration lets a replay run without a
@@ -834,6 +839,14 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 			rec.BusOccupiedLink(link, grant, occupancy, op.String(), class.String(), proc)
 		})
 	}
+	s.tags = cache.NewTags(cfg.Geometry, nprocs)
+	if n := cfg.VictimCacheLines; n > 0 {
+		s.victimTags = cache.NewTags(memory.Geometry{
+			CacheSize: n * cfg.Geometry.LineSize,
+			LineSize:  cfg.Geometry.LineSize,
+			Assoc:     0,
+		}, nprocs)
+	}
 	s.procs = make([]*proc, nprocs)
 	for i := range s.procs {
 		s.procs[i] = newProc(s, i)
@@ -931,6 +944,30 @@ func (s *simulator) run() (*Result, error) {
 	return res, nil
 }
 
+// snoopers returns the processors other than requester that a bus
+// operation on line la must visit, as a bit set over processor ids. The
+// duplicate tags name the processors whose data or victim cache holds la's
+// tag; a processor without the tag has nothing a snoop could change, so
+// iterating the set in ascending id order is the full loop over s.procs with
+// the no-op visits left out. The non-snooping prefetch buffer is the
+// exception: any remote bus operation drops a buffered copy, so in
+// PrefetchToBuffer mode every other processor is visited.
+func (s *simulator) snoopers(now uint64, requester int, la memory.Addr) uint64 {
+	if s.cfg.CheckInvariants {
+		s.checkSnoopFilter(now, la)
+	}
+	var mask uint64
+	if s.cfg.PrefetchTarget == PrefetchToBuffer {
+		mask = ^uint64(0) >> (64 - len(s.procs))
+	} else {
+		mask = s.tags.Holders(la)
+		if s.victimTags != nil {
+			mask |= s.victimTags.Holders(la)
+		}
+	}
+	return mask &^ (1 << uint(requester))
+}
+
 // snoopFetch performs the coherence actions of a fetch at its bus grant time
 // and reports whether any other cache held a valid copy (which the protocol's
 // FillState consults). Remote copies take the protocol's SnoopRead or — for
@@ -941,10 +978,8 @@ func (s *simulator) snoopFetch(now uint64, requester int, la memory.Addr, excl b
 	if excl {
 		next, w = &s.tab.snoopWrite, word
 	}
-	for _, p := range s.procs {
-		if p.id == requester {
-			continue
-		}
+	for m := s.snoopers(now, requester, la); m != 0; m &= m - 1 {
+		p := s.procs[bits.TrailingZeros64(m)]
 		if p.cache.SnoopTable(la, w, next) != cache.Invalid {
 			sharers = true
 			if s.rec != nil {
@@ -976,18 +1011,17 @@ func (s *simulator) observeSnoopKill(now uint64, p *proc, la memory.Addr) {
 // snoopInvalidate broadcasts an upgrade's invalidation: remote copies take
 // the protocol's SnoopWrite transition.
 func (s *simulator) snoopInvalidate(now uint64, requester int, la memory.Addr, word int) {
-	for _, p := range s.procs {
-		if p.id != requester {
-			if p.cache.SnoopTable(la, word, &s.tab.snoopWrite) != cache.Invalid {
-				if s.rec != nil {
-					s.observeSnoopKill(now, p, la)
-				}
+	for m := s.snoopers(now, requester, la); m != 0; m &= m - 1 {
+		p := s.procs[bits.TrailingZeros64(m)]
+		if p.cache.SnoopTable(la, word, &s.tab.snoopWrite) != cache.Invalid {
+			if s.rec != nil {
+				s.observeSnoopKill(now, p, la)
 			}
-			if p.victim != nil {
-				p.victim.SnoopTable(la, word, &s.tab.snoopWrite)
-			}
-			p.dropBuffered(la, now)
 		}
+		if p.victim != nil {
+			p.victim.SnoopTable(la, word, &s.tab.snoopWrite)
+		}
+		p.dropBuffered(la, now)
 	}
 }
 
@@ -998,10 +1032,8 @@ func (s *simulator) snoopInvalidate(now uint64, requester int, la memory.Addr, w
 // come) or takes the line exclusive. The non-snooping prefetch buffer still
 // drops its entry — it has no way to fold the new word in.
 func (s *simulator) snoopUpdate(now uint64, requester int, la memory.Addr) (sharers bool) {
-	for _, p := range s.procs {
-		if p.id == requester {
-			continue
-		}
+	for m := s.snoopers(now, requester, la); m != 0; m &= m - 1 {
+		p := s.procs[bits.TrailingZeros64(m)]
 		if p.cache.SnoopTable(la, int(cache.NoInvalidatingWord), &s.tab.snoopUpdate) != cache.Invalid {
 			sharers = true
 			s.c.UpdatesReceived++
@@ -1064,6 +1096,33 @@ func (s *simulator) arriveBarrier(id memory.Addr, p *proc, now uint64) (blocked 
 	}
 	s.eng.At(release, p.runFn)
 	return true
+}
+
+// checkSnoopFilter cross-checks the duplicate tags against the caches they
+// copy: the holder sets read from the tag arrays must equal a full scan of
+// tag presence (valid or invalidated) over every data and victim cache.
+// Enabled by Config.CheckInvariants; a difference fails the run with a
+// *check.Violation, since a snoop filter that misses a holder silently skips
+// a coherence action.
+func (s *simulator) checkSnoopFilter(now uint64, la memory.Addr) {
+	held := s.tags.Holders(la)
+	var victimHeld, scan, victimScan uint64
+	if s.victimTags != nil {
+		victimHeld = s.victimTags.Holders(la)
+	}
+	for _, p := range s.procs {
+		if p.cache.Lookup(la) != nil {
+			scan |= 1 << uint(p.id)
+		}
+		if p.victim != nil && p.victim.Lookup(la) != nil {
+			victimScan |= 1 << uint(p.id)
+		}
+	}
+	if scan != held || victimScan != victimHeld {
+		s.fail(&check.Violation{Cycle: now, Line: la, Rule: "snoop-filter", Detail: fmt.Sprintf(
+			"duplicate tags name caches %#x and victim caches %#x, a full scan finds %#x and %#x",
+			held, victimHeld, scan, victimScan)})
+	}
 }
 
 // checkLine verifies the active protocol's ownership invariants for one line
