@@ -284,11 +284,11 @@ func BenchmarkSimulator(b *testing.B) {
 }
 
 // BenchmarkObsOverhead measures the observability recorder's cost on the
-// BenchmarkSimulator workload at each recording level. "disabled" is the
-// default everywhere (the suite grid, the goldens, the bench report) and is
+// BenchmarkSimulator workload at each recording level. "disabled" is what
+// single runs pay (busprefetch.Run, prefetchsim, the server's runs) and is
 // required to stay within 2% of BenchmarkSimulator — the hot paths guard
-// every hook behind a nil check, and this benchmark is the regression gate
-// for that guarantee. Compare with:
+// every hook behind a nil check. "summary" is what every suite cell pays,
+// so CI gates it against the merge-base too. Compare with:
 //
 //	go test -bench 'BenchmarkSimulator$|BenchmarkObsOverhead' -count 10
 func BenchmarkObsOverhead(b *testing.B) {

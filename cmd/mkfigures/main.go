@@ -5,10 +5,11 @@
 //
 // The suite cells are independent simulations; they are sharded across a
 // bounded worker pool (-jobs) and reduced in canonical order, so stdout is
-// byte-identical for every worker count. -bench-out records the run's
-// wall-clock trajectory (per cell, total, trace-cache hit rate) as JSON for
-// cross-commit comparison; -metrics-out records the observability slice
-// (prefetch lifetimes, latency histograms, bus occupancy) the same way.
+// byte-identical for every worker count. -bench-out records the run's wall
+// clock (per cell, total, trace-cache hit rate) as JSON for inspecting one
+// run; comparing commits is perfbench's job (perfbench/README.md).
+// -metrics-out records the observability slice (prefetch lifetimes,
+// latency histograms, bus occupancy) as JSON.
 //
 // Usage:
 //
@@ -20,7 +21,7 @@
 //	mkfigures -interconnect multibus -buses 4 # the whole grid on a quad bus
 //	mkfigures -jobs 8         # shard cells across 8 workers
 //	mkfigures -out results.md # also write a Markdown report
-//	mkfigures -bench-out BENCH_suite.json  # record the perf trajectory
+//	mkfigures -bench-out bench.json  # per-cell wall clock of this run
 //	mkfigures -metrics-out METRICS_suite.json  # record prefetch-lifetime metrics
 //	mkfigures -trace-out mp3d.json -trace-cell mp3d/PREF/8  # Perfetto trace
 package main

@@ -26,7 +26,8 @@ const (
 	Prefetch
 	// Writeback requests drain dirty victims; nobody waits on them.
 	Writeback
-	numClasses
+	// NumClasses is the number of classes.
+	NumClasses
 )
 
 var classNames = []string{"demand", "prefetch", "writeback"}
@@ -49,7 +50,8 @@ const (
 	// to a shared line, carrying the address and one word of data instead of
 	// invalidating the remote copies.
 	OpUpdate
-	numOps
+	// NumOps is the number of ops.
+	NumOps
 )
 
 var opNames = []string{"fill", "invalidate", "writeback", "update"}
@@ -145,7 +147,7 @@ type Stats struct {
 	// BusyCycles is the total occupancy granted.
 	BusyCycles uint64
 	// Ops counts transactions by kind.
-	Ops [numOps]uint64
+	Ops [NumOps]uint64
 	// DemandGrants and PrefetchGrants split fills by the class they held at
 	// grant time.
 	DemandGrants   uint64
@@ -196,8 +198,8 @@ type Bus struct {
 	// class in submission order. occupied[class] has bit proc set exactly
 	// when that queue is non-empty, so arbitration skips empty classes and
 	// empty queues without touching them; npending is the total.
-	queues   [numClasses][]procQueue
-	occupied [numClasses]uint64
+	queues   [NumClasses][]procQueue
+	occupied [NumClasses]uint64
 	npending int
 
 	// attemptAt is the earliest outstanding grant-attempt event, or noAttempt.
@@ -268,9 +270,6 @@ func (b *Bus) SetObserver(fn Observer) { b.observer = fn }
 
 // Pending returns the number of requests awaiting a grant.
 func (b *Bus) Pending() int { return b.npending }
-
-// FreeAt returns the time the bus next becomes free.
-func (b *Bus) FreeAt() uint64 { return b.freeAt }
 
 // Submit queues a request. now is the current simulation time; the request's
 // Ready is clamped up to now. A nil, re-submitted, or zero-occupancy fill
@@ -460,7 +459,7 @@ func (b *Bus) pick(now uint64) (*Request, Class, int, int) {
 		return b.pickFCFS(now)
 	}
 	start := b.lastWin + 1
-	for c := Class(0); c < numClasses; c++ {
+	for c := Class(0); c < NumClasses; c++ {
 		for m := bits.RotateLeft64(b.occupied[c], -start); m != 0; m &= m - 1 {
 			p := (start + bits.TrailingZeros64(m)) & (maxProcs - 1)
 			for i, r := range b.queues[c][p] {
@@ -486,7 +485,7 @@ func (b *Bus) pickFCFS(now uint64) (*Request, Class, int, int) {
 		bestSeq  = ^uint64(0)
 		haveBest = false
 	)
-	for c := Class(0); c < numClasses; c++ {
+	for c := Class(0); c < NumClasses; c++ {
 		for m := b.occupied[c]; m != 0; m &= m - 1 {
 			p := bits.TrailingZeros64(m)
 			for i, r := range b.queues[c][p] {

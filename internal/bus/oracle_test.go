@@ -10,7 +10,7 @@ import (
 // linear round-robin walk, visiting every processor's queue of each class
 // starting just past the last winner, occupied or not.
 func linearPick(b *Bus, now uint64) (*Request, Class, int, int) {
-	for c := Class(0); c < numClasses; c++ {
+	for c := Class(0); c < NumClasses; c++ {
 		for k := 1; k <= b.nproc; k++ {
 			p := (b.lastWin + k) % b.nproc
 			for i, r := range b.queues[c][p] {
@@ -29,7 +29,7 @@ func linearPickFCFS(b *Bus, now uint64) (*Request, Class, int, int) {
 	var best *Request
 	var bc Class
 	var bp, bi int
-	for c := Class(0); c < numClasses; c++ {
+	for c := Class(0); c < NumClasses; c++ {
 		for p, q := range b.queues[c] {
 			for i, r := range q {
 				if r.Ready <= now && (best == nil || r.seq < best.seq) {
@@ -77,7 +77,7 @@ func TestPickMatchesLinearWalk(t *testing.T) {
 					r := &Request{
 						Ready:     s.now + uint64(rng.Intn(30)),
 						Occupancy: uint64(1 + rng.Intn(8)),
-						Class:     Class(rng.Intn(int(numClasses))),
+						Class:     Class(rng.Intn(int(NumClasses))),
 						Op:        OpFill,
 						Proc:      rng.Intn(nproc),
 					}
@@ -92,7 +92,7 @@ func TestPickMatchesLinearWalk(t *testing.T) {
 				default:
 					s.runUntil(s.now + uint64(rng.Intn(12)))
 				}
-				for c := Class(0); c < numClasses; c++ {
+				for c := Class(0); c < NumClasses; c++ {
 					for p, q := range b.queues[c] {
 						if bit := b.occupied[c]>>uint(p)&1 == 1; bit != (len(q) > 0) {
 							t.Fatalf("%v nproc %d step %d: occupied[%v] bit %d = %v with %d queued",

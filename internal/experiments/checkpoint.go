@@ -14,7 +14,7 @@ import (
 // Checkpointing persists completed cells through Config.Checkpoints so an
 // interrupted sweep (Ctrl-C, a crash, kill -9) resumes with only the
 // missing cells recomputed. Every cell of every section — grid, ablation,
-// recorded or ladder — takes the same path: one key format, the canonical
+// online or ladder — takes the same path: one key format, the canonical
 // Key spelled out field by field behind the run-wide spec and the build
 // revision, so any configuration or code change misses cleanly instead of
 // resurrecting stale data; and one payload, an all-integer JSON snapshot:
@@ -63,7 +63,7 @@ func (c Config) SpecString() string {
 // run-wide inputs a Key does not carry (salt, scale, seed), and the Key's
 // spelling.
 func (s *Suite) cellKey(k Key) string {
-	return fmt.Sprintf("busprefetch-cell/v2|build=%s|salt=%s|scale=%g|seed=%d|%s",
+	return fmt.Sprintf("busprefetch-cell/v3|build=%s|salt=%s|scale=%g|seed=%d|%s",
 		buildinfo.Revision(), s.cfg.Salt, s.cfg.Scale, s.cfg.Seed, k.SpecString())
 }
 
@@ -80,7 +80,7 @@ func (s *Suite) loadCheckpoint(k Key) (*sim.Result, bool) {
 		return nil, false
 	}
 	var snap snapshot
-	if json.Unmarshal(payload, &snap) != nil || (k.Record && snap.Obs == nil) {
+	if json.Unmarshal(payload, &snap) != nil || snap.Obs == nil {
 		return nil, false
 	}
 	cfg, _ := machine(k)

@@ -13,9 +13,11 @@
 // checkpoint store, the retry budget and the per-cell timeout. A section is
 // a key list plus a renderer, so cells that sections share (the grid cells
 // Figure 1, Table 2 and Figure 2 all read, the ablation rows on the paper's
-// machine, the observability cells the online oracle rows repeat) simulate
-// once. Runs are independent and execute in parallel across CPUs; results
-// are deterministic regardless of parallelism.
+// machine, the grid cells the observability slice and the online oracle
+// rows read) simulate once. Every suite cell carries its obs summary, so no
+// section simulates a cell again to record it. Runs are independent and
+// execute in parallel across CPUs; results are deterministic regardless of
+// parallelism.
 //
 // A Key is also the spec of every single simulation outside the suite:
 // Simulate is the one pipeline (Key, machine, the caller's configuration

@@ -20,10 +20,11 @@ import (
 // coverage/accuracy/timeliness taxonomy of the prefetching-survey
 // literature) and the distribution — not just the mean — of prefetch
 // latencies, per the service-discipline analyses of the related bus-modeling
-// work. Its cells are the grid's cells with the oracle prefetcher and Record
-// set: recording never changes a reported number, but the grid itself runs
-// unrecorded, so the main tables measure the machine the benchmark report
-// times.
+// work. Every suite cell carries its recorder's summary, and recording never
+// changes a reported number, so the slice's cells are plain cells on the
+// suite's machine with the oracle prefetcher: with the default Prefetcher
+// and T=8 in the sweep they are grid cells, and the slice simulates nothing
+// of its own.
 
 // ObsStrategies lists the prefetching strategies the observability section
 // profiles: every discipline that actually issues prefetches.
@@ -35,7 +36,7 @@ func ObsStrategies() []prefetch.Strategy {
 // the paper's headline T=8 point.
 const ObsTransfer = 8
 
-// ObsRow is one recorded cell's row: a (workload, strategy) pair's
+// ObsRow is one cell's row: a (workload, strategy) pair's
 // observability summary plus the demand-miss count its coverage metric
 // needs.
 type ObsRow struct {
@@ -53,7 +54,7 @@ func (r ObsRow) Label() string {
 	return fmt.Sprintf("%s/%s/%d", r.Workload, r.Strategy, r.Transfer)
 }
 
-// obsKeys returns the recorded slice — the Figure 3 workloads (or the given
+// obsKeys returns the slice — the Figure 3 workloads (or the given
 // ones) under ObsStrategies at ObsTransfer — in canonical (workload-major)
 // order, on the suite's machine with the oracle prefetcher.
 func (s *Suite) obsKeys(workloads []string) []Key {
@@ -64,7 +65,7 @@ func (s *Suite) obsKeys(workloads []string) []Key {
 	keys := make([]Key, 0, len(workloads)*len(strategies))
 	for _, wl := range workloads {
 		for _, st := range strategies {
-			k := s.onSuite(Key{Workload: wl, Strategy: st, Transfer: ObsTransfer, Record: true})
+			k := s.onSuite(Key{Workload: wl, Strategy: st, Transfer: ObsTransfer})
 			k.Prefetcher = prefetch.Oracle
 			keys = append(keys, k)
 		}
@@ -72,7 +73,7 @@ func (s *Suite) obsKeys(workloads []string) []Key {
 	return keys
 }
 
-// Observability runs the recorded slice on the suite's worker pool and
+// Observability runs the slice on the suite's worker pool and
 // returns its rows in canonical (workload-major) order. Recording is
 // deterministic, so the rows are byte-identical at any worker count.
 func (s *Suite) Observability(ctx context.Context, workloads []string) ([]ObsRow, error) {
@@ -109,7 +110,7 @@ func (s *Suite) RecordChromeTrace(label string, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("trace cell %q: bad transfer %q", label, parts[2])
 	}
-	k := s.onSuite(Key{Workload: parts[0], Strategy: strat, Transfer: transfer, Record: true})
+	k := s.onSuite(Key{Workload: parts[0], Strategy: strat, Transfer: transfer})
 	k.Prefetcher = prefetch.Oracle
 	_, rec, err := s.simulate(context.Background(), k, obs.Options{Spans: true})
 	if err != nil {
@@ -118,7 +119,7 @@ func (s *Suite) RecordChromeTrace(label string, w io.Writer) error {
 	return rec.WriteChromeTrace(w)
 }
 
-// MetricsCells converts recorded rows to the metrics-report form.
+// MetricsCells converts the slice's rows to the metrics-report form.
 func MetricsCells(rows []ObsRow) []runner.CellMetrics {
 	out := make([]runner.CellMetrics, len(rows))
 	for i, r := range rows {

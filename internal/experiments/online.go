@@ -19,8 +19,10 @@ import (
 // annotation, at the paper's cheap (T=8) and expensive (T=32) bus points,
 // with the obs recorder classifying every prefetch's fate. Its rows run on
 // the grid's machine and normalize against the grid's own NP cells, so the
-// relative times read off the same ruler as Figure 2 (the oracle rows at
-// T=8 are the observability slice's PREF cells).
+// relative times read off the same ruler as Figure 2. With the default
+// Prefetcher the oracle rows are grid PREF cells wherever the grid sweeps
+// their transfer (at T=8, the observability slice's too), so only the
+// engine rows simulate.
 
 // OnlineTransfers lists the data-transfer costs the online section sweeps:
 // the paper's headline T=8 point and the bus-saturated T=32 extreme, where
@@ -62,7 +64,7 @@ func (r OnlineRow) RelativeTime() float64 {
 	return float64(r.Cycles) / float64(r.NPCycles)
 }
 
-// onlineKeys returns the sweep's n recorded cells — the Figure 3 workloads
+// onlineKeys returns the sweep's n cells — the Figure 3 workloads
 // (or the given ones) under every prefetcher kind at OnlineTransfers (or the
 // given transfers), in canonical (workload-major, then kind, then transfer)
 // order, each running PREF on the suite's machine — followed by the n grid
@@ -80,7 +82,7 @@ func (s *Suite) onlineKeys(workloads []string, transfers []int) []Key {
 	for _, wl := range workloads {
 		for _, kind := range kinds {
 			for _, tr := range transfers {
-				k := s.onSuite(Key{Workload: wl, Strategy: prefetch.PREF, Transfer: tr, Record: true})
+				k := s.onSuite(Key{Workload: wl, Strategy: prefetch.PREF, Transfer: tr})
 				k.Prefetcher = kind
 				keys = append(keys, k)
 			}

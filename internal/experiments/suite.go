@@ -29,11 +29,12 @@ import (
 //
 //   - the grid (Figures 1-3, Tables 2-5, and the online section's NP
 //     baselines) runs on MemLatency, Protocol, Prefetcher and Interconnect;
-//   - the recorded cells (the observability slice, the online rows and the
-//     -trace-cell export) run on MemLatency, Protocol and Interconnect, so
-//     they measure the same machine as the grid cells they sit beside; the
-//     observability slice and the export record the oracle prefetcher, and
-//     the online section sweeps prefetchers itself;
+//   - the observability slice, the online rows and the -trace-cell export
+//     run on MemLatency, Protocol and Interconnect, so they measure the
+//     same machine as the grid cells they sit beside; the observability
+//     slice and the export take the oracle prefetcher (with the default
+//     Prefetcher they are grid cells), and the online section sweeps
+//     prefetchers itself;
 //   - the interconnect ladder runs on MemLatency and Protocol and sweeps its
 //     own fabrics, with the oracle prefetcher;
 //   - the ablations and protocols sections run on the paper's machine and
@@ -128,9 +129,6 @@ type Key struct {
 	Strategy     prefetch.Strategy
 	Transfer     int
 	Restructured bool
-	// Record attaches an obs recorder to the run; the result then carries
-	// its summary (sim.Result.Obs).
-	Record bool
 	// Buffer prefetches into the non-snooping FIFO buffer of §3.1
 	// (sim.PrefetchToBuffer) and annotates with ExcludeWriteShared, since
 	// the buffer cannot hold write-shared data.
@@ -169,8 +167,8 @@ func (k Key) canonical() Key {
 func (k Key) SpecString() string {
 	k = k.canonical()
 	g := k.Geometry
-	return fmt.Sprintf("wl=%s|strat=%s|t=%d|restr=%t|rec=%t|buf=%t|pf=%s|proto=%s|ic=%s|mem=%d|geom=%d/%d/%d|victim=%d|dist=%d",
-		k.Workload, k.Strategy, k.Transfer, k.Restructured, k.Record, k.Buffer, k.Prefetcher, k.Protocol,
+	return fmt.Sprintf("wl=%s|strat=%s|t=%d|restr=%t|buf=%t|pf=%s|proto=%s|ic=%s|mem=%d|geom=%d/%d/%d|victim=%d|dist=%d",
+		k.Workload, k.Strategy, k.Transfer, k.Restructured, k.Buffer, k.Prefetcher, k.Protocol,
 		k.Fabric.String(), k.MemLatency, g.CacheSize, g.LineSize, g.Assoc, k.VictimLines, k.Distance)
 }
 
@@ -254,9 +252,6 @@ func (k Key) String() string {
 	}
 	if k.Distance != 0 {
 		s += fmt.Sprintf(" dist=%d", k.Distance)
-	}
-	if k.Record {
-		s += " recorded"
 	}
 	return s
 }
@@ -377,8 +372,9 @@ func machine(k Key) (sim.Config, prefetch.Options) {
 
 // simulate runs one uncached attempt at k through Simulate, with the
 // suite's own lookups: the cached source of k's workload variant, the
-// memoized sharing profile, and PerRun. When k records, the recorder is
-// built with rec and returned beside the result.
+// memoized sharing profile, and PerRun. Every suite cell records: the
+// recorder is built with rec and returned beside the result, whose Obs
+// carries its summary.
 func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Result, *obs.Recorder, error) {
 	// The trace is generated at the cell's own geometry so the layouts
 	// (conflict-pair placement, padding) stay consistent with the simulated
@@ -393,10 +389,8 @@ func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Resu
 		if s.cfg.PerRun != nil {
 			s.cfg.PerRun(k, cfg)
 		}
-		if k.Record {
-			recorder = obs.New(src.Procs(), rec)
-			cfg.Obs = recorder
-		}
+		recorder = obs.New(src.Procs(), rec)
+		cfg.Obs = recorder
 	}, func(g memory.Geometry) (*trace.SharingProfile, error) {
 		// Memoized per (trace, geometry), so the cells that share the
 		// whole-stream pre-pass analyze once.
@@ -667,12 +661,6 @@ var (
 	restructuredWorkloads  = []string{"topopt", "pverify"}
 	restructuredStrategies = []prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.PWS}
 )
-
-// RestructuredKeys returns the runs Tables 4 and 5 need.
-func (s *Suite) RestructuredKeys() []Key {
-	keys := make([]Key, 0, len(restructuredWorkloads)*len(restructuredStrategies)*len(s.cfg.Transfers))
-	return s.appendGrid(keys, restructuredWorkloads, restructuredStrategies, true)
-}
 
 // appendGrid appends the workloads x strategies x transfers grid on the
 // suite's machine to keys.

@@ -579,13 +579,3 @@ func RenderTable5(rows []Table5Row, transfers []int) string {
 	}
 	return renderPivot("Table 5: Relative execution times for restructured programs", "T=%d", transfers, cells)
 }
-
-// SharingSummary summarizes a workload's sharing profile (supporting data
-// for Table 1 and DESIGN.md).
-func (s *Suite) SharingSummary(name string) (trace.Stats, error) {
-	src, _, err := s.sourceFor(context.Background(), name, false, memory.Geometry{})
-	if err != nil {
-		return trace.Stats{}, err
-	}
-	return trace.SummarizeSource(src, memory.DefaultGeometry())
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"busprefetch/internal/bus"
 )
 
 // TestChromeTraceValidates decodes the exported JSON back through the Trace
@@ -13,8 +15,8 @@ func TestChromeTraceValidates(t *testing.T) {
 	r := New(2, Options{Spans: true})
 	r.Wait(0, PhaseMemWait, 10, 110)
 	r.Wait(1, PhaseLockWait, 5, 50)
-	r.BusOccupied(10, 8, "fill", "demand", 0)
-	r.BusOccupied(30, 2, "invalidate", "demand", 1)
+	r.BusOccupied(0, 10, 8, bus.OpFill, bus.Demand, 0)
+	r.BusOccupied(0, 30, 2, bus.OpInvalidate, bus.Demand, 1)
 	r.ProcFinished(0, 200)
 	r.ProcFinished(1, 200)
 	r.Finish(200)

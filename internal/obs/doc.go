@@ -22,6 +22,13 @@
 // recorder only observes times the simulator already computed — so enabling
 // it cannot change a single reported number.
 //
+// A summary-only recorder, which the experiment suite attaches to every
+// cell, allocates a fixed handful of objects per run, not per event (guarded
+// by TestSummaryRecordingAllocationsBounded): bus grants count into a dense
+// (link, op, class) array, each processor's open prefetch lifetimes live by
+// value in an open-addressed table, and the string-keyed Summary is built
+// once, at the end.
+//
 // Latency distributions use fixed bucket edges (LatencyBuckets, SlackBuckets)
 // so serialized summaries are deterministic across runs, worker counts, and
 // platforms.

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+
+	"busprefetch/internal/bus"
 )
 
 // Phase is a processor activity class for span recording.
@@ -99,7 +102,10 @@ func NewHistogram(edges []uint64) Histogram {
 
 // Observe adds one sample.
 func (h *Histogram) Observe(v uint64) {
-	i := sort.Search(len(h.Edges), func(i int) bool { return h.Edges[i] >= v })
+	i := 0
+	for i < len(h.Edges) && h.Edges[i] < v {
+		i++
+	}
 	h.Counts[i]++
 	h.Samples++
 	h.Sum += v
@@ -162,22 +168,111 @@ type Span struct {
 // distinct from (and sort before) processor tracks.
 const BusTrack = -1
 
-// lifetime is one in-progress prefetch being tracked.
+// lifetime is one open prefetch lifetime, held by value in its
+// processor's table.
 type lifetime struct {
-	issue, grant, fill uint64
-	granted, filled    bool
+	la          uint64
+	issue, fill uint64
+	live        bool
+	granted     bool
+	filled      bool
 	// merged is set when a demand access caught the prefetch in flight.
 	merged bool
 }
 
+// lifetimeTable maps line addresses to a processor's open lifetimes: an
+// open-addressed table with linear probing, kept at most half full, so
+// opening and closing a lifetime allocates nothing once the table has
+// grown to the processor's peak.
+type lifetimeTable struct {
+	slots []lifetime
+	shift uint // 64 - log2(len(slots))
+	n     int
+}
+
+// home returns la's preferred slot (Fibonacci hashing).
+func (t *lifetimeTable) home(la uint64) int {
+	return int((la * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// slot returns la's slot, or the empty slot that ends its probe run.
+func (t *lifetimeTable) slot(la uint64) int {
+	mask := len(t.slots) - 1
+	i := t.home(la)
+	for t.slots[i].live && t.slots[i].la != la {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns la's slot index, or -1.
+func (t *lifetimeTable) find(la uint64) int {
+	if t.n == 0 {
+		return -1
+	}
+	if i := t.slot(la); t.slots[i].live {
+		return i
+	}
+	return -1
+}
+
+// open starts a lifetime for la issued at issue, replacing any lifetime
+// already open for la. A table about to pass half full doubles first (16
+// slots at the start).
+func (t *lifetimeTable) open(la, issue uint64) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]lifetime, max(2*len(old), 16))
+		t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+		for _, lt := range old {
+			if lt.live {
+				t.slots[t.slot(lt.la)] = lt
+			}
+		}
+	}
+	i := t.slot(la)
+	if !t.slots[i].live {
+		t.n++
+	}
+	t.slots[i] = lifetime{la: la, issue: issue, live: true}
+}
+
+// remove empties slot i, shifting back any later lifetime of the same
+// probe run whose home slot the hole now separates it from.
+func (t *lifetimeTable) remove(i int) {
+	t.n--
+	mask := len(t.slots) - 1
+	for j := i; ; {
+		t.slots[i].live = false
+		for {
+			j = (j + 1) & mask
+			if !t.slots[j].live {
+				return
+			}
+			// The lifetime at j stays put when its home lies cyclically
+			// in (i, j].
+			k := t.home(t.slots[j].la)
+			if (i <= j && (i < k && k <= j)) || (i > j && (k <= j || i < k)) {
+				continue
+			}
+			t.slots[i] = t.slots[j]
+			i = j
+			break
+		}
+	}
+}
+
 // procObs is the per-processor recording state.
 type procObs struct {
-	// pending tracks outstanding prefetch lifetimes by line address.
-	pending map[uint64]*lifetime
+	// pending holds outstanding prefetch lifetimes by line address.
+	pending lifetimeTable
 	// lastSpanEnd is where the processor's previous span ended; the gap up
 	// to a wait's start is recorded as compute.
 	lastSpanEnd uint64
 }
+
+// busCounts is one link's grant counters, by op and arbitration class.
+type busCounts [bus.NumOps][bus.NumClasses]BusOpCount
 
 // BusOpCount aggregates one bus operation kind's grants and occupancy.
 type BusOpCount struct {
@@ -268,7 +363,7 @@ type Recorder struct {
 	issFill   Histogram
 	fillUse   Histogram
 
-	busOps map[string]BusOpCount
+	busOps []busCounts
 
 	phaseCycles [NumPhases]uint64
 
@@ -286,29 +381,29 @@ type Options struct {
 
 // New creates a recorder for a run with the given processor count.
 func New(procs int, opt Options) *Recorder {
-	r := &Recorder{
+	return &Recorder{
 		withSpans: opt.Spans,
 		procs:     make([]procObs, procs),
 		issGrant:  NewHistogram(LatencyBuckets),
 		issFill:   NewHistogram(LatencyBuckets),
 		fillUse:   NewHistogram(SlackBuckets),
-		busOps:    make(map[string]BusOpCount),
 	}
-	for i := range r.procs {
-		r.procs[i].pending = make(map[uint64]*lifetime)
-	}
-	return r
 }
 
 // Enabled reports whether the recorder is live (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// pend returns the pending lifetime for (proc, la), or nil.
-func (r *Recorder) pend(proc int, la uint64) *lifetime {
+// pend returns the pending lifetime for (proc, la) and its slot, or nil.
+func (r *Recorder) pend(proc int, la uint64) (*lifetime, int) {
 	if proc < 0 || proc >= len(r.procs) {
-		return nil
+		return nil, -1
 	}
-	return r.procs[proc].pending[la]
+	t := &r.procs[proc].pending
+	i := t.find(la)
+	if i < 0 {
+		return nil, -1
+	}
+	return &t.slots[i], i
 }
 
 // PrefetchIssued opens a lifetime: a prefetch for line la left proc's issue
@@ -317,7 +412,7 @@ func (r *Recorder) PrefetchIssued(proc int, la uint64, now uint64) {
 	if r == nil || proc < 0 || proc >= len(r.procs) {
 		return
 	}
-	r.procs[proc].pending[la] = &lifetime{issue: now}
+	r.procs[proc].pending.open(la, now)
 }
 
 // PrefetchGranted marks the lifetime's bus grant.
@@ -325,8 +420,8 @@ func (r *Recorder) PrefetchGranted(proc int, la uint64, now uint64) {
 	if r == nil {
 		return
 	}
-	if lt := r.pend(proc, la); lt != nil && !lt.granted {
-		lt.grant, lt.granted = now, true
+	if lt, _ := r.pend(proc, la); lt != nil && !lt.granted {
+		lt.granted = true
 		r.issGrant.Observe(now - lt.issue)
 	}
 }
@@ -337,7 +432,7 @@ func (r *Recorder) PrefetchMerged(proc int, la uint64, now uint64) {
 	if r == nil {
 		return
 	}
-	if lt := r.pend(proc, la); lt != nil {
+	if lt, _ := r.pend(proc, la); lt != nil {
 		lt.merged = true
 	}
 }
@@ -349,17 +444,17 @@ func (r *Recorder) PrefetchFilled(proc int, la uint64, now uint64) {
 	if r == nil {
 		return
 	}
-	lt := r.pend(proc, la)
+	lt, i := r.pend(proc, la)
 	if lt == nil || lt.filled {
 		return
 	}
 	lt.fill, lt.filled = now, true
 	r.issFill.Observe(now - lt.issue)
-	if lt.merged {
-		r.close(proc, la, LifeLate)
-	}
 	if r.withSpans {
 		r.spans = append(r.spans, Span{Name: "prefetch-inflight", Track: proc, Start: lt.issue, End: now})
+	}
+	if lt.merged {
+		r.close(proc, i, LifeLate)
 	}
 }
 
@@ -369,9 +464,9 @@ func (r *Recorder) PrefetchFirstUse(proc int, la uint64, now uint64) {
 	if r == nil {
 		return
 	}
-	if lt := r.pend(proc, la); lt != nil && lt.filled {
+	if lt, i := r.pend(proc, la); lt != nil && lt.filled {
 		r.fillUse.Observe(now - lt.fill)
-		r.close(proc, la, LifeUseful)
+		r.close(proc, i, LifeUseful)
 	}
 }
 
@@ -381,8 +476,8 @@ func (r *Recorder) PrefetchEvicted(proc int, la uint64, now uint64) {
 	if r == nil {
 		return
 	}
-	if lt := r.pend(proc, la); lt != nil && lt.filled {
-		r.close(proc, la, LifeEvicted)
+	if lt, i := r.pend(proc, la); lt != nil && lt.filled {
+		r.close(proc, i, LifeEvicted)
 	}
 }
 
@@ -392,14 +487,15 @@ func (r *Recorder) PrefetchInvalidated(proc int, la uint64, now uint64) {
 	if r == nil {
 		return
 	}
-	if lt := r.pend(proc, la); lt != nil && lt.filled {
-		r.close(proc, la, LifeInvalidated)
+	if lt, i := r.pend(proc, la); lt != nil && lt.filled {
+		r.close(proc, i, LifeInvalidated)
 	}
 }
 
-// close retires a pending lifetime into its class counter.
-func (r *Recorder) close(proc int, la uint64, c LifetimeClass) {
-	delete(r.procs[proc].pending, la)
+// close retires the pending lifetime in proc's slot i into its class
+// counter.
+func (r *Recorder) close(proc, i int, c LifetimeClass) {
+	r.procs[proc].pending.remove(i)
 	r.lifetimes[c]++
 }
 
@@ -441,36 +537,23 @@ func (r *Recorder) ProcFinished(proc int, finish uint64) {
 	}
 }
 
-// BusOccupied records one bus grant: the resource is held for
+// BusOccupied records one bus grant: link's resource is held for
 // [grant, grant+occupancy) by proc's op transaction of the given
-// arbitration class.
-func (r *Recorder) BusOccupied(grant, occupancy uint64, op, class string, proc int) {
-	r.BusOccupiedLink(0, grant, occupancy, op, class, proc)
-}
-
-// BusOccupiedLink is BusOccupied on a multi-link interconnect: link 0 records
-// exactly as BusOccupied does (so single-bus recordings are byte-identical to
-// the pre-seam recorder), and higher links get "@link"-suffixed op keys and
-// their own occupancy track (BusTrack-link).
-func (r *Recorder) BusOccupiedLink(link int, grant, occupancy uint64, op, class string, proc int) {
+// arbitration class. Link 0 is the single bus; a multi-link
+// interconnect's higher links get "@link"-suffixed op keys in the summary
+// and their own occupancy track (BusTrack-link).
+func (r *Recorder) BusOccupied(link int, grant, occupancy uint64, op bus.Op, class bus.Class, proc int) {
 	if r == nil {
 		return
 	}
-	key := op
-	if op == "fill" {
-		key = op + "/" + class
+	for link >= len(r.busOps) {
+		r.busOps = append(r.busOps, busCounts{})
 	}
-	track := BusTrack
-	if link > 0 {
-		key = fmt.Sprintf("%s@%d", key, link)
-		track = BusTrack - link
-	}
-	c := r.busOps[key]
+	c := &r.busOps[link][op][class]
 	c.Grants++
 	c.Cycles += occupancy
-	r.busOps[key] = c
 	if r.withSpans {
-		r.spans = append(r.spans, Span{Name: op, Track: track, Start: grant, End: grant + occupancy, Detail: class})
+		r.spans = append(r.spans, Span{Name: op.String(), Track: BusTrack - link, Start: grant, End: grant + occupancy, Detail: class.String()})
 	}
 }
 
@@ -484,8 +567,8 @@ func (r *Recorder) Finish(end uint64) {
 	r.endAt = end
 	for i := range r.procs {
 		p := &r.procs[i]
-		r.lifetimes[LifeUnused] += uint64(len(p.pending))
-		p.pending = nil
+		r.lifetimes[LifeUnused] += uint64(p.pending.n)
+		p.pending = lifetimeTable{}
 	}
 }
 
@@ -518,7 +601,7 @@ func (r *Recorder) Summary() *Summary {
 		IssueToGrant: r.issGrant,
 		IssueToFill:  r.issFill,
 		FillToUse:    r.fillUse,
-		BusOps:       make(map[string]BusOpCount, len(r.busOps)),
+		BusOps:       make(map[string]BusOpCount),
 		PhaseCycles:  make(map[string]uint64, NumPhases),
 	}
 	for c := LifetimeClass(0); c < NumLifetimeClasses; c++ {
@@ -526,8 +609,28 @@ func (r *Recorder) Summary() *Summary {
 			s.Lifetimes[c.String()] = r.lifetimes[c]
 		}
 	}
-	for k, v := range r.busOps {
-		s.BusOps[k] = v
+	// Fills split by arbitration class ("fill/demand"); other ops sum
+	// their classes.
+	for link := range r.busOps {
+		for op := bus.Op(0); op < bus.NumOps; op++ {
+			for class := bus.Class(0); class < bus.NumClasses; class++ {
+				c := r.busOps[link][op][class]
+				if c.Grants == 0 {
+					continue
+				}
+				key := op.String()
+				if op == bus.OpFill {
+					key += "/" + class.String()
+				}
+				if link > 0 {
+					key = fmt.Sprintf("%s@%d", key, link)
+				}
+				sum := s.BusOps[key]
+				sum.Grants += c.Grants
+				sum.Cycles += c.Cycles
+				s.BusOps[key] = sum
+			}
+		}
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		if r.phaseCycles[p] > 0 {

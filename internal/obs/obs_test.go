@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"math/rand"
 	"testing"
+
+	"busprefetch/internal/bus"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -18,7 +21,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.PrefetchInvalidated(0, 1, 8)
 	r.Wait(0, PhaseMemWait, 1, 5)
 	r.ProcFinished(0, 10)
-	r.BusOccupied(1, 8, "fill", "demand", 0)
+	r.BusOccupied(0, 1, 8, bus.OpFill, bus.Demand, 0)
 	r.Finish(10)
 	if got := r.Spans(); got != nil {
 		t.Fatalf("nil recorder spans = %v", got)
@@ -42,7 +45,7 @@ func TestDisabledRecorderAllocatesNothing(t *testing.T) {
 		r.PrefetchEvicted(0, 1, 7)
 		r.PrefetchInvalidated(0, 1, 8)
 		r.Wait(0, PhaseMemWait, 1, 5)
-		r.BusOccupied(1, 8, "fill", "demand", 0)
+		r.BusOccupied(0, 1, 8, bus.OpFill, bus.Demand, 0)
 		r.Finish(10)
 	})
 	if allocs != 0 {
@@ -207,13 +210,26 @@ func TestWaitAttributesComputeGaps(t *testing.T) {
 
 func TestBusOccupiedAggregates(t *testing.T) {
 	r := New(1, Options{Spans: true})
-	r.BusOccupied(10, 8, "fill", "demand", 0)
-	r.BusOccupied(20, 8, "fill", "prefetch", 0)
-	r.BusOccupied(30, 8, "fill", "demand", 0)
-	r.BusOccupied(40, 2, "invalidate", "demand", 0)
-	r.BusOccupied(50, 8, "writeback", "writeback", 0)
+	r.BusOccupied(0, 10, 8, bus.OpFill, bus.Demand, 0)
+	r.BusOccupied(0, 20, 8, bus.OpFill, bus.Prefetch, 0)
+	r.BusOccupied(0, 30, 8, bus.OpFill, bus.Demand, 0)
+	r.BusOccupied(0, 40, 2, bus.OpInvalidate, bus.Demand, 0)
+	r.BusOccupied(0, 50, 8, bus.OpWriteback, bus.Writeback, 0)
+	// Link 2 of a multi-link fabric: its own keys and track.
+	r.BusOccupied(2, 60, 8, bus.OpFill, bus.Prefetch, 0)
+	r.BusOccupied(2, 70, 2, bus.OpInvalidate, bus.Demand, 0)
+	r.BusOccupied(2, 80, 2, bus.OpInvalidate, bus.Prefetch, 0)
 	r.Finish(100)
 	s := r.Summary()
+	if len(s.BusOps) != 6 {
+		t.Errorf("BusOps = %v, want 6 keys", s.BusOps)
+	}
+	if c := s.BusOps["fill/prefetch@2"]; c.Grants != 1 || c.Cycles != 8 {
+		t.Errorf("fill/prefetch@2 = %+v, want 1 grant / 8 cycles", c)
+	}
+	if c := s.BusOps["invalidate@2"]; c.Grants != 2 || c.Cycles != 4 {
+		t.Errorf("invalidate@2 = %+v, want 2 grants / 4 cycles", c)
+	}
 	if c := s.BusOps["fill/demand"]; c.Grants != 2 || c.Cycles != 16 {
 		t.Errorf("fill/demand = %+v, want 2 grants / 16 cycles", c)
 	}
@@ -226,21 +242,47 @@ func TestBusOccupiedAggregates(t *testing.T) {
 	if c := s.BusOps["writeback"]; c.Grants != 1 || c.Cycles != 8 {
 		t.Errorf("writeback = %+v", c)
 	}
-	var busSpans int
+	tracks := map[int]int{}
 	for _, sp := range r.Spans() {
-		if sp.Track == BusTrack {
-			busSpans++
-		}
+		tracks[sp.Track]++
 	}
-	if busSpans != 5 {
-		t.Errorf("bus spans = %d, want 5", busSpans)
+	if tracks[BusTrack] != 5 || tracks[BusTrack-2] != 3 {
+		t.Errorf("bus spans per track = %v, want 5 on BusTrack and 3 on BusTrack-2", tracks)
+	}
+}
+
+// TestLifetimeTableMatchesMap drives a processor's lifetime table and a
+// map with the same random opens and removals on a few colliding line
+// addresses: every lookup must agree, through growth and the backward
+// shifts removal makes.
+func TestLifetimeTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tab lifetimeTable
+	ref := map[uint64]uint64{}
+	for step := uint64(0); step < 20000; step++ {
+		la := uint64(rng.Intn(64)) * 32
+		if rng.Intn(3) == 0 {
+			tab.open(la, step)
+			ref[la] = step
+		} else if i := tab.find(la); i >= 0 {
+			tab.remove(i)
+			delete(ref, la)
+		}
+		if tab.n != len(ref) {
+			t.Fatalf("step %d: table holds %d lifetimes, map %d", step, tab.n, len(ref))
+		}
+		for k, issue := range ref {
+			if i := tab.find(k); i < 0 || tab.slots[i].issue != issue {
+				t.Fatalf("step %d: line %#x lost or stale (slot %d)", step, k, i)
+			}
+		}
 	}
 }
 
 func TestSummaryOnlyModeKeepsNoSpans(t *testing.T) {
 	r := New(1, Options{})
 	r.Wait(0, PhaseMemWait, 10, 110)
-	r.BusOccupied(10, 8, "fill", "demand", 0)
+	r.BusOccupied(0, 10, 8, bus.OpFill, bus.Demand, 0)
 	r.PrefetchIssued(0, 100, 10)
 	r.PrefetchGranted(0, 100, 105)
 	r.PrefetchFilled(0, 100, 113)

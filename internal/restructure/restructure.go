@@ -147,6 +147,3 @@ func (m *Mapper) Size() int { return m.size }
 
 // Count returns the number of records.
 func (m *Mapper) Count() int { return m.count }
-
-// RecordSize returns the record size in bytes.
-func (m *Mapper) RecordSize() int { return m.recSize }

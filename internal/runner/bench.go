@@ -19,8 +19,9 @@ type CellTime struct {
 
 // BenchReport records one suite run's performance trajectory: what ran, how
 // wide, how long, and how well the trace cache deduplicated generation work.
-// Comparing reports across commits (or across -jobs values on the same
-// commit) is the repo's perf regression signal.
+// mkfigures -bench-out writes it and perfbench reads its pool and
+// trace-cache counters; comparing commits is perfbench's job, in paired
+// runs on one host.
 type BenchReport struct {
 	Schema string `json:"schema"`
 	// Scale and Seed identify the suite configuration measured.

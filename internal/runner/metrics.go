@@ -37,7 +37,7 @@ type CellFailure struct {
 }
 
 // MetricsReport is the per-cell observability companion to BenchReport,
-// written alongside BENCH_suite.json by mkfigures -metrics-out. Where the
+// written by mkfigures -metrics-out. Where the
 // bench report answers "how long did each cell take to simulate", this one
 // answers "what did the machine do during each cell" — lifetime-class
 // shares, issue→grant/issue→fill/fill→use distributions, bus occupancy by

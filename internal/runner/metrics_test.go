@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"busprefetch/internal/bus"
 	"busprefetch/internal/obs"
 )
 
@@ -16,7 +17,7 @@ func sampleSummary() *obs.Summary {
 	r.PrefetchFilled(0, 0x1000, 113)
 	r.PrefetchFirstUse(0, 0x1000, 150)
 	r.PrefetchIssued(1, 0x2000, 20)
-	r.BusOccupied(105, 8, "fill", "prefetch", 0)
+	r.BusOccupied(0, 105, 8, bus.OpFill, bus.Prefetch, 0)
 	r.Wait(0, obs.PhaseMemWait, 10, 113)
 	r.Finish(500)
 	return r.Summary()

@@ -222,7 +222,7 @@ func runKey(spec busprefetch.RunSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("busprefetch-run/v2|build=%s|%s", buildinfo.Revision(), s), nil
+	return fmt.Sprintf("busprefetch-run/v3|build=%s|%s", buildinfo.Revision(), s), nil
 }
 
 // computeRun executes one RunSpec and returns the canonical result JSON.

@@ -4,8 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"busprefetch/internal/bus"
+	"busprefetch/internal/coherence"
+	"busprefetch/internal/interconnect"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/obs"
+	"busprefetch/internal/prefetch"
 	"busprefetch/internal/sim"
 	"busprefetch/internal/trace"
 )
@@ -29,23 +33,45 @@ func obsRun(t *testing.T, c sim.Config, opt obs.Options, streams ...trace.Stream
 	pc.Obs, rc.Obs = nil, nil
 	if !reflect.DeepEqual(pc, rc) || plain.Cycles != rec.Cycles ||
 		plain.Counters != rec.Counters || plain.Bus != rec.Bus ||
+		!reflect.DeepEqual(plain.Links, rec.Links) || !reflect.DeepEqual(plain.Online, rec.Online) ||
 		!reflect.DeepEqual(plain.Procs, rec.Procs) {
 		t.Fatalf("recording changed the result:\noff: %+v\non:  %+v", plain, rec)
 	}
 	return rec
 }
 
-// TestRecordingPreservesResults pins the tentpole's core guarantee on an
-// adversarial high-contention trace: enabling the recorder changes nothing.
+// TestRecordingPreservesResults pins the recorder's core guarantee on
+// adversarial high-contention traces: enabling it changes nothing. Every
+// suite cell records, so it covers each seam a cell can vary: protocols,
+// fabrics, disciplines, the victim cache, the prefetch buffer and an online
+// engine.
 func TestRecordingPreservesResults(t *testing.T) {
-	for seed := 0; seed < 10; seed++ {
-		tr := randomTrace(int64(seed), 3, 60, 4)
-		c := sim.DefaultConfig()
-		if seed%2 == 1 {
-			c.PrefetchTarget = sim.PrefetchToBuffer
-			c.StreamBufferLines = 4
-		}
-		obsRun(t, c, obs.Options{Spans: seed%3 == 0}, tr.Streams...)
+	machines := []struct {
+		name string
+		cfg  func(*sim.Config)
+	}{
+		{"default", func(c *sim.Config) {}},
+		{"buffer", func(c *sim.Config) { c.PrefetchTarget = sim.PrefetchToBuffer; c.StreamBufferLines = 4 }},
+		{"dragon", func(c *sim.Config) { c.Protocol = coherence.Dragon }},
+		{"msi", func(c *sim.Config) { c.Protocol = coherence.MSI }},
+		{"multibus2", func(c *sim.Config) { c.Interconnect = interconnect.Config{Kind: interconnect.MultiBus, Links: 2} }},
+		{"fcfs", func(c *sim.Config) { c.Interconnect.Discipline = bus.FCFS }},
+		// A two-line cache, so lines do fall into the victim cache.
+		{"victim2", func(c *sim.Config) {
+			c.VictimCacheLines = 2
+			c.Geometry = memory.Geometry{CacheSize: 2 * 32, LineSize: 32, Assoc: 1}
+		}},
+		{"stride", func(c *sim.Config) { c.Online = prefetch.OnlineConfig{Kind: prefetch.Stride, Strategy: prefetch.PREF} }},
+	}
+	for _, m := range machines {
+		t.Run(m.name, func(t *testing.T) {
+			for seed := 0; seed < 10; seed++ {
+				tr := randomTrace(int64(seed), 3, 60, 4)
+				c := sim.DefaultConfig()
+				m.cfg(&c)
+				obsRun(t, c, obs.Options{Spans: seed%3 == 0}, tr.Streams...)
+			}
+		})
 	}
 }
 

@@ -834,10 +834,7 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 	s.ic = ic
 	if cfg.Obs != nil {
 		s.rec = cfg.Obs
-		rec := s.rec
-		ic.SetObserver(func(link int, grant, occupancy uint64, op bus.Op, class bus.Class, proc int) {
-			rec.BusOccupiedLink(link, grant, occupancy, op.String(), class.String(), proc)
-		})
+		ic.SetObserver(s.rec.BusOccupied)
 	}
 	s.tags = cache.NewTags(cfg.Geometry, nprocs)
 	if n := cfg.VictimCacheLines; n > 0 {
