@@ -73,7 +73,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		queue        = fs.Int("queue", 8, "per-tenant queue depth (queued + running); beyond it submissions get 429")
 		store        = fs.String("store", "", "durable store directory: results and sweep cells persist here across restarts (empty = in-memory only)")
 		timeout      = fs.Duration("timeout", 0, "per-sweep-cell wall-clock budget (0 = none)")
-		retries      = fs.Int("retries", 0, "extra attempts for retryably-failing sweep cells")
 		retain       = fs.Int("retain", 512, "finished job resources kept addressable; older ones are evicted (results stay in the result store)")
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs before aborting them")
 		version      = fs.Bool("version", false, "print version and exit")
@@ -107,7 +106,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Shards:       *shards,
 		QueueDepth:   *queue,
 		Timeout:      *timeout,
-		Retries:      *retries,
 		JobRetention: *retain,
 	}
 	if !*quiet {

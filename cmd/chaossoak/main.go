@@ -1,5 +1,5 @@
 // Command chaossoak drives the fault-injection soak harness (internal/chaos)
-// from the command line: N randomized fault plans — transient stalls, spins,
+// from the command line: N randomized fault plans — stalls, spins,
 // violations, panics, mid-sweep kills, torn checkpoint writes — against real
 // sweeps, under a wall-clock budget. CI's scheduled chaos job runs it with a
 // clock-derived seed; rerun a failure with the seed it printed.
@@ -32,8 +32,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	budget := fs.Duration("budget", 60*time.Second, "wall-clock budget; plans not yet started when it expires are skipped (0 = unlimited)")
 	scale := fs.Float64("scale", 0.1, "sweep scale each plan runs at")
 	jobs := fs.Int("jobs", 0, "worker pool size per sweep (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 2*time.Second, "per-cell attempt timeout")
-	retries := fs.Int("retries", 2, "per-cell retry budget")
+	timeout := fs.Duration("timeout", 2*time.Second, "per-cell timeout")
 	dir := fs.String("dir", "", "checkpoint root (empty = a temp dir, removed afterwards)")
 	quiet := fs.Bool("q", false, "suppress per-plan progress lines")
 	if err := fs.Parse(args); err != nil {
@@ -49,14 +48,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Scale:       *scale,
 		Jobs:        *jobs,
 		CellTimeout: *timeout,
-		Retries:     *retries,
 		Dir:         *dir,
 	}
 	if !*quiet {
 		opts.Log = func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) }
 	}
-	fmt.Fprintf(stdout, "chaossoak: seed=%d plans=%d budget=%v scale=%g timeout=%v retries=%d\n",
-		*seed, *plans, *budget, *scale, *timeout, *retries)
+	fmt.Fprintf(stdout, "chaossoak: seed=%d plans=%d budget=%v scale=%g timeout=%v\n",
+		*seed, *plans, *budget, *scale, *timeout)
 	rep, err := chaos.Soak(ctx, opts)
 	if rep != nil {
 		fmt.Fprintln(stdout, rep)

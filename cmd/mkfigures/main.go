@@ -81,8 +81,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		execTrace  = fs.String("exectrace", "", "write a runtime/trace execution trace to this file")
-		timeout    = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none); a timed-out cell is retried per -retries")
-		retries    = fs.Int("retries", 0, "extra attempts for retryably-failing cells (stalls, timeouts, transient faults)")
+		timeout    = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none); a timed-out cell is reported as failed")
 		resume     = fs.String("resume", "", "checkpoint directory: completed cells persist here and an interrupted sweep resumes from it")
 		version    = fs.Bool("version", false, "print version and exit")
 		quiet      = fs.Bool("q", false, "suppress progress output")
@@ -114,6 +113,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	machine, err := experiments.ParseMachine(0, *protoStr, *pfName, *icName, *buses, *discName)
+	if err == nil {
+		err = experiments.CheckScale(*scale)
+	}
 	if err != nil {
 		return err
 	}
@@ -128,7 +130,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *jobs, Protocol: machine.Protocol,
-		Prefetcher: machine.Prefetcher, Interconnect: machine.Fabric, Timeout: *timeout, Retries: *retries}
+		Prefetcher: machine.Prefetcher, Interconnect: machine.Fabric, Timeout: *timeout}
 	if *resume != "" {
 		store, err := runner.OpenCheckpointStore(*resume)
 		if err != nil {

@@ -40,6 +40,22 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadScale: a scale that is not a finite positive number
+// fails at once with an error naming it, before any cell is simulated and
+// before any report is printed.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"-1", "NaN", "+Inf"} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-q", "-only", "fig1", "-scale", scale}, &out)
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("-scale %s: err = %v, want a scale error", scale, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-scale %s printed a report:\n%s", scale, out.String())
+		}
+	}
+}
+
 func TestRunBadTraceCell(t *testing.T) {
 	dir := t.TempDir()
 	cases := []string{

@@ -94,8 +94,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		execTrace    = fs.String("exectrace", "", "write a runtime/trace execution trace to this file")
-		timeout      = fs.Duration("timeout", 0, "per-run wall-clock budget (0 = none); a timed-out run is retried per -retries")
-		retries      = fs.Int("retries", 0, "extra attempts for retryably-failing runs (stalls, timeouts)")
+		timeout      = fs.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
 		version      = fs.Bool("version", false, "print version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -199,30 +198,27 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		k := machine
 		k.Workload, k.Strategy, k.Transfer, k.Restructured, k.Distance = info.Name, s, *transfer, *restructured, int32(*distance)
 		tasks[i] = runner.Task{Label: s.String(), Run: func(ctx context.Context) error {
-			err, _ := runner.Retry(ctx, runner.Policy{MaxAttempts: *retries + 1, Seed: *seed}, func(ctx context.Context) error {
-				if *timeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, *timeout)
-					defer cancel()
+			if *timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, *timeout)
+				defer cancel()
+			}
+			res, err := experiments.Simulate(ctx, k, src, func(cfg *sim.Config) {
+				if *regions {
+					cfg.Regions = info.Regions
 				}
-				res, err := experiments.Simulate(ctx, k, src, func(cfg *sim.Config) {
-					if *regions {
-						cfg.Regions = info.Regions
-					}
-					if *traceOut != "" {
-						// -all is excluded above, so this is the only task and
-						// the recorder assignment is race-free.
-						rec = obs.New(src.Procs(), obs.Options{Spans: true})
-						cfg.Obs = rec
-					}
-				}, nil)
-				if err != nil {
-					return fmt.Errorf("strategy %s: %w", s, err)
+				if *traceOut != "" {
+					// -all is excluded above, so this is the only task and
+					// the recorder assignment is race-free.
+					rec = obs.New(src.Procs(), obs.Options{Spans: true})
+					cfg.Obs = rec
 				}
-				results[i] = res
-				return nil
-			})
-			return err
+			}, nil)
+			if err != nil {
+				return fmt.Errorf("strategy %s: %w", s, err)
+			}
+			results[i] = res
+			return nil
 		}}
 	}
 	errs, _ := runner.NewPool(*jobs).Do(ctx, tasks, nil)

@@ -101,7 +101,7 @@ type Request struct {
 	Ready uint64
 	// Occupancy is how many cycles the request holds the bus once granted.
 	Occupancy uint64
-	// Class is the arbitration priority. Promote can raise it later.
+	// Class is the arbitration priority.
 	Class Class
 	// Op classifies the transaction for traffic accounting.
 	Op Op
@@ -111,8 +111,7 @@ type Request struct {
 	Addr uint64
 	// Proc is the requesting processor, used for round-robin fairness.
 	// While the request is pending, Class and Proc index the bus's internal
-	// queues and must not be mutated directly; use Promote to raise a
-	// pending request's class.
+	// queues and must not be mutated.
 	Proc int
 	// OnGrant, if non-nil, runs at the grant time — the transaction's
 	// serialization point, where the simulator performs snooping.
@@ -125,9 +124,6 @@ type Request struct {
 	pending bool
 	granted bool
 }
-
-// Granted reports whether the request has been granted the bus.
-func (r *Request) Granted() bool { return r.granted }
 
 // Reset clears a completed (or never-submitted) request's bookkeeping so the
 // same allocation can carry a new transaction — internal/sim pools its
@@ -292,7 +288,9 @@ func (b *Bus) Submit(now uint64, r *Request) error {
 	b.seq++
 	r.seq = b.seq
 	r.pending = true
-	b.enqueue(r, len(b.queues[r.Class][r.Proc]))
+	b.queues[r.Class][r.Proc] = append(b.queues[r.Class][r.Proc], r)
+	b.occupied[r.Class] |= 1 << uint(r.Proc)
+	b.npending++
 	b.scheduleAttempt(now, max(r.Ready, b.freeAt))
 	return nil
 }
@@ -310,57 +308,6 @@ func (b *Bus) remove(class Class, proc, i int) {
 		b.occupied[class] &^= 1 << uint(proc)
 	}
 	b.npending--
-}
-
-// enqueue inserts r at index at of its class/proc queue.
-func (b *Bus) enqueue(r *Request, at int) {
-	q := append(b.queues[r.Class][r.Proc], nil)
-	copy(q[at+1:], q[at:])
-	q[at] = r
-	b.queues[r.Class][r.Proc] = q
-	b.occupied[r.Class] |= 1 << uint(r.Proc)
-	b.npending++
-}
-
-// Promote raises a still-pending request to Demand class (a CPU is now
-// blocked on a previously speculative prefetch). It is a no-op once granted.
-func (b *Bus) Promote(r *Request) {
-	if !r.pending || r.Class == Demand {
-		return
-	}
-	q := b.queues[r.Class][r.Proc]
-	for i, p := range q {
-		if p == r {
-			b.remove(r.Class, r.Proc, i)
-			break
-		}
-	}
-	r.Class = Demand
-	// Re-queue in submission order: the promoted request keeps its original
-	// seq, so it slots in ahead of any demand request submitted after it.
-	dq := b.queues[Demand][r.Proc]
-	at := len(dq)
-	for at > 0 && dq[at-1].seq > r.seq {
-		at--
-	}
-	b.enqueue(r, at)
-}
-
-// Cancel removes a still-pending request (unused by the core simulator but
-// available to extensions such as prefetch dropping). It reports whether the
-// request was removed before being granted.
-func (b *Bus) Cancel(r *Request) bool {
-	if !r.pending {
-		return false
-	}
-	for i, p := range b.queues[r.Class][r.Proc] {
-		if p == r {
-			b.remove(r.Class, r.Proc, i)
-			r.pending = false
-			return true
-		}
-	}
-	return false
 }
 
 func (b *Bus) scheduleAttempt(now, t uint64) {

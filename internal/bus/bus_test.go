@@ -172,41 +172,6 @@ func TestRoundRobinRotates(t *testing.T) {
 	}
 }
 
-func TestPromote(t *testing.T) {
-	s := &testSched{}
-	b := mustNew(t, s, 4)
-	var grants []grantRecord
-	pf := mkReq(10, 8, Prefetch, 0, &grants, "pf")
-	b.Submit(0, pf)
-	b.Submit(0, mkReq(10, 8, Prefetch, 1, &grants, "pf2"))
-	b.Promote(pf)
-	if pf.Class != Demand {
-		t.Fatal("Promote did not raise the class")
-	}
-	s.run()
-	if grants[0].name != "pf" {
-		t.Errorf("promoted request lost arbitration: %v", grants)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := &testSched{}
-	b := mustNew(t, s, 4)
-	var grants []grantRecord
-	r := mkReq(10, 8, Prefetch, 0, &grants, "r")
-	b.Submit(0, r)
-	if !b.Cancel(r) {
-		t.Fatal("Cancel failed on pending request")
-	}
-	if b.Cancel(r) {
-		t.Fatal("Cancel succeeded twice")
-	}
-	s.run()
-	if len(grants) != 0 {
-		t.Errorf("cancelled request granted: %v", grants)
-	}
-}
-
 func TestStatsByOp(t *testing.T) {
 	s := &testSched{}
 	b := mustNew(t, s, 2)

@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"busprefetch/internal/cache"
@@ -30,19 +30,19 @@ const (
 	// faultNone is the control: no injected fault, so the plan exercises the
 	// kill/torn-write/resume machinery alone.
 	faultNone faultKind = iota
-	// faultStall drops every lock release on the target cell's first attempt:
-	// the first acquirer of each contended lock keeps it, the waiters starve,
-	// and the progress watchdog must abort with a retryable StallError.
+	// faultStall drops every lock release in the target cell: the first
+	// acquirer of each contended lock keeps it, the waiters starve, and the
+	// progress watchdog must abort with a terminal *check.StallError.
 	faultStall
-	// faultSpin wedges a processor in a busy loop on the first attempt: the
-	// run looks alive (work retires every cycle), so only the per-cell
-	// timeout can end it — a retryable DeadlineExceeded.
+	// faultSpin wedges a processor in a busy loop: the run looks alive (work
+	// retires every cycle), so only the per-cell timeout can end it — a
+	// retryable context.DeadlineExceeded.
 	faultSpin
-	// faultViolation corrupts cache state on every attempt; the coherence
-	// checker must abort with a terminal *check.Violation.
+	// faultViolation corrupts cache state; the coherence checker must abort
+	// with a terminal *check.Violation.
 	faultViolation
-	// faultPanic panics inside the target cell on every attempt; the worker
-	// pool must isolate it as a terminal *runner.PanicError.
+	// faultPanic panics inside the target cell; the worker pool must isolate
+	// it as a terminal *runner.PanicError.
 	faultPanic
 )
 
@@ -62,10 +62,6 @@ func (k faultKind) String() string {
 	return fmt.Sprintf("faultKind(%d)", int(k))
 }
 
-// terminal reports whether the kind injects a deterministic fault — one that
-// must end classified terminal rather than retried to success.
-func (k faultKind) terminal() bool { return k == faultViolation || k == faultPanic }
-
 // Options configures a soak run. The zero value is usable: Soak fills in the
 // defaults noted on each field.
 type Options struct {
@@ -84,12 +80,11 @@ type Options struct {
 	Scale float64
 	// Jobs bounds each sweep's worker pool; 0 selects GOMAXPROCS.
 	Jobs int
-	// CellTimeout bounds each cell attempt (default 2s). It must be set:
-	// the spin fault is undetectable by the watchdog and only a deadline
-	// terminates it.
+	// CellTimeout bounds each cell's run (default 2s; Soak raises it to four
+	// times the fault-free sweep's slowest cell when that is longer). It
+	// must be set: the spin fault is undetectable by the watchdog and only a
+	// deadline terminates it.
 	CellTimeout time.Duration
-	// Retries is each sweep's per-cell retry budget (default 2).
-	Retries int
 	// Dir is the root under which each plan gets its own checkpoint store;
 	// empty selects a temp dir removed when Soak returns.
 	Dir string
@@ -106,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CellTimeout <= 0 {
 		o.CellTimeout = 2 * time.Second
-	}
-	if o.Retries <= 0 {
-		o.Retries = 2
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
@@ -128,15 +120,15 @@ type Report struct {
 	// TornWrites is how many checkpoint entries were bit-flipped on disk
 	// between a kill and its resume.
 	TornWrites int
-	// Injected counts cell attempts that ran with a fault armed. Retried
-	// counts transient-fault cells that needed more than one attempt to
-	// succeed; Terminal counts cells that failed terminally, by design.
-	Injected, Retried, Terminal int
+	// Injected counts target-cell runs that ran with a fault armed (a kill
+	// can interrupt one, and the resume runs it again). Failed counts cells
+	// that failed by design: the target of every faulted plan.
+	Injected, Failed int
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("chaos: %d plan(s) ok, %d skipped: %d kill(s), %d resume(s), %d checkpoint hit(s), %d torn write(s), %d armed attempt(s), %d retried cell(s), %d terminal cell(s)",
-		r.Plans, r.Skipped, r.Kills, r.Resumes, r.CheckpointHits, r.TornWrites, r.Injected, r.Retried, r.Terminal)
+	return fmt.Sprintf("chaos: %d plan(s) ok, %d skipped: %d kill(s), %d resume(s), %d checkpoint hit(s), %d torn write(s), %d armed run(s), %d failed cell(s)",
+		r.Plans, r.Skipped, r.Kills, r.Resumes, r.CheckpointHits, r.TornWrites, r.Injected, r.Failed)
 }
 
 // wantTable2 selects the one report section every plan renders for the
@@ -145,12 +137,13 @@ func wantTable2(name string) bool { return name == "table2" }
 
 // Soak runs o.Plans randomized fault plans and returns the tally. Each plan
 // builds a real experiment sweep (workloads x strategies at T=8, scale
-// o.Scale, seed 1 — pinned so every plan converges to one golden), injects
+// o.Scale, seed 1 — pinned so every plan recovers to one golden), injects
 // one fault archetype into one randomly chosen cell, randomly kills the sweep
 // mid-flight, possibly corrupts a checkpoint entry on disk, resumes the way a
-// fresh process would, and then asserts the resilience contract documented in
-// the package comment. The first violated assertion aborts the soak with an
-// error naming the plan; replay it with the same Options to reproduce.
+// fresh process would, recovers with a fault-free sweep on the same store,
+// and asserts the resilience contract documented in the package comment.
+// The first violated assertion aborts the soak with an error naming the
+// plan; replay it with the same Options to reproduce.
 func Soak(ctx context.Context, o Options) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -166,8 +159,11 @@ func Soak(ctx context.Context, o Options) (*Report, error) {
 		root = tmp
 	}
 
-	// The convergence target: the bytes a fault-free sweep renders.
-	clean := experiments.NewSuite(suiteConfig(o, nil, "", nil))
+	// The recovery target: the bytes a fault-free sweep renders. Nothing in
+	// it can spin, so it runs without a per-cell timeout.
+	cfg := suiteConfig(o, nil, "", nil)
+	cfg.Timeout = 0
+	clean := experiments.NewSuite(cfg)
 	keys := clean.GridKeys()
 	if err := clean.Prewarm(ctx, keys, nil); err != nil {
 		return nil, fmt.Errorf("chaos: fault-free golden sweep failed: %w", err)
@@ -176,6 +172,14 @@ func Soak(ctx context.Context, o Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: rendering golden: %w", err)
 	}
+	// Each cell runs once, so a healthy cell that ran out of the timeout
+	// would fail its plan. On a host slow enough (a race build, a loaded
+	// machine) that the golden sweep's slowest cell took more than a
+	// quarter of the timeout, the timeout grows to four times that cell.
+	for _, c := range clean.Bench(0).Cells {
+		o.CellTimeout = max(o.CellTimeout, time.Duration(4*c.Millis*float64(time.Millisecond)))
+	}
+	o.Log("chaos: per-cell timeout %v", o.CellTimeout)
 
 	rep := &Report{}
 	start := time.Now()
@@ -209,24 +213,18 @@ func suiteConfig(o Options, perRun func(experiments.Key, *sim.Config), salt stri
 		Transfers:   []int{chaosTransfer},
 		Parallelism: o.Jobs,
 		Timeout:     o.CellTimeout,
-		Retries:     o.Retries,
 		PerRun:      perRun,
 		Salt:        salt,
 		Checkpoints: store,
 	}
 }
 
-// plan carries one fault plan's target and the attempt bookkeeping its PerRun
-// hook maintains. The counters are shared across a kill and its resume: a
-// transient fault arms exactly one attempt per plan, however many sweeps it
-// takes to reach convergence.
+// plan carries one fault plan's target and counts the runs its PerRun hook
+// armed, across a kill and its resume.
 type plan struct {
-	kind   faultKind
-	target experiments.Key
-
-	mu       sync.Mutex
-	attempts int // simulate() invocations of the target, across kill + resume
-	injected int // attempts that ran with the fault armed
+	kind     faultKind
+	target   experiments.Key
+	injected atomic.Int32
 }
 
 // perRun is the suite hook that injects the plan's fault into its target cell.
@@ -234,21 +232,12 @@ func (p *plan) perRun(k experiments.Key, cfg *sim.Config) {
 	if k != p.target {
 		return
 	}
-	p.mu.Lock()
-	p.attempts++
-	armed := p.kind.terminal() || p.attempts == 1
-	if armed {
-		p.injected++
-	}
-	p.mu.Unlock()
-	if !armed {
-		return
-	}
+	p.injected.Add(1)
 	switch p.kind {
 	case faultStall:
 		// Drop every release by every processor; with any lock contention,
 		// whoever acquires first keeps the lock and the waiters starve. The
-		// tightened watchdog threshold keeps the doomed attempt short.
+		// tightened watchdog threshold keeps the doomed run short.
 		drops := make([]check.LockDrop, 32)
 		for i := range drops {
 			drops[i] = check.LockDrop{Proc: i, Nth: -1}
@@ -349,38 +338,37 @@ func runPlan(ctx context.Context, o Options, rep *Report, golden string, keys []
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	if err := p.assert(ferr); err != nil {
+	failed, err := p.assert(ferr)
+	if err != nil {
 		return err
 	}
-
 	if killed {
 		rep.CheckpointHits += int(store.Stats().Hits)
 	}
-	p.mu.Lock()
-	rep.Injected += p.injected
-	retried := !kind.terminal() && p.attempts > 1
-	p.mu.Unlock()
-	if retried {
-		rep.Retried++
-	}
-	if kind.terminal() {
-		rep.Terminal++
-	}
+	rep.Injected += int(p.injected.Load())
+	rep.Failed += failed
 
-	// Golden convergence: a plan whose faults were transient (or absent) must
-	// render exactly the fault-free bytes, whatever mix of retries, kills,
-	// checkpoint restores, and quarantined torn entries it went through.
-	// Terminal plans skip the render: their failed cell is a permanent fact
-	// the report would annotate (and a panicking cell must only ever run
-	// under the pool's isolation).
-	if !kind.terminal() {
-		out, err := s.RenderSections(ctx, wantTable2)
-		if err != nil {
-			return fmt.Errorf("rendering after convergence: %w", err)
-		}
-		if out != golden {
-			return fmt.Errorf("converged render diverges from the fault-free golden (%d vs %d bytes)", len(out), len(golden))
-		}
+	// Recovery: a fault-free sweep opened on the same store with the same
+	// salt, the way a fresh process would, restores every cell the plan
+	// completed, recomputes only the failed one, and renders exactly the
+	// fault-free bytes, whatever mix of kills, checkpoint restores and
+	// quarantined torn entries the plan went through.
+	if store, err = runner.OpenCheckpointStore(dir); err != nil {
+		return err
+	}
+	rs := experiments.NewSuite(suiteConfig(o, nil, salt, store))
+	if err := rs.Prewarm(ctx, keys, nil); err != nil {
+		return fmt.Errorf("fault-free recovery sweep failed: %w", err)
+	}
+	if n := store.Stats().Misses; n != uint64(failed) {
+		return fmt.Errorf("recovery recomputed %d cell(s), want %d", n, failed)
+	}
+	out, err := rs.RenderSections(ctx, wantTable2)
+	if err != nil {
+		return fmt.Errorf("rendering after recovery: %w", err)
+	}
+	if out != golden {
+		return fmt.Errorf("recovered render diverges from the fault-free golden (%d vs %d bytes)", len(out), len(golden))
 	}
 
 	corrupt, err := store.Verify()
@@ -393,38 +381,46 @@ func runPlan(ctx context.Context, o Options, rep *Report, golden string, keys []
 	return nil
 }
 
-// assert checks one plan's converged outcome against its fault kind.
-func (p *plan) assert(ferr error) error {
-	if !p.kind.terminal() {
+// assert checks one plan's sweep outcome against its fault kind and returns
+// how many cells failed: none for the control, exactly the target for a
+// faulted plan, with the error and class its fault must produce.
+func (p *plan) assert(ferr error) (int, error) {
+	if p.kind == faultNone {
 		if ferr != nil {
-			return fmt.Errorf("transient plan did not converge: %w", ferr)
+			return 0, fmt.Errorf("fault-free plan failed: %w", ferr)
 		}
-		return nil
+		return 0, nil
 	}
 	var cells *experiments.CellErrors
 	if !errors.As(ferr, &cells) {
-		return fmt.Errorf("terminal plan returned %T (%v), want *experiments.CellErrors", ferr, ferr)
+		return 0, fmt.Errorf("faulted plan returned %T (%v), want *experiments.CellErrors", ferr, ferr)
 	}
 	if len(cells.Cells) != 1 || cells.Cells[0].Key != p.target {
-		return fmt.Errorf("terminal plan failed cells %v, want exactly %v", cells.Cells, p.target)
+		return 0, fmt.Errorf("faulted plan failed cells %v, want exactly %v", cells.Cells, p.target)
 	}
 	ce := cells.Cells[0]
-	if !ce.Terminal {
-		return fmt.Errorf("deterministic fault classified retryable: %v", ce.Err)
-	}
+	var (
+		match    bool
+		want     string
+		terminal = true
+	)
 	switch p.kind {
+	case faultStall:
+		match, want = errors.As(ce.Err, new(*check.StallError)), "*check.StallError"
+	case faultSpin:
+		match, want, terminal = errors.Is(ce.Err, context.DeadlineExceeded), "context.DeadlineExceeded", false
 	case faultViolation:
-		var v *check.Violation
-		if !errors.As(ce.Err, &v) {
-			return fmt.Errorf("violation plan failed with %T (%v), want *check.Violation", ce.Err, ce.Err)
-		}
+		match, want = errors.As(ce.Err, new(*check.Violation)), "*check.Violation"
 	case faultPanic:
-		var pe *runner.PanicError
-		if !errors.As(ce.Err, &pe) {
-			return fmt.Errorf("panic plan failed with %T (%v), want *runner.PanicError", ce.Err, ce.Err)
-		}
+		match, want = errors.As(ce.Err, new(*runner.PanicError)), "*runner.PanicError"
 	}
-	return nil
+	if !match {
+		return 0, fmt.Errorf("%s plan failed with %T (%v), want %s", p.kind, ce.Err, ce.Err, want)
+	}
+	if ce.Terminal != terminal {
+		return 0, fmt.Errorf("%s plan's failure classified terminal=%t, want %t: %v", p.kind, ce.Terminal, terminal, ce.Err)
+	}
+	return 1, nil
 }
 
 // tearOne flips one random bit of one random checkpoint entry on disk — the

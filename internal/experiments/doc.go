@@ -9,8 +9,11 @@
 //
 // Every cell of every section is a Key, and one executor runs them all: the
 // Key translates to a simulator configuration and annotation options, and a
-// runner.Memo keyed by the Key memoizes the outcome — behind it, the
-// checkpoint store, the retry budget and the per-cell timeout. A section is
+// runner.Memo keyed by the Key memoizes the result — behind it, the
+// checkpoint store and one simulation under the per-cell timeout. A cell is
+// simulated once: its result is a pure function of the Key, scale and seed,
+// so a cell that fails fails the same way on every run, and the memo keeps
+// the failure instead of running it again. A section is
 // a key list plus a renderer, so cells that sections share (the grid cells
 // Figure 1, Table 2 and Figure 2 all read, the ablation rows on the paper's
 // machine, the grid cells the observability slice and the online oracle

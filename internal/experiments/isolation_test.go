@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/runner"
 	"busprefetch/internal/sim"
+	"busprefetch/internal/workload"
 )
 
 // poisonedSuite returns a small suite in which exactly one cell — mp3d/NP/T=8
@@ -137,5 +139,46 @@ func TestPanickingCellFailsAgain(t *testing.T) {
 		if !errors.As(err, &cells) || len(cells.Cells) != 1 || !errors.As(cells.Cells[0].Err, &pe) {
 			t.Fatalf("round %d: Prewarm = %v, want one cell failed with a *runner.PanicError", round, err)
 		}
+	}
+}
+
+// TestStalledCellFailsOnce: a cell whose every lock release is dropped
+// stalls deterministically, so it is simulated once. It fails alone, with
+// the watchdog's *check.StallError classified terminal, and a second
+// Prewarm of the same suite reports the memoized failure without running
+// the cell again.
+func TestStalledCellFailsOnce(t *testing.T) {
+	bad := Key{Workload: "water", Strategy: prefetch.NP, Transfer: 8}
+	good := Key{Workload: "water", Strategy: prefetch.PREF, Transfer: 8}
+	var runs atomic.Int32
+	s := NewSuite(Config{Scale: 0.1, Seed: 1, Transfers: []int{8}, PerRun: func(k Key, cfg *sim.Config) {
+		if k != bad {
+			return
+		}
+		runs.Add(1)
+		drops := make([]check.LockDrop, workload.DefaultProcs)
+		for p := range drops {
+			drops[p] = check.LockDrop{Proc: p, Nth: -1}
+		}
+		cfg.WatchdogCycles = 50_000
+		cfg.Faults = &check.Plan{DropReleases: drops}
+	}})
+	for round := 1; round <= 2; round++ {
+		err := s.Prewarm(context.Background(), []Key{bad, good}, nil)
+		var cells *CellErrors
+		if !errors.As(err, &cells) || len(cells.Cells) != 1 || cells.Cells[0].Key != bad {
+			t.Fatalf("round %d: Prewarm = %v, want exactly %v failed", round, err, bad)
+		}
+		ce := cells.Cells[0]
+		var stall *check.StallError
+		if !errors.As(ce.Err, &stall) {
+			t.Fatalf("round %d: cell failed with %T (%v), want *check.StallError", round, ce.Err, ce.Err)
+		}
+		if !ce.Terminal {
+			t.Errorf("round %d: stall classified retryable", round)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("stalled cell simulated %d times, want 1", n)
 	}
 }

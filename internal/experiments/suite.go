@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"sort"
@@ -69,15 +68,11 @@ type Config struct {
 	// faults (sim.Config.Faults) and prove the rest of the suite still
 	// renders.
 	PerRun func(k Key, cfg *sim.Config)
-	// Timeout, when positive, bounds each cell attempt's wall clock (trace
-	// generation included): the attempt's context expires and the simulator
-	// aborts at its next cancellation poll. A timed-out attempt is retryable.
+	// Timeout, when positive, bounds each cell's one run (trace generation
+	// included): the run's context expires and the simulator aborts at its
+	// next cancellation poll. A timed-out cell is the one failure classified
+	// retryable (runner.Classify).
 	Timeout time.Duration
-	// Retries is how many extra attempts a retryably-failing cell gets
-	// (injected transient faults, watchdog stalls, per-cell timeouts).
-	// Terminal failures — invariant violations, panics, a cancelled sweep —
-	// never retry. Zero means one attempt, no retries.
-	Retries int
 	// Checkpoints, when non-nil, persists each completed cell so an
 	// interrupted sweep resumes recomputing only the missing ones. See
 	// checkpoint.go for the key discipline and the exactness guarantee.
@@ -265,25 +260,18 @@ type Suite struct {
 	cfg    Config
 	pool   *runner.Pool
 	traces *runner.TraceCache
-	// cells memoizes every cell's outcome by its canonical Key, so a cell
+	// cells memoizes every cell's result by its canonical Key, so a cell
 	// two sections share simulates once, and concurrent askers wait on one
-	// flight. Failures are kept too, with their attempt count, so every
-	// table annotates a broken cell the same way without re-simulating —
-	// unless the sweep's own context was dying, which says nothing about
-	// the cell, so a resume recomputes it.
-	cells runner.Memo[Key, outcome]
+	// flight. Failures are kept too, so every table annotates a broken cell
+	// the same way without re-simulating — unless the sweep's own context
+	// was dying, which says nothing about the cell, so a resume recomputes
+	// it.
+	cells runner.Memo[Key, *sim.Result]
 
 	mu sync.Mutex
 	// timings accumulates the wall-clock of every pool-executed cell for
 	// the benchmark report.
 	timings []runner.Timing
-}
-
-// outcome is one cell's memoized outcome: its result, or, on failure, how
-// many attempts the retry policy spent reaching the error.
-type outcome struct {
-	res      *sim.Result
-	attempts int
 }
 
 // NewSuite creates a suite with the given configuration.
@@ -370,7 +358,7 @@ func machine(k Key) (sim.Config, prefetch.Options) {
 	return cfg, prefetch.Options{Strategy: k.Strategy, Distance: int(k.Distance), ExcludeWriteShared: k.Buffer}
 }
 
-// simulate runs one uncached attempt at k through Simulate, with the
+// simulate runs the uncached cell k through Simulate, with the
 // suite's own lookups: the cached source of k's workload variant, the
 // memoized sharing profile, and PerRun. Every suite cell records: the
 // recorder is built with rec and returned beside the result, whose Obs
@@ -444,70 +432,56 @@ func (s *Suite) Bench(total time.Duration) *runner.BenchReport {
 // run is memoized too: the error comes back for every table that needs the
 // cell, without re-simulating, and without affecting any other cell.
 func (s *Suite) Result(k Key) (*sim.Result, error) {
-	o, _, err := s.cell(context.Background(), k)
-	return o.res, err
+	res, _, err := s.cell(context.Background(), k)
+	return res, err
 }
 
 // cell is the one path every cell takes: the memo, then the checkpoint
-// store, then the simulation under the suite's retry budget with each
-// attempt bounded by the per-cell timeout, then the checkpoint store again.
-// The sweep's cancellation propagates into the simulation's event loop.
-// hit reports whether the memo already held (or was computing) the cell.
-func (s *Suite) cell(ctx context.Context, k Key) (outcome, bool, error) {
+// store, then one simulation bounded by the per-cell timeout, then the
+// checkpoint store again. The sweep's cancellation propagates into the
+// simulation's event loop. hit reports whether the memo already held (or
+// was computing) the cell.
+func (s *Suite) cell(ctx context.Context, k Key) (*sim.Result, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	k = k.canonical()
-	return s.cells.Do(ctx, k, func() (outcome, bool, error) {
+	return s.cells.Do(ctx, k, func() (*sim.Result, bool, error) {
 		if res, ok := s.loadCheckpoint(k); ok {
-			return outcome{res: res}, true, nil
+			return res, true, nil
 		}
-		var res *sim.Result
-		err, attempts := runner.Retry(ctx, s.retryPolicy(k), func(ctx context.Context) error {
-			if s.cfg.Timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-				defer cancel()
-			}
-			r, _, err := s.simulate(ctx, k, obs.Options{})
-			if err != nil {
-				return fmt.Errorf("experiments: %v: %w", k, err)
-			}
-			res = r
-			return nil
-		})
+		runCtx := ctx
+		if s.cfg.Timeout > 0 {
+			var cancel context.CancelFunc
+			runCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
+			defer cancel()
+		}
+		res, _, err := s.simulate(runCtx, k, obs.Options{})
 		if err != nil {
 			// A failure while the sweep itself was cancelled is
 			// circumstantial: forget it so a resume recomputes the cell.
-			return outcome{attempts: attempts}, ctx.Err() == nil, err
+			return nil, ctx.Err() == nil, fmt.Errorf("experiments: %v: %w", k, err)
 		}
 		s.storeCheckpoint(k, res)
-		return outcome{res: res, attempts: attempts}, true, nil
+		return res, true, nil
 	})
-}
-
-// retryPolicy builds the per-cell retry policy. The jitter seed mixes the
-// suite seed with the cell label, so retry schedules are deterministic per
-// cell but decorrelated across cells.
-func (s *Suite) retryPolicy(k Key) runner.Policy {
-	h := fnv.New64a()
-	h.Write([]byte(k.String()))
-	return runner.Policy{
-		MaxAttempts: s.cfg.Retries + 1,
-		Seed:        s.cfg.Seed ^ int64(h.Sum64()),
-	}
 }
 
 // CellError records one failed suite cell.
 type CellError struct {
 	Key Key
 	Err error
-	// Attempts is how many times the cell ran before the error stuck.
-	Attempts int
 	// Terminal reports the error's classification (see runner.Classify):
-	// terminal failures are deterministic facts about the configuration,
-	// retryable ones exhausted their attempt budget.
+	// terminal failures are facts about the cell that recur on every run,
+	// retryable ones ran out of the per-cell timeout.
 	Terminal bool
+}
+
+func (c CellError) class() runner.ErrClass {
+	if c.Terminal {
+		return runner.Terminal
+	}
+	return runner.Retryable
 }
 
 // CellErrors aggregates every failed cell of a Prewarm pass. It is an error,
@@ -521,11 +495,7 @@ type CellErrors struct {
 func (e *CellErrors) Error() string {
 	msg := fmt.Sprintf("experiments: %d of the suite's runs failed:", len(e.Cells))
 	for _, c := range e.Cells {
-		class := "retryable, exhausted"
-		if c.Terminal {
-			class = "terminal"
-		}
-		msg += fmt.Sprintf("\n  %v [%s, %d attempt(s)]: %v", c.Key, class, c.Attempts, c.Err)
+		msg += fmt.Sprintf("\n  %v [%s]: %v", c.Key, c.class(), c.Err)
 	}
 	return msg
 }
@@ -534,26 +504,16 @@ func (e *CellErrors) Error() string {
 func (e *CellErrors) Failures() []runner.CellFailure {
 	out := make([]runner.CellFailure, len(e.Cells))
 	for i, c := range e.Cells {
-		class := runner.Retryable
-		if c.Terminal {
-			class = runner.Terminal
-		}
-		out[i] = runner.CellFailure{
-			Cell:     c.Key.String(),
-			Err:      c.Err.Error(),
-			Attempts: c.Attempts,
-			Class:    class.String(),
-		}
+		out[i] = runner.CellFailure{Cell: c.Key.String(), Err: c.Err.Error(), Class: c.class().String()}
 	}
 	return out
 }
 
-// Prewarm simulates the given keys in parallel on the suite's worker pool.
-// Every key is attempted: a failing cell does not stop the others. When any
-// cell failed, Prewarm returns a *CellErrors naming each one (in
-// deterministic key order) with its attempt count and classification; the
-// failures are memoized, so the table builders will annotate exactly those
-// cells rather than failing outright.
+// Prewarm simulates the given keys in parallel on the suite's worker pool,
+// each once. A failing cell does not stop the others. When any cell failed,
+// Prewarm returns a *CellErrors naming each one (in deterministic key order)
+// with its classification; the failures are memoized, so the table builders
+// will annotate exactly those cells rather than failing outright.
 //
 // Cancelling ctx stops the sweep: running cells abort at the simulator's
 // next cancellation poll, queued cells are skipped, and Prewarm returns
@@ -584,11 +544,10 @@ func (s *Suite) Prewarm(ctx context.Context, keys []Key, progress func(done, tot
 	sort.Slice(todo, func(i, j int) bool { return labels[todo[i]] < labels[todo[j]] })
 
 	tasks := make([]runner.Task, len(todo))
-	done := make([]outcome, len(todo))
 	hits := make([]bool, len(todo))
 	for i, k := range todo {
 		tasks[i] = runner.Task{Label: labels[k], Run: func(ctx context.Context) (err error) {
-			done[i], hits[i], err = s.cell(ctx, k)
+			_, hits[i], err = s.cell(ctx, k)
 			return err
 		}}
 	}
@@ -607,8 +566,7 @@ func (s *Suite) Prewarm(ctx context.Context, keys []Key, progress func(done, tot
 	var failed []CellError
 	for i, err := range errs {
 		if err != nil {
-			failed = append(failed, CellError{Key: todo[i], Err: err, Attempts: max(done[i].attempts, 1),
-				Terminal: runner.Classify(err) == runner.Terminal})
+			failed = append(failed, CellError{Key: todo[i], Err: err, Terminal: runner.Classify(err) == runner.Terminal})
 		}
 	}
 	if len(failed) > 0 {
@@ -628,11 +586,11 @@ func (s *Suite) results(ctx context.Context, keys []Key) ([]*sim.Result, error) 
 	}
 	out := make([]*sim.Result, len(keys))
 	for i, k := range keys {
-		o, _, err := s.cell(ctx, k)
+		res, _, err := s.cell(ctx, k)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = o.res
+		out[i] = res
 	}
 	return out, nil
 }

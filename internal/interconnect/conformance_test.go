@@ -436,46 +436,3 @@ func TestDirectoryLookupLatency(t *testing.T) {
 		t.Errorf("directory granted at %d, want 100+%d", g, DefaultLookupCycles)
 	}
 }
-
-// TestPromoteCancelRouteStably: Promote and Cancel find the link Submit
-// used, because routing is a pure function of the stable Addr.
-func TestPromoteCancelRouteStably(t *testing.T) {
-	sched := &fakeSched{}
-	ic, err := New(Config{Kind: MultiBus, Links: 4}, confShift, sched, confProcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var granted []int
-	for i := 0; i < 8; i++ {
-		i := i
-		r := &bus.Request{Ready: 50, Occupancy: 4, Class: bus.Prefetch, Op: bus.OpFill,
-			Addr: uint64(i) << confShift, Proc: i % confProcs}
-		r.OnGrant = func(uint64) { granted = append(granted, i) }
-		sched.At(0, func(now uint64) {
-			if err := ic.Submit(now, r); err != nil {
-				t.Error(err)
-			}
-		})
-		if i%2 == 0 {
-			sched.At(1, func(uint64) { ic.Promote(r) })
-		} else {
-			sched.At(1, func(uint64) {
-				if !ic.Cancel(r) {
-					t.Errorf("Cancel(req %d) found nothing", i)
-				}
-			})
-		}
-	}
-	sched.run()
-	if ic.Pending() != 0 {
-		t.Errorf("Pending() = %d after drain", ic.Pending())
-	}
-	if len(granted) != 4 {
-		t.Errorf("granted %v, want exactly the 4 promoted requests", granted)
-	}
-	for _, g := range granted {
-		if g%2 != 0 {
-			t.Errorf("cancelled request %d was granted", g)
-		}
-	}
-}

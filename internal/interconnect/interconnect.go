@@ -207,15 +207,6 @@ func New(cfg Config, routeShift uint, sched bus.Scheduler, nproc int) (*Fabric, 
 	return f, nil
 }
 
-// route returns the link a request belongs to. Addr is stable for the life
-// of a request, so Promote and Cancel recompute the same link Submit used.
-func (f *Fabric) route(r *bus.Request) *bus.Bus {
-	if len(f.links) == 1 {
-		return f.links[0]
-	}
-	return f.links[(r.Addr>>f.shift)%uint64(len(f.links))]
-}
-
 // Submit queues a request at simulation time now. The request's Addr routes
 // it; Ready may be adjusted upward by topology latency (the Directory
 // lookup) before admission.
@@ -228,15 +219,12 @@ func (f *Fabric) Submit(now uint64, r *bus.Request) error {
 		// uncontended phase; the link's occupancy is unchanged.
 		r.Ready += f.lookup
 	}
-	return f.route(r).Submit(now, r)
+	link := f.links[0]
+	if len(f.links) > 1 {
+		link = f.links[(r.Addr>>f.shift)%uint64(len(f.links))]
+	}
+	return link.Submit(now, r)
 }
-
-// Promote raises a still-pending request to Demand class on its link.
-func (f *Fabric) Promote(r *bus.Request) { f.route(r).Promote(r) }
-
-// Cancel removes a still-pending request, reporting whether it was removed
-// before being granted.
-func (f *Fabric) Cancel(r *bus.Request) bool { return f.route(r).Cancel(r) }
 
 // Pending returns the number of requests awaiting a grant, across links.
 func (f *Fabric) Pending() int {

@@ -3,7 +3,6 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 )
@@ -84,21 +83,4 @@ func (r *BenchReport) WriteFile(path string) error {
 		return fmt.Errorf("runner: writing bench report: %w", err)
 	}
 	return nil
-}
-
-// ReadBenchReport loads a report written by WriteFile and rejects unknown
-// schemas, so a comparison against a stale or foreign file fails loudly.
-func ReadBenchReport(path string) (*BenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r BenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("runner: parsing bench report %s: %w", path, err)
-	}
-	if r.Schema != BenchSchema {
-		return nil, fmt.Errorf("runner: bench report %s has schema %q, want %q", path, r.Schema, BenchSchema)
-	}
-	return &r, nil
 }

@@ -24,14 +24,12 @@ type CellMetrics struct {
 }
 
 // CellFailure is one failed sweep cell in a metrics report: which cell, what
-// happened, how hard the engine tried, and whether the error was terminal
-// (deterministic — an invariant violation, a panic) or retryable-but-
-// exhausted (a stall or timeout that survived every attempt).
+// happened, and whether the error was terminal (a fact about the cell — an
+// invariant violation, a stall, a panic) or retryable (the cell ran out of
+// its timeout).
 type CellFailure struct {
 	Cell string `json:"cell"`
 	Err  string `json:"err"`
-	// Attempts is how many times the cell ran before the error stuck.
-	Attempts int `json:"attempts"`
 	// Class is "terminal" or "retryable" (see runner.Classify).
 	Class string `json:"class"`
 }

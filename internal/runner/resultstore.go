@@ -71,14 +71,13 @@ func (s *ResultStore) Len() int { return s.memo.Len() }
 // memoized nor persisted: the entry is evicted so the next submission
 // recomputes.
 //
-// Terminally-failed computations are memoized (a deterministic spec fails
-// the same way every time; retry policy belongs inside compute). Failures
-// Classify as Retryable — stalls, exhausted timeout budgets — are evicted,
-// matching the "might succeed on resubmission" promise their APIError class
-// makes to clients. Cancellations are likewise evicted so the next caller
-// recomputes instead of inheriting a dead context's failure, and a waiter
-// whose own ctx fires bails with ctx.Err() while the in-flight computation
-// proceeds for everyone else.
+// Failed computations are memoized — a deterministic spec fails the same
+// way every time, a watchdog stall included — except cancellations and
+// deadlines: they describe the caller's context, not the spec, so they are
+// evicted and the next caller recomputes, matching the "might succeed on
+// resubmission" promise a deadline's APIError class makes to clients. A
+// waiter whose own ctx fires bails with ctx.Err() while the in-flight
+// computation proceeds for everyone else.
 func (s *ResultStore) Do(ctx context.Context, key string, compute func(ctx context.Context) (payload []byte, cacheable bool, err error)) (payload []byte, hit bool, err error) {
 	fromDisk := false
 	payload, hit, err = s.memo.Do(ctx, key, func() ([]byte, bool, error) {
@@ -97,10 +96,7 @@ func (s *ResultStore) Do(ctx context.Context, key string, compute func(ctx conte
 		s.mu.Unlock()
 		payload, cacheable, err := compute(ctx)
 		if err != nil {
-			// Cancellation never describes the spec; retryable failures
-			// promise the client that resubmission might succeed, so
-			// honoring that promise requires actually recomputing.
-			return payload, !cancelled(err) && Classify(err) == Terminal, err
+			return payload, !cancelled(err), err
 		}
 		if cacheable && s.disk != nil {
 			// Best-effort, like cell checkpoints: a full or read-only volume

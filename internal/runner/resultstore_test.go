@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"busprefetch/internal/check"
 )
 
 // TestResultStoreSingleflight pins the server cache's core economics: N
@@ -204,34 +206,41 @@ func TestResultStoreCancellationNotMemoized(t *testing.T) {
 
 // TestResultStoreFailureMemoized: a terminally-classified failure is
 // memoized like TraceCache generation failures — the broken spec fails once
-// and every resubmission gets the same error without recomputation.
+// and every resubmission gets the same error without recomputation. A
+// watchdog stall is such a failure: the replay is deterministic, so the
+// stalled spec stalls again on every run.
 func TestResultStoreFailureMemoized(t *testing.T) {
-	s := NewResultStore(nil)
-	var computes int
-	fail := func(context.Context) ([]byte, bool, error) {
-		computes++
-		return nil, false, fmt.Errorf("broken spec")
-	}
-	if _, _, err := s.Do(context.Background(), "k", fail); err == nil {
-		t.Fatal("want error")
-	}
-	_, hit, err := s.Do(context.Background(), "k", fail)
-	if err == nil || !hit || computes != 1 {
-		t.Errorf("resubmitted broken spec: hit=%v err=%v computes=%d, want memoized failure", hit, err, computes)
+	for _, cause := range []error{
+		fmt.Errorf("broken spec"),
+		fmt.Errorf("run: %w", &check.StallError{Cycle: 206, Reason: "no progress"}),
+	} {
+		s := NewResultStore(nil)
+		var computes int
+		fail := func(context.Context) ([]byte, bool, error) {
+			computes++
+			return nil, false, cause
+		}
+		if _, _, err := s.Do(context.Background(), "k", fail); err == nil {
+			t.Fatal("want error")
+		}
+		_, hit, err := s.Do(context.Background(), "k", fail)
+		if err == nil || !hit || computes != 1 {
+			t.Errorf("resubmitted %v: hit=%v err=%v computes=%d, want memoized failure", cause, hit, err, computes)
+		}
 	}
 }
 
 // TestResultStoreRetryableFailureEvicted: a failure that classifies as
-// retryable (an exhausted timeout budget, a transient fault) promises the
-// client that resubmission might succeed — so it must not be memoized, or
-// the resubmission would replay the cached error without recomputing until
-// the process restarts.
+// retryable (a run that ran out of its timeout) promises the client that
+// resubmission might succeed — so it must not be memoized, or the
+// resubmission would replay the cached error without recomputing until the
+// process restarts.
 func TestResultStoreRetryableFailureEvicted(t *testing.T) {
 	s := NewResultStore(nil)
 	var computes int
 	if _, _, err := s.Do(context.Background(), "k", func(context.Context) ([]byte, bool, error) {
 		computes++
-		return nil, false, &TransientError{Err: fmt.Errorf("injected fault")}
+		return nil, false, fmt.Errorf("run: %w", context.DeadlineExceeded)
 	}); err == nil {
 		t.Fatal("want error")
 	}

@@ -34,7 +34,7 @@ type Timing struct {
 // PanicError is a task panic captured by Pool.Do's per-task isolation: one
 // panicking cell fails alone instead of crashing the whole sweep (and, under
 // a long-lived server, the whole process). It is terminal by classification —
-// a panic is a bug, not a transient condition worth retrying.
+// a panic is a bug that recurs on every run.
 type PanicError struct {
 	// Label is the panicking task's label.
 	Label string

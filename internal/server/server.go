@@ -37,10 +37,8 @@ type Options struct {
 	// sweep cells checkpoint into it, so both whole results and partial
 	// sweeps survive a restart.
 	Checkpoints *runner.CheckpointStore
-	// Timeout and Retries are each sweep cell's attempt budget
-	// (experiments.Config.Timeout / Retries).
+	// Timeout bounds each sweep cell's one run (experiments.Config.Timeout).
 	Timeout time.Duration
-	Retries int
 	// JobRetention caps how many terminal job resources the server keeps
 	// addressable: past it, the oldest-finished jobs are evicted (their ids
 	// answer 404) so an always-on service does not grow without bound. The
@@ -105,8 +103,8 @@ func (s *Server) logf(format string, args ...any) {
 // APIError is the wire form of every failure: HTTP-level errors fill the
 // whole response body with {"error": ...}; job-level failures embed it in
 // the job resource. Class carries the runner.Classify taxonomy for
-// compute failures ("terminal" or "retryable, exhausted budget"), so a
-// client knows whether resubmitting the same spec can ever succeed.
+// compute failures ("terminal" or "retryable"), so a client knows whether
+// resubmitting the same spec can ever succeed.
 type APIError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -115,7 +113,7 @@ type APIError struct {
 
 func (e *APIError) Error() string { return e.Message }
 
-// apiErrorFrom wraps a compute failure with its retry classification.
+// apiErrorFrom wraps a compute failure with its classification.
 func apiErrorFrom(err error) *APIError {
 	var ae *APIError
 	if errors.As(err, &ae) {

@@ -485,8 +485,8 @@ func TestTerminalJobRetentionCap(t *testing.T) {
 	}
 }
 
-// TestDegradedSweepNotCached: a sweep whose cells exhaust their
-// timeout/retry budget is tolerated — the report annotates the failures and
+// TestDegradedSweepNotCached: a sweep whose cells run out of their
+// timeout is tolerated — the report annotates the failures and
 // the submitter gets it — but the degraded payload must not enter the
 // result store, or the incomplete report would be served for that spec
 // forever (even after a restart with a bigger -timeout). Resubmission

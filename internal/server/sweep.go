@@ -118,7 +118,6 @@ func planSweep(req SweepRequest, opts Options) (sweepPlan, error) {
 			Interconnect: m.Fabric,
 			Parallelism:  opts.Shards,
 			Timeout:      opts.Timeout,
-			Retries:      opts.Retries,
 			Checkpoints:  opts.Checkpoints,
 		},
 		sections: sections,
@@ -129,12 +128,12 @@ func planSweep(req SweepRequest, opts Options) (sweepPlan, error) {
 // key is the sweep's content-addressed result-store key. It extends the
 // suite's canonical spec string (which already embeds the build revision)
 // with the per-request fields the cell keys ignore: the transfer sweep and
-// the rendered section list. Scheduling knobs — shards, timeout, retries —
-// are deliberately absent. Shards never change the bytes (pinned by the
-// determinism goldens); timeout and retries can — a cell that exhausts its
-// budget is tolerated and annotated in the report — but such a degraded
-// result is never cached (computeSweep flags it non-cacheable), so every
-// payload stored under this key is the complete, budget-independent report.
+// the rendered section list. Scheduling knobs — shards, timeout — are
+// deliberately absent. Shards never change the bytes (pinned by the
+// determinism goldens); the timeout can — a cell that runs out of it is
+// tolerated and annotated in the report — but such a degraded result is
+// never cached (computeSweep flags it non-cacheable), so every payload
+// stored under this key is the complete, budget-independent report.
 func (p sweepPlan) key() string {
 	cfg := p.cfg
 	sections := p.sections
@@ -152,11 +151,11 @@ func (p sweepPlan) key() string {
 // busprefetch-bench/v1 report, recorded when the sweep actually ran — a
 // cached re-serve returns the original run's trajectory. Metrics (when
 // requested) is the busprefetch-metrics/v1 observability report.
-// FailedCells names any cells that failed after retries; the report
-// annotates them in place, mkfigures-style, rather than failing the sweep.
-// A result carrying FailedCells is served to its submitter but never enters
-// the result store, so a resubmission (perhaps under a bigger -timeout /
-// -retries budget) recomputes the full report.
+// FailedCells names any cells that failed; the report annotates them in
+// place, mkfigures-style, rather than failing the sweep. A result carrying
+// FailedCells is served to its submitter but never enters the result store,
+// so a resubmission (perhaps under a bigger -timeout) recomputes the full
+// report.
 type SweepResult struct {
 	Report      string                `json:"report"`
 	Bench       *runner.BenchReport   `json:"bench,omitempty"`
@@ -173,9 +172,8 @@ type SweepResult struct {
 //
 // cacheable is false when any cell failed: the degraded report is still a
 // valid answer for the submitting client, but memoizing it would serve an
-// incomplete sweep forever even after a restart with a bigger
-// timeout/retry budget, so the result store drops it and a resubmission
-// recomputes.
+// incomplete sweep forever even after a restart with a bigger timeout, so
+// the result store drops it and a resubmission recomputes.
 func computeSweep(ctx context.Context, j *Job, p sweepPlan) (payload []byte, cacheable bool, err error) {
 	suite := experiments.NewSuite(p.cfg)
 	start := time.Now()

@@ -93,8 +93,7 @@ func TestStateFlipTripsCoherenceChecker(t *testing.T) {
 // TestTruncatedStreamRejected: cutting one processor's stream off before its
 // barrier (check.Injector models a trace cut off mid-computation) leaves the
 // barrier counts unbalanced; the replay must reject the trace with a clear
-// validation error instead of reporting the resulting deadlock as a
-// (retryable) stall.
+// validation error instead of reporting the resulting deadlock as a stall.
 func TestTruncatedStreamRejected(t *testing.T) {
 	full := trace.Stream{
 		{Kind: trace.Read, Addr: 0x1000},

@@ -30,14 +30,6 @@ func (r *rng) Intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// Float returns a uniform float64 in [0, 1).
-func (r *rng) Float() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
-// Chance reports true with probability p.
-func (r *rng) Chance(p float64) bool { return r.Float() < p }
-
 // builder accumulates one processor's event stream. Instruction work between
 // memory references is recorded as the next event's Gap. Whenever the
 // current buffer fills, it is handed to sink, which returns an empty buffer
@@ -79,13 +71,3 @@ func (b *builder) Unlock(a memory.Addr) { b.emit(trace.Unlock, a) }
 
 // Barrier records arrival at barrier id.
 func (b *builder) Barrier(id uint64) { b.emit(trace.Barrier, memory.Addr(id)) }
-
-// ReadRun reads words stride apart starting at a, touching n words.
-func (b *builder) ReadRun(a memory.Addr, n int, stride int, instrBetween int) {
-	for i := 0; i < n; i++ {
-		b.Read(a + memory.Addr(i*stride))
-		if instrBetween > 0 {
-			b.Instr(instrBetween)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"busprefetch/internal/memory"
 	"busprefetch/internal/trace"
@@ -12,8 +13,9 @@ type Params struct {
 	// Procs is the number of processors; 0 selects the workload default.
 	Procs int
 	// Scale multiplies the trace length; 1.0 is the calibrated default
-	// (roughly 10^5 references per processor). Must be > 0; values below
-	// about 0.1 leave too few references for stable statistics.
+	// (roughly 10^5 references per processor). Must be finite and > 0;
+	// values below about 0.1 leave too few references for stable
+	// statistics.
 	Scale float64
 	// Seed perturbs the deterministic generators.
 	Seed int64
@@ -83,8 +85,8 @@ type Workload struct {
 // planFor validates parameters and computes the workload's plan.
 func (w *Workload) planFor(p Params) (Params, procPlan, Info, error) {
 	p = p.withDefaults(w.DefaultProcs)
-	if p.Scale <= 0 {
-		return p, nil, Info{}, fmt.Errorf("workload %s: scale %v must be positive", w.Name, p.Scale)
+	if !(p.Scale > 0) || math.IsInf(p.Scale, 1) {
+		return p, nil, Info{}, fmt.Errorf("workload %s: scale %v must be a finite positive number", w.Name, p.Scale)
 	}
 	if p.Procs < 2 || p.Procs > 64 {
 		return p, nil, Info{}, fmt.Errorf("workload %s: procs %d outside [2, 64]", w.Name, p.Procs)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -114,8 +115,10 @@ func TestScaleControlsLength(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	w := Water()
-	if _, _, err := generate(w, Params{Scale: -1}); err == nil {
-		t.Error("negative scale accepted")
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, _, err := w.Source(Params{Scale: scale}); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
 	}
 	if _, _, err := generate(w, Params{Procs: 1, Scale: 0.1}); err == nil {
 		t.Error("single processor accepted (needs >= 2 for sharing)")
