@@ -12,19 +12,26 @@ import (
 // line valid.
 //
 // The filter is the inner loop of prefetch annotation — one Access per
-// trace event — so it keeps only what that loop needs: a flat tag array
-// with per-entry recency stamps, not internal/cache's coherence-state
-// lines. Replacement is the same discipline as cache.Cache's Allocate
+// trace event — so it keeps only what that loop needs: a flat tag array,
+// plus per-entry recency stamps when a set has more than one way, not
+// internal/cache's coherence-state lines. Replacement is the same discipline as cache.Cache's Allocate
 // restricted to always-valid lines (first empty way, else lowest recency,
 // first index winning ties), so the marked miss sequence is bit-identical
 // to the cache-backed filter this replaces.
 type Cache struct {
-	ways      int
+	probe Direct // the tag array; the whole filter when direct mapped
+	ways  int
+	stamp []uint64 // recency, parallel to probe.tags; nil when direct mapped
+	clock uint64
+}
+
+// Direct is the probe of a direct-mapped filter, the paper's cache. It is
+// split from Cache so that a per-event loop can inline it: Cache.Access is
+// too large to inline, because its associative case is a call.
+type Direct struct {
+	tags      []uint64 // sets*ways, set-major; tag+1, 0 = empty
 	lineShift uint
 	setMask   uint64
-	tags      []uint64 // sets*ways, set-major; tag+1, 0 = empty
-	stamp     []uint64 // recency, parallel to tags
-	clock     uint64
 }
 
 // NewCache returns an empty filter with the given geometry. It panics on an
@@ -34,37 +41,49 @@ func NewCache(geom memory.Geometry) *Cache {
 		panic(err)
 	}
 	n := geom.Sets() * geom.Ways()
-	return &Cache{
-		ways:      geom.Ways(),
-		lineShift: uint(bits.TrailingZeros64(uint64(geom.LineSize))),
-		setMask:   uint64(geom.Sets() - 1),
-		tags:      make([]uint64, n),
-		stamp:     make([]uint64, n),
+	f := &Cache{
+		probe: Direct{
+			tags:      make([]uint64, n),
+			lineShift: uint(bits.TrailingZeros64(uint64(geom.LineSize))),
+			setMask:   uint64(geom.Sets() - 1),
+		},
+		ways: geom.Ways(),
 	}
+	if f.ways > 1 {
+		f.stamp = make([]uint64, n)
+	}
+	return f
 }
 
-// Access touches a and reports whether it missed (and filled). The
-// direct-mapped case — the paper's cache, so nearly every Access in a run —
-// is a single compare-and-store kept small enough to inline; recency stamps
-// are irrelevant with one way per set.
+// Direct returns the filter's direct-mapped probe, which shares the
+// filter's tags, and whether the filter is direct mapped. The probe of an
+// associative filter must not be used.
+func (f *Cache) Direct() (Direct, bool) { return f.probe, f.ways == 1 }
+
+// Access touches a and reports whether it missed (and filled).
 func (f *Cache) Access(a memory.Addr) (miss bool) {
-	tag := uint64(a) >> f.lineShift
 	if f.ways == 1 {
-		i := int(tag & f.setMask)
-		if f.tags[i] == tag+1 {
-			return false
-		}
-		f.tags[i] = tag + 1
-		return true
+		return f.probe.Access(a)
 	}
-	return f.accessAssoc(tag)
+	return f.accessAssoc(uint64(a) >> f.probe.lineShift)
+}
+
+// Access is Cache.Access for a direct-mapped filter: a compare and an
+// unconditional store, since a hit stores the tag already there. Recency
+// stamps are irrelevant with one way per set.
+func (d Direct) Access(a memory.Addr) (miss bool) {
+	tag := uint64(a) >> d.lineShift
+	t := &d.tags[tag&d.setMask]
+	miss = *t != tag+1
+	*t = tag + 1
+	return miss
 }
 
 // accessAssoc is Access for associative sets: LRU with first-index
 // tie-breaking, matching cache.Cache's Allocate over always-valid lines.
 func (f *Cache) accessAssoc(tag uint64) (miss bool) {
-	si := int(tag&f.setMask) * f.ways
-	set := f.tags[si : si+f.ways]
+	si := int(tag&f.probe.setMask) * f.ways
+	set := f.probe.tags[si : si+f.ways]
 	f.clock++
 	for i, t := range set {
 		if t == tag+1 {
@@ -94,9 +113,9 @@ func (f *Cache) accessAssoc(tag uint64) (miss bool) {
 
 // Holds reports whether the filter currently holds a's line.
 func (f *Cache) Holds(a memory.Addr) bool {
-	tag := uint64(a) >> f.lineShift
-	si := int(tag&f.setMask) * f.ways
-	for _, t := range f.tags[si : si+f.ways] {
+	tag := uint64(a) >> f.probe.lineShift
+	si := int(tag&f.probe.setMask) * f.ways
+	for _, t := range f.probe.tags[si : si+f.ways] {
 		if t == tag+1 {
 			return true
 		}

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math/rand"
 	"testing"
 
 	"busprefetch/internal/memory"
@@ -119,5 +120,47 @@ func TestTemporalLocalityWindow(t *testing.T) {
 	miss = MarkWriteSharedMisses(far, g, all)
 	if !miss[len(miss)-1] {
 		t.Error("line re-touched after 16 distinct lines must miss the PWS filter")
+	}
+}
+
+// TestDirectProbeMatchesModel runs random addresses through a
+// direct-mapped filter's Direct probe and through a model that keeps each
+// set's line number: the misses must agree, and the probe must fill the
+// filter it came from. An associative filter has no probe.
+func TestDirectProbeMatchesModel(t *testing.T) {
+	const sets, lineSize = 16, 32
+	f := NewCache(memory.Geometry{CacheSize: sets * lineSize, LineSize: lineSize, Assoc: 1})
+	d, ok := f.Direct()
+	if !ok {
+		t.Fatal("direct-mapped filter reports no probe")
+	}
+	held := make([]int, sets) // line number + 1 held by each set, 0 = empty
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		a := memory.Addr(rng.Intn(4 * sets * lineSize))
+		line := int(a) / lineSize
+		want := held[line%sets] != line+1
+		held[line%sets] = line + 1
+		if got := d.Access(a); got != want {
+			t.Fatalf("access %d (%#x): miss=%v, model says %v", i, uint64(a), got, want)
+		}
+		if !f.Holds(a) {
+			t.Fatalf("access %d: the probe did not fill its filter", i)
+		}
+	}
+	if _, ok := NewCache(memory.Geometry{CacheSize: sets * lineSize, LineSize: lineSize, Assoc: 2}).Direct(); ok {
+		t.Error("2-way filter reports a direct-mapped probe")
+	}
+}
+
+// TestDirectMappedFilterAllocatesNoStamps: recency stamps are read only
+// with more than one way per set, so a direct-mapped filter allocates its
+// struct and its tags and nothing else.
+func TestDirectMappedFilterAllocatesNoStamps(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { NewCache(memory.DefaultGeometry()) }); n != 2 {
+		t.Errorf("NewCache(direct mapped) made %v allocations, want 2", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { NewCache(PWSGeometry(32)) }); n != 3 {
+		t.Errorf("NewCache(fully associative) made %v allocations, want 3", n)
 	}
 }

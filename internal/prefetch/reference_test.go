@@ -2,6 +2,8 @@ package prefetch
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -39,17 +41,45 @@ func referenceAnnotate(t *trace.Trace, opt Options) (*trace.Trace, error) {
 	// set to suppress those lines instead.
 	var isWS func(memory.Addr) bool
 	if opt.Strategy == PWS || opt.ExcludeWriteShared {
-		prof, err := trace.AnalyzeSharingSource(trace.FromTrace(t), opt.Geometry)
-		if err != nil {
-			return nil, err
-		}
-		isWS = prof.WriteShared
+		isWS = writeSharedSet(t, opt.Geometry)
 	}
 
 	for p, s := range t.Streams {
 		out.Streams[p] = annotateStream(s, opt, isWS)
 	}
 	return out, nil
+}
+
+// writeSharedSet is the reference's own whole-trace write-shared line set,
+// built in a plain map rather than with trace.AnalyzeSharingSource, so that
+// a fault in the shipping sharing table cannot hide in both sides of a
+// comparison. A line is write-shared when some processor writes it (a lock
+// or unlock is a read-modify-write) and at least two processors touch it.
+func writeSharedSet(t *trace.Trace, geom memory.Geometry) func(memory.Addr) bool {
+	type use struct{ readers, writers uint64 }
+	lines := map[uint64]use{}
+	for p, s := range t.Streams {
+		for _, e := range s {
+			l := uint64(e.Addr) / uint64(geom.LineSize)
+			u := lines[l]
+			switch e.Kind {
+			case trace.Read:
+				u.readers |= 1 << p
+			case trace.Write, trace.Lock, trace.Unlock:
+				u.writers |= 1 << p
+			default:
+				continue
+			}
+			lines[l] = u
+		}
+	}
+	ws := map[uint64]bool{}
+	for l, u := range lines {
+		if u.writers != 0 && bits.OnesCount64(u.readers|u.writers) >= 2 {
+			ws[l] = true
+		}
+	}
+	return func(a memory.Addr) bool { return ws[uint64(a)/uint64(geom.LineSize)] }
 }
 
 // insertion is one prefetch to place immediately before event index at.
@@ -149,8 +179,10 @@ func placeBefore(start []uint64, i int, dist uint64) int {
 // TestAnnotateSourceMatchesReference compares the shipping streamed
 // annotator with the batch reference event by event, over every workload
 // and every option that changes where or what the oracle inserts. Each
-// variant runs once with the sharing profile computed on demand and once
-// with it precomputed, the way the suite's trace cache supplies it.
+// variant runs with the sharing profile computed on demand, with it
+// precomputed (the way the suite's trace cache supplies it), and over the
+// same streams in random chunk lengths: where the input's chunks end must
+// not move an insertion.
 func TestAnnotateSourceMatchesReference(t *testing.T) {
 	twoWay := memory.Geometry{CacheSize: 32 * 1024, LineSize: 32, Assoc: 2}
 	type variant struct {
@@ -179,7 +211,7 @@ func TestAnnotateSourceMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range variants {
+			for i, v := range variants {
 				want, err := referenceAnnotate(base, v.opt)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", v.name, err)
@@ -188,9 +220,17 @@ func TestAnnotateSourceMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range []*trace.SharingProfile{nil, prof} {
-					label := fmt.Sprintf("%s (precomputed profile: %v)", v.name, p != nil)
-					ann, err := AnnotateSource(src, v.opt, p)
+				for _, in := range []struct {
+					label string
+					src   trace.Source
+					prof  *trace.SharingProfile
+				}{
+					{"profile computed on demand", src, nil},
+					{"precomputed profile", src, prof},
+					{"random chunk lengths", rechunked{base, int64(i)}, nil},
+				} {
+					label := fmt.Sprintf("%s (%s)", v.name, in.label)
+					ann, err := AnnotateSource(in.src, v.opt, in.prof)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -204,6 +244,49 @@ func TestAnnotateSourceMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// rechunked serves a materialized trace in chunks of random length: a few
+// events, about one prefetch distance, or more than the annotator takes in
+// one pass. So the annotator's window meets chunks shorter than the tail it
+// carries, chunks that end inside that tail, and chunks it must split.
+type rechunked struct {
+	t    *trace.Trace
+	seed int64
+}
+
+func (s rechunked) Name() string { return s.t.Name }
+
+func (s rechunked) Procs() int { return s.t.Procs() }
+
+func (s rechunked) Events(proc int) trace.Iterator {
+	return &rechunkIter{s: s.t.Streams[proc], rng: rand.New(rand.NewSource(s.seed + int64(proc)))}
+}
+
+type rechunkIter struct {
+	s   trace.Stream
+	rng *rand.Rand
+}
+
+func (it *rechunkIter) Next() ([]trace.Event, error) {
+	if len(it.s) == 0 {
+		return nil, nil
+	}
+	var n int
+	switch it.rng.Intn(3) {
+	case 0:
+		n = 1 + it.rng.Intn(8)
+	case 1:
+		n = 50 + it.rng.Intn(500)
+	default:
+		n = annSpan - 100 + it.rng.Intn(2*annSpan)
+	}
+	n = min(n, len(it.s))
+	c := it.s[:n]
+	it.s = it.s[n:]
+	return c, nil
+}
+
+func (it *rechunkIter) Close() { it.s = nil }
 
 // diffTraces reports the first event at which got and want diverge.
 func diffTraces(t *testing.T, label string, got, want *trace.Trace) {

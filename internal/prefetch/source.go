@@ -2,9 +2,9 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 
 	"busprefetch/internal/filter"
-	"busprefetch/internal/memory"
 	"busprefetch/internal/trace"
 )
 
@@ -24,10 +24,11 @@ import (
 // The algorithm needs bounded lookback, not whole-stream access: an
 // insertion for event i lands at most `distance` events earlier (every
 // event costs at least one estimated cycle), and the landing position
-// is monotone in i (estimated start times strictly increase). So a
-// sliding window of the last ~distance events suffices, and insertions
-// emerge already in (position, target order) order. The batch
-// reference oracle in the package tests checks this event by event.
+// is monotone in i (estimated start times strictly increase). So each
+// processor's annotator holds one input chunk plus a tail of at most
+// distance+1 earlier events, and insertions emerge already in (position,
+// target order) order. The batch reference oracle in the package tests
+// checks this event by event.
 //
 // PWS and ExcludeWriteShared need the whole-trace write-shared line
 // set — the stand-in for the compiler's knowledge of which data
@@ -50,25 +51,25 @@ func AnnotateSource(src trace.Source, opt Options, prof *trace.SharingProfile) (
 	if opt.ExcludeWriteShared && opt.Strategy == PWS {
 		return nil, fmt.Errorf("prefetch: ExcludeWriteShared contradicts PWS")
 	}
-	var isWS func(memory.Addr) bool
-	if opt.Strategy == PWS || opt.ExcludeWriteShared {
-		if prof == nil {
-			var err error
-			prof, err = trace.AnalyzeSharingSource(src, opt.Geometry)
-			if err != nil {
-				return nil, err
-			}
+	switch {
+	case opt.Strategy != PWS && !opt.ExcludeWriteShared:
+		prof = nil
+	case prof == nil:
+		var err error
+		if prof, err = trace.AnalyzeSharingSource(src, opt.Geometry); err != nil {
+			return nil, err
 		}
-		isWS = prof.WriteShared
 	}
-	return &oracleSource{base: src, opt: opt, isWS: isWS}, nil
+	return &oracleSource{base: src, opt: opt, prof: prof}, nil
 }
 
-// oracleSource streams base with prefetch events inserted on the fly.
+// oracleSource streams base with prefetch events inserted on the fly. prof
+// is the write-shared line set, nil when the options do not need it; every
+// processor's annotator reads it concurrently.
 type oracleSource struct {
 	base trace.Source
 	opt  Options
-	isWS func(memory.Addr) bool
+	prof *trace.SharingProfile
 }
 
 func (s *oracleSource) Name() string { return s.base.Name() }
@@ -79,57 +80,9 @@ func (s *oracleSource) Events(proc int) trace.Iterator {
 	base := s.base.Events(proc)
 	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
 		defer base.Close()
-		return annotateStreaming(base, s.opt, s.isWS, flush)
+		return annotateStreaming(base, s.opt, s.prof, flush)
 	})
 }
-
-// annRing is a growable power-of-two ring buffer holding the
-// not-yet-final window of events. Events and their estimated start cycles
-// live in parallel arrays: the monotone placement scan touches only
-// starts, and final events bulk-copy straight out of the event array.
-type annRing struct {
-	evs    []trace.Event
-	starts []uint64
-	head   int
-	n      int
-}
-
-func newAnnRing() *annRing {
-	return &annRing{evs: make([]trace.Event, 512), starts: make([]uint64, 512)}
-}
-
-// push appends without a capacity check: the caller tests fullness and
-// reserve()s first, which keeps push small enough to inline in the
-// per-event loop.
-func (r *annRing) push(ev trace.Event, start uint64) {
-	i := (r.head + r.n) & (len(r.evs) - 1)
-	r.evs[i] = ev
-	r.starts[i] = start
-	r.n++
-}
-
-// reserve grows the ring until it can hold n entries.
-func (r *annRing) reserve(n int) {
-	for n > len(r.evs) {
-		evs := make([]trace.Event, len(r.evs)*2)
-		starts := make([]uint64, len(r.starts)*2)
-		mask := len(r.evs) - 1
-		for i := 0; i < r.n; i++ {
-			evs[i] = r.evs[(r.head+i)&mask]
-			starts[i] = r.starts[(r.head+i)&mask]
-		}
-		r.evs, r.starts, r.head = evs, starts, 0
-	}
-}
-
-func (r *annRing) popEv() trace.Event {
-	ev := r.evs[r.head]
-	r.head = (r.head + 1) & (len(r.evs) - 1)
-	r.n--
-	return ev
-}
-
-func (r *annRing) startAt(i int) uint64 { return r.starts[(r.head+i)&(len(r.starts)-1)] }
 
 // pendingIns is one queued prefetch insertion: emit ev immediately
 // before absolute event position at.
@@ -138,88 +91,56 @@ type pendingIns struct {
 	ev trace.Event
 }
 
-// annEmitBatch is how many final window positions accumulate before they
-// are emitted. Batching keeps the bulk-copy spans long; the window then
-// holds at most annEmitBatch + distance events, still comfortably inside
-// the ring's initial capacity.
-const annEmitBatch = 256
+// annSpan is the most events one annotate call takes, a quarter of a
+// pipe's chunk. It bounds the window's arrays: with the tail they come to
+// about 11 KiB per processor at the default distance, 18 KiB at LPD's.
+const annSpan = 1024
 
-// annotateStreaming runs the oracle over one processor's event stream
-// with an incremental miss filter and a bounded window, emitting the
-// annotated stream through flush.
-func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) bool, flush func([]trace.Event) []trace.Event) error {
-	mainF := filter.NewCache(opt.Geometry)
-	var pwsF *filter.Cache
-	if isWS != nil && opt.Strategy == PWS {
-		pwsF = filter.NewCache(filter.PWSGeometry(opt.Geometry.LineSize))
-	}
+// annotator is one processor's oracle state between input chunks. The
+// window holds the events from position base on that are not yet final:
+// the tail carried from earlier chunks, in tail, then the current chunk,
+// which is read in place. starts holds the whole window's estimated start
+// cycles.
+type annotator struct {
+	opt     Options
+	dist    uint64
+	mainF   *filter.Cache
+	pwsF    *filter.Cache         // PWS's temporal filter, nil otherwise
+	prof    *trace.SharingProfile // write-shared lines, nil when unused
+	clock   uint64
+	base    int // absolute position of the window's first event
+	place   int // monotone placement pointer: last j with starts[j] <= want
+	tail    []trace.Event
+	starts  []uint64
+	ins     []pendingIns // queued insertions, ordered by position
+	insHead int          // first insertion not yet emitted
+	out     []trace.Event
+	flush   func([]trace.Event) []trace.Event
+}
+
+// annotateStreaming runs the oracle over one processor's event stream a
+// chunk at a time, emitting the annotated stream through flush.
+//
+// Each chunk (at most annSpan events) takes two passes. The first
+// computes its events' estimated start cycles. The second runs them
+// through the miss filters and queues a prefetch for each predicted miss
+// at the placement pointer, advanced to that miss. The pointer moves only there and at the chunk's last event:
+// want and the pointer's bound both rise with the event index, so the
+// pointer reaches the same position lazily as it would event by event.
+// Once advanced to the chunk's last event, it bounds every later
+// placement from below, so the positions before it are final. They are
+// emitted once, straight from the input chunk with the queued prefetches
+// interleaved, and only the events from the pointer on (at most
+// distance+1 of them) are copied into the tail carried to the next chunk.
+func annotateStreaming(base trace.Iterator, opt Options, prof *trace.SharingProfile, flush func([]trace.Event) []trace.Event) error {
 	dist := opt.distance()
-
-	out := flush(nil)
-	emit := func(e trace.Event) {
-		if len(out) == cap(out) {
-			out = flush(out)
-		}
-		out = append(out, e)
+	lag := min(int(dist)+1, annSpan) // the tail's bound, at usual distances
+	a := &annotator{opt: opt, dist: dist, mainF: filter.NewCache(opt.Geometry), prof: prof,
+		tail: make([]trace.Event, 0, lag), starts: make([]uint64, 0, lag+annSpan), flush: flush}
+	if prof != nil && opt.Strategy == PWS {
+		a.pwsF = filter.NewCache(filter.PWSGeometry(opt.Geometry.LineSize))
 	}
-
-	win := newAnnRing()
-	var insq []pendingIns
-	insHead := 0
-	var clock uint64
-	idx := 0     // absolute index of the event being processed
-	flushed := 0 // absolute index of the first not-yet-emitted position
-	place := 0   // monotone placement pointer: last j with start[j] <= want
-
-	// emitRun pops k final window events, bulk-copying contiguous ring
-	// spans — the common case between insertion positions.
-	emitRun := func(k int) {
-		for k > 0 {
-			run := len(win.evs) - win.head
-			if run > win.n {
-				run = win.n
-			}
-			if run > k {
-				run = k
-			}
-			space := cap(out) - len(out)
-			if space == 0 {
-				out = flush(out)
-				space = cap(out) - len(out)
-			}
-			if run > space {
-				run = space
-			}
-			out = append(out, win.evs[win.head:win.head+run]...)
-			win.head = (win.head + run) & (len(win.evs) - 1)
-			win.n -= run
-			k -= run
-		}
-	}
-	// emitFinal emits queued insertions and window events for positions
-	// [flushed, upto).
-	emitFinal := func(upto int) {
-		for flushed < upto {
-			// Bulk-copy the insertion-free span up to the next queued
-			// insertion position.
-			next := upto
-			if insHead < len(insq) && insq[insHead].at < next {
-				next = insq[insHead].at
-			}
-			if next > flushed {
-				emitRun(next - flushed)
-				flushed = next
-				continue
-			}
-			for insHead < len(insq) && insq[insHead].at == flushed {
-				emit(insq[insHead].ev)
-				insHead++
-			}
-			emit(win.popEv())
-			flushed++
-		}
-	}
-
+	a.out = flush(nil)
 	for {
 		chunk, err := base.Next()
 		if err != nil {
@@ -228,63 +149,129 @@ func annotateStreaming(base trace.Iterator, opt Options, isWS func(memory.Addr) 
 		if chunk == nil {
 			break
 		}
-		for _, e := range chunk {
-			start := clock + uint64(e.Gap)
-			clock += uint64(e.Gap) + 1
-			if win.n == len(win.evs) {
-				win.reserve(win.n + 1)
-			}
-			win.push(e, start)
-
-			var miss, wsMiss bool
-			if e.Kind <= trace.Write { // Read or Write
-				miss = mainF.Access(e.Addr)
-			} else if e.Kind == trace.Lock || e.Kind == trace.Unlock {
-				mainF.Access(e.Addr)
-			}
-			if pwsF != nil && e.Kind.IsDemand() && isWS(e.Addr) {
-				wsMiss = pwsF.Access(e.Addr)
-			}
-
-			// Advance the monotone insertion pointer. Because start
-			// strictly increases, want does too, so the pointer never
-			// moves backward — this loop is amortized O(1) per event.
-			if start > dist {
-				want := start - dist
-				for place < idx && win.startAt(place+1-flushed) <= want {
-					place++
-				}
-			}
-			// Positions before the pointer can never receive another
-			// insertion (future events place at or after it): they are
-			// final. Emitting them is deferred until a batch has
-			// accumulated so emitRun copies long spans instead of
-			// single events.
-			if place-flushed >= annEmitBatch {
-				emitFinal(place)
-				if insHead == len(insq) {
-					insq, insHead = insq[:0], 0
-				} else if insHead >= 1024 {
-					// Compact the consumed prefix so the queue stays
-					// window-sized even when it never fully drains.
-					n := copy(insq, insq[insHead:])
-					insq, insHead = insq[:n], 0
-				}
-			}
-
-			wantPref := miss || wsMiss
-			if wantPref && e.Kind.IsDemand() && !(opt.ExcludeWriteShared && isWS != nil && isWS(e.Addr)) {
-				kind := trace.Prefetch
-				if opt.Strategy == EXCL && e.Kind == trace.Write && miss {
-					kind = trace.PrefetchExcl
-				}
-				insq = append(insq, pendingIns{at: place, ev: trace.Event{Kind: kind, Addr: e.Addr}})
-			}
-			idx++
+		// A chunk is taken annSpan events at a time, so a long one (a
+		// whole materialized stream) cannot grow the window.
+		for len(chunk) > 0 {
+			n := min(len(chunk), annSpan)
+			a.annotate(chunk[:n])
+			chunk = chunk[n:]
 		}
 	}
 	// End of stream: everything left in the window is final.
-	emitFinal(idx)
-	flush(out)
+	a.emit(a.tail, a.base)
+	flush(a.out)
 	return nil
+}
+
+// annotate takes one chunk of at most annSpan events: it queues the
+// chunk's insertions, emits every position that became final and carries
+// the rest in the tail.
+func (a *annotator) annotate(chunk []trace.Event) {
+	first := a.base + len(a.tail) // absolute position of chunk[0]
+	n := len(a.starts)
+	a.starts = slices.Grow(a.starts, len(chunk))[:n+len(chunk)]
+	starts := a.starts[n:]
+	clock := a.clock
+	for k, e := range chunk {
+		starts[k] = clock + uint64(e.Gap)
+		clock += uint64(e.Gap) + 1
+	}
+	a.clock = clock
+
+	dm, direct := a.mainF.Direct()
+	pwsF, prof := a.pwsF, a.prof
+	exclude := a.opt.ExcludeWriteShared
+	excl := a.opt.Strategy == EXCL
+	for k, e := range chunk {
+		switch e.Kind {
+		case trace.Read, trace.Write, trace.Lock, trace.Unlock:
+		default:
+			continue
+		}
+		var miss bool
+		if direct {
+			miss = dm.Access(e.Addr)
+		} else {
+			miss = a.mainF.Access(e.Addr)
+		}
+		if !e.Kind.IsDemand() {
+			continue // locks occupy the filter but are never prefetched
+		}
+		wsMiss := pwsF != nil && prof.WriteShared(e.Addr) && pwsF.Access(e.Addr)
+		if !miss && !wsMiss || exclude && prof.WriteShared(e.Addr) {
+			continue
+		}
+		kind := trace.Prefetch
+		if excl && e.Kind == trace.Write && miss {
+			kind = trace.PrefetchExcl
+		}
+		a.advance(first + k)
+		a.ins = append(a.ins, pendingIns{at: a.place, ev: trace.Event{Kind: kind, Addr: e.Addr}})
+	}
+
+	// No later event places a prefetch before the pointer at the chunk's
+	// last event: positions [base, place) are final.
+	a.advance(first + len(chunk) - 1)
+	upto := a.place
+	if upto <= first {
+		a.emit(a.tail[:upto-a.base], a.base)
+		kept := copy(a.tail, a.tail[upto-a.base:])
+		a.tail = append(a.tail[:kept], chunk...)
+	} else {
+		a.emit(a.tail, a.base)
+		a.emit(chunk[:upto-first], first)
+		a.tail = append(a.tail[:0], chunk[upto-first:]...)
+	}
+	n = copy(a.starts, a.starts[upto-a.base:])
+	a.starts = a.starts[:n]
+	a.base = upto
+	n = copy(a.ins, a.ins[a.insHead:])
+	a.ins, a.insHead = a.ins[:n], 0
+}
+
+// advance moves the placement pointer to the last position j <= i whose
+// start is at least the prefetch distance before event i's. Because
+// starts strictly increase, the pointer never moves backward, so the scan
+// is amortized O(1) per event.
+func (a *annotator) advance(i int) {
+	start := a.starts[i-a.base]
+	if start <= a.dist {
+		return
+	}
+	want := start - a.dist
+	j, starts := a.place, a.starts[a.place-a.base:]
+	for j < i && starts[1] <= want {
+		j++
+		starts = starts[1:]
+	}
+	a.place = j
+}
+
+// emit writes the final events evs, the first at absolute position pos,
+// with the queued insertions of their positions before each.
+func (a *annotator) emit(evs []trace.Event, pos int) {
+	end := pos + len(evs)
+	for a.insHead < len(a.ins) && a.ins[a.insHead].at < end {
+		in := a.ins[a.insHead]
+		a.insHead++
+		a.copyOut(evs[:in.at-pos])
+		evs, pos = evs[in.at-pos:], in.at
+		if len(a.out) == cap(a.out) {
+			a.out = a.flush(a.out)
+		}
+		a.out = append(a.out, in.ev)
+	}
+	a.copyOut(evs)
+}
+
+// copyOut appends evs to the output, flushing each full buffer.
+func (a *annotator) copyOut(evs []trace.Event) {
+	for len(evs) > 0 {
+		if len(a.out) == cap(a.out) {
+			a.out = a.flush(a.out)
+		}
+		n := min(len(evs), cap(a.out)-len(a.out))
+		a.out = append(a.out, evs[:n]...)
+		evs = evs[n:]
+	}
 }

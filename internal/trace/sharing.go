@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/bits"
 	"sort"
 
 	"busprefetch/internal/memory"
@@ -17,34 +18,69 @@ type LineUse struct {
 // SharedRead reports whether at least two processors access the line and
 // nobody writes it.
 func (u LineUse) SharedRead() bool {
-	return u.Writers == 0 && popcount(u.Readers) >= 2
+	return u.Writers == 0 && u.Readers&(u.Readers-1) != 0
 }
 
 // WriteShared reports whether the line is written by at least one processor
 // and accessed by at least two (the paper's write-shared data, the PWS
 // strategy's target class).
 func (u LineUse) WriteShared() bool {
-	return u.Writers != 0 && popcount(u.Readers|u.Writers) >= 2
+	m := u.Readers | u.Writers
+	return u.Writers != 0 && m&(m-1) != 0
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// SharingProfile maps each referenced cache line to its usage summary.
+// SharingProfile maps each referenced cache line to its usage summary. It is
+// an open-addressed table keyed by line number (Fibonacci hashing, linear
+// probing, at most half full), so its memory grows with the lines the trace
+// touches however widely their addresses are spread. Once built it is
+// read-only: suite cells and an annotated source's processors query one
+// profile from many goroutines at once, so no query writes to it.
 type SharingProfile struct {
-	geom  memory.Geometry
-	lines map[memory.Addr]LineUse
+	lineShift uint
+	slots     []lineSlot
+	shift     uint // 64 - log2(len(slots))
+	n         int
+}
+
+// lineSlot is one table entry: the line number plus one (0 marks an empty
+// slot; lines are at least four bytes, so the key cannot wrap) and the
+// line's usage.
+type lineSlot struct {
+	key uint64
+	use LineUse
 }
 
 func newSharingProfile(geom memory.Geometry) *SharingProfile {
-	return &SharingProfile{geom: geom, lines: make(map[memory.Addr]LineUse)}
+	p := &SharingProfile{lineShift: uint(bits.TrailingZeros64(uint64(geom.LineSize)))}
+	p.resize(64)
+	return p
 }
+
+// resize rehashes the table into n slots, a power of two.
+func (p *SharingProfile) resize(n int) {
+	old := p.slots
+	p.slots = make([]lineSlot, n)
+	p.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.key != 0 {
+			p.slots[p.slot(s.key)] = s
+		}
+	}
+}
+
+// slot returns key's slot, or the empty slot that ends its probe run. The
+// table is never more than half full, so the run always ends.
+func (p *SharingProfile) slot(key uint64) int {
+	mask := len(p.slots) - 1
+	i := int((key * 0x9E3779B97F4A7C15) >> p.shift)
+	for p.slots[i].key != key && p.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// key returns the table key of the line containing a.
+func (p *SharingProfile) key(a memory.Addr) uint64 { return uint64(a)>>p.lineShift + 1 }
 
 // observe folds one event of processor bit's stream into the profile.
 // Prefetch events are ignored: sharing is a property of the program, and
@@ -60,11 +96,19 @@ func (p *SharingProfile) observe(e Event, bit uint64) {
 	default:
 		return
 	}
-	la := p.geom.LineAddr(e.Addr)
-	u := p.lines[la]
+	key := p.key(e.Addr)
+	i := p.slot(key)
+	if p.slots[i].key == 0 {
+		if 2*(p.n+1) > len(p.slots) {
+			p.resize(2 * len(p.slots))
+			i = p.slot(key)
+		}
+		p.slots[i].key = key
+		p.n++
+	}
+	u := &p.slots[i].use
 	u.Readers |= bit
 	u.Writers |= w
-	p.lines[la] = u
 }
 
 // AnalyzeSharingSource scans every demand reference of src, one drain per
@@ -88,9 +132,10 @@ func AnalyzeSharingSource(src Source, geom memory.Geometry) (*SharingProfile, er
 	return p, nil
 }
 
-// Use returns the usage summary for the line containing a.
+// Use returns the usage summary for the line containing a: the zero
+// LineUse for a line the trace never touches.
 func (p *SharingProfile) Use(a memory.Addr) LineUse {
-	return p.lines[p.geom.LineAddr(a)]
+	return p.slots[p.slot(p.key(a))].use
 }
 
 // WriteShared reports whether the line containing a is write-shared.
@@ -101,7 +146,11 @@ func (p *SharingProfile) WriteShared(a memory.Addr) bool {
 // Counts returns the number of distinct lines that are private, read-shared
 // and write-shared, in that order.
 func (p *SharingProfile) Counts() (private, readShared, writeShared int) {
-	for _, u := range p.lines {
+	for _, s := range p.slots {
+		if s.key == 0 {
+			continue
+		}
+		u := s.use
 		switch {
 		case u.WriteShared():
 			writeShared++
@@ -115,14 +164,14 @@ func (p *SharingProfile) Counts() (private, readShared, writeShared int) {
 }
 
 // TotalLines returns how many distinct cache lines the trace touches.
-func (p *SharingProfile) TotalLines() int { return len(p.lines) }
+func (p *SharingProfile) TotalLines() int { return p.n }
 
 // WriteSharedLines returns the sorted addresses of all write-shared lines.
 func (p *SharingProfile) WriteSharedLines() []memory.Addr {
 	var out []memory.Addr
-	for la, u := range p.lines {
-		if u.WriteShared() {
-			out = append(out, la)
+	for _, s := range p.slots {
+		if s.key != 0 && s.use.WriteShared() {
+			out = append(out, memory.Addr((s.key-1)<<p.lineShift))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -178,11 +227,11 @@ func SummarizeSource(src Source, geom memory.Geometry) (Stats, error) {
 	st.DemandRefs = st.Reads + st.Writes
 	st.Barriers /= max(1, st.Procs) // count barrier episodes, not arrivals
 	st.TouchedData = prof.TotalLines() * geom.LineSize
-	for _, u := range prof.lines {
-		if popcount(u.Readers|u.Writers) >= 2 {
+	for _, s := range prof.slots {
+		if m := s.use.Readers | s.use.Writers; m&(m-1) != 0 {
 			st.SharedData += geom.LineSize
 		}
-		if u.WriteShared() {
+		if s.use.WriteShared() {
 			st.WriteShared += geom.LineSize
 		}
 	}
