@@ -39,21 +39,6 @@ type StateFlip struct {
 	OnFill int
 }
 
-// Spin is a runtime fault: after processor Proc completes its OnFill-th line
-// fill, the processor abandons its stream and busy-loops forever, retiring
-// progress-bearing no-op work every cycle. Unlike a dropped lock release —
-// which the progress watchdog diagnoses — a spinning processor looks exactly
-// like real work, so only an external deadline (a cancelled or timed-out
-// context) can terminate the run. It models the wedged-but-busy cell the
-// sweep engine's per-cell timeout exists for.
-type Spin struct {
-	// Proc is the processor that starts spinning.
-	Proc int
-	// OnFill is the 0-based ordinal of the triggering fill; negative
-	// triggers on the processor's first fill.
-	OnFill int
-}
-
 // Plan is a set of runtime faults the simulator applies during a run
 // (sim.Config.Faults). A Plan is stateless and read-only: the simulator
 // tracks per-processor ordinals, so one Plan can safely poison several
@@ -61,7 +46,6 @@ type Spin struct {
 type Plan struct {
 	DropReleases []LockDrop
 	Flips        []StateFlip
-	Spins        []Spin
 }
 
 // DropRelease reports whether the plan suppresses the given release: the
@@ -105,23 +89,6 @@ func (p *Plan) FlipsAfterFill(proc, fill int, filled memory.Addr) []StateFlip {
 		out = append(out, f)
 	}
 	return out
-}
-
-// SpinAfterFill reports whether the plan sends proc into a busy loop after
-// its fill-th completed line fill.
-func (p *Plan) SpinAfterFill(proc, fill int) bool {
-	if p == nil {
-		return false
-	}
-	for _, s := range p.Spins {
-		if s.Proc != proc {
-			continue
-		}
-		if s.OnFill < 0 || s.OnFill == fill {
-			return true
-		}
-	}
-	return false
 }
 
 // Injector mutates traces and encoded trace bytes to model data corruption.

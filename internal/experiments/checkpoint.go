@@ -39,11 +39,10 @@ type snapshot struct {
 }
 
 // checkpointsEnabled reports whether the suite may consult the checkpoint
-// store. A PerRun hook can silently change what a cell computes, so with one
-// installed the store is only trusted when the caller segregated the
-// namespace with a Salt that names the variation.
+// store. A PerRun hook can silently change what a cell computes, which no
+// key names, so a suite with one installed never touches the store.
 func (s *Suite) checkpointsEnabled() bool {
-	return s.cfg.Checkpoints != nil && (s.cfg.PerRun == nil || s.cfg.Salt != "")
+	return s.cfg.Checkpoints != nil && s.cfg.PerRun == nil
 }
 
 // SpecString returns the canonical suite-configuration spec: every
@@ -55,22 +54,22 @@ func (s *Suite) checkpointsEnabled() bool {
 // of resurrecting stale reports.
 func (c Config) SpecString() string {
 	c = c.withDefaults()
-	return fmt.Sprintf("build=%s|salt=%s|scale=%g|seed=%d|mem=%d|proto=%s|pf=%s|ic=%s",
-		buildinfo.Revision(), c.Salt, c.Scale, c.Seed, c.MemLatency, c.Protocol, c.Prefetcher, c.Interconnect.String())
+	return fmt.Sprintf("build=%s|scale=%g|seed=%d|mem=%d|proto=%s|pf=%s|ic=%s",
+		buildinfo.Revision(), c.Scale, c.Seed, c.MemLatency, c.Protocol, c.Prefetcher, c.Interconnect.String())
 }
 
 // cellKey is the checkpoint key for one cell: the build revision, the
-// run-wide inputs a Key does not carry (salt, scale, seed), and the Key's
+// run-wide inputs a Key does not carry (scale, seed), and the Key's
 // spelling.
 func (s *Suite) cellKey(k Key) string {
-	return fmt.Sprintf("busprefetch-cell/v3|build=%s|salt=%s|scale=%g|seed=%d|%s",
-		buildinfo.Revision(), s.cfg.Salt, s.cfg.Scale, s.cfg.Seed, k.SpecString())
+	return fmt.Sprintf("busprefetch-cell/v3|build=%s|scale=%g|seed=%d|%s",
+		buildinfo.Revision(), s.cfg.Scale, s.cfg.Seed, k.SpecString())
 }
 
 // loadCheckpoint returns the persisted result for k, if the store holds a
-// valid one. The Result's Config is rebuilt from k without PerRun:
-// checkpointing under PerRun requires a Salt, and the Config field is
-// diagnostic, not measured.
+// valid one. The Result's Config is rebuilt from k: no PerRun hook applies
+// to a checkpointed suite, and the Config field is diagnostic, not
+// measured.
 func (s *Suite) loadCheckpoint(k Key) (*sim.Result, bool) {
 	if !s.checkpointsEnabled() {
 		return nil, false

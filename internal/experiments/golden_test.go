@@ -12,7 +12,8 @@ import (
 )
 
 // The golden-result regression harness: the scale-1, seed-1 suite — the
-// configuration behind results_scale1.txt and EXPERIMENTS.md — must
+// configuration behind EXPERIMENTS.md, whose full report is
+// testdata/golden_scale1_full.txt — must
 // reproduce the committed goldens byte for byte. Any change to trace
 // generation, annotation, the simulator, or the renderers that shifts a
 // single digit fails here, which is the point: paper-fidelity numbers only

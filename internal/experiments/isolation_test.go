@@ -109,6 +109,8 @@ func TestPrewarmReportsCellErrors(t *testing.T) {
 	}
 	if len(cells.Cells) != 1 || cells.Cells[0].Key != bad {
 		t.Errorf("CellErrors = %v, want just %v", cells, bad)
+	} else if !cells.Cells[0].Terminal {
+		t.Error("invariant violation classified retryable")
 	}
 	if !strings.Contains(err.Error(), "1 of the suite's runs failed") {
 		t.Errorf("Error() = %q", err.Error())
@@ -138,6 +140,9 @@ func TestPanickingCellFailsAgain(t *testing.T) {
 		var pe *runner.PanicError
 		if !errors.As(err, &cells) || len(cells.Cells) != 1 || !errors.As(cells.Cells[0].Err, &pe) {
 			t.Fatalf("round %d: Prewarm = %v, want one cell failed with a *runner.PanicError", round, err)
+		}
+		if !cells.Cells[0].Terminal {
+			t.Errorf("round %d: panic classified retryable", round)
 		}
 	}
 }
@@ -180,5 +185,83 @@ func TestStalledCellFailsOnce(t *testing.T) {
 	}
 	if n := runs.Load(); n != 1 {
 		t.Errorf("stalled cell simulated %d times, want 1", n)
+	}
+}
+
+// TestTimedOutCellFailsAlone: a real cell that runs out of its per-cell
+// deadline fails alone, classified retryable, and is not checkpointed, so a
+// rerun without the deadline recomputes exactly that cell and renders the
+// bytes of a clean sweep. No fault is injected: every other cell is in the
+// store, and the store is read before the deadline applies, so only the
+// target simulates under it.
+func TestTimedOutCellFailsAlone(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	open := func(timeout time.Duration) (*Suite, *runner.CheckpointStore) {
+		t.Helper()
+		store, err := runner.OpenCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := resumeConfig(store)
+		cfg.Timeout = timeout
+		return NewSuite(cfg), store
+	}
+	target := Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8}
+
+	warm, _ := open(0)
+	keys := warm.GridKeys()
+	var others []Key
+	for _, k := range keys {
+		if k != target {
+			others = append(others, k)
+		}
+	}
+	if len(others) != len(keys)-1 {
+		t.Fatalf("grid of %d keys does not hold %v", len(keys), target)
+	}
+	if err := warm.Prewarm(ctx, others, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	timed, store := open(time.Nanosecond)
+	err := timed.Prewarm(ctx, keys, nil)
+	var cells *CellErrors
+	if !errors.As(err, &cells) || len(cells.Cells) != 1 || cells.Cells[0].Key != target {
+		t.Fatalf("Prewarm under a 1ns deadline = %v, want exactly %v failed", err, target)
+	}
+	ce := cells.Cells[0]
+	if !errors.Is(ce.Err, context.DeadlineExceeded) {
+		t.Errorf("cell failed with %T (%v), want context.DeadlineExceeded", ce.Err, ce.Err)
+	}
+	if ce.Terminal {
+		t.Error("deadline classified terminal")
+	}
+	if st := store.Stats(); st.Hits != uint64(len(others)) || st.Puts != 0 {
+		t.Errorf("hits=%d puts=%d under the deadline; want %d restored and nothing stored", st.Hits, st.Puts, len(others))
+	}
+
+	rerun, store := open(0)
+	if err := rerun.Prewarm(ctx, keys, nil); err != nil {
+		t.Fatalf("rerun without the deadline failed: %v", err)
+	}
+	// Read the counters before rendering, which computes Table 2's other
+	// transfers.
+	if st := store.Stats(); st.Hits != uint64(len(others)) || st.Puts != 1 {
+		t.Errorf("rerun hits=%d puts=%d; want %d restored and exactly the timed-out cell recomputed", st.Hits, st.Puts, len(others))
+	}
+	golden, err := NewSuite(resumeConfig(nil)).RenderSections(ctx, wantTable2Only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := rerun.RenderSections(ctx, wantTable2Only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != golden {
+		t.Errorf("rerun render diverges from a clean sweep (%d vs %d bytes)", len(out), len(golden))
+	}
+	if corrupt, err := store.Verify(); err != nil || len(corrupt) > 0 {
+		t.Errorf("store after rerun: corrupt=%v err=%v", corrupt, err)
 	}
 }

@@ -76,11 +76,8 @@ type Config struct {
 	// Checkpoints, when non-nil, persists each completed cell so an
 	// interrupted sweep resumes recomputing only the missing ones. See
 	// checkpoint.go for the key discipline and the exactness guarantee.
+	// A suite with a PerRun hook does not checkpoint.
 	Checkpoints *runner.CheckpointStore
-	// Salt segregates checkpoint namespaces. It is required for
-	// checkpointing when PerRun is set (the hook can change what a cell
-	// computes, so the caller must name the variation); otherwise optional.
-	Salt string
 }
 
 // DefaultConfig returns the paper's sweep at full scale.
@@ -117,7 +114,7 @@ var paper = sim.DefaultConfig()
 // the paper's default, so Key{Workload, Strategy, Transfer} names the
 // paper-machine grid cell. Sections build their keys on the suite's machine
 // as Config's doc comment lists. Every report starts by building the grid's
-// keys (KeysFor), so the key stays compact: 120 bytes, with the small
+// keys (KeysFor), so the key stays compact: 112 bytes, with the small
 // numeric variations held in int32s packed beside the flags.
 type Key struct {
 	Workload     string

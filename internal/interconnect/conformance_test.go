@@ -60,7 +60,7 @@ func conformanceConfigs() []Config {
 		{Kind: MultiBus, Links: 4}, // quad bus
 		{Kind: MultiBus, Links: 3}, // non-power-of-two routing
 		{Kind: Directory},          // per-processor home links
-		{Kind: Directory, Links: 4, LookupCycles: 7},
+		{Kind: Directory, Links: 4},
 	}
 }
 
@@ -429,10 +429,7 @@ func TestDirectoryLookupLatency(t *testing.T) {
 	if g := grantAt(Config{}); g != 100 {
 		t.Errorf("single bus granted at %d, want 100", g)
 	}
-	if g := grantAt(Config{Kind: Directory, LookupCycles: 15}); g != 115 {
-		t.Errorf("directory granted at %d, want 100+15", g)
-	}
-	if g := grantAt(Config{Kind: Directory}); g != 100+DefaultLookupCycles {
-		t.Errorf("directory granted at %d, want 100+%d", g, DefaultLookupCycles)
+	if g := grantAt(Config{Kind: Directory}); g != 100+lookupCycles {
+		t.Errorf("directory granted at %d, want 100+%d", g, lookupCycles)
 	}
 }

@@ -65,10 +65,10 @@ func ParseConfig(kind string, links int, discipline string) (Config, error) {
 // DefaultMultiBusLinks is the MultiBus link count when Config.Links is zero.
 const DefaultMultiBusLinks = 2
 
-// DefaultLookupCycles is the Directory home-node lookup latency when
-// Config.LookupCycles is zero: the indirection cost the point-to-point
-// fabric pays per transaction in exchange for not sharing a bus.
-const DefaultLookupCycles = 20
+// lookupCycles is the Directory home-node lookup latency: the indirection
+// cost the point-to-point fabric pays per transaction in exchange for not
+// sharing a bus.
+const lookupCycles = 20
 
 // Config selects and parameterizes a topology. The zero value is the paper's
 // machine — a single priority-arbitrated bus — and simulates byte-identically
@@ -82,10 +82,6 @@ type Config struct {
 	Links int
 	// Discipline is the per-link arbitration service discipline.
 	Discipline bus.Discipline
-	// LookupCycles is the Directory home-node lookup latency added to every
-	// transaction's uncontended phase (0 selects DefaultLookupCycles).
-	// Only Directory pays it; other kinds require it to be 0.
-	LookupCycles int
 }
 
 // Validate reports an error for inconsistent configurations.
@@ -99,10 +95,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("interconnect: negative link count %d", c.Links)
 	case c.Kind == SingleBus && c.Links > 1:
 		return fmt.Errorf("interconnect: single bus with %d links (use multibus)", c.Links)
-	case c.LookupCycles < 0:
-		return fmt.Errorf("interconnect: negative lookup latency %d", c.LookupCycles)
-	case c.Kind != Directory && c.LookupCycles != 0:
-		return fmt.Errorf("interconnect: lookup latency %d on a %s topology (directory only)", c.LookupCycles, c.Kind)
 	}
 	return nil
 }
@@ -127,10 +119,7 @@ func (c Config) lookup() uint64 {
 	if c.Kind != Directory {
 		return 0
 	}
-	if c.LookupCycles > 0 {
-		return uint64(c.LookupCycles)
-	}
-	return DefaultLookupCycles
+	return lookupCycles
 }
 
 // String renders the canonical spec form used in checkpoint keys and

@@ -60,14 +60,12 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Discipline: bus.FCFS}, true},
 		{Config{Kind: MultiBus}, true},
 		{Config{Kind: MultiBus, Links: 4}, true},
-		{Config{Kind: Directory, Links: 8, LookupCycles: 30}, true},
+		{Config{Kind: Directory, Links: 8}, true},
 		{Config{Kind: SingleBus, Links: 1}, true},
-		{Config{Kind: numKinds}, false},                  // unknown kind
-		{Config{Discipline: 9}, false},                   // unknown discipline
-		{Config{Links: -1}, false},                       // negative links
-		{Config{Kind: SingleBus, Links: 2}, false},       // single bus, many links
-		{Config{LookupCycles: -1}, false},                // negative latency
-		{Config{Kind: MultiBus, LookupCycles: 5}, false}, // lookup on a bus
+		{Config{Kind: numKinds}, false},            // unknown kind
+		{Config{Discipline: 9}, false},             // unknown discipline
+		{Config{Links: -1}, false},                 // negative links
+		{Config{Kind: SingleBus, Links: 2}, false}, // single bus, many links
 	} {
 		err := tc.cfg.Validate()
 		if tc.ok && err != nil {
@@ -95,7 +93,7 @@ func TestConfigString(t *testing.T) {
 		{Config{Kind: MultiBus, Links: 4}, "multibus:4"},
 		{Config{Kind: MultiBus, Links: 4, Discipline: bus.FCFS}, "multibus:4/fcfs"},
 		{Config{Kind: Directory}, "directory:np+20"},
-		{Config{Kind: Directory, Links: 8, LookupCycles: 30}, "directory:8+30"},
+		{Config{Kind: Directory, Links: 8}, "directory:8+20"},
 	} {
 		if got := tc.cfg.String(); got != tc.want {
 			t.Errorf("%+v.String() = %q, want %q", tc.cfg, got, tc.want)

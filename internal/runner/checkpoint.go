@@ -180,8 +180,9 @@ func (s *CheckpointStore) Len() (int, error) {
 }
 
 // Verify scans every entry on disk and returns the filenames that fail
-// validation (frame, CRC, or name/key hash mismatch). The chaos harness uses
-// it to assert a soak never corrupted the store; it does not delete anything.
+// validation (frame, CRC, or name/key hash mismatch). The resume and
+// timed-out-cell tests in internal/experiments use it to assert a sweep left
+// the store clean; it does not delete anything.
 func (s *CheckpointStore) Verify() (corrupt []string, err error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

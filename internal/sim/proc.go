@@ -722,14 +722,6 @@ func (p *proc) completeFetch(inf *inflight, t uint64) {
 			l.State = f.To
 		}
 	}
-	if p.s.cfg.Faults.SpinAfterFill(p.id, fill) {
-		// Injected fault: the processor abandons its stream and busy-loops.
-		// Each spin iteration is a progress-bearing event, so neither the
-		// cycle nor the event watchdog can trip — exactly the wedged-but-busy
-		// run only an external deadline (context cancellation) terminates.
-		p.startSpin(t)
-		return
-	}
 	if p.s.cfg.CheckInvariants {
 		p.s.checkLine(t, la)
 		n := 0
@@ -757,18 +749,6 @@ func (p *proc) completeFetch(inf *inflight, t uint64) {
 		}
 		p.run(t)
 	}
-}
-
-// startSpin implements the check.Spin fault: from now on the processor
-// retires a no-op unit of progress every cycle and never finishes. Only
-// context cancellation (RunSourceContext) ends such a run.
-func (p *proc) startSpin(now uint64) {
-	var spin func(now uint64)
-	spin = func(now uint64) {
-		p.s.progress++
-		p.s.eng.At(now+1, spin)
-	}
-	spin(now)
 }
 
 // handleEviction accounts for a displaced line: dirty victims owe a

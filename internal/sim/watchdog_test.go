@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"busprefetch/internal/check"
 	"busprefetch/internal/trace"
+	"busprefetch/internal/workload"
 )
 
 func watchdogSim(t *testing.T) *simulator {
@@ -104,5 +106,85 @@ func TestFailKeepsFirstError(t *testing.T) {
 	s2.fail(nil)
 	if s2.err != nil {
 		t.Errorf("fail(nil) recorded %v", s2.err)
+	}
+}
+
+// pollCtx is a context whose Err reports context.Canceled from its failAt-th
+// call on. Each call records how many chunks the run had pulled by then.
+type pollCtx struct {
+	context.Context
+	failAt int
+	pulled *int
+	calls  []int
+}
+
+func (c *pollCtx) Err() error {
+	c.calls = append(c.calls, *c.pulled)
+	if len(c.calls) >= c.failAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// countingSource counts its iterators' chunk pulls and Close calls.
+type countingSource struct {
+	trace.Source
+	pulled int
+	closed []int
+}
+
+func (c *countingSource) Events(proc int) trace.Iterator {
+	return &countingIter{Iterator: c.Source.Events(proc), src: c, proc: proc}
+}
+
+type countingIter struct {
+	trace.Iterator
+	src  *countingSource
+	proc int
+}
+
+func (it *countingIter) Next() ([]trace.Event, error) {
+	it.src.pulled++
+	return it.Iterator.Next()
+}
+
+func (it *countingIter) Close() {
+	it.src.closed[it.proc]++
+	it.Iterator.Close()
+}
+
+// TestRunSourceContextAbortsAtPoll: a run doing progress-bearing work stops
+// at the first cancellation poll that finds its context done, with an error
+// wrapping the context's, and closes every iterator on the way out. The
+// context is consulted only by the dispatch loop's poll.
+func TestRunSourceContextAbortsAtPoll(t *testing.T) {
+	w, err := workload.ByName("mp3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, _, err := w.Source(workload.Params{Scale: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{Source: inner, closed: make([]int, inner.Procs())}
+	const failAt = 6
+	ctx := &pollCtx{Context: context.Background(), failAt: failAt, pulled: &src.pulled}
+	_, err = RunSourceContext(ctx, DefaultConfig(), src)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run under a context cancelled at poll %d returned %v, want context.Canceled", failAt, err)
+	}
+	if len(ctx.calls) != failAt {
+		t.Errorf("Err called %d times, want %d: the run must stop at the first poll that sees the cancellation", len(ctx.calls), failAt)
+	}
+	if len(ctx.calls) > 0 && ctx.calls[0] == 0 {
+		t.Error("Err called before the run pulled any events; only the dispatch loop's poll may consult the context")
+	}
+	if len(src.closed) != 12 {
+		t.Fatalf("mp3d source has %d processors, want 12", len(src.closed))
+	}
+	for p, n := range src.closed {
+		if n == 0 {
+			t.Errorf("iterator %d never closed", p)
+		}
 	}
 }
