@@ -40,6 +40,7 @@ import (
 	"math"
 
 	"busprefetch/internal/experiments"
+	"busprefetch/internal/interconnect"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/names"
 	"busprefetch/internal/prefetch"
@@ -169,7 +170,14 @@ func (s RunSpec) resolve() (experiments.Key, workload.Params, error) {
 	k.Workload, k.Transfer, k.Restructured, k.Buffer = w.Name, cmp.Or(s.Transfer, 8), s.Restructured, s.BufferPrefetch
 	k.Geometry = memory.Geometry{CacheSize: kb * 1024, LineSize: line, Assoc: 1}
 	k.VictimLines, k.Distance = int32(s.VictimCacheLines), int32(s.Distance)
-	return k, workload.Params{Procs: cmp.Or(s.Procs, w.DefaultProcs), Scale: cmp.Or(s.Scale, 1), Seed: cmp.Or(s.Seed, 1),
+	procs := cmp.Or(s.Procs, w.DefaultProcs)
+	// One directory link per processor is the directory's default, which a
+	// Key spells without a count. A Key carries no processor count, so the
+	// fold happens here: both spellings then share one result-store key.
+	if k.Fabric.Kind == interconnect.Directory && k.Fabric.Links == procs {
+		k.Fabric.Links = 0
+	}
+	return k, workload.Params{Procs: procs, Scale: cmp.Or(s.Scale, 1), Seed: cmp.Or(s.Seed, 1),
 		Restructured: s.Restructured, Geometry: k.Geometry}, nil
 }
 

@@ -1,6 +1,7 @@
 package busprefetch
 
 import (
+	"errors"
 	"testing"
 
 	"busprefetch/internal/bus"
@@ -244,6 +245,48 @@ func TestInterconnectOption(t *testing.T) {
 	}
 	if _, err := Run(RunSpec{Workload: "mp3d", Scale: 0.05, Buses: 2}); err == nil {
 		t.Error("multi-link single bus accepted")
+	}
+}
+
+// TestDirectoryLinkCountFold: a directory with one link per processor is
+// the directory's default, so spelling that count out gives the default's
+// SpecString, and with it one result-store key, and the same metrics. Any
+// other link count keeps its own key.
+func TestDirectoryLinkCountFold(t *testing.T) {
+	mp3dProcs := 0
+	for _, w := range Workloads() {
+		if w.Name == "mp3d" {
+			mp3dProcs = w.DefaultProcs
+		}
+	}
+	for _, c := range []struct{ procs, links int }{{0, mp3dProcs}, {16, 16}} {
+		def := RunSpec{Workload: "mp3d", Strategy: "PREF", Transfer: 32, Scale: 0.05,
+			Procs: c.procs, Interconnect: "directory"}
+		spelled, other := def, def
+		spelled.Buses, other.Buses = c.links, c.links-4
+		defKey, err1 := def.SpecString()
+		spelledKey, err2 := spelled.SpecString()
+		otherKey, err3 := other.SpecString()
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		if spelledKey != defKey {
+			t.Errorf("procs %d: %d links spells %q, the default %q", c.procs, c.links, spelledKey, defKey)
+		}
+		if otherKey == defKey {
+			t.Errorf("procs %d: %d links shares the default's key %q", c.procs, other.Buses, defKey)
+		}
+		dm, err := Run(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := Run(spelled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *dm != *sm {
+			t.Errorf("procs %d: %d links gives %+v, the default %+v", c.procs, c.links, *sm, *dm)
+		}
 	}
 }
 

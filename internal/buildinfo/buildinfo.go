@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
+	"sync"
 )
 
 // String returns "name version (go1.xx, rev abcdef12)" for the running
@@ -47,8 +48,11 @@ func describe(name string, info *debug.BuildInfo) string {
 // Revision returns the VCS revision stamped into the running binary
 // ("abcdef123456", with "+dirty" appended for modified trees), or "unknown"
 // when the build carries none. Checkpoint keys embed it so persisted sweep
-// results can never resurrect across code changes.
-func Revision() string {
+// results can never resurrect across code changes. The server keys every
+// submission with it, so it is read from the build info once.
+func Revision() string { return revision() }
+
+var revision = sync.OnceValue(func() string {
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "unknown"
@@ -64,7 +68,7 @@ func Revision() string {
 		rev += "+dirty"
 	}
 	return rev
-}
+})
 
 // vcs extracts the VCS revision and modified flag from the build settings.
 func vcs(info *debug.BuildInfo) (rev string, dirty bool) {

@@ -38,3 +38,18 @@ func TestDescribeBareBuild(t *testing.T) {
 		t.Errorf("describe() = %q, want %q", got, "tracegen (devel)")
 	}
 }
+
+// TestRevisionComputedOnce: Revision reads the build info once, so every
+// call agrees with the first and allocates nothing.
+func TestRevisionComputedOnce(t *testing.T) {
+	first := Revision()
+	if first == "" {
+		t.Fatal("Revision() is empty, want a revision or \"unknown\"")
+	}
+	if again := Revision(); again != first {
+		t.Errorf("Revision() = %q, then %q", first, again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Revision() }); allocs != 0 {
+		t.Errorf("Revision() allocates %v times per call after the first, want 0", allocs)
+	}
+}

@@ -75,6 +75,27 @@ func (m *Memo[K, V]) Do(ctx context.Context, k K, compute func() (v V, keep bool
 	return f.v, false, f.err
 }
 
+// Peek returns k's outcome when the memo holds a completed entry for it. It
+// never waits and never computes: ok is false while k's flight is still
+// running, and for a key with no entry, which includes an outcome that was
+// not kept. A kept flight is closed while it is still in the map, and a
+// dropped one leaves the map before it closes, so checking under the lock
+// tells the two apart.
+func (m *Memo[K, V]) Peek(k K) (v V, ok bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f, found := m.flights[k]
+	if !found {
+		return v, false, nil
+	}
+	select {
+	case <-f.done:
+		return f.v, true, f.err
+	default:
+		return v, false, nil
+	}
+}
+
 // errComputePanicked is what the waiters of a flight whose compute panicked
 // observe.
 var errComputePanicked = errors.New("runner: memoized computation panicked")

@@ -29,9 +29,10 @@ type ResultStore struct {
 
 // ResultStats counts a store's traffic.
 type ResultStats struct {
-	// Hits counts Do calls served without running compute: from a completed
-	// entry, by waiting on an in-flight computation of the same key, or from
-	// the disk store. Misses counts the calls that ran compute.
+	// Hits counts the calls served without running compute: a Lookup that
+	// found a completed entry, and a Do served from a completed entry, by
+	// waiting on an in-flight computation of the same key, or from the disk
+	// store. Misses counts the Do calls that ran compute.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// DiskHits is the subset of hits satisfied by the persistent store after
@@ -56,6 +57,20 @@ func (s *ResultStore) Stats() ResultStats {
 
 // Len returns the number of in-memory entries (completed or in flight).
 func (s *ResultStore) Len() int { return s.memo.Len() }
+
+// Lookup returns key's completed outcome from the memory tier, counted as a
+// hit: a payload, or the failure memoized for a spec that fails every time.
+// It never waits and never computes, so ok is false for a key that is
+// absent, still computing, or held only on disk; those go through Do.
+func (s *ResultStore) Lookup(key string) (payload []byte, ok bool, err error) {
+	payload, ok, err = s.memo.Peek(key)
+	if ok {
+		s.mu.Lock()
+		s.stats.Hits++
+		s.mu.Unlock()
+	}
+	return payload, ok, err
+}
 
 // Do returns the payload for key, calling compute to produce it on first
 // use. compute runs at most once per key across all concurrent callers: the

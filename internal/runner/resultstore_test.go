@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -285,5 +286,80 @@ func TestResultStoreUncacheableNotMemoizedOrPersisted(t *testing.T) {
 	}
 	if data, ok, _ := disk.Get("k"); !ok || string(data) != "complete" {
 		t.Errorf("disk entry = %q ok=%v, want the cacheable result persisted", data, ok)
+	}
+}
+
+// TestResultStoreLookup: Lookup serves a completed entry from memory,
+// payload or memoized failure, and counts it as a hit. It reads the memory
+// tier only: a payload that exists only on disk, after a restart, is not
+// found, so it stays Do's to load and count as a disk hit.
+func TestResultStoreLookup(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewResultStore(disk)
+	ctx := context.Background()
+	if _, ok, _ := s.Lookup("absent"); ok {
+		t.Error("Lookup found a key never computed")
+	}
+	s.Do(ctx, "ok", func(context.Context) ([]byte, bool, error) { return []byte("payload"), true, nil })
+	broken := fmt.Errorf("broken spec")
+	s.Do(ctx, "bad", func(context.Context) ([]byte, bool, error) { return nil, false, broken })
+	if payload, ok, err := s.Lookup("ok"); !ok || err != nil || string(payload) != "payload" {
+		t.Errorf("Lookup(ok) = %q %v %v, want the payload", payload, ok, err)
+	}
+	if _, ok, err := s.Lookup("bad"); !ok || !errors.Is(err, broken) {
+		t.Errorf("Lookup(bad) = %v %v, want the memoized failure", ok, err)
+	}
+	if st := s.Stats(); st.Hits != 2 || st.Misses != 2 || st.DiskHits != 0 {
+		t.Errorf("stats = %+v, want 2 misses and 2 hits", st)
+	}
+
+	disk2, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted := NewResultStore(disk2)
+	if _, ok, _ := restarted.Lookup("ok"); ok {
+		t.Error("Lookup read the disk tier")
+	}
+	if st := restarted.Stats(); st != (ResultStats{}) {
+		t.Errorf("a missed Lookup changed the stats: %+v", st)
+	}
+}
+
+// TestResultStoreLookupThenDo runs the server's admission pattern from many
+// goroutines at once: Lookup first, Do on a miss. However the callers
+// interleave with the one computation, it runs once, every caller gets its
+// bytes, and each call is counted once, as a hit or the one miss.
+func TestResultStoreLookupThenDo(t *testing.T) {
+	s := NewResultStore(nil)
+	const n = 32
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload, ok, err := s.Lookup("spec")
+			if !ok {
+				payload, _, err = s.Do(context.Background(), "spec", func(context.Context) ([]byte, bool, error) {
+					computes.Add(1)
+					return []byte("report"), true, nil
+				})
+			}
+			if err != nil || string(payload) != "report" {
+				t.Errorf("caller got %q, %v", payload, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := computes.Load(); got != 1 {
+		t.Errorf("compute ran %d times, want 1", got)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Hits != n-1 {
+		t.Errorf("stats = %+v, want 1 miss and %d hits", st, n-1)
 	}
 }

@@ -4,7 +4,8 @@
 // grids, schedules them onto bounded worker goroutines with per-tenant
 // queue backpressure, and fronts every computation with a content-addressed
 // result store keyed by (canonical spec string, build revision) so a spec
-// resubmitted by any client is served from cache without recomputation.
+// resubmitted by any client is served from cache without recomputation,
+// answered at admission, without a worker, when its result is in memory.
 //
 // The service is a thin, faithful shell over the existing engine: sweeps run
 // through experiments.Suite exactly the way cmd/mkfigures runs them —

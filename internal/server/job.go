@@ -7,8 +7,8 @@ import (
 )
 
 // Job statuses, in lifecycle order. A job moves queued → running →
-// done|failed and never backwards; cached hits pass through running for a
-// few microseconds on their way to done.
+// done|failed and never backwards; a result-store hit makes those moves on
+// the submitting request's goroutine before it is answered.
 const (
 	StatusQueued  = "queued"
 	StatusRunning = "running"
@@ -92,9 +92,14 @@ func (j *Job) start() {
 	j.appendEventLocked(Event{Event: "started"})
 }
 
-// complete records the result payload. cached reports whether the result
-// store served it without recomputation.
-func (j *Job) complete(payload []byte, cached bool) {
+// complete records a compute's outcome: the result payload, where cached
+// reports whether the result store served it without recomputation, or the
+// failure err, classified.
+func (j *Job) complete(payload []byte, cached bool, err error) {
+	if err != nil {
+		j.fail(apiErrorFrom(err))
+		return
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.result = json.RawMessage(payload)

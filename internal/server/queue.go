@@ -80,7 +80,7 @@ func newScheduler(ctx context.Context, workers, depth int) *scheduler {
 func (s *scheduler) submit(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || s.stopped {
+	if s.closedLocked() {
 		return errDraining
 	}
 	if s.inflight[j.tenant] >= s.depth {
@@ -95,6 +95,18 @@ func (s *scheduler) submit(j *Job) error {
 	s.cond.Broadcast()
 	return nil
 }
+
+// closed reports whether admission has stopped: the server is draining or
+// its base context is cancelled. A submission answered without the
+// scheduler checks it, so it is refused exactly when submit would refuse
+// it.
+func (s *scheduler) closed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closedLocked()
+}
+
+func (s *scheduler) closedLocked() bool { return s.draining || s.stopped }
 
 // addTenantLocked inserts t into the sorted round-robin ring, keeping the
 // cursor pointed at the same tenant it was about to serve.
@@ -204,12 +216,7 @@ func (s *scheduler) work(ctx context.Context) {
 			return
 		}
 		j.start()
-		payload, cached, err := j.compute(ctx, j)
-		if err != nil {
-			j.fail(apiErrorFrom(err))
-		} else {
-			j.complete(payload, cached)
-		}
+		j.complete(j.compute(ctx, j))
 		s.finish(j)
 	}
 }

@@ -30,7 +30,8 @@ type Options struct {
 	Workers int
 	Shards  int
 	// QueueDepth bounds each tenant's queued-plus-running jobs; a submission
-	// beyond it is rejected with 429 and a Retry-After. 0 selects 8.
+	// beyond it is rejected with 429 and a Retry-After. Result-store hits,
+	// answered at admission, never count against it. 0 selects 8.
 	QueueDepth int
 	// Checkpoints, when non-nil, is the durable tier: completed results
 	// persist into it (CRC-framed, quarantined on corruption) and completed
@@ -45,7 +46,8 @@ type Options struct {
 	// evicted results remain reproducible from the result store — resubmit
 	// the spec and it is served as a cache hit. 0 selects 512.
 	JobRetention int
-	// Logf, when non-nil, receives one line per accepted and finished job.
+	// Logf, when non-nil, receives one line per admitted job: scheduled, or
+	// answered from the result store.
 	Logf func(format string, args ...any)
 }
 
@@ -203,17 +205,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return err == nil
 }
 
-// submit registers and schedules a new job, mapping admission failures to
-// their statuses, then answers 202 with the job resource (or, under ?wait=1,
-// blocks until the job is terminal and answers 200).
+// submit admits a new job, mapping admission failures to their statuses,
+// then answers 202 with the job resource (or, under ?wait=1, blocks until
+// the job is terminal and answers 200).
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	if err := s.sched.submit(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		s.mu.Unlock()
+	if err := s.admit(j); err != nil {
 		switch {
 		case errors.Is(err, errQueueFull):
 			w.Header().Set("Retry-After", "1")
@@ -226,8 +222,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 		return
 	}
-	s.logf("accepted %s (tenant %s, key %s)", j.id, j.tenant, j.key)
-	go s.retire(j)
 	if r.URL.Query().Get("wait") != "" {
 		select {
 		case <-j.Done():
@@ -239,6 +233,40 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
 	}
 	w.Header().Set("Location", fmt.Sprintf("/v1/%ss/%s", j.kind, j.id))
 	writeJSON(w, http.StatusAccepted, j.resource())
+}
+
+// admit registers a new job and either completes or schedules it.
+//
+// A key whose outcome the result store already holds in memory is answered
+// at admission: the job is registered, completed and retired on the calling
+// goroutine. It takes no scheduler slot and no worker and does not count
+// against the tenant's queue depth, so a hit never waits behind a cold run.
+// Every other job is scheduled, a key still computing or held only on disk
+// included; its worker joins the flight or reads the disk through
+// ResultStore.Do.
+func (s *Server) admit(j *Job) error {
+	if s.sched.closed() {
+		return errDraining
+	}
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+	if payload, ok, err := s.results.Lookup(j.key); ok {
+		j.start()
+		j.complete(payload, true, err)
+		s.logf("answered %s from the result store (tenant %s, key %s)", j.id, j.tenant, j.key)
+		s.retire(j)
+		return nil
+	}
+	if err := s.sched.submit(j); err != nil {
+		s.mu.Lock()
+		delete(s.jobs, j.id)
+		s.mu.Unlock()
+		return err
+	}
+	s.logf("accepted %s (tenant %s, key %s)", j.id, j.tenant, j.key)
+	go s.retire(j)
+	return nil
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
