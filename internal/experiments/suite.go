@@ -389,7 +389,7 @@ func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Resu
 // configuration, then k's prefetcher annotating src at the configured
 // geometry, then the simulator. It is the one pipeline every simulation
 // takes, suite cells and single runs alike. The pipeline streams: events
-// flow generator → annotator → simulator in pooled chunks, nothing
+// flow generator → annotator → simulator one chunk at a time, nothing
 // materialized. For a PWS or buffer-prefetching k, sharing (when non-nil)
 // supplies src's write-shared line set; with a nil sharing the oracle
 // computes it with a pre-pass of its own where it needs one.

@@ -14,10 +14,10 @@ import (
 // The filter is the inner loop of prefetch annotation — one Access per
 // trace event — so it keeps only what that loop needs: a flat tag array,
 // plus per-entry recency stamps when a set has more than one way, not
-// internal/cache's coherence-state lines. Replacement is the same discipline as cache.Cache's Allocate
-// restricted to always-valid lines (first empty way, else lowest recency,
-// first index winning ties), so the marked miss sequence is bit-identical
-// to the cache-backed filter this replaces.
+// internal/cache's coherence-state lines. Replacement is the same
+// discipline as cache.Cache's Allocate restricted to always-valid lines
+// (first empty way, else lowest recency, first index winning ties), so the
+// marked miss sequence is bit-identical to a cache.Cache model's.
 type Cache struct {
 	probe Direct // the tag array; the whole filter when direct mapped
 	ways  int
@@ -81,33 +81,29 @@ func (d Direct) Access(a memory.Addr) (miss bool) {
 
 // accessAssoc is Access for associative sets: LRU with first-index
 // tie-breaking, matching cache.Cache's Allocate over always-valid lines.
+// A miss takes one pass over the stamps for its victim: an empty way's
+// stamp is 0 and a filled way's at least 1, so the first lowest stamp is
+// the first empty way if there is one, else the least recently used. The
+// hit scan reads the tags alone, because most accesses hit.
 func (f *Cache) accessAssoc(tag uint64) (miss bool) {
 	si := int(tag&f.probe.setMask) * f.ways
 	set := f.probe.tags[si : si+f.ways]
+	stamp := f.stamp[si : si+f.ways]
 	f.clock++
 	for i, t := range set {
 		if t == tag+1 {
-			f.stamp[si+i] = f.clock
+			stamp[i] = f.clock
 			return false
 		}
 	}
-	victim := -1
-	for i, t := range set {
-		if t == 0 {
+	victim := 0
+	for i, st := range stamp {
+		if st < stamp[victim] {
 			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < f.ways; i++ {
-			if f.stamp[si+i] < f.stamp[si+victim] {
-				victim = i
-			}
 		}
 	}
 	set[victim] = tag + 1
-	f.stamp[si+victim] = f.clock
+	stamp[victim] = f.clock
 	return true
 }
 

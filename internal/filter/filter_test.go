@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"busprefetch/internal/cache"
 	"busprefetch/internal/memory"
 	"busprefetch/internal/trace"
 )
@@ -150,6 +151,42 @@ func TestDirectProbeMatchesModel(t *testing.T) {
 	}
 	if _, ok := NewCache(memory.Geometry{CacheSize: sets * lineSize, LineSize: lineSize, Assoc: 2}).Direct(); ok {
 		t.Error("2-way filter reports a direct-mapped probe")
+	}
+}
+
+// TestAssocFilterMatchesCacheModel runs random addresses through the
+// 16-line PWS filter and a 4-way filter, each beside a cache.Cache of the
+// same geometry as its model: a Probe hit is a hit, anything else misses
+// and Allocates. The filter must miss exactly where the model does. The
+// addresses span four times each cache, so sets fill, hit and evict, and
+// the choice of victim decides later misses.
+func TestAssocFilterMatchesCacheModel(t *testing.T) {
+	const lineSize = 32
+	for _, geom := range []memory.Geometry{
+		PWSGeometry(lineSize),
+		{CacheSize: 16 * 4 * lineSize, LineSize: lineSize, Assoc: 4},
+	} {
+		f := NewCache(geom)
+		model := cache.New(geom)
+		rng := rand.New(rand.NewSource(1))
+		misses := 0
+		const accesses = 20000
+		for i := 0; i < accesses; i++ {
+			a := memory.Addr(rng.Intn(4 * geom.CacheSize))
+			_, hit := model.Probe(a)
+			if !hit {
+				l, _ := model.Allocate(a)
+				l.State = cache.Shared
+				misses++
+			}
+			if got := f.Access(a); got == hit {
+				t.Fatalf("%d-way, %d sets: access %d (%#x): miss=%v, model says %v",
+					geom.Ways(), geom.Sets(), i, uint64(a), got, !hit)
+			}
+		}
+		if misses == 0 || misses == accesses {
+			t.Errorf("%d-way: %d misses in %d accesses, want both hits and misses", geom.Ways(), misses, accesses)
+		}
 	}
 }
 

@@ -77,8 +77,10 @@ func (s *oracleSource) Name() string { return s.base.Name() }
 func (s *oracleSource) Procs() int { return s.base.Procs() }
 
 func (s *oracleSource) Events(proc int) trace.Iterator {
-	base := s.base.Events(proc)
 	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
+		// Opened inside the producer, which runs only once the pipe is
+		// first read, so a pipe closed unread leaves nothing open.
+		base := s.base.Events(proc)
 		defer base.Close()
 		return annotateStreaming(base, s.opt, s.prof, flush)
 	})

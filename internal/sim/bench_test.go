@@ -117,9 +117,10 @@ func drainCell(b *testing.B, src trace.Source) int {
 }
 
 // BenchmarkStreamingCell times the fused generate-into-annotate hot path of
-// the benchmark cell: workload events flow from the mp3d generator through
-// the PREF oracle annotator in pooled fixed-size chunks and are drained at
-// the simulator's seam. This is the producer side every streamed simulation
+// the benchmark cell: the mp3d generator and the PREF oracle annotator run
+// as coroutines of the draining goroutine, each refilling one 4096-event
+// buffer, and the chunks are drained at the simulator's seam with no
+// read-ahead goroutine. This is the producer side every streamed simulation
 // rides on; the perf CI job gates on it regressing more than 10% against
 // the merge-base.
 func BenchmarkStreamingCell(b *testing.B) {
@@ -133,7 +134,7 @@ func BenchmarkStreamingCell(b *testing.B) {
 }
 
 // TestStreamingCellBodyMatchesSim is BenchmarkStreamingCell's semantic
-// anchor: the streamed cell, simulated from pooled chunks, produces a
+// anchor: the streamed cell, simulated chunk by chunk, produces a
 // Result byte-identical to the materialized benchmark cell that
 // BenchmarkFullCell replays, so neither benchmark can time a pipeline that
 // drifts from what the experiments run.

@@ -464,10 +464,11 @@ func rate(n, d uint64) float64 {
 // RunSource simulates a streaming trace.Source on the configured machine
 // and returns the result. Events are consumed chunk by chunk as each
 // processor's iterator is drained — nothing is materialized — so a
-// workload source (or an annotated wrapping of one) simulates in constant
-// memory. Chunking never affects the result, because iterators block
-// until events are available and simulated time comes only from event
-// content; a materialized trace replays through trace.FromTrace.
+// workload source (or an annotated wrapping of one) simulates in memory
+// bounded by a few chunks per processor. Chunking never affects the
+// result, because iterators block until events are available and
+// simulated time comes only from event content; a materialized trace
+// replays through trace.FromTrace.
 //
 // The trace's structural rules (known event kinds, matched lock nesting,
 // identical barrier sequences across processors; see trace.Validate) are
@@ -485,9 +486,14 @@ func RunSource(cfg Config, src trace.Source) (*Result, error) {
 // is polled every cancelPollEvents dispatches, so an enabled context
 // costs a counter increment per event on the hot path, and even a run
 // wedged in progress-bearing work (a livelock the watchdog cannot
-// distinguish from real work) terminates promptly once ctx fires. All
-// iterators are closed before it returns, on every path, so abandoned
-// producer goroutines never outlive the run.
+// distinguish from real work) terminates promptly once ctx fires.
+//
+// Each processor's stream is drained through trace.ReadAhead, so its
+// producing stages run one chunk ahead of the simulator on a goroutine
+// per processor. All iterators are closed before it returns, on every
+// path, including a producer's panic, which is raised again on the
+// caller's goroutine; Close waits for each read-ahead goroutine, so no
+// producer outlives the run.
 func RunSourceContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -508,7 +514,7 @@ func RunSourceContext(ctx context.Context, cfg Config, src trace.Source) (*Resul
 		}
 	}()
 	for i, p := range s.procs {
-		iters[i] = src.Events(i)
+		iters[i] = trace.ReadAhead(src.Events(i))
 		p.it = iters[i]
 	}
 	s.ctx = ctx

@@ -15,7 +15,7 @@ import (
 )
 
 // streamTestCell runs one workload/strategy cell twice — streamed from
-// the producer's pooled chunks, and replayed from the same events
+// the producer's chunks, and replayed from the same events
 // materialized into one chunk per processor — and requires identical
 // Results: chunking must never affect a simulation.
 func streamTestCell(t *testing.T, w *workload.Workload, wp workload.Params, opt prefetch.Options) {
@@ -63,7 +63,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 }
 
 // kindSource yields a hand-built per-proc event sequence through a
-// producer goroutine; it exercises the replay's inline validation.
+// pipe; it exercises the replay's inline validation.
 type kindSource struct {
 	streams []trace.Stream
 }

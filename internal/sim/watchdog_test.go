@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"busprefetch/internal/check"
@@ -114,22 +115,24 @@ func TestFailKeepsFirstError(t *testing.T) {
 type pollCtx struct {
 	context.Context
 	failAt int
-	pulled *int
-	calls  []int
+	pulled *atomic.Int64
+	calls  []int64
 }
 
 func (c *pollCtx) Err() error {
-	c.calls = append(c.calls, *c.pulled)
+	c.calls = append(c.calls, c.pulled.Load())
 	if len(c.calls) >= c.failAt {
 		return context.Canceled
 	}
 	return nil
 }
 
-// countingSource counts its iterators' chunk pulls and Close calls.
+// countingSource counts its iterators' chunk pulls and Close calls. The
+// simulator drains each stream on its own read-ahead goroutine, so the
+// pull count is shared between them; each Close count belongs to one.
 type countingSource struct {
 	trace.Source
-	pulled int
+	pulled atomic.Int64
 	closed []int
 }
 
@@ -144,7 +147,7 @@ type countingIter struct {
 }
 
 func (it *countingIter) Next() ([]trace.Event, error) {
-	it.src.pulled++
+	it.src.pulled.Add(1)
 	return it.Iterator.Next()
 }
 

@@ -33,8 +33,9 @@ func (r *rng) Intn(n int) int {
 // builder accumulates one processor's event stream. Instruction work between
 // memory references is recorded as the next event's Gap. Whenever the
 // current buffer fills, it is handed to sink, which returns an empty buffer
-// to keep filling (the trace.NewPipe flush function, delivering fixed-size
-// pooled chunks downstream).
+// to keep filling (the trace.NewPipe flush function, which hands the chunk
+// to the consumer and returns the stage's buffer, empty, once the consumer
+// asks for the next one).
 type builder struct {
 	events trace.Stream
 	gap    uint32
