@@ -228,10 +228,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	st, err := trace.SummarizeSource(src, memory.DefaultGeometry())
-	if err != nil {
-		return err
-	}
+	st := trace.SummarizeSource(src, memory.DefaultGeometry())
 	fmt.Fprintf(stdout, "workload %s: %d procs, %d demand refs (%d reads, %d writes), %d locks, %d barriers\n",
 		info.Name, st.Procs, st.DemandRefs, st.Reads, st.Writes, st.Locks, st.Barriers)
 	// The header names the machine as simulated, defaults filled in.

@@ -81,8 +81,8 @@ func TestMarkdownLinksResolve(t *testing.T) {
 }
 
 // flagRegistration matches a flag definition in a CLI main.go:
-// flag.String("name", ...) or fs.Bool("name", ...).
-var flagRegistration = regexp.MustCompile(`(?:flag|fs)\.(?:String|Bool|Int|Int64|Float64|Duration)\("([^"]+)"`)
+// flag.String("name", ...), fs.Bool("name", ...) or flag.Var(&v, "name", ...).
+var flagRegistration = regexp.MustCompile(`(?:flag|fs)\.(?:(?:String|Bool|Int|Int64|Float64|Duration)\(|Var\([^,]+, )"([^"]+)"`)
 
 // cliFlags extracts the set of flags a command registers, from its source.
 func cliFlags(t *testing.T, cmd string) map[string]bool {
@@ -174,6 +174,43 @@ func TestReadmeFlagTablesMatchCLIs(t *testing.T) {
 	for f := range benchserverDocumented {
 		if !actual[f] {
 			t.Errorf("README benchserver table documents -%s, which the CLI does not register", f)
+		}
+	}
+}
+
+// TestUsageLinesNameRegisteredFlags pins each command's package comment to
+// its flag set: every flag on a tab-indented usage line that invokes the
+// command must be one the command registers, so a documented command line
+// cannot exit with "flag provided but not defined".
+func TestUsageLinesNameRegisteredFlags(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("cmd/*/main.go: %v (%d files)", err, len(mains))
+	}
+	for _, path := range mains {
+		cmd := filepath.Base(filepath.Dir(path))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comment, _, _ := strings.Cut(string(data), "\npackage ")
+		flags := cliFlags(t, cmd)
+		usages := 0
+		for _, line := range strings.Split(comment, "\n") {
+			args, ok := strings.CutPrefix(line, "//\t"+cmd+" ")
+			if !ok {
+				continue
+			}
+			usages++
+			args, _, _ = strings.Cut(args, "#")
+			for _, arg := range strings.Fields(args) {
+				if name, ok := strings.CutPrefix(arg, "-"); ok && !flags[name] {
+					t.Errorf("%s: usage line %q passes -%s, which %s does not register", path, strings.TrimPrefix(line, "//\t"), name, cmd)
+				}
+			}
+		}
+		if usages == 0 {
+			t.Errorf("%s: no usage line invokes %s; the extraction has drifted from the comment style", path, cmd)
 		}
 	}
 }

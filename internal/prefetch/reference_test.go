@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -258,35 +259,27 @@ func (s rechunked) Name() string { return s.t.Name }
 
 func (s rechunked) Procs() int { return s.t.Procs() }
 
-func (s rechunked) Events(proc int) trace.Iterator {
-	return &rechunkIter{s: s.t.Streams[proc], rng: rand.New(rand.NewSource(s.seed + int64(proc)))}
-}
-
-type rechunkIter struct {
-	s   trace.Stream
-	rng *rand.Rand
-}
-
-func (it *rechunkIter) Next() ([]trace.Event, error) {
-	if len(it.s) == 0 {
-		return nil, nil
+func (s rechunked) Events(proc int) iter.Seq[[]trace.Event] {
+	return func(yield func([]trace.Event) bool) {
+		st, rng := s.t.Streams[proc], rand.New(rand.NewSource(s.seed+int64(proc)))
+		for len(st) > 0 {
+			var n int
+			switch rng.Intn(3) {
+			case 0:
+				n = 1 + rng.Intn(8)
+			case 1:
+				n = 50 + rng.Intn(500)
+			default:
+				n = annSpan - 100 + rng.Intn(2*annSpan)
+			}
+			n = min(n, len(st))
+			if !yield(st[:n]) {
+				return
+			}
+			st = st[n:]
+		}
 	}
-	var n int
-	switch it.rng.Intn(3) {
-	case 0:
-		n = 1 + it.rng.Intn(8)
-	case 1:
-		n = 50 + it.rng.Intn(500)
-	default:
-		n = annSpan - 100 + it.rng.Intn(2*annSpan)
-	}
-	n = min(n, len(it.s))
-	c := it.s[:n]
-	it.s = it.s[n:]
-	return c, nil
 }
-
-func (it *rechunkIter) Close() { it.s = nil }
 
 // diffTraces reports the first event at which got and want diverge.
 func diffTraces(t *testing.T, label string, got, want *trace.Trace) {

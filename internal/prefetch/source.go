@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"busprefetch/internal/filter"
@@ -76,14 +77,10 @@ func (s *oracleSource) Name() string { return s.base.Name() }
 
 func (s *oracleSource) Procs() int { return s.base.Procs() }
 
-func (s *oracleSource) Events(proc int) trace.Iterator {
-	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
-		// Opened inside the producer, which runs only once the pipe is
-		// first read, so a pipe closed unread leaves nothing open.
-		base := s.base.Events(proc)
-		defer base.Close()
-		return annotateStreaming(base, s.opt, s.prof, flush)
-	})
+func (s *oracleSource) Events(proc int) iter.Seq[[]trace.Event] {
+	return func(yield func([]trace.Event) bool) {
+		annotateStreaming(s.base.Events(proc), s.opt, s.prof, yield)
+	}
 }
 
 // pendingIns is one queued prefetch insertion: emit ev immediately
@@ -94,7 +91,7 @@ type pendingIns struct {
 }
 
 // annSpan is the most events one annotate call takes, a quarter of a
-// pipe's chunk. It bounds the window's arrays: with the tail they come to
+// pooled chunk. It bounds the window's arrays: with the tail they come to
 // about 11 KiB per processor at the default distance, 18 KiB at LPD's.
 const annSpan = 1024
 
@@ -116,12 +113,16 @@ type annotator struct {
 	starts  []uint64
 	ins     []pendingIns // queued insertions, ordered by position
 	insHead int          // first insertion not yet emitted
+	// out is the stage's one output buffer, from the chunk pool, handed
+	// to yield when full; stopped records that yield returned false.
 	out     []trace.Event
-	flush   func([]trace.Event) []trace.Event
+	yield   func([]trace.Event) bool
+	stopped bool
 }
 
 // annotateStreaming runs the oracle over one processor's event stream a
-// chunk at a time, emitting the annotated stream through flush.
+// chunk at a time, handing the annotated stream to yield one full output
+// buffer at a time. Once yield returns false it takes no more input.
 //
 // Each chunk (at most annSpan events) takes two passes. The first
 // computes its events' estimated start cycles. The second runs them
@@ -134,35 +135,33 @@ type annotator struct {
 // emitted once, straight from the input chunk with the queued prefetches
 // interleaved, and only the events from the pointer on (at most
 // distance+1 of them) are copied into the tail carried to the next chunk.
-func annotateStreaming(base trace.Iterator, opt Options, prof *trace.SharingProfile, flush func([]trace.Event) []trace.Event) error {
+func annotateStreaming(base iter.Seq[[]trace.Event], opt Options, prof *trace.SharingProfile, yield func([]trace.Event) bool) {
 	dist := opt.distance()
 	lag := min(int(dist)+1, annSpan) // the tail's bound, at usual distances
 	a := &annotator{opt: opt, dist: dist, mainF: filter.NewCache(opt.Geometry), prof: prof,
-		tail: make([]trace.Event, 0, lag), starts: make([]uint64, 0, lag+annSpan), flush: flush}
+		tail: make([]trace.Event, 0, lag), starts: make([]uint64, 0, lag+annSpan),
+		out: trace.GetChunk(), yield: yield}
+	defer trace.PutChunk(a.out)
 	if prof != nil && opt.Strategy == PWS {
 		a.pwsF = filter.NewCache(filter.PWSGeometry(opt.Geometry.LineSize))
 	}
-	a.out = flush(nil)
-	for {
-		chunk, err := base.Next()
-		if err != nil {
-			return err
-		}
-		if chunk == nil {
-			break
-		}
+	for chunk := range base {
 		// A chunk is taken annSpan events at a time, so a long one (a
 		// whole materialized stream) cannot grow the window.
 		for len(chunk) > 0 {
 			n := min(len(chunk), annSpan)
 			a.annotate(chunk[:n])
 			chunk = chunk[n:]
+			if a.stopped {
+				return
+			}
 		}
 	}
 	// End of stream: everything left in the window is final.
 	a.emit(a.tail, a.base)
-	flush(a.out)
-	return nil
+	if len(a.out) > 0 {
+		a.flush()
+	}
 }
 
 // annotate takes one chunk of at most annSpan events: it queues the
@@ -259,7 +258,7 @@ func (a *annotator) emit(evs []trace.Event, pos int) {
 		a.copyOut(evs[:in.at-pos])
 		evs, pos = evs[in.at-pos:], in.at
 		if len(a.out) == cap(a.out) {
-			a.out = a.flush(a.out)
+			a.flush()
 		}
 		a.out = append(a.out, in.ev)
 	}
@@ -270,10 +269,19 @@ func (a *annotator) emit(evs []trace.Event, pos int) {
 func (a *annotator) copyOut(evs []trace.Event) {
 	for len(evs) > 0 {
 		if len(a.out) == cap(a.out) {
-			a.out = a.flush(a.out)
+			a.flush()
 		}
 		n := min(len(evs), cap(a.out)-len(a.out))
 		a.out = append(a.out, evs[:n]...)
 		evs = evs[n:]
 	}
+}
+
+// flush hands the full output buffer to yield and empties it. After the
+// consumer has stopped, the output is dropped.
+func (a *annotator) flush() {
+	if !a.stopped && !a.yield(a.out) {
+		a.stopped = true
+	}
+	a.out = a.out[:0]
 }

@@ -47,8 +47,8 @@ type profileKey struct {
 // TraceCache memoizes planned workload sources, and the sharing profiles
 // drawn from them, in two Memos: the first goroutine to ask for a key plans
 // it while later askers wait on the same flight, so concurrent workers
-// never duplicate a plan. Sources are restartable and return a fresh
-// iterator per Events call, so one cached source serves any number of
+// never duplicate a plan. Sources are restartable and every run of an
+// Events sequence starts afresh, so one cached source serves any number of
 // concurrent cells; the events themselves are generated anew on every
 // drain.
 //

@@ -137,7 +137,7 @@ func TestTraceCacheMemoizesErrors(t *testing.T) {
 // TestTraceCacheSourceSingleflight is the streaming side of
 // TestTraceCacheSingleflight: concurrent GetSource callers share one plan,
 // and then every one of them drains the shared source at the same time.
-// Each Events call must hand out an independent iterator, so all callers
+// Each Events call must hand out an independent sequence, so all callers
 // see the identical event stream — this is what lets one cached source
 // serve the suite's concurrent cells.
 func TestTraceCacheSourceSingleflight(t *testing.T) {
@@ -164,12 +164,7 @@ func TestTraceCacheSourceSingleflight(t *testing.T) {
 				return
 			}
 			results[i] = src
-			d, err := drainDigest(src)
-			if err != nil {
-				t.Errorf("goroutine %d: draining shared source: %v", i, err)
-				return
-			}
-			digests[i] = d
+			digests[i] = drainDigest(src)
 		}(i)
 	}
 	wg.Wait()
@@ -190,32 +185,22 @@ func TestTraceCacheSourceSingleflight(t *testing.T) {
 	}
 }
 
-// drainDigest reads every processor stream of src through a fresh
-// iterator and folds the events, in order, into an FNV-1a style digest.
-func drainDigest(src trace.Source) (uint64, error) {
+// drainDigest ranges over every processor stream of src and folds the
+// events, in order, into an FNV-1a style digest.
+func drainDigest(src trace.Source) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for p := 0; p < src.Procs(); p++ {
-		it := src.Events(p)
-		for {
-			chunk, err := it.Next()
-			if err != nil {
-				it.Close()
-				return 0, err
-			}
-			if chunk == nil {
-				break
-			}
+		for chunk := range src.Events(p) {
 			for _, e := range chunk {
 				h = (h ^ uint64(e.Addr)) * prime
 				h = (h ^ uint64(e.Gap)) * prime
 				h = (h ^ uint64(e.Kind)) * prime
 			}
 		}
-		it.Close()
 		h = (h ^ uint64(p)) * prime
 	}
-	return h, nil
+	return h
 }
 
 // TestTraceCacheSharingProfileSingleflight: the whole-source sharing

@@ -97,30 +97,21 @@ func benchCellSource(tb testing.TB) (trace.Source, sim.Config) {
 // drainCell drains every processor stream of src to completion, returning
 // the total event count — the generate→annotate hot path with no simulator
 // behind it, which is what the streaming seam itself costs.
-func drainCell(b *testing.B, src trace.Source) int {
+func drainCell(src trace.Source) int {
 	events := 0
 	for p := 0; p < src.Procs(); p++ {
-		it := src.Events(p)
-		for {
-			chunk, err := it.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if chunk == nil {
-				break
-			}
+		for chunk := range src.Events(p) {
 			events += len(chunk)
 		}
-		it.Close()
 	}
 	return events
 }
 
 // BenchmarkStreamingCell times the fused generate-into-annotate hot path of
 // the benchmark cell: the mp3d generator and the PREF oracle annotator run
-// as coroutines of the draining goroutine, each refilling one 4096-event
-// buffer, and the chunks are drained at the simulator's seam with no
-// read-ahead goroutine. This is the producer side every streamed simulation
+// as nested loops on the draining goroutine, each refilling one pooled
+// 4096-event buffer, and the chunks are drained at the simulator's seam
+// with no read-ahead goroutine. This is the producer side every streamed simulation
 // rides on; the perf CI job gates on it regressing more than 10% against
 // the merge-base.
 func BenchmarkStreamingCell(b *testing.B) {
@@ -128,7 +119,7 @@ func BenchmarkStreamingCell(b *testing.B) {
 	events := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		events += drainCell(b, src)
+		events += drainCell(src)
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"iter"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -17,8 +18,8 @@ import (
 )
 
 // lifetimeSource is mp3d at scale 0.2 under the PREF annotator: twelve
-// streams of several chunks each, every one a generator coroutine nested
-// in an annotator coroutine.
+// streams of several chunks each, every one a generator loop nested in
+// the annotator's loop.
 func lifetimeSource(t *testing.T) trace.Source {
 	t.Helper()
 	w, err := workload.ByName("mp3d")
@@ -44,29 +45,23 @@ type faultSource struct {
 	fault    func(*trace.Event)
 }
 
-func (s *faultSource) Events(proc int) trace.Iterator {
-	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
-		it := s.Source.Events(proc)
-		defer it.Close()
-		buf, n := flush(nil), 0
-		for {
-			chunk, err := it.Next()
-			if err != nil || chunk == nil {
-				flush(buf)
-				return err
-			}
-			for _, e := range chunk {
+func (s *faultSource) Events(proc int) iter.Seq[[]trace.Event] {
+	return func(yield func([]trace.Event) bool) {
+		var buf []trace.Event
+		n := 0
+		for chunk := range s.Source.Events(proc) {
+			buf = append(buf[:0], chunk...)
+			for i := range buf {
 				if proc == s.proc && n == s.at {
-					s.fault(&e)
+					s.fault(&buf[i])
 				}
 				n++
-				if len(buf) == cap(buf) {
-					buf = flush(buf)
-				}
-				buf = append(buf, e)
+			}
+			if !yield(buf) {
+				return
 			}
 		}
-	})
+	}
 }
 
 // waitGoroutines polls until at most want goroutines are left, failing

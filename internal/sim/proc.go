@@ -77,8 +77,8 @@ type proc struct {
 	stats  ProcStats
 
 	// it feeds the cursor; it is nil once the stream is exhausted.
-	// srcFailed latches an iterator error or an inline-validation failure
-	// so the processor never advances past it.
+	// srcFailed latches an inline-validation failure so the processor
+	// never advances past it.
 	it        trace.Iterator
 	srcFailed bool
 	// held and barSeen back the inline structural checks (trace.Validate's
@@ -309,19 +309,14 @@ func (p *proc) run(now uint64) {
 // refill advances the cursor to the next non-empty chunk of the
 // processor's stream. It returns false when no events remain: either
 // the stream is exhausted (the processor finishes, after the end-of-
-// stream validation) or the source failed (the run aborts through the
-// recorded error at the next dispatch).
+// stream validation) or the stream failed inline validation (the run
+// aborts through the recorded error at the next dispatch).
 func (p *proc) refill() bool {
 	if p.srcFailed {
 		return false
 	}
 	for p.it != nil {
-		chunk, err := p.it.Next()
-		if err != nil {
-			p.srcFailed = true
-			p.s.fail(fmt.Errorf("sim: proc %d event stream: %w", p.id, err))
-			return false
-		}
+		chunk := p.it.Next()
 		if chunk == nil {
 			p.it = nil
 			break

@@ -463,12 +463,12 @@ func rate(n, d uint64) float64 {
 
 // RunSource simulates a streaming trace.Source on the configured machine
 // and returns the result. Events are consumed chunk by chunk as each
-// processor's iterator is drained — nothing is materialized — so a
+// processor's stream is drained — nothing is materialized — so a
 // workload source (or an annotated wrapping of one) simulates in memory
 // bounded by a few chunks per processor. Chunking never affects the
-// result, because iterators block until events are available and
-// simulated time comes only from event content; a materialized trace
-// replays through trace.FromTrace.
+// result, because Next blocks until events are available and simulated
+// time comes only from event content; a materialized trace replays
+// through trace.FromTrace.
 //
 // The trace's structural rules (known event kinds, matched lock nesting,
 // identical barrier sequences across processors; see trace.Validate) are
@@ -492,8 +492,8 @@ func RunSource(cfg Config, src trace.Source) (*Result, error) {
 // producing stages run one chunk ahead of the simulator on a goroutine
 // per processor. All iterators are closed before it returns, on every
 // path, including a producer's panic, which is raised again on the
-// caller's goroutine; Close waits for each read-ahead goroutine, so no
-// producer outlives the run.
+// caller's goroutine; Close waits for each stream's sequence to return,
+// so no producer outlives the run.
 func RunSourceContext(ctx context.Context, cfg Config, src trace.Source) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -514,7 +514,7 @@ func RunSourceContext(ctx context.Context, cfg Config, src trace.Source) (*Resul
 		}
 	}()
 	for i, p := range s.procs {
-		iters[i] = trace.ReadAhead(src.Events(i))
+		iters[i] = trace.ReadAhead(src, i)
 		p.it = iters[i]
 	}
 	s.ctx = ctx

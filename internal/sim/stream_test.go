@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"iter"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,8 +63,9 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	}
 }
 
-// kindSource yields a hand-built per-proc event sequence through a
-// pipe; it exercises the replay's inline validation.
+// kindSource yields a hand-built per-proc event sequence, one chunk per
+// processor, through a read-ahead goroutine; it exercises the replay's
+// inline validation.
 type kindSource struct {
 	streams []trace.Stream
 }
@@ -72,16 +74,12 @@ func (s *kindSource) Name() string { return "hand" }
 
 func (s *kindSource) Procs() int { return len(s.streams) }
 
-func (s *kindSource) Events(proc int) trace.Iterator {
-	st := s.streams[proc]
-	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
-		buf := flush(nil)
-		for _, e := range st {
-			buf = append(buf, e)
+func (s *kindSource) Events(proc int) iter.Seq[[]trace.Event] {
+	return func(yield func([]trace.Event) bool) {
+		if st := s.streams[proc]; len(st) > 0 {
+			yield(st)
 		}
-		flush(buf)
-		return nil
-	})
+	}
 }
 
 func TestRunSourceInlineValidation(t *testing.T) {
@@ -179,38 +177,6 @@ func TestRunSourceInlineValidation(t *testing.T) {
 				t.Errorf("error %v classifies as retryable, want terminal", err)
 			}
 		})
-	}
-}
-
-// errSource fails mid-stream; the run must surface the error, not hang or
-// report a stall.
-type errSource struct{ boom error }
-
-func (s *errSource) Name() string { return "err" }
-
-func (s *errSource) Procs() int { return 2 }
-
-func (s *errSource) Events(proc int) trace.Iterator {
-	boom := s.boom
-	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
-		buf := flush(nil)
-		buf = append(buf, trace.Event{Kind: trace.Read, Addr: 0x1000})
-		flush(buf)
-		if proc == 1 {
-			return boom
-		}
-		return nil
-	})
-}
-
-func TestRunSourceIteratorError(t *testing.T) {
-	boom := errors.New("synthetic stream failure")
-	_, err := RunSource(DefaultConfig(), &errSource{boom: boom})
-	if err == nil {
-		t.Fatal("failing source simulated without error")
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("error = %v, want it to wrap the source failure", err)
 	}
 }
 

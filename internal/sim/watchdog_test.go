@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"iter"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,39 +128,32 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// countingSource counts its iterators' chunk pulls and Close calls. The
-// simulator drains each stream on its own read-ahead goroutine, so the
-// pull count is shared between them; each Close count belongs to one.
+// countingSource counts the chunks its streams yield and records which
+// streams' sequences have returned. The simulator ranges over each stream
+// on its own read-ahead goroutine, so the chunk count is shared between
+// them; each returned flag belongs to one.
 type countingSource struct {
 	trace.Source
-	pulled atomic.Int64
-	closed []int
+	pulled   atomic.Int64
+	returned []bool
 }
 
-func (c *countingSource) Events(proc int) trace.Iterator {
-	return &countingIter{Iterator: c.Source.Events(proc), src: c, proc: proc}
-}
-
-type countingIter struct {
-	trace.Iterator
-	src  *countingSource
-	proc int
-}
-
-func (it *countingIter) Next() ([]trace.Event, error) {
-	it.src.pulled.Add(1)
-	return it.Iterator.Next()
-}
-
-func (it *countingIter) Close() {
-	it.src.closed[it.proc]++
-	it.Iterator.Close()
+func (c *countingSource) Events(proc int) iter.Seq[[]trace.Event] {
+	return func(yield func([]trace.Event) bool) {
+		defer func() { c.returned[proc] = true }()
+		for chunk := range c.Source.Events(proc) {
+			c.pulled.Add(1)
+			if !yield(chunk) {
+				return
+			}
+		}
+	}
 }
 
 // TestRunSourceContextAbortsAtPoll: a run doing progress-bearing work stops
 // at the first cancellation poll that finds its context done, with an error
-// wrapping the context's, and closes every iterator on the way out. The
-// context is consulted only by the dispatch loop's poll.
+// wrapping the context's, and every stream's sequence has returned when it
+// does. The context is consulted only by the dispatch loop's poll.
 func TestRunSourceContextAbortsAtPoll(t *testing.T) {
 	w, err := workload.ByName("mp3d")
 	if err != nil {
@@ -169,7 +163,7 @@ func TestRunSourceContextAbortsAtPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &countingSource{Source: inner, closed: make([]int, inner.Procs())}
+	src := &countingSource{Source: inner, returned: make([]bool, inner.Procs())}
 	const failAt = 6
 	ctx := &pollCtx{Context: context.Background(), failAt: failAt, pulled: &src.pulled}
 	_, err = RunSourceContext(ctx, DefaultConfig(), src)
@@ -182,12 +176,12 @@ func TestRunSourceContextAbortsAtPoll(t *testing.T) {
 	if len(ctx.calls) > 0 && ctx.calls[0] == 0 {
 		t.Error("Err called before the run pulled any events; only the dispatch loop's poll may consult the context")
 	}
-	if len(src.closed) != 12 {
-		t.Fatalf("mp3d source has %d processors, want 12", len(src.closed))
+	if len(src.returned) != 12 {
+		t.Fatalf("mp3d source has %d processors, want 12", len(src.returned))
 	}
-	for p, n := range src.closed {
-		if n == 0 {
-			t.Errorf("iterator %d never closed", p)
+	for p, ok := range src.returned {
+		if !ok {
+			t.Errorf("stream %d's sequence had not returned when the run did", p)
 		}
 	}
 }

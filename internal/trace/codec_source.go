@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 
 	"busprefetch/internal/memory"
 )
@@ -14,9 +15,10 @@ import (
 // checked up front: every count, kind, gap and the CRC footer, with the
 // same bounds as Decode, and then the trace rules of Validate (lock
 // nesting, barrier sequences), so a malformed file fails here rather
-// than as a deadlocked replay. The events are decoded lazily, one pooled
-// chunk at a time, as each iterator is drained: a persisted BPTR trace
-// replays without ever allocating its full event array.
+// than as a deadlocked replay, and no stream of the returned Source can
+// fail. The events are decoded lazily into one pooled chunk at a time as
+// each processor's sequence runs: a persisted BPTR trace replays without
+// ever allocating its full event array.
 func DecodeSource(r io.Reader) (Source, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -147,8 +149,8 @@ func (d *byteCursor) varint() (int64, bool) {
 }
 
 // decodedSource streams events straight out of the validated encoded
-// bytes. Restartable: each Events call walks the stream's byte range
-// from the beginning.
+// bytes. Restartable: each run of an Events sequence walks the stream's
+// byte range from the beginning.
 type decodedSource struct {
 	name    string
 	streams []decodedStream
@@ -163,47 +165,27 @@ func (s *decodedSource) Name() string { return s.name }
 
 func (s *decodedSource) Procs() int { return len(s.streams) }
 
-func (s *decodedSource) Events(proc int) Iterator {
+func (s *decodedSource) Events(proc int) iter.Seq[[]Event] {
 	st := s.streams[proc]
-	return &decodedIterator{d: byteCursor{buf: st.data}, rem: st.n}
-}
-
-type decodedIterator struct {
-	d    byteCursor
-	rem  uint64
-	prev uint64
-	buf  []Event
-	done bool
-}
-
-func (it *decodedIterator) Next() ([]Event, error) {
-	if it.buf != nil {
-		putChunk(it.buf)
-		it.buf = nil
+	return func(yield func([]Event) bool) {
+		buf := GetChunk()
+		defer PutChunk(buf)
+		d := byteCursor{buf: st.data}
+		var prev uint64
+		for rem := st.n; rem > 0; {
+			buf = buf[:0]
+			for ; rem > 0 && len(buf) < cap(buf); rem-- {
+				// The validation walk in DecodeSource proved these bytes
+				// well formed, so the decodes here cannot fail.
+				kb, _ := d.byte()
+				gap, _ := d.uvarint()
+				delta, _ := d.varint()
+				prev += uint64(delta)
+				buf = append(buf, Event{Kind: Kind(kb), Gap: uint32(gap), Addr: memory.Addr(prev)})
+			}
+			if !yield(buf) {
+				return
+			}
+		}
 	}
-	if it.done || it.rem == 0 {
-		it.done = true
-		return nil, nil
-	}
-	buf := grabChunk()
-	for it.rem > 0 && len(buf) < cap(buf) {
-		// The validation walk in DecodeSource proved these bytes well
-		// formed, so the decodes here cannot fail.
-		kb, _ := it.d.byte()
-		gap, _ := it.d.uvarint()
-		delta, _ := it.d.varint()
-		it.prev += uint64(delta)
-		buf = append(buf, Event{Kind: Kind(kb), Gap: uint32(gap), Addr: memory.Addr(it.prev)})
-		it.rem--
-	}
-	it.buf = buf
-	return buf, nil
-}
-
-func (it *decodedIterator) Close() {
-	if it.buf != nil {
-		putChunk(it.buf)
-		it.buf = nil
-	}
-	it.done = true
 }

@@ -110,18 +110,9 @@ func FuzzDecodeSource(f *testing.F) {
 		}
 		for p := 0; p < src.Procs(); p++ {
 			var got Stream
-			it := src.Events(p)
-			for {
-				chunk, err := it.Next()
-				if err != nil {
-					t.Fatalf("proc %d: streamed decode failed after validation: %v", p, err)
-				}
-				if chunk == nil {
-					break
-				}
+			for chunk := range src.Events(p) {
 				got = append(got, chunk...)
 			}
-			it.Close()
 			if len(got) != len(tr.Streams[p]) {
 				t.Fatalf("proc %d: streamed %d events, materialized %d", p, len(got), len(tr.Streams[p]))
 			}

@@ -114,19 +114,15 @@ func (p *SharingProfile) observe(e Event, bit uint64) {
 // AnalyzeSharingSource scans every demand reference of src, one drain per
 // processor, and classifies each touched cache line. Line classification
 // only ORs per-processor bits, so it is independent of event order and of
-// chunking.
+// chunking. The error is always nil.
 func AnalyzeSharingSource(src Source, geom memory.Geometry) (*SharingProfile, error) {
 	p := newSharingProfile(geom)
 	for proc := 0; proc < src.Procs(); proc++ {
 		bit := uint64(1) << uint(proc)
-		err := drain(src, proc, func(chunk []Event) error {
+		for chunk := range src.Events(proc) {
 			for _, e := range chunk {
 				p.observe(e, bit)
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 	}
 	return p, nil
@@ -196,12 +192,12 @@ type Stats struct {
 // SummarizeSource computes whole-trace statistics using geom for line
 // accounting, fusing the event counting and the sharing analysis into a
 // single drain per processor.
-func SummarizeSource(src Source, geom memory.Geometry) (Stats, error) {
+func SummarizeSource(src Source, geom memory.Geometry) Stats {
 	st := Stats{Procs: src.Procs()}
 	prof := newSharingProfile(geom)
 	for proc := 0; proc < src.Procs(); proc++ {
 		bit := uint64(1) << uint(proc)
-		err := drain(src, proc, func(chunk []Event) error {
+		for chunk := range src.Events(proc) {
 			st.Events += len(chunk)
 			for _, e := range chunk {
 				switch e.Kind {
@@ -218,10 +214,6 @@ func SummarizeSource(src Source, geom memory.Geometry) (Stats, error) {
 				}
 				prof.observe(e, bit)
 			}
-			return nil
-		})
-		if err != nil {
-			return Stats{}, err
 		}
 	}
 	st.DemandRefs = st.Reads + st.Writes
@@ -235,5 +227,5 @@ func SummarizeSource(src Source, geom memory.Geometry) (Stats, error) {
 			st.WriteShared += geom.LineSize
 		}
 	}
-	return st, nil
+	return st
 }

@@ -108,10 +108,7 @@ func TestSharingProfileMatchesMap(t *testing.T) {
 			probe(memory.Addr(rng.Uint64()))
 		}
 
-		st, err := SummarizeSource(FromTrace(tr), geom)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := SummarizeSource(FromTrace(tr), geom)
 		var shared int
 		for _, u := range ref {
 			if sharers(u) >= 2 {

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"errors"
+	"iter"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,48 +10,51 @@ import (
 	"busprefetch/internal/memory"
 )
 
-// countedPipe returns a NewPipe over n events in chunks of size, with
-// event i at address 4i. produced counts the chunks the producer has
-// filled and flushed. If panicAfter > 0, the producer panics with "boom"
-// in place of its chunk panicAfter+1.
-func countedPipe(n, size, panicAfter int, produced *int) Iterator {
-	return NewPipe(func(flush func([]Event) []Event) error {
-		buf := flush(nil)
-		for i := 0; i < n; i++ {
-			if len(buf) == size {
-				*produced++
-				buf = flush(buf)
-				if *produced == panicAfter {
-					panic("boom")
-				}
+// countedSource is one processor streaming n events in chunks of size,
+// event i at address 4i. produced counts the chunks it has yielded, and
+// returned records that its sequence has returned. If panicAfter > 0, the
+// producer panics with "boom" in place of its chunk panicAfter+1.
+type countedSource struct {
+	n, size, panicAfter int
+	produced            int
+	returned            bool
+}
+
+func (s *countedSource) Name() string { return "counted" }
+
+func (s *countedSource) Procs() int { return 1 }
+
+func (s *countedSource) Events(int) iter.Seq[[]Event] {
+	return func(yield func([]Event) bool) {
+		defer func() { s.returned = true }()
+		buf := GetChunk()
+		defer PutChunk(buf)
+		for i := 0; i < s.n; i += s.size {
+			if s.panicAfter > 0 && s.produced == s.panicAfter {
+				panic("boom")
 			}
-			buf = append(buf, Event{Kind: Read, Addr: addrOf(i)})
+			buf = buf[:0]
+			for j := i; j < min(i+s.size, s.n); j++ {
+				buf = append(buf, Event{Kind: Read, Addr: addrOf(j)})
+			}
+			s.produced++
+			if !yield(buf) {
+				return
+			}
 		}
-		if len(buf) > 0 {
-			*produced++
-		}
-		flush(buf)
-		return nil
-	})
+	}
 }
 
 func addrOf(i int) memory.Addr { return memory.Addr(i * 4) }
 
 // drainAll copies every chunk of it, in order, and closes it.
-func drainAll(t *testing.T, it Iterator) []Event {
-	t.Helper()
+func drainAll(it Iterator) []Event {
 	defer it.Close()
 	var out []Event
-	for {
-		chunk, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if chunk == nil {
-			return out
-		}
+	for chunk := it.Next(); chunk != nil; chunk = it.Next() {
 		out = append(out, chunk...)
 	}
+	return out
 }
 
 func wantEvents(n int) []Event {
@@ -62,59 +65,6 @@ func wantEvents(n int) []Event {
 	return evs
 }
 
-// TestPipeRunsOnlyInNext: a pipe's producer is a coroutine of its
-// consumer. It does not start before the first Next, it delivers exactly
-// one chunk per Next, and the chunks arrive in order, each in the stage's
-// one buffer.
-func TestPipeRunsOnlyInNext(t *testing.T) {
-	produced := 0
-	it := countedPipe(3*chunkEvents+5, chunkEvents, 0, &produced)
-	defer it.Close()
-	if produced != 0 {
-		t.Fatalf("producer filled %d chunks before the first Next", produced)
-	}
-	var got []Event
-	var first *Event
-	for k := 1; ; k++ {
-		chunk, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if chunk == nil {
-			break
-		}
-		if produced != k {
-			t.Fatalf("after %d calls to Next the producer has filled %d chunks", k, produced)
-		}
-		if first == nil {
-			first = &chunk[0]
-		} else if &chunk[0] != first {
-			t.Errorf("chunk %d is in a new buffer; the stage must reuse its one buffer", k)
-		}
-		got = append(got, chunk...)
-	}
-	if !reflect.DeepEqual(got, wantEvents(3*chunkEvents+5)) {
-		t.Error("drained events differ from the produced sequence")
-	}
-}
-
-// TestPipeClosedUnreadNeverRuns: a pipe closed before its first Next
-// never starts its producer and leaves no goroutine behind.
-func TestPipeClosedUnreadNeverRuns(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ran := false
-	it := NewPipe(func(flush func([]Event) []Event) error {
-		ran = true
-		return nil
-	})
-	it.Close()
-	it.Close()
-	if ran {
-		t.Error("closing an unread pipe ran its producer")
-	}
-	waitGoroutines(t, base)
-}
-
 // nextPanic calls it.Next and returns the value it panicked with, or nil.
 func nextPanic(it Iterator) (v any) {
 	defer func() { v = recover() }()
@@ -122,29 +72,14 @@ func nextPanic(it Iterator) (v any) {
 	return nil
 }
 
-// TestPipePanicReachesNext: a producer that panics mid-stream panics the
-// caller's Next with the same value, after the chunks flushed before it.
-func TestPipePanicReachesNext(t *testing.T) {
-	produced := 0
-	it := countedPipe(4*chunkEvents, chunkEvents, 1, &produced)
-	defer it.Close()
-	if chunk, err := it.Next(); err != nil || len(chunk) != chunkEvents {
-		t.Fatalf("first Next = %d events, %v; want a full chunk", len(chunk), err)
-	}
-	if v := nextPanic(it); v != "boom" {
-		t.Fatalf("Next after the producer panicked recovered %v, want boom", v)
-	}
-}
-
 // TestReadAheadPanicReachesNext: the read-ahead goroutine recovers a
-// panic of the wrapped iterator and raises it again in the caller's Next,
-// so the process survives and the caller's own recovery sees it.
+// panic of the producer and raises it again in the caller's Next, so the
+// process survives and the caller's own recovery sees it.
 func TestReadAheadPanicReachesNext(t *testing.T) {
 	base := runtime.NumGoroutine()
-	produced := 0
-	it := ReadAhead(countedPipe(4*chunkEvents, chunkEvents, 1, &produced))
-	if chunk, err := it.Next(); err != nil || len(chunk) != chunkEvents {
-		t.Fatalf("first Next = %d events, %v; want a full chunk", len(chunk), err)
+	it := ReadAhead(&countedSource{n: 4 * chunkEvents, size: chunkEvents, panicAfter: 1}, 0)
+	if chunk := it.Next(); len(chunk) != chunkEvents {
+		t.Fatalf("first Next = %d events; want a full chunk", len(chunk))
 	}
 	if v := nextPanic(it); v != "boom" {
 		t.Fatalf("Next after the producer panicked recovered %v, want boom", v)
@@ -157,95 +92,54 @@ func TestReadAheadPanicReachesNext(t *testing.T) {
 // in the same order.
 func TestReadAheadMatchesSource(t *testing.T) {
 	for _, n := range []int{0, 1, chunkEvents, 5*chunkEvents + 17} {
-		produced := 0
-		got := drainAll(t, ReadAhead(countedPipe(n, chunkEvents, 0, &produced)))
+		got := drainAll(ReadAhead(&countedSource{n: n, size: chunkEvents}, 0))
 		if len(got) != n || n > 0 && !reflect.DeepEqual(got, wantEvents(n)) {
 			t.Errorf("%d events: read ahead, the stream yields %d events or a different sequence", n, len(got))
 		}
 	}
 }
 
-// TestProducerErrorFollowsChunks: an error the producer returns reaches
-// Next after every chunk flushed before it, and stays reported, whether
-// the pipe is read directly or ahead.
-func TestProducerErrorFollowsChunks(t *testing.T) {
-	boom := errors.New("producer failed")
-	for _, form := range []struct {
-		name string
-		wrap func(Iterator) Iterator
-	}{
-		{"pipe", func(it Iterator) Iterator { return it }},
-		{"read ahead", ReadAhead},
-	} {
-		it := form.wrap(NewPipe(func(flush func([]Event) []Event) error {
-			flush(append(flush(nil), Event{Kind: Write, Addr: 4}))
-			return boom
-		}))
-		if chunk, err := it.Next(); err != nil || len(chunk) != 1 {
-			t.Fatalf("%s: first Next = %v, %v; want the flushed chunk", form.name, chunk, err)
-		}
-		for i := 0; i < 2; i++ {
-			if chunk, err := it.Next(); chunk != nil || !errors.Is(err, boom) {
-				t.Fatalf("%s: Next after the producer failed = %v, %v; want nil, %v", form.name, chunk, err, boom)
-			}
-		}
-		it.Close()
-	}
-}
-
-// closeCounter counts Close calls on the iterator it wraps.
-type closeCounter struct {
-	Iterator
-	closes int
-}
-
-func (c *closeCounter) Close() {
-	c.closes++
-	c.Iterator.Close()
-}
-
 // TestReadAheadCloseStopsGoroutine: closing a read-ahead iterator before
-// end of stream closes the wrapped iterator exactly once, before Close
-// returns, and stops the goroutine, also when Close is called again.
+// end of stream stops the stream's sequence within one chunk of the
+// read-ahead, before Close returns, and stops the goroutine, also when
+// Close is called again.
 func TestReadAheadCloseStopsGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
-	produced := 0
-	inner := &closeCounter{Iterator: countedPipe(100*chunkEvents, chunkEvents, 0, &produced)}
-	it := ReadAhead(inner)
-	if _, err := it.Next(); err != nil {
-		t.Fatal(err)
+	src := &countedSource{n: 100 * chunkEvents, size: chunkEvents}
+	it := ReadAhead(src, 0)
+	if chunk := it.Next(); chunk == nil {
+		t.Fatal("first Next ended the stream")
 	}
 	it.Close()
-	if inner.closes != 1 {
-		t.Fatalf("wrapped iterator closed %d times by Close, want 1", inner.closes)
+	if !src.returned {
+		t.Fatal("Close returned before the stream's sequence did")
 	}
-	if produced > 2 {
-		t.Errorf("producer filled %d chunks for a caller that took 1; read-ahead is one chunk", produced)
+	if src.produced > 2 {
+		t.Errorf("producer yielded %d chunks for a caller that took 1; read-ahead is one chunk", src.produced)
 	}
 	it.Close()
-	if chunk, err := it.Next(); chunk != nil || err != nil {
-		t.Errorf("Next after Close = %d events, %v; want end of stream", len(chunk), err)
-	}
-	if inner.closes != 1 {
-		t.Errorf("wrapped iterator closed %d times after a second Close, want 1", inner.closes)
+	if chunk := it.Next(); chunk != nil {
+		t.Errorf("Next after Close = %d events; want end of stream", len(chunk))
 	}
 	waitGoroutines(t, base)
 }
 
 // TestReadAheadHandsOverMaterializedStream: a materialized stream is one
-// chunk already in memory, so read-ahead returns its iterator unchanged
-// and the chunk is the trace's own array, not a copy.
+// chunk already in memory, so read-ahead starts no goroutine and the
+// chunk is the trace's own array, not a copy.
 func TestReadAheadHandsOverMaterializedStream(t *testing.T) {
 	tr := &Trace{Name: "m", Streams: []Stream{wantEvents(3 * chunkEvents)}}
-	inner := FromTrace(tr).Events(0)
-	it := ReadAhead(inner)
+	it := ReadAhead(FromTrace(tr), 0)
 	defer it.Close()
-	if it != inner {
+	if _, ok := it.(*sliceIterator); !ok {
 		t.Fatalf("ReadAhead wrapped a materialized stream in %T", it)
 	}
-	chunk, err := it.Next()
-	if err != nil || len(chunk) != len(tr.Streams[0]) || &chunk[0] != &tr.Streams[0][0] {
-		t.Fatalf("first Next = %d events, %v; want the trace's own stream", len(chunk), err)
+	chunk := it.Next()
+	if len(chunk) != len(tr.Streams[0]) || &chunk[0] != &tr.Streams[0][0] {
+		t.Fatalf("first Next = %d events; want the trace's own stream", len(chunk))
+	}
+	if chunk := it.Next(); chunk != nil {
+		t.Fatalf("second Next = %d events; want end of stream", len(chunk))
 	}
 }
 

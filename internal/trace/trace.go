@@ -125,7 +125,7 @@ func validate(src Source) error {
 		held := map[memory.Addr]bool{}
 		var barriers []memory.Addr
 		i := 0
-		err := drain(src, p, func(chunk []Event) error {
+		for chunk := range src.Events(p) {
 			for _, e := range chunk {
 				if e.Kind >= numKinds {
 					return fmt.Errorf("trace: proc %d event %d has unknown kind %d", p, i, e.Kind)
@@ -146,10 +146,6 @@ func validate(src Source) error {
 				}
 				i++
 			}
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 		if len(held) != 0 {
 			return fmt.Errorf("trace: proc %d ends holding %d locks", p, len(held))

@@ -187,10 +187,7 @@ func TestSummarize(t *testing.T) {
 			{Kind: Barrier, Addr: 0},
 		},
 	}}
-	st, err := SummarizeSource(FromTrace(tr), g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := SummarizeSource(FromTrace(tr), g)
 	if st.Reads != 2 || st.Writes != 1 || st.Prefetches != 1 || st.Locks != 1 {
 		t.Errorf("counts: %+v", st)
 	}

@@ -32,31 +32,43 @@ func (r *rng) Intn(n int) int {
 
 // builder accumulates one processor's event stream. Instruction work between
 // memory references is recorded as the next event's Gap. Whenever the
-// current buffer fills, it is handed to sink, which returns an empty buffer
-// to keep filling (the trace.NewPipe flush function, which hands the chunk
-// to the consumer and returns the stage's buffer, empty, once the consumer
-// asks for the next one).
+// current buffer fills, it is handed to yield, the loop body of the
+// consumer ranging over the stream, and refilled from the start once yield
+// returns. When yield returns false the consumer wants no more events, and
+// the builder unwinds the kernel emitting into it with a stopEmit panic,
+// which the stream's sequence recovers.
 type builder struct {
 	events trace.Stream
 	gap    uint32
-	sink   func([]trace.Event) []trace.Event
+	yield  func([]trace.Event) bool
 }
+
+// stopEmit is the panic value that unwinds a kernel whose consumer has
+// stopped ranging over its stream.
+type stopEmit struct{}
 
 // Instr records n instruction cycles of non-memory work.
 func (b *builder) Instr(n int) { b.gap += uint32(n) }
 
-// emit appends one event, handing the buffer to the sink first when it is
+// emit appends one event, handing the buffer downstream first when it is
 // full.
 func (b *builder) emit(k trace.Kind, a memory.Addr) {
 	if len(b.events) == cap(b.events) {
-		b.events = b.sink(b.events)
+		if !b.yield(b.events) {
+			panic(stopEmit{})
+		}
+		b.events = b.events[:0]
 	}
 	b.events = append(b.events, trace.Event{Kind: k, Addr: a, Gap: b.gap})
 	b.gap = 0
 }
 
-// finish flushes the final partial chunk.
-func (b *builder) finish() { b.events = b.sink(b.events) }
+// finish hands over the final partial chunk.
+func (b *builder) finish() {
+	if len(b.events) > 0 {
+		b.yield(b.events)
+	}
+}
 
 // Read records a demand load of address a.
 func (b *builder) Read(a memory.Addr) { b.emit(trace.Read, a) }

@@ -13,26 +13,17 @@ import (
 // every workload kernel, two independently planned sources, the trace
 // materialized from one of them, and a BPTR encode/decode round trip are
 // four views of one event sequence. Any divergence — a kernel whose emit
-// depends on state outside its plan, a codec that drops a field, a pipe
+// depends on state outside its plan, a codec that drops a field, a stage
 // that reorders chunks — fails here before it can silently skew a
 // simulation.
 
 // drainSource collects every event of one source processor.
-func drainSource(t *testing.T, src trace.Source, proc int) trace.Stream {
-	t.Helper()
-	it := src.Events(proc)
-	defer it.Close()
+func drainSource(src trace.Source, proc int) trace.Stream {
 	var out trace.Stream
-	for {
-		chunk, err := it.Next()
-		if err != nil {
-			t.Fatalf("proc %d: source failed: %v", proc, err)
-		}
-		if chunk == nil {
-			return out
-		}
+	for chunk := range src.Events(proc) {
 		out = append(out, chunk...)
 	}
+	return out
 }
 
 // diffStreams reports the first divergence between two event sequences.
@@ -88,9 +79,9 @@ func TestStreamedMaterializedRoundTripAgree(t *testing.T) {
 
 					for proc := 0; proc < tr.Procs(); proc++ {
 						diffStreams(t, "streamed vs materialized", proc,
-							drainSource(t, src, proc), tr.Streams[proc])
+							drainSource(src, proc), tr.Streams[proc])
 						diffStreams(t, "round trip vs materialized", proc,
-							drainSource(t, decoded, proc), tr.Streams[proc])
+							drainSource(decoded, proc), tr.Streams[proc])
 					}
 				})
 			}
@@ -100,7 +91,7 @@ func TestStreamedMaterializedRoundTripAgree(t *testing.T) {
 
 // TestSourceRestartable pins the Source contract the trace cache depends
 // on: a second Events call for the same processor replays the identical
-// sequence, including when the first iterator was abandoned mid-stream.
+// sequence, including when the first range over it stopped mid-stream.
 func TestSourceRestartable(t *testing.T) {
 	w, err := ByName("mp3d")
 	if err != nil {
@@ -110,14 +101,12 @@ func TestSourceRestartable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Abandon an iterator after one chunk; the pipe must shut down cleanly.
-	it := src.Events(0)
-	if _, err := it.Next(); err != nil {
-		t.Fatal(err)
+	// Abandon a range after one chunk; the generator must stop cleanly.
+	for range src.Events(0) {
+		break
 	}
-	it.Close()
 
-	first := drainSource(t, src, 0)
-	second := drainSource(t, src, 0)
+	first := drainSource(src, 0)
+	second := drainSource(src, 0)
 	diffStreams(t, "restarted source", 0, second, first)
 }

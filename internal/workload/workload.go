@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"busprefetch/internal/memory"
@@ -105,9 +106,9 @@ func (w *Workload) planFor(p Params) (Params, procPlan, Info, error) {
 
 // Source returns the workload as a streaming trace.Source: planning
 // (layout, sizing) happens up front, but events are produced lazily,
-// chunk by chunk, as each processor's iterator is drained into the
-// annotator and the simulator. The source is restartable: every drain
-// of a processor yields the identical stream.
+// chunk by chunk, as the consumer ranges over each processor's sequence.
+// The source is restartable: every run of a processor's sequence yields
+// the identical stream.
 func (w *Workload) Source(p Params) (trace.Source, Info, error) {
 	p, pl, info, err := w.planFor(p)
 	if err != nil {
@@ -126,14 +127,18 @@ func (s *workloadSource) Name() string { return s.name }
 
 func (s *workloadSource) Procs() int { return s.procs }
 
-func (s *workloadSource) Events(proc int) trace.Iterator {
-	pl := s.plan
-	return trace.NewPipe(func(flush func([]trace.Event) []trace.Event) error {
-		b := &builder{sink: flush}
-		pl.emit(proc, b)
+func (s *workloadSource) Events(proc int) iter.Seq[[]trace.Event] {
+	return func(yield func([]trace.Event) bool) {
+		b := &builder{events: trace.GetChunk(), yield: yield}
+		defer trace.PutChunk(b.events)
+		defer func() {
+			if r := recover(); r != nil && r != any(stopEmit{}) {
+				panic(r)
+			}
+		}()
+		s.plan.emit(proc, b)
 		b.finish()
-		return nil
-	})
+	}
 }
 
 // All returns the five workloads in the paper's presentation order.

@@ -198,9 +198,9 @@ func TestTable1Characteristics(t *testing.T) {
 
 func TestBuilderGapAccumulation(t *testing.T) {
 	var got trace.Stream
-	b := &builder{sink: func(chunk []trace.Event) []trace.Event {
+	b := &builder{events: make([]trace.Event, 0, 1), yield: func(chunk []trace.Event) bool {
 		got = append(got, chunk...)
-		return make([]trace.Event, 0, 1)
+		return true
 	}}
 	b.Instr(3)
 	b.Instr(2)
