@@ -11,9 +11,14 @@
 //	benchdiff -gate FullCell=10 old.txt new.txt     # also fail >10% regressions
 //
 // Each -gate NAME=PCT (repeatable) fails the run with exit status 1 when the
-// named benchmark's median ns/op regressed by more than PCT percent, or when
-// the benchmark is missing from either file — a silently vanished gate
-// benchmark must not pass. NAME matches any benchmark whose name contains it.
+// named benchmark's median ns/op regressed by more than PCT percent, when
+// its median allocs/op rose by more than 1% (checked when both files carry
+// allocs/op, that is when both runs had -test.benchmem), or when the gate
+// does not resolve to one benchmark in each file — a silently vanished gate
+// benchmark must not pass. NAME resolves, in each file, to the benchmark
+// named exactly BenchmarkNAME (after the -N GOMAXPROCS suffix is stripped),
+// else to the only benchmark whose name contains NAME; a NAME contained in
+// several names and equal to none is ambiguous and fails the gate.
 package main
 
 import (
@@ -94,7 +99,13 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-func parseFile(path string) (map[string][]float64, error) {
+// samples are one benchmark's per-run results: ns/op always, allocs/op
+// when the run had -test.benchmem.
+type samples struct {
+	ns, allocs []float64
+}
+
+func parseFile(path string) (map[string]*samples, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -110,11 +121,11 @@ func parseFile(path string) (map[string][]float64, error) {
 	return samples, nil
 }
 
-// parseBench collects ns/op samples per benchmark from `go test -bench`
-// output. The trailing -N GOMAXPROCS suffix is stripped so results compare
-// across machines with different core counts.
-func parseBench(r io.Reader) (map[string][]float64, error) {
-	samples := make(map[string][]float64)
+// parseBench collects ns/op and allocs/op samples per benchmark from `go
+// test -bench` output. The trailing -N GOMAXPROCS suffix is stripped so
+// results compare across machines with different core counts.
+func parseBench(r io.Reader) (map[string]*samples, error) {
+	out := make(map[string]*samples)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -122,7 +133,7 @@ func parseBench(r io.Reader) (map[string][]float64, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		// Fields: Name iterations value "ns/op" [extra metrics]...
+		// Fields: Name iterations value "ns/op" [value unit]...
 		if fields[3] != "ns/op" {
 			continue
 		}
@@ -136,9 +147,22 @@ func parseBench(r io.Reader) (map[string][]float64, error) {
 				name = name[:i]
 			}
 		}
-		samples[name] = append(samples[name], v)
+		s := out[name]
+		if s == nil {
+			s = &samples{}
+			out[name] = s
+		}
+		s.ns = append(s.ns, v)
+		for i := 4; i+1 < len(fields); i += 2 {
+			if fields[i+1] != "allocs/op" {
+				continue
+			}
+			if a, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				s.allocs = append(s.allocs, a)
+			}
+		}
 	}
-	return samples, sc.Err()
+	return out, sc.Err()
 }
 
 func median(xs []float64) float64 {
@@ -159,7 +183,7 @@ func deltaPct(old, cur float64) float64 {
 	return (cur - old) / old * 100
 }
 
-func report(w io.Writer, old, cur map[string][]float64) {
+func report(w io.Writer, old, cur map[string]*samples) {
 	names := make([]string, 0, len(old)+len(cur))
 	seen := make(map[string]bool)
 	for n := range old {
@@ -178,39 +202,69 @@ func report(w io.Writer, old, cur map[string][]float64) {
 		c, hasCur := cur[n]
 		switch {
 		case !hasOld:
-			fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", n, "-", median(c), "new")
+			fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", n, "-", median(c.ns), "new")
 		case !hasCur:
-			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", n, median(o), "-", "gone")
+			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", n, median(o.ns), "-", "gone")
 		default:
-			fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%\n", n, median(o), median(c), deltaPct(median(o), median(c)))
+			fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%\n", n, median(o.ns), median(c.ns), deltaPct(median(o.ns), median(c.ns)))
 		}
 	}
 }
 
-// checkGates verifies every gated benchmark is present on both sides and
-// within its regression bound.
-func checkGates(gates []gate, old, cur map[string][]float64) []error {
+// allocsLimitPct is how far a gated benchmark's median allocs/op may rise.
+// Allocation counts barely move from run to run, so a rise past it is the
+// code's, not the runner's.
+const allocsLimitPct = 1
+
+// resolve returns the one benchmark of m that gate NAME names: the one
+// named exactly "Benchmark"+name, else the only one whose name contains
+// name. No match and several matches are both errors.
+func resolve(name string, m map[string]*samples) (string, error) {
+	if _, ok := m["Benchmark"+name]; ok {
+		return "Benchmark" + name, nil
+	}
+	var found []string
+	for n := range m {
+		if strings.Contains(n, name) {
+			found = append(found, n)
+		}
+	}
+	switch len(found) {
+	case 0:
+		return "", fmt.Errorf("no benchmark matches")
+	case 1:
+		return found[0], nil
+	}
+	sort.Strings(found)
+	return "", fmt.Errorf("ambiguous, matches %s", strings.Join(found, ", "))
+}
+
+// checkGates verifies every gate resolves to one benchmark on each side and
+// stays within its ns/op bound and the allocs/op bound.
+func checkGates(gates []gate, old, cur map[string]*samples) []error {
 	var errs []error
 	for _, g := range gates {
-		oldName, curName := "", ""
-		for n := range old {
-			if strings.Contains(n, g.name) {
-				oldName = n
-				break
-			}
-		}
-		for n := range cur {
-			if strings.Contains(n, g.name) {
-				curName = n
-				break
-			}
-		}
-		if oldName == "" || curName == "" {
-			errs = append(errs, fmt.Errorf("gate %s: benchmark missing (old %q, new %q)", g.name, oldName, curName))
+		oldName, err := resolve(g.name, old)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("gate %s: old: %w", g.name, err))
 			continue
 		}
-		if d := deltaPct(median(old[oldName]), median(cur[curName])); d > g.pct {
+		curName, err := resolve(g.name, cur)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("gate %s: new: %w", g.name, err))
+			continue
+		}
+		o, c := old[oldName], cur[curName]
+		if d := deltaPct(median(o.ns), median(c.ns)); d > g.pct {
 			errs = append(errs, fmt.Errorf("gate %s: %s regressed %.1f%% (limit %.1f%%)", g.name, curName, d, g.pct))
+		}
+		switch {
+		case len(o.allocs) == 0 && len(c.allocs) == 0:
+		case len(o.allocs) == 0 || len(c.allocs) == 0:
+			errs = append(errs, fmt.Errorf("gate %s: allocs/op reported on one side only (old %d samples, new %d)", g.name, len(o.allocs), len(c.allocs)))
+		case median(c.allocs) > median(o.allocs)*(1+allocsLimitPct/100.0):
+			errs = append(errs, fmt.Errorf("gate %s: %s allocs/op rose from %.0f to %.0f (limit %d%%)",
+				g.name, curName, median(o.allocs), median(c.allocs), allocsLimitPct))
 		}
 	}
 	return errs

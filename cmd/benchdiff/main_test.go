@@ -25,7 +25,7 @@ BenchmarkProbeHit-8 	   43665	     51000 ns/op
 PASS
 `
 
-func parseString(t *testing.T, s string) map[string][]float64 {
+func parseString(t *testing.T, s string) map[string]*samples {
 	t.Helper()
 	m, err := parseBench(strings.NewReader(s))
 	if err != nil {
@@ -36,15 +36,92 @@ func parseString(t *testing.T, s string) map[string][]float64 {
 
 func TestParseBench(t *testing.T) {
 	m := parseString(t, oldOut)
-	if got := len(m["BenchmarkFullCell"]); got != 3 {
+	if got := len(m["BenchmarkFullCell"].ns); got != 3 {
 		t.Errorf("FullCell samples = %d, want 3", got)
 	}
 	// The -8 GOMAXPROCS suffix must be stripped.
-	if got := len(m["BenchmarkProbeHit"]); got != 2 {
+	if got := len(m["BenchmarkProbeHit"].ns); got != 2 {
 		t.Errorf("ProbeHit samples = %d, want 2", got)
 	}
-	if m["BenchmarkFullCell"][0] != 70000000 {
-		t.Errorf("first FullCell sample = %v, want 70000000", m["BenchmarkFullCell"][0])
+	if m["BenchmarkFullCell"].ns[0] != 70000000 {
+		t.Errorf("first FullCell sample = %v, want 70000000", m["BenchmarkFullCell"].ns[0])
+	}
+	if len(m["BenchmarkFullCell"].allocs) != 0 {
+		t.Errorf("allocs/op parsed from a run without -benchmem: %v", m["BenchmarkFullCell"].allocs)
+	}
+	mem := parseString(t, memOut)
+	if got := mem["BenchmarkFullCell"].allocs; len(got) != 2 || got[0] != 2834 {
+		t.Errorf("FullCell allocs/op = %v, want [2834 2834]", got)
+	}
+}
+
+// memOut and memOutMore are -benchmem runs: a custom metric sits between
+// ns/op and B/op, and FullCell's allocs/op rises 2% in memOutMore.
+const memOut = `BenchmarkFullCell-2 	      20	  15000000 ns/op	   160534 events/op	   9755126 events/s	  684724 B/op	    2834 allocs/op
+BenchmarkFullCell-2 	      20	  15100000 ns/op	   160534 events/op	   9700000 events/s	  684724 B/op	    2834 allocs/op
+`
+
+const memOutMore = `BenchmarkFullCell-2 	      20	  15000000 ns/op	   160534 events/op	   9755126 events/s	  694724 B/op	    2891 allocs/op
+BenchmarkFullCell-2 	      20	  15100000 ns/op	   160534 events/op	   9700000 events/s	  694724 B/op	    2891 allocs/op
+`
+
+func TestGateFailsOnAllocsRise(t *testing.T) {
+	base, more := parseString(t, memOut), parseString(t, memOutMore)
+	gates := []gate{{name: "FullCell", pct: 10}}
+	if errs := checkGates(gates, base, more); len(errs) != 1 || !strings.Contains(errs[0].Error(), "allocs/op") {
+		t.Errorf("a 2%% allocs/op rise passed: %v", errs)
+	}
+	if errs := checkGates(gates, more, base); len(errs) != 0 {
+		t.Errorf("an allocs/op fall failed: %v", errs)
+	}
+	// One side without -benchmem cannot be compared, so the gate fails.
+	if errs := checkGates(gates, parseString(t, oldOut), base); len(errs) != 1 {
+		t.Errorf("allocs/op on one side only passed: %v", errs)
+	}
+}
+
+// sharedOut holds benchmarks whose names contain one another.
+const sharedOut = `BenchmarkFullCell 	      16	  70000000 ns/op
+BenchmarkFullCellChecked 	      16	  90000000 ns/op
+BenchmarkStreamingCell 	      16	  30000000 ns/op
+BenchmarkInterconnectOverhead/bus-2 	      16	  70000000 ns/op
+BenchmarkInterconnectOverhead/busy-2 	      16	  70000000 ns/op
+`
+
+// sharedOutSlower is sharedOut with every benchmark but FullCell 50% slower.
+const sharedOutSlower = `BenchmarkFullCell 	      16	  70000000 ns/op
+BenchmarkFullCellChecked 	      16	 135000000 ns/op
+BenchmarkStreamingCell 	      16	  45000000 ns/op
+BenchmarkInterconnectOverhead/bus-2 	      16	 105000000 ns/op
+BenchmarkInterconnectOverhead/busy-2 	      16	 105000000 ns/op
+`
+
+func TestGateResolvesExactNameFirst(t *testing.T) {
+	old, cur := parseString(t, sharedOut), parseString(t, sharedOutSlower)
+	// FullCell is also a substring of FullCellChecked, which regressed;
+	// the exact name wins on both sides, every time.
+	for i := 0; i < 20; i++ {
+		if errs := checkGates([]gate{{name: "FullCell", pct: 10}}, old, cur); len(errs) != 0 {
+			t.Fatalf("FullCell gate compared another benchmark: %v", errs)
+		}
+	}
+}
+
+func TestGateUsesTheOnlySubstringMatch(t *testing.T) {
+	old, cur := parseString(t, sharedOut), parseString(t, sharedOutSlower)
+	errs := checkGates([]gate{{name: "Streaming", pct: 10}}, old, cur)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "BenchmarkStreamingCell regressed 50.0%") {
+		t.Errorf("Streaming gate: %v, want StreamingCell's 50%% regression", errs)
+	}
+}
+
+func TestGateFailsWhenAmbiguous(t *testing.T) {
+	old := parseString(t, sharedOut)
+	for _, name := range []string{"Cell", "Overhead/bus"} {
+		errs := checkGates([]gate{{name: name, pct: 1000}}, old, old)
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "ambiguous") {
+			t.Errorf("gate %s matching several benchmarks: %v, want ambiguous", name, errs)
+		}
 	}
 }
 

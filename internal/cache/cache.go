@@ -66,7 +66,9 @@ type Line struct {
 	WordsAccessed uint64
 	// lru is the per-set recency stamp (larger = more recent).
 	lru uint64
-	// State is the coherence state.
+	// State is the coherence state. In a cache built by Tags.NewCache,
+	// write only valid states here and invalidate through SnoopTable, so
+	// the duplicate tags keep naming exactly the valid copies.
 	State State
 	// PrefetchedUnused is set when the line was filled by a prefetch and no
 	// demand access has touched it yet. It survives invalidation so a
@@ -249,22 +251,35 @@ func (c *Cache) Allocate(a memory.Addr) (*Line, Eviction) {
 // per-copy snoop is an index, not an indirect call. When the transition
 // invalidates the line, the tag and word-access history are kept and word is
 // recorded as the invalidating word for false-sharing classification (pass
-// NoInvalidatingWord when no specific word applies).
+// NoInvalidatingWord when no specific word applies); the duplicate-tag slot,
+// which names valid copies only, is cleared.
 func (c *Cache) SnoopTable(a memory.Addr, word int, next *[NumStates]State) State {
-	l := c.Lookup(a)
-	if l == nil || !l.State.Valid() {
-		return Invalid
-	}
-	prior := l.State
-	l.State = next[prior]
-	if l.State == Invalid {
-		if word >= 0 && word < 64 {
-			l.InvalidatingWord = int8(word)
-		} else {
-			l.InvalidatingWord = NoInvalidatingWord
+	tag := uint64(a) >> c.lineShift
+	si := int(tag & c.setMask)
+	set := c.lines[si*c.ways : (si+1)*c.ways]
+	for w := range set {
+		l := &set[w]
+		if !l.tagValid || l.Tag != tag {
+			continue
 		}
+		prior := l.State
+		if !prior.Valid() {
+			return Invalid
+		}
+		l.State = next[prior]
+		if l.State == Invalid {
+			if word >= 0 && word < 64 {
+				l.InvalidatingWord = int8(word)
+			} else {
+				l.InvalidatingWord = NoInvalidatingWord
+			}
+			if c.tags != nil {
+				c.tags.slots[si*c.tags.rowLen+c.tagOff+w] = 0
+			}
+		}
+		return prior
 	}
-	return prior
+	return Invalid
 }
 
 // SnoopInvalidate handles a remote write (or read-for-ownership or exclusive

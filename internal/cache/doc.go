@@ -15,6 +15,7 @@
 //
 // Tags is a duplicate-tag array shared by a group of caches: the snoop
 // filter that lets the simulator send a bus operation only to the caches
-// holding its line. Allocate keeps it current, and it is exact — a holder
-// set names precisely the caches whose Lookup finds the line's tag.
+// holding a valid copy of its line. Allocate and SnoopTable keep it
+// current, and it is exact — a holder set names precisely the caches whose
+// HoldsValid is true for the line.
 package cache

@@ -11,13 +11,16 @@ import (
 // to 64 caches of one geometry, laid out so that one set's ways across every
 // cache of the group are contiguous. It is the snoop filter of JETTY
 // (Moshovos et al., HPCA 2001) in its exact, duplicate-tag form: Holders
-// answers "which caches hold this line's tag?" from one row instead of
-// probing each cache.
+// answers "which caches hold a valid copy of this line?" from one row
+// instead of probing each cache.
 //
-// Each slot holds tag+1, or 0 for a way never tagged. The copy is written in
-// exactly one place, Allocate — the only code that installs or displaces a
-// tag — so it never goes stale: a tag stays in its slot, valid or
-// invalidated, until Allocate displaces it, just as it does in the cache.
+// Each slot holds tag+1 while that way holds a valid copy, and 0 otherwise.
+// It is written in two places: Allocate, the only code that installs or
+// displaces a tag (its caller then gives the line a valid state), and
+// SnoopTable, which clears it when a snoop invalidates the copy. An
+// invalidated copy keeps its tag in the cache, for miss classification, but
+// not here: no snoop can change it, so a snoop need not visit it. Code that
+// writes Line.State directly must therefore write only valid states.
 type Tags struct {
 	geom      memory.Geometry
 	n         int // caches in the group
@@ -54,8 +57,8 @@ func NewTags(geom memory.Geometry, n int) *Tags {
 }
 
 // NewCache builds cache id of the group: an empty cache of the group's
-// geometry whose Allocate keeps its ways of the array current. It panics
-// when id is outside [0, n).
+// geometry whose Allocate and SnoopTable keep its ways of the array
+// current. It panics when id is outside [0, n).
 func (t *Tags) NewCache(id int) *Cache {
 	if id < 0 || id >= t.n {
 		panic(fmt.Sprintf("cache: member %d of a duplicate-tag array of %d caches", id, t.n))
@@ -65,8 +68,8 @@ func (t *Tags) NewCache(id int) *Cache {
 	return c
 }
 
-// Holders returns the set of caches holding the tag of a's line, valid or
-// invalidated: bit i is set exactly when cache i's Lookup(a) is non-nil.
+// Holders returns the set of caches holding a valid copy of a's line: bit i
+// is set exactly when cache i's HoldsValid(a) is true.
 func (t *Tags) Holders(a memory.Addr) uint64 {
 	tag := uint64(a) >> t.lineShift
 	row := t.slots[int(tag&t.setMask)*t.rowLen:][:t.rowLen]

@@ -17,9 +17,11 @@ func TestLineIs32Bytes(t *testing.T) {
 }
 
 // TestTagsMatchLookup drives groups of caches sharing a duplicate-tag array
-// with random allocations and snoops, and after every step checks each
-// row against the reference it copies: bit i of Holders(a) must be set
-// exactly when cache i's Lookup(a) finds the tag, valid or invalidated.
+// with random allocations (each given a valid state, as the simulator's
+// fills are) and snoops, and after every step checks each row against the
+// reference it copies: bit i of Holders(a) must be set exactly when cache
+// i's HoldsValid(a) is true. An invalidating snoop must clear the
+// slot; a snoop that leaves the copy valid must keep it.
 func TestTagsMatchLookup(t *testing.T) {
 	geometries := []memory.Geometry{
 		{CacheSize: 4 * 32, LineSize: 32, Assoc: 1},  // direct-mapped, 4 sets
@@ -54,12 +56,12 @@ func TestTagsMatchLookup(t *testing.T) {
 					a := memory.Addr(line * geom.LineSize)
 					var want uint64
 					for i, c := range caches {
-						if c.Lookup(a) != nil {
+						if c.HoldsValid(a) {
 							want |= 1 << uint(i)
 						}
 					}
 					if got := tags.Holders(a); got != want {
-						t.Fatalf("%v, %d caches, step %d: Holders(%#x) = %#x, Lookup finds %#x",
+						t.Fatalf("%v, %d caches, step %d: Holders(%#x) = %#x, HoldsValid finds %#x",
 							geom, n, step, uint64(a), got, want)
 					}
 				}

@@ -44,7 +44,7 @@ type Violation struct {
 	// per-processor accounting violations).
 	Line memory.Addr
 	// Rule names the broken invariant ("multiple-owner", "owner-with-sharers",
-	// "prefetch-accounting").
+	// "prefetch-accounting", "snoop-filter", "hit-in-flight").
 	Rule string
 	// Detail is a human-readable elaboration.
 	Detail string

@@ -48,7 +48,15 @@ func BenchmarkFullCell(b *testing.B) {
 			b.Fatal("empty simulation")
 		}
 	}
-	b.ReportMetric(float64(tr.Events()*b.N)/b.Elapsed().Seconds(), "events/s")
+	reportEvents(b, tr.Events()*b.N)
+}
+
+// reportEvents reports the events a benchmark simulated or drained: per
+// second, which moves with the host, and per operation, which is
+// deterministic and so shows whether two runs timed the same work.
+func reportEvents(b *testing.B, events int) {
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // TestFullCellBodyMatchesSim runs the benchmark body once under normal `go
@@ -121,7 +129,7 @@ func BenchmarkStreamingCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		events += drainCell(src)
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	reportEvents(b, events)
 }
 
 // TestStreamingCellBodyMatchesSim is BenchmarkStreamingCell's semantic
@@ -175,7 +183,7 @@ func BenchmarkInterconnectOverhead(b *testing.B) {
 					b.Fatal("empty simulation")
 				}
 			}
-			b.ReportMetric(float64(tr.Events()*b.N)/b.Elapsed().Seconds(), "events/s")
+			reportEvents(b, tr.Events()*b.N)
 		})
 	}
 }

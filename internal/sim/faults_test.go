@@ -90,6 +90,50 @@ func TestStateFlipTripsCoherenceChecker(t *testing.T) {
 	}
 }
 
+// TestHitInFlightTripsChecker breaks the invariant that lets a hit skip the
+// in-flight scan: a line valid in its own cache is never in flight. Proc 0's
+// copy of X is invalidated by proc 1's write; proc 0 then prefetches Y and X
+// and waits for Y, and the fill of Y (proc 0's second) forces X valid while
+// X's prefetch is still in flight. The next read of X hits, and with
+// CheckInvariants on the run must fail with a hit-in-flight
+// *check.Violation.
+func TestHitInFlightTripsChecker(t *testing.T) {
+	const x, y = 0x1000, 0x2000
+	c := cfg()
+	c.CheckInvariants = true
+	c.Faults = &check.Plan{Flips: []check.StateFlip{
+		{Proc: 0, Addr: x, To: cache.Shared, OnFill: 1},
+	}}
+	tr := &trace.Trace{Name: "test", Streams: []trace.Stream{
+		{
+			{Kind: trace.Read, Addr: x},
+			{Kind: trace.Barrier, Addr: 1},
+			{Kind: trace.Barrier, Addr: 2},
+			{Kind: trace.Prefetch, Addr: y},
+			{Kind: trace.Prefetch, Addr: x},
+			{Kind: trace.Read, Addr: y},
+			{Kind: trace.Read, Addr: x},
+		},
+		{
+			{Kind: trace.Barrier, Addr: 1},
+			{Kind: trace.Write, Addr: x},
+			{Kind: trace.Barrier, Addr: 2},
+		},
+	}}
+	_, err := sim.RunSource(c, trace.FromTrace(tr))
+	var v *check.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("error is %T (%v), want *check.Violation", err, err)
+	}
+	if v.Rule != "hit-in-flight" || v.Line != x {
+		t.Errorf("violation %v, want hit-in-flight on line %#x", v, x)
+	}
+	c.Faults = nil
+	if _, err := sim.RunSource(c, trace.FromTrace(tr)); err != nil {
+		t.Errorf("fault-free checked run failed: %v", err)
+	}
+}
+
 // TestTruncatedStreamRejected: cutting one processor's stream off before its
 // barrier (check.Injector models a trace cut off mid-computation) leaves the
 // barrier counts unbalanced; the replay must reject the trace with a clear

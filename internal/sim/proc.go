@@ -262,10 +262,17 @@ func (p *proc) run(now uint64) {
 		}
 		var blocked bool
 		switch e.Kind {
-		case trace.Read:
-			blocked = p.demandAccess(e.Addr, false, false)
-		case trace.Write:
-			blocked = p.demandAccess(e.Addr, true, false)
+		case trace.Read, trace.Write:
+			isWrite := e.Kind == trace.Write
+			// A first visit that hits and owes the bus nothing retires
+			// here, without the in-flight scan or a blocked-access flag.
+			if !p.refCounted {
+				if line, hit := p.cache.Probe(e.Addr); hit && p.retireHit(line, e.Addr, isWrite, false) {
+					p.s.c.countRef(isWrite, false)
+					break
+				}
+			}
+			blocked = p.demandAccess(e.Addr, isWrite, false)
 		case trace.Prefetch:
 			blocked = p.prefetchOp(e.Addr, false)
 		case trace.PrefetchExcl:
@@ -446,14 +453,23 @@ func (p *proc) onlineIssue(c prefetch.Candidate) {
 func (p *proc) demandAccess(a memory.Addr, isWrite, isSync bool) (blocked bool) {
 	if !p.refCounted {
 		p.refCounted = true
-		if isWrite {
-			p.s.c.Writes++
-		} else {
-			p.s.c.Reads++
+		p.s.c.countRef(isWrite, isSync)
+	}
+	// A set writeOpDone means this access's own broadcast just completed:
+	// the write must now finish, not be charged again. The flag is consumed
+	// here whatever the retry finds (a lost race leaves the line invalid and
+	// the retry falls through to the miss path).
+	opDone := p.writeOpDone
+	p.writeOpDone = false
+	line, hit := p.cache.Probe(a)
+	if hit {
+		if p.retireHit(line, a, isWrite, opDone) {
+			return false
 		}
-		if isSync {
-			p.s.c.SyncRefs++
-		}
+		// The protocol decides what the write owes the bus: an
+		// invalidation upgrade or a word-update broadcast.
+		p.startWriteOp(a, p.s.geom.LineAddr(a), p.s.tab.writeAct[line.State])
+		return true
 	}
 	la := p.s.geom.LineAddr(a)
 	if inf := p.findInflight(la); inf != nil {
@@ -474,26 +490,6 @@ func (p *proc) demandAccess(a memory.Addr, isWrite, isSync bool) (blocked bool) 
 		inf.cpuWaiting = true
 		p.waitStart = p.clock
 		return true
-	}
-	// A set writeOpDone means this access's own broadcast just completed:
-	// the write must now finish, not be charged again. The flag is consumed
-	// here whatever the retry finds (a lost race leaves the line invalid and
-	// the retry falls through to the miss path).
-	opDone := p.writeOpDone
-	p.writeOpDone = false
-	line, hit := p.cache.Probe(a)
-	if hit {
-		if isWrite && !opDone {
-			// The protocol decides what the write owes the bus: nothing
-			// (ownership held), an invalidation upgrade, or a word-update
-			// broadcast.
-			if act := p.s.tab.writeAct[line.State]; act != coherence.WriteSilent {
-				p.startWriteOp(a, la, act)
-				return true
-			}
-		}
-		p.finishHit(line, a, isWrite)
-		return false
 	}
 	// A victim-cache hit swaps the line back into the data cache: one
 	// extra cycle, no bus operation, and no CPU miss.
@@ -547,6 +543,33 @@ func (p *proc) demandAccess(a memory.Addr, isWrite, isSync bool) (blocked bool) 
 	p.startFetch(la, isWrite, p.s.geom.WordIndex(a), false, bus.Demand)
 	p.waitStart = p.clock
 	return true
+}
+
+// retireHit completes an access whose probe hit line, unless it is a write
+// that still owes the bus an operation (opDone: its operation already
+// completed); it reports whether the access retired. Both callers probe
+// before the in-flight scan, and skip it on a hit: a line valid in the data
+// cache is never in flight, because every fetch starts from a miss and its
+// completion ends the fetch before it installs the line. CheckInvariants
+// verifies that.
+func (p *proc) retireHit(line *cache.Line, a memory.Addr, isWrite, opDone bool) bool {
+	if p.s.cfg.CheckInvariants {
+		p.checkNotInFlight(line, a)
+	}
+	if isWrite && !opDone && p.s.tab.writeAct[line.State] != coherence.WriteSilent {
+		return false
+	}
+	p.finishHit(line, a, isWrite)
+	return true
+}
+
+// checkNotInFlight fails the run with a *check.Violation when a, which hit
+// line, has a fetch in flight.
+func (p *proc) checkNotInFlight(line *cache.Line, a memory.Addr) {
+	if la := p.s.geom.LineAddr(a); p.findInflight(la) != nil {
+		p.s.fail(&check.Violation{Cycle: p.clock, Line: la, Rule: "hit-in-flight", Detail: fmt.Sprintf(
+			"proc %d hits a %v line it has a fetch in flight for", p.id, line.State)})
+	}
 }
 
 // finishHit completes a hitting access: one cycle, word-use bookkeeping, and

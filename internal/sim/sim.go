@@ -273,6 +273,18 @@ type Counters struct {
 // DemandRefs returns the demand-reference count (the miss-rate denominator).
 func (c *Counters) DemandRefs() uint64 { return c.Reads + c.Writes }
 
+// countRef counts one demand reference; isSync marks a lock operation's.
+func (c *Counters) countRef(isWrite, isSync bool) {
+	if isWrite {
+		c.Writes++
+	} else {
+		c.Reads++
+	}
+	if isSync {
+		c.SyncRefs++
+	}
+}
+
 // TotalCPUMisses returns all demand misses including prefetch-in-progress.
 func (c *Counters) TotalCPUMisses() uint64 {
 	var n uint64
@@ -598,7 +610,7 @@ type simulator struct {
 	// tags and victimTags are the duplicate tags of the processors' data
 	// and victim caches (victimTags is nil without a victim cache): the
 	// snoop filter that lets a bus operation visit only the caches holding
-	// its line.
+	// a valid copy of its line.
 	tags, victimTags *cache.Tags
 	// Lock and barrier state lives in dense slices; lockIdx/barrIdx resolve
 	// an object's address to its slot, registered lazily on first use
@@ -949,12 +961,12 @@ func (s *simulator) run() (*Result, error) {
 
 // snoopers returns the processors other than requester that a bus
 // operation on line la must visit, as a bit set over processor ids. The
-// duplicate tags name the processors whose data or victim cache holds la's
-// tag; a processor without the tag has nothing a snoop could change, so
-// iterating the set in ascending id order is the full loop over s.procs with
-// the no-op visits left out. The non-snooping prefetch buffer is the
-// exception: any remote bus operation drops a buffered copy, so in
-// PrefetchToBuffer mode every other processor is visited.
+// duplicate tags name the processors whose data or victim cache holds a
+// valid copy of la; a snoop changes nothing in any other cache, so iterating
+// the set in ascending id order is the full loop over s.procs with the no-op
+// visits left out. The non-snooping prefetch buffer is the exception: any
+// remote bus operation drops a buffered copy, so in PrefetchToBuffer mode
+// every other processor is visited.
 func (s *simulator) snoopers(now uint64, requester int, la memory.Addr) uint64 {
 	if s.cfg.CheckInvariants {
 		s.checkSnoopFilter(now, la)
@@ -1103,8 +1115,8 @@ func (s *simulator) arriveBarrier(id memory.Addr, p *proc, now uint64) (blocked 
 
 // checkSnoopFilter cross-checks the duplicate tags against the caches they
 // copy: the holder sets read from the tag arrays must equal a full scan of
-// tag presence (valid or invalidated) over every data and victim cache.
-// Enabled by Config.CheckInvariants; a difference fails the run with a
+// the data and victim caches holding a valid copy of la. Enabled by
+// Config.CheckInvariants; a difference fails the run with a
 // *check.Violation, since a snoop filter that misses a holder silently skips
 // a coherence action.
 func (s *simulator) checkSnoopFilter(now uint64, la memory.Addr) {
@@ -1114,10 +1126,10 @@ func (s *simulator) checkSnoopFilter(now uint64, la memory.Addr) {
 		victimHeld = s.victimTags.Holders(la)
 	}
 	for _, p := range s.procs {
-		if p.cache.Lookup(la) != nil {
+		if p.cache.HoldsValid(la) {
 			scan |= 1 << uint(p.id)
 		}
-		if p.victim != nil && p.victim.Lookup(la) != nil {
+		if p.victim != nil && p.victim.HoldsValid(la) {
 			victimScan |= 1 << uint(p.id)
 		}
 	}
