@@ -15,6 +15,7 @@ package busprefetch
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"busprefetch/internal/experiments"
@@ -33,16 +34,34 @@ func newBenchSuite() *experiments.Suite {
 	return experiments.NewSuite(experiments.Config{Scale: benchScale, Seed: 1})
 }
 
+// benchSection regenerates one report section on a fresh suite, as
+// mkfigures -only name prints it, and returns the suite, whose memo then
+// holds every cell the section read, and the section's text.
+func benchSection(b *testing.B, name string) (*experiments.Suite, string) {
+	b.Helper()
+	s := newBenchSuite()
+	out, err := s.RenderSections(context.Background(), func(n string) bool { return n == name })
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, out
+}
+
+// benchCell returns the memoized result of the cell k of s.
+func benchCell(b *testing.B, s *experiments.Suite, k experiments.Key) *sim.Result {
+	b.Helper()
+	res, err := s.Result(k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkTable1 regenerates the workload-characteristics table.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("short table")
+		if _, out := benchSection(b, "table1"); strings.Contains(out, "—") {
+			b.Fatalf("a workload failed:\n%s", out)
 		}
 	}
 }
@@ -51,19 +70,9 @@ func BenchmarkTable1(b *testing.B) {
 // transfer latency and reports mp3d's NP and PREF CPU miss rates.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Figure1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Workload == "mp3d" && r.Strategy == prefetch.NP {
-				b.ReportMetric(r.CPUMR, "mp3d-NP-cpuMR")
-			}
-			if r.Workload == "mp3d" && r.Strategy == prefetch.PREF {
-				b.ReportMetric(r.TotalMR, "mp3d-PREF-totalMR")
-			}
-		}
+		s, _ := benchSection(b, "fig1")
+		b.ReportMetric(benchCell(b, s, experiments.Key{Workload: "mp3d", Strategy: prefetch.NP, Transfer: 8}).CPUMissRate(), "mp3d-NP-cpuMR")
+		b.ReportMetric(benchCell(b, s, experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8}).TotalMissRate(), "mp3d-PREF-totalMR")
 	}
 }
 
@@ -71,16 +80,8 @@ func BenchmarkFigure1(b *testing.B) {
 // mp3d/PREF utilization at the 8-cycle transfer.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Workload == "mp3d" && r.Strategy == prefetch.PREF && r.Transfer == 8 {
-				b.ReportMetric(r.BusUtil, "mp3d-PREF-busutil-T8")
-			}
-		}
+		s, _ := benchSection(b, "table2")
+		b.ReportMetric(benchCell(b, s, experiments.Key{Workload: "mp3d", Strategy: prefetch.PREF, Transfer: 8}).BusUtilization(), "mp3d-PREF-busutil-T8")
 	}
 }
 
@@ -89,18 +90,16 @@ func BenchmarkTable2(b *testing.B) {
 // paper's headline "speedups no greater than X, degradations up to Y".
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Figure2()
-		if err != nil {
-			b.Fatal(err)
-		}
+		s, _ := benchSection(b, "fig2")
 		best, worst := 1.0, 1.0
-		for _, r := range rows {
-			if r.RelTime < best {
-				best = r.RelTime
-			}
-			if r.RelTime > worst {
-				worst = r.RelTime
+		for _, wl := range experiments.WorkloadNames() {
+			for _, tr := range s.Config().Transfers {
+				np := benchCell(b, s, experiments.Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr})
+				for _, st := range prefetch.Strategies()[1:] {
+					res := benchCell(b, s, experiments.Key{Workload: wl, Strategy: st, Transfer: tr})
+					rel := float64(res.Cycles) / float64(np.Cycles)
+					best, worst = min(best, rel), max(worst, rel)
+				}
 			}
 		}
 		b.ReportMetric(best, "best-rel-time")
@@ -111,18 +110,9 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkUtilization regenerates the §4.2 processor-utilization numbers.
 func BenchmarkUtilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Utilization()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Workload == "water" {
-				b.ReportMetric(r.FastBus, "water-util-T4")
-			}
-			if r.Workload == "mp3d" {
-				b.ReportMetric(r.FastBus, "mp3d-util-T4")
-			}
+		s, _ := benchSection(b, "util")
+		for _, wl := range []string{"water", "mp3d"} {
+			b.ReportMetric(benchCell(b, s, experiments.Key{Workload: wl, Strategy: prefetch.NP, Transfer: 4}).MeanProcUtilization(), wl+"-util-T4")
 		}
 	}
 }
@@ -131,22 +121,14 @@ func BenchmarkUtilization(b *testing.B) {
 // pverify's invalidation share under NP.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Figure3()
-		if err != nil {
-			b.Fatal(err)
+		s, _ := benchSection(b, "fig3")
+		res := benchCell(b, s, experiments.Key{Workload: "pverify", Strategy: prefetch.NP, Transfer: 8})
+		total := 0.0
+		for m := sim.MissClass(0); m < sim.NumMissClasses; m++ {
+			total += res.MissClassRate(m)
 		}
-		for _, r := range rows {
-			if r.Workload == "pverify" && r.Strategy == prefetch.NP {
-				total := 0.0
-				for _, v := range r.Components {
-					total += v
-				}
-				inval := r.Components[sim.InvalNotPref] + r.Components[sim.InvalPref]
-				if total > 0 {
-					b.ReportMetric(inval/total, "pverify-inval-share")
-				}
-			}
+		if inval := res.MissClassRate(sim.InvalNotPref) + res.MissClassRate(sim.InvalPref); total > 0 {
+			b.ReportMetric(inval/total, "pverify-inval-share")
 		}
 	}
 }
@@ -154,15 +136,10 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkTable3 regenerates the invalidation / false-sharing rates.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Workload == "mp3d" {
-				b.ReportMetric(r.FSShare, "mp3d-FS-share")
-			}
+		s, _ := benchSection(b, "table3")
+		res := benchCell(b, s, experiments.Key{Workload: "mp3d", Strategy: prefetch.NP, Transfer: 8})
+		if inval := res.InvalidationMissRate(); inval > 0 {
+			b.ReportMetric(res.FalseSharingMissRate()/inval, "mp3d-FS-share")
 		}
 	}
 }
@@ -171,21 +148,9 @@ func BenchmarkTable3(b *testing.B) {
 // reports topopt's false-sharing reduction factor.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var origFS, restrFS float64
-		for _, r := range rows {
-			if r.Workload == "topopt" && r.Strategy == prefetch.NP {
-				if r.Restructured {
-					restrFS = r.FalseShareMR
-				} else {
-					origFS = r.FalseShareMR
-				}
-			}
-		}
+		s, _ := benchSection(b, "table4")
+		origFS := benchCell(b, s, experiments.Key{Workload: "topopt", Strategy: prefetch.NP, Transfer: 8}).FalseSharingMissRate()
+		restrFS := benchCell(b, s, experiments.Key{Workload: "topopt", Strategy: prefetch.NP, Transfer: 8, Restructured: true}).FalseSharingMissRate()
 		if restrFS > 0 {
 			b.ReportMetric(origFS/restrFS, "topopt-FS-reduction")
 		}
@@ -197,31 +162,21 @@ func BenchmarkTable4(b *testing.B) {
 // conclusion: they converge).
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, err := s.Table5()
-		if err != nil {
-			b.Fatal(err)
+		s, _ := benchSection(b, "table5")
+		rel := func(st prefetch.Strategy) float64 {
+			np := benchCell(b, s, experiments.Key{Workload: "pverify", Strategy: prefetch.NP, Transfer: 8, Restructured: true})
+			res := benchCell(b, s, experiments.Key{Workload: "pverify", Strategy: st, Transfer: 8, Restructured: true})
+			return float64(res.Cycles) / float64(np.Cycles)
 		}
-		var pref, pws float64
-		for _, r := range rows {
-			if r.Workload == "pverify" && r.Transfer == 8 {
-				switch r.Strategy {
-				case prefetch.PREF:
-					pref = r.RelTime
-				case prefetch.PWS:
-					pws = r.RelTime
-				}
-			}
-		}
-		if pws > 0 {
-			b.ReportMetric(pref/pws, "pverify-PREF-over-PWS")
+		if pws := rel(prefetch.PWS); pws > 0 {
+			b.ReportMetric(rel(prefetch.PREF)/pws, "pverify-PREF-over-PWS")
 		}
 	}
 }
 
-// BenchmarkAblations regenerates the configuration-sensitivity studies the
-// paper describes in prose (cache size, line size, victim cache, protocol,
-// prefetch placement) and reports their headline deltas.
+// BenchmarkAblations regenerates three of the configuration-sensitivity
+// studies the paper describes in prose (cache size, line size, prefetch
+// placement) and reports their headline deltas.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchSuite()

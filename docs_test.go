@@ -2,15 +2,19 @@ package busprefetch
 
 // Documentation gates, run as part of the normal test suite and by the CI
 // docs job: every internal package must carry its godoc overview in a
-// dedicated doc.go, and every relative link in the top-level markdown
-// documents must resolve to a real file.
+// dedicated doc.go, every relative link in the top-level markdown documents
+// must resolve to a real file, and DESIGN.md's regeneration targets must
+// exist.
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"busprefetch/internal/experiments"
 )
 
 // TestInternalPackagesHaveDocGo enforces the documentation layout: each
@@ -76,6 +80,48 @@ func TestMarkdownLinksResolve(t *testing.T) {
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s links to %q, which does not exist", doc, m[1])
 			}
+		}
+	}
+}
+
+// benchmarkFunc matches a benchmark's declaration.
+var benchmarkFunc = regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+
+// TestDesignTargetsExist pins DESIGN.md §4's regeneration targets to the
+// code: every Benchmark it names is declared in bench_test.go, and every
+// `mkfigures -only <section>` names a report section, so a renamed or
+// deleted target breaks the build, not the reader.
+func TestDesignTargetsExist(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(data), "\n## 4. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 4")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	bench, err := os.ReadFile("bench_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, m := range benchmarkFunc.FindAllStringSubmatch(string(bench), -1) {
+		declared[m[1]] = true
+	}
+	named := regexp.MustCompile(`\bBenchmark\w+`).FindAllString(index, -1)
+	only := regexp.MustCompile(`mkfigures -only (\w+)`).FindAllStringSubmatch(index, -1)
+	if len(named) == 0 || len(only) == 0 {
+		t.Fatalf("DESIGN.md §4 names %d benchmarks and %d sections; the extraction has drifted from its table", len(named), len(only))
+	}
+	for _, b := range named {
+		if !declared[b] {
+			t.Errorf("DESIGN.md §4 names %s, which bench_test.go does not declare", b)
+		}
+	}
+	for _, m := range only {
+		if !slices.Contains(experiments.SectionNames(), m[1]) {
+			t.Errorf("DESIGN.md §4 names mkfigures -only %s, which is not a report section (%v)", m[1], experiments.SectionNames())
 		}
 	}
 }

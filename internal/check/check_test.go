@@ -184,15 +184,6 @@ func testTrace() *trace.Trace {
 func TestInjectorDoesNotMutateOriginal(t *testing.T) {
 	in := NewInjector(1)
 	orig := testTrace()
-	if _, err := in.CorruptKind(orig, 0, 2, trace.Write); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.CorruptAddr(orig, 0, 0, 0x9999); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.DropEvent(orig, 0, 1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := in.TruncateStream(orig, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -209,32 +200,8 @@ func TestInjectorDoesNotMutateOriginal(t *testing.T) {
 
 func TestInjectorCorruptions(t *testing.T) {
 	in := NewInjector(1)
-	// Turning an Unlock into a Write unbalances the locks; Validate rejects it.
-	c, err := in.CorruptKind(testTrace(), 0, 2, trace.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error("Validate accepted a lost lock release")
-	}
-	// Releasing the wrong lock is equally unbalanced.
-	c, err = in.CorruptAddr(testTrace(), 0, 2, 0x80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error("Validate accepted a mismatched lock release")
-	}
-	// Dropping the release entirely.
-	c, err = in.DropEvent(testTrace(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error("Validate accepted a dropped lock release")
-	}
 	// Truncating mid-critical-section.
-	c, err = in.TruncateStream(testTrace(), 0, 2)
+	c, err := in.TruncateStream(testTrace(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +212,8 @@ func TestInjectorCorruptions(t *testing.T) {
 
 func TestInjectorBounds(t *testing.T) {
 	in := NewInjector(1)
-	if _, err := in.CorruptKind(testTrace(), 5, 0, trace.Write); err == nil {
+	if _, err := in.TruncateStream(testTrace(), 5, 0); err == nil {
 		t.Error("out-of-range proc accepted")
-	}
-	if _, err := in.DropEvent(testTrace(), 0, 99); err == nil {
-		t.Error("out-of-range event accepted")
 	}
 	if _, err := in.TruncateStream(testTrace(), 0, 99); err == nil {
 		t.Error("out-of-range keep accepted")

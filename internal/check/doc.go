@@ -17,7 +17,7 @@
 //     naming the blocked processors and the synchronization object each one
 //     waits on.
 //   - Plan and Injector (inject.go) inject faults — dropped lock releases,
-//     flipped cache states, corrupted or truncated trace records, flipped
-//     bits in encoded traces — so tests can prove the checker, the watchdog
-//     and the trace codec actually catch each failure class.
+//     flipped cache states, truncated trace streams, flipped bits in
+//     encoded traces — so tests can prove the checker, the watchdog and the
+//     trace codec actually catch each failure class.
 package check

@@ -104,50 +104,6 @@ func NewInjector(seed int64) *Injector {
 	return &Injector{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (in *Injector) checkEvent(t *trace.Trace, proc, event int) error {
-	if proc < 0 || proc >= len(t.Streams) {
-		return fmt.Errorf("check: inject: proc %d outside [0, %d)", proc, len(t.Streams))
-	}
-	if event < 0 || event >= len(t.Streams[proc]) {
-		return fmt.Errorf("check: inject: proc %d event %d outside [0, %d)", proc, event, len(t.Streams[proc]))
-	}
-	return nil
-}
-
-// CorruptKind returns a copy of t with one event's kind rewritten — for
-// example turning an Unlock into a plain Write, losing the release
-// semantics, or a Read into garbage trace.Validate must reject.
-func (in *Injector) CorruptKind(t *trace.Trace, proc, event int, k trace.Kind) (*trace.Trace, error) {
-	if err := in.checkEvent(t, proc, event); err != nil {
-		return nil, err
-	}
-	c := t.Clone()
-	c.Streams[proc][event].Kind = k
-	return c, nil
-}
-
-// CorruptAddr returns a copy of t with one event's address rewritten (a
-// lock release aimed at the wrong lock, a barrier with a divergent id, ...).
-func (in *Injector) CorruptAddr(t *trace.Trace, proc, event int, a memory.Addr) (*trace.Trace, error) {
-	if err := in.checkEvent(t, proc, event); err != nil {
-		return nil, err
-	}
-	c := t.Clone()
-	c.Streams[proc][event].Addr = a
-	return c, nil
-}
-
-// DropEvent returns a copy of t with one event removed from a stream.
-func (in *Injector) DropEvent(t *trace.Trace, proc, event int) (*trace.Trace, error) {
-	if err := in.checkEvent(t, proc, event); err != nil {
-		return nil, err
-	}
-	c := t.Clone()
-	s := c.Streams[proc]
-	c.Streams[proc] = append(s[:event], s[event+1:]...)
-	return c, nil
-}
-
 // TruncateStream returns a copy of t keeping only the first keep events of
 // one processor's stream — a trace cut off mid-computation.
 func (in *Injector) TruncateStream(t *trace.Trace, proc, keep int) (*trace.Trace, error) {

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"strings"
 
 	"busprefetch/internal/cache"
 	"busprefetch/internal/check"
@@ -47,12 +46,11 @@ func Kinds() []Kind { return []Kind{Illinois, MSI, Dragon} }
 // Parse resolves a protocol name ("illinois", "msi", "dragon",
 // case-insensitive) to its Kind.
 func Parse(name string) (Kind, error) {
-	for _, k := range Kinds() {
-		if strings.EqualFold(name, k.String()) {
-			return k, nil
-		}
+	i, err := names.Parse("protocol", kindNames, name)
+	if err != nil {
+		return Illinois, fmt.Errorf("coherence: %w", err)
 	}
-	return 0, fmt.Errorf("coherence: unknown protocol %q (valid: illinois, msi, dragon)", name)
+	return Kind(i), nil
 }
 
 // WriteAction is the bus operation a write hitting a valid line requires.

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"busprefetch/internal/cache"
@@ -359,8 +360,17 @@ func TestParseAndRegistry(t *testing.T) {
 	if k, err := Parse("dragon"); err != nil || k != Dragon {
 		t.Errorf("Parse(dragon) = %v, %v", k, err)
 	}
+	if k, err := Parse("ILLINOIS"); err != nil || k != Illinois {
+		t.Errorf("Parse(ILLINOIS) = %v, %v", k, err)
+	}
 	if _, err := Parse("mesi2"); err == nil {
 		t.Error("Parse accepted an unknown protocol")
+	} else {
+		for _, k := range Kinds() {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("Parse(mesi2) error %q does not list valid name %q", err, k)
+			}
+		}
 	}
 	if Kind(99).Valid() {
 		t.Error("Kind(99) reported valid")

@@ -14,7 +14,7 @@ import (
 func renderAt(t *testing.T, jobs int, seed int64) string {
 	t.Helper()
 	s := NewSuite(Config{Scale: 0.05, Seed: seed, Transfers: []int{8}, Parallelism: jobs})
-	if err := s.Prewarm(context.Background(), t8Keys(s), nil); err != nil {
+	if err := s.Prewarm(context.Background(), s.KeysFor(t8Sections), nil); err != nil {
 		t.Fatal(err)
 	}
 	out, err := s.RenderSections(context.Background(), t8Sections)

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"busprefetch/internal/interconnect"
@@ -105,6 +107,41 @@ func TestEachCellSimulatesOnce(t *testing.T) {
 	}
 }
 
+// TestKeysForCoversGridSections renders each grid section after
+// Prewarm(KeysFor(only it)) and counts the simulations rendering starts: it
+// must start none, at the paper's transfers and at a sweep that lacks the
+// fixed transfers Figures 1 and 3, Tables 2-4 and the utilizations read. A
+// cell KeysFor leaves out runs at render time, one at a time off the pool,
+// and its failure never reaches CellErrors. Every listed cell is planted
+// with one real result first, so the check costs one simulation.
+func TestKeysForCoversGridSections(t *testing.T) {
+	ctx := context.Background()
+	planted, err := NewSuite(Config{Scale: 0.02, Seed: 1}).Result(Key{Workload: "water", Strategy: prefetch.NP, Transfer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transfers := range [][]int{nil, {16}} {
+		for _, name := range []string{"table1", "fig1", "table2", "fig2", "util", "fig3", "table3", "table4", "table5"} {
+			var runs atomic.Int64
+			s := NewSuite(Config{Scale: 0.02, Seed: 1, Transfers: transfers,
+				PerRun: func(Key, *sim.Config) { runs.Add(1) }})
+			keys := s.KeysFor(only(name))
+			for _, k := range keys {
+				s.cells.Do(ctx, k, func() (*sim.Result, bool, error) { return planted, true, nil })
+			}
+			if err := s.Prewarm(ctx, keys, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RenderSections(ctx, only(name)); err != nil {
+				t.Fatal(err)
+			}
+			if n := runs.Load(); n != 0 {
+				t.Errorf("transfers %v: %s ran %d simulations while rendering", transfers, name, n)
+			}
+		}
+	}
+}
+
 func TestPrewarmParallel(t *testing.T) {
 	s := testSuite()
 	keys := []Key{
@@ -128,22 +165,39 @@ func TestPrewarmParallel(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	s := testSuite()
-	rows, err := s.Table1()
+	out, err := s.RenderSections(context.Background(), only("table1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	if !strings.Contains(out, "Processes") {
+		t.Errorf("render missing its headers:\n%s", out)
 	}
-	for _, r := range rows {
-		if r.DataSetKB <= 0 || r.SharedKB <= 0 || r.Processes < 2 || r.RefsPerProc <= 0 {
-			t.Errorf("implausible row %+v", r)
+	for _, wl := range WorkloadNames() {
+		var dataKB, sharedKB float64
+		var procs, refs int
+		if _, err := fmt.Sscanf(rowOf(t, out, wl), wl+" %g %g %d %d", &dataKB, &sharedKB, &procs, &refs); err != nil {
+			t.Errorf("%s row: %v", wl, err)
+			continue
+		}
+		if dataKB <= 0 || sharedKB <= 0 || procs < 2 || refs <= 0 {
+			t.Errorf("implausible %s row: %g KB, %g KB shared, %d processes, %d refs/proc", wl, dataKB, sharedKB, procs, refs)
 		}
 	}
-	out := RenderTable1(rows)
-	if !strings.Contains(out, "mp3d") || !strings.Contains(out, "Processes") {
-		t.Errorf("render missing content:\n%s", out)
+}
+
+// only selects the one report section name.
+func only(name string) func(string) bool { return func(n string) bool { return n == name } }
+
+// rowOf returns the first line of a rendered table that starts with label.
+func rowOf(t *testing.T, out, label string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, label+" ") {
+			return line
+		}
 	}
+	t.Fatalf("no %s row in:\n%s", label, out)
+	return ""
 }
 
 // TestPaperShapes is the central integration test: one reduced-scale run of
@@ -250,20 +304,14 @@ func TestRestructuringShapes(t *testing.T) {
 
 func TestRenderersProduceOutput(t *testing.T) {
 	s := NewSuite(Config{Scale: 0.1, Seed: 1, Transfers: []int{8}})
-	t3, err := s.Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := RenderTable3(t3); !strings.Contains(out, "Invalidation") {
-		t.Errorf("Table 3 render:\n%s", out)
-	}
-	u, err := s.Utilization()
-	if err == nil {
-		_ = RenderUtilization(u)
-	} else {
-		// Utilization needs T=4 and T=32; this config only has T=8, so an
-		// error is acceptable here... but it should not panic.
-		t.Logf("utilization on reduced sweep: %v", err)
+	for name, want := range map[string]string{"table3": "Invalidation", "util": "Max possible speedup"} {
+		out, err := s.RenderSections(context.Background(), only(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, want) || strings.Contains(out, "—") {
+			t.Errorf("%s render:\n%s", name, out)
+		}
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"busprefetch/internal/prefetch"
 )
 
 // The golden-result regression harness: the scale-1, seed-1 suite — the
@@ -60,25 +58,14 @@ func goldenCompare(t *testing.T, name, got string) {
 }
 
 // t8Sections are the report sections that need only the 8-cycle transfer
-// column of the grid — 25 cells instead of 155, cheap enough to assert on
-// every full test run.
+// column of the grid (KeysFor lists 25 cells instead of 155), cheap enough
+// to assert on every full test run.
 func t8Sections(name string) bool {
 	switch name {
 	case "table1", "fig1", "fig3", "table3":
 		return true
 	}
 	return false
-}
-
-// t8Keys returns the scale-1 grid restricted to the 8-cycle transfer.
-func t8Keys(s *Suite) []Key {
-	var keys []Key
-	for _, wl := range WorkloadNames() {
-		for _, st := range prefetch.Strategies() {
-			keys = append(keys, Key{Workload: wl, Strategy: st, Transfer: 8})
-		}
-	}
-	return keys
 }
 
 // TestGoldenScale1T8Slice asserts the paper-fidelity (scale 1, seed 1)
@@ -89,7 +76,7 @@ func TestGoldenScale1T8Slice(t *testing.T) {
 		t.Skip("scale-1 suite slice in -short mode")
 	}
 	s := NewSuite(Config{Scale: 1, Seed: 1})
-	if err := s.Prewarm(context.Background(), t8Keys(s), nil); err != nil {
+	if err := s.Prewarm(context.Background(), s.KeysFor(t8Sections), nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.RenderSections(context.Background(), t8Sections)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -63,36 +64,33 @@ func TestPoisonedCellFailsAlone(t *testing.T) {
 
 func TestTableRendersAroundPoisonedCell(t *testing.T) {
 	s, bad := poisonedSuite()
-	rows, err := s.Figure1()
+	out, err := s.RenderSections(context.Background(), only("fig1"))
 	if err != nil {
-		t.Fatalf("Figure1 failed outright: %v", err)
+		t.Fatalf("Figure 1 failed outright: %v", err)
 	}
 	var failed, healthy int
-	for _, r := range rows {
-		if r.Err != "" {
-			failed++
-			if r.Workload != bad.Workload || r.Strategy != bad.Strategy {
-				t.Errorf("unexpected failed cell %s/%s: %s", r.Workload, r.Strategy, r.Err)
-			}
-		} else {
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 5 || !slices.Contains(WorkloadNames(), f[0]) {
+			continue
+		}
+		if f[2] != "—" {
 			healthy++
+			continue
+		}
+		failed++
+		if f[0] != bad.Workload || f[1] != bad.Strategy.String() || f[3] != "—" || f[4] != "—" {
+			t.Errorf("unexpected failed row %q", line)
 		}
 	}
 	if failed != 1 {
-		t.Errorf("%d failed rows, want exactly 1", failed)
+		t.Errorf("%d failed rows, want exactly 1:\n%s", failed, out)
 	}
-	if healthy == 0 {
-		t.Error("no healthy rows rendered")
+	if healthy != 24 {
+		t.Errorf("%d healthy rows, want 24:\n%s", healthy, out)
 	}
-	out := RenderFigure1(rows)
-	if !strings.Contains(out, "—") {
-		t.Errorf("render has no placeholder for the failed cell:\n%s", out)
-	}
-	if !strings.Contains(out, "check:") {
+	if !strings.Contains(out, "  ! mp3d/NP: ") || !strings.Contains(out, "check:") {
 		t.Errorf("render does not annotate the failure:\n%s", out)
-	}
-	if !strings.Contains(out, "water") {
-		t.Errorf("render lost the healthy workloads:\n%s", out)
 	}
 }
 

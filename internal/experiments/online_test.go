@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -95,26 +94,20 @@ func TestOnlineOracleMatchesFigure2UnderFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig2, err := s.Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{}
-	for _, r := range fig2 {
-		if r.Strategy == prefetch.PREF && r.Err == "" {
-			want[fmt.Sprintf("%s/%d", r.Workload, r.Transfer)] = r.RelTime
-		}
-	}
 	checked := 0
 	for _, r := range rows {
 		if r.Engine != prefetch.Oracle {
 			continue
 		}
-		w, ok := want[fmt.Sprintf("%s/%d", r.Workload, r.Transfer)]
-		if !ok {
-			t.Fatalf("%s: Figure 2 has no PREF point", r.Label())
+		np, err := s.grid(Key{Workload: r.Workload, Strategy: prefetch.NP, Transfer: r.Transfer})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := r.RelativeTime(); got != w {
+		pref, err := s.grid(Key{Workload: r.Workload, Strategy: prefetch.PREF, Transfer: r.Transfer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := r.RelativeTime(), float64(pref.Cycles)/float64(np.Cycles); got != w {
 			t.Errorf("%s: online oracle relative time %.3f, Figure 2 PREF %.3f", r.Label(), got, w)
 		}
 		checked++

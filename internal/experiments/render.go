@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"busprefetch/internal/prefetch"
@@ -16,51 +17,30 @@ import (
 // regardless of how many workers simulated the cells.
 
 // section is one report section: its name (a valid mkfigures -only value)
-// and its renderer, which builds the section's rows from its cells,
-// running through the suite's executor any cell not memoized yet.
+// and its renderer, which reads the section's cells, running through the
+// suite's executor any cell not memoized yet.
 type section struct {
 	name   string
 	render func(s *Suite, ctx context.Context) (string, error)
 }
 
+// gridSection adapts a grid section (tables.go), which notes a failed cell
+// in place and so cannot fail as a whole, to a section renderer.
+func gridSection(render func(*Suite) string) func(*Suite, context.Context) (string, error) {
+	return func(s *Suite, _ context.Context) (string, error) { return render(s), nil }
+}
+
 // sections lists the report in presentation order.
 var sections = []section{
-	{"table1", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Table1()
-		return RenderTable1(rows), err
-	}},
-	{"fig1", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Figure1()
-		return RenderFigure1(rows), err
-	}},
-	{"table2", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Table2()
-		return RenderTable2(rows), err
-	}},
-	{"fig2", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Figure2()
-		return RenderFigure2(rows, s.cfg.Transfers), err
-	}},
-	{"util", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Utilization()
-		return RenderUtilization(rows), err
-	}},
-	{"fig3", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Figure3()
-		return RenderFigure3(rows), err
-	}},
-	{"table3", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Table3()
-		return RenderTable3(rows), err
-	}},
-	{"table4", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Table4()
-		return RenderTable4(rows), err
-	}},
-	{"table5", func(s *Suite, _ context.Context) (string, error) {
-		rows, err := s.Table5()
-		return RenderTable5(rows, s.cfg.Transfers), err
-	}},
+	{"table1", gridSection((*Suite).table1)},
+	{"fig1", gridSection((*Suite).figure1)},
+	{"table2", gridSection((*Suite).table2)},
+	{"fig2", gridSection((*Suite).figure2)},
+	{"util", gridSection((*Suite).utilization)},
+	{"fig3", gridSection((*Suite).figure3)},
+	{"table3", gridSection((*Suite).table3)},
+	{"table4", gridSection((*Suite).table4)},
+	{"table5", gridSection((*Suite).table5)},
 	{"ablations", func(s *Suite, ctx context.Context) (string, error) {
 		var bodies []string
 		for _, sw := range reportSweeps {
@@ -118,30 +98,53 @@ func ValidSection(name string) bool {
 }
 
 // KeysFor returns the grid cells the selected sections read, for
-// prewarming: want selects sections by name. The sections with sweeps of
-// their own (ablations, protocols, observability, online, interconnect) run
-// their cells on the pool when rendered, through the same executor, so a
-// cell they share with the grid or with each other still simulates once.
-// The list takes one allocation, sized up front.
+// prewarming: want selects sections by name. It lists the whole workload ×
+// strategy grid at each transfer a selected grid section reads: the sweep's
+// for Figure 2, and for the others fixed ones the sweep may lack. It lists
+// the restructured programs the same way, at the sweep's transfers for
+// Table 5 and at T=8 for Table 4, whose original layouts are grid cells at
+// T=8. The sections with sweeps of their own (ablations, protocols,
+// observability, online, interconnect) run their cells on the pool when
+// rendered, through the same executor, so a cell they share with the grid
+// or with each other still simulates once. The list takes one allocation,
+// sized up front.
 func (s *Suite) KeysFor(want func(name string) bool) []Key {
-	grid := want("fig1") || want("table2") || want("fig2") || want("util") || want("fig3") || want("table3")
-	restructured := want("table4") || want("table5")
+	// Transfer sets on the stack, sized for the service's 16-transfer cap.
+	var gridBuf, restrBuf [16]int
+	grid, restr := gridBuf[:0], restrBuf[:0]
+	if want("fig2") {
+		grid = append(grid, s.cfg.Transfers...)
+	}
+	if want("table2") {
+		grid = addTransfers(grid, table2Transfers...)
+	}
+	if want("util") {
+		grid = addTransfers(grid, 4, 32)
+	}
+	if want("fig1") || want("fig3") || want("table3") || want("table4") {
+		grid = addTransfers(grid, 8)
+	}
+	if want("table5") {
+		restr = append(restr, s.cfg.Transfers...)
+	}
+	if want("table4") {
+		restr = addTransfers(restr, 8)
+	}
 	names, strategies := WorkloadNames(), prefetch.Strategies()
-	n := 0
-	if grid {
-		n += len(names) * len(strategies)
+	keys := make([]Key, 0, len(names)*len(strategies)*len(grid)+
+		len(restructuredWorkloads)*len(restructuredStrategies)*len(restr))
+	keys = s.appendGrid(keys, names, strategies, grid, false)
+	return s.appendGrid(keys, restructuredWorkloads, restructuredStrategies, restr, true)
+}
+
+// addTransfers appends to set each of trs it lacks.
+func addTransfers(set []int, trs ...int) []int {
+	for _, tr := range trs {
+		if !slices.Contains(set, tr) {
+			set = append(set, tr)
+		}
 	}
-	if restructured {
-		n += len(restructuredWorkloads) * len(restructuredStrategies)
-	}
-	keys := make([]Key, 0, n*len(s.cfg.Transfers))
-	if grid {
-		keys = s.appendGrid(keys, names, strategies, false)
-	}
-	if restructured {
-		keys = s.appendGrid(keys, restructuredWorkloads, restructuredStrategies, true)
-	}
-	return keys
+	return set
 }
 
 // RenderSections renders the selected sections in canonical order and joins

@@ -483,7 +483,7 @@ func (c CellError) class() runner.ErrClass {
 
 // CellErrors aggregates every failed cell of a Prewarm pass. It is an error,
 // but one the caller can choose to treat as a warning: each failed cell is
-// memoized, the healthy cells all simulated, and the table builders annotate
+// memoized, the healthy cells all simulated, and the grid sections annotate
 // the failures in place.
 type CellErrors struct {
 	Cells []CellError
@@ -509,7 +509,7 @@ func (e *CellErrors) Failures() []runner.CellFailure {
 // Prewarm simulates the given keys in parallel on the suite's worker pool,
 // each once. A failing cell does not stop the others. When any cell failed,
 // Prewarm returns a *CellErrors naming each one (in deterministic key order)
-// with its classification; the failures are memoized, so the table builders
+// with its classification; the failures are memoized, so the grid sections
 // will annotate exactly those cells rather than failing outright.
 //
 // Cancelling ctx stops the sweep: running cells abort at the simulator's
@@ -607,7 +607,7 @@ func WorkloadNames() []string {
 func (s *Suite) GridKeys() []Key {
 	names, strategies := WorkloadNames(), prefetch.Strategies()
 	keys := make([]Key, 0, len(names)*len(strategies)*len(s.cfg.Transfers))
-	return s.appendGrid(keys, names, strategies, false)
+	return s.appendGrid(keys, names, strategies, s.cfg.Transfers, false)
 }
 
 // The restructured programs Tables 4 and 5 compare, and the disciplines
@@ -619,11 +619,11 @@ var (
 
 // appendGrid appends the workloads x strategies x transfers grid on the
 // suite's machine to keys.
-func (s *Suite) appendGrid(keys []Key, workloads []string, strategies []prefetch.Strategy, restructured bool) []Key {
+func (s *Suite) appendGrid(keys []Key, workloads []string, strategies []prefetch.Strategy, transfers []int, restructured bool) []Key {
 	base := s.onSuite(Key{Restructured: restructured})
 	for _, wl := range workloads {
 		for _, st := range strategies {
-			for _, tr := range s.cfg.Transfers {
+			for _, tr := range transfers {
 				k := base
 				k.Workload, k.Strategy, k.Transfer = wl, st, tr
 				keys = append(keys, k)

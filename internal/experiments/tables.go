@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"busprefetch/internal/memory"
@@ -11,58 +12,72 @@ import (
 	"busprefetch/internal/trace"
 )
 
-// Tables and figures isolate failures per cell: a run that errors (a
-// poisoned configuration, an injected fault, a generation bug) produces a
-// row whose Err field carries the diagnosis, and every other cell still
-// computes. The renderers print failed cells as "—" and append the error
-// beneath the table, so one bad configuration cannot take the whole report
-// down.
+// The grid sections (Table 1, Figures 1-3, Tables 2-5 and the §4.2
+// utilizations) each read their cells and write their table or chart
+// directly. They isolate failures per cell: a run that errors (a poisoned
+// configuration, an injected fault, a generation bug) prints "—" in its
+// value columns with the error noted beneath the table, and every other
+// cell still computes, so one bad configuration cannot take the whole
+// report down.
 
-// errNotes appends per-cell failure annotations beneath a rendered table.
-func errNotes(body string, notes []string) string {
+// gridTable is a grid section's table and the notes of its failed cells.
+type gridTable struct {
+	*report.Table
+	cols  int
+	notes []string
+}
+
+func newGridTable(title string, headers ...string) *gridTable {
+	return &gridTable{Table: report.NewTable(title, headers...), cols: len(headers)}
+}
+
+// failed adds the row of a cell that failed with err: its labels, then "—"
+// in every value column, with the error noted under the table as name's.
+func (t *gridTable) failed(err error, name string, labels ...interface{}) {
+	for len(labels) < t.cols {
+		labels = append(labels, "—")
+	}
+	t.AddRow(labels...)
+	t.note(name, err)
+}
+
+// note records a failed cell's error under the table.
+func (t *gridTable) note(name string, err error) {
+	t.notes = append(t.notes, name+": "+err.Error())
+}
+
+// String renders the table with its notes beneath it.
+func (t *gridTable) String() string { return withNotes(t.Table.String(), t.notes) }
+
+// withNotes appends per-cell failure notes beneath a rendered body.
+func withNotes(body string, notes []string) string {
 	for _, n := range notes {
 		body += "  ! " + n + "\n"
 	}
 	return body
 }
 
-// Table1Row describes one workload (paper Table 1).
-type Table1Row struct {
-	Workload    string
-	Description string
-	DataSetKB   float64
-	SharedKB    float64
-	Processes   int
-	RefsPerProc int
-	// Err is non-empty when the workload failed to generate; the other
-	// fields are then zero.
-	Err string
-}
+// f4 formats a miss rate.
+func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
-// Table1 reproduces the paper's workload-characteristics table.
-func (s *Suite) Table1() ([]Table1Row, error) {
-	var rows []Table1Row
+// table1 renders the paper's workload-characteristics table.
+func (s *Suite) table1() string {
+	t := newGridTable("Table 1: Workload used in experiments",
+		"Program", "Data Set (KB)", "Shared Data (KB)", "Processes", "Refs/Proc")
 	for _, name := range WorkloadNames() {
 		info, err := s.Info(name)
+		var refs int
+		if err == nil {
+			refs, err = s.refsPerProc(name)
+		}
 		if err != nil {
-			rows = append(rows, Table1Row{Workload: name, Err: err.Error()})
+			t.failed(err, name, name)
 			continue
 		}
-		refsPerProc, err := s.refsPerProc(name)
-		if err != nil {
-			rows = append(rows, Table1Row{Workload: name, Err: err.Error()})
-			continue
-		}
-		rows = append(rows, Table1Row{
-			Workload:    name,
-			Description: info.Description,
-			DataSetKB:   float64(info.DataSet) / 1024,
-			SharedKB:    float64(info.SharedData) / 1024,
-			Processes:   info.Procs,
-			RefsPerProc: refsPerProc,
-		})
+		t.AddRow(name, fmt.Sprintf("%.0f", float64(info.DataSet)/1024),
+			fmt.Sprintf("%.0f", float64(info.SharedData)/1024), info.Procs, refs)
 	}
-	return rows, nil
+	return t.String()
 }
 
 // refsPerProc counts a workload's demand references per processor,
@@ -79,250 +94,151 @@ func (s *Suite) refsPerProc(name string) (int, error) {
 	return demand / src.Procs(), nil
 }
 
-// RenderTable1 formats Table 1.
-func RenderTable1(rows []Table1Row) string {
-	t := report.NewTable("Table 1: Workload used in experiments",
-		"Program", "Data Set (KB)", "Shared Data (KB)", "Processes", "Refs/Proc")
-	var notes []string
-	for _, r := range rows {
-		if r.Err != "" {
-			t.AddRow(r.Workload, "—", "—", "—", "—")
-			notes = append(notes, r.Workload+": "+r.Err)
-			continue
-		}
-		t.AddRow(r.Workload, fmt.Sprintf("%.0f", r.DataSetKB), fmt.Sprintf("%.0f", r.SharedKB),
-			r.Processes, r.RefsPerProc)
-	}
-	return errNotes(t.String(), notes)
-}
-
-// Figure1Row holds the miss rates of one (workload, strategy) cell of the
-// paper's Figure 1 (measured at the 8-cycle transfer latency, as the paper
-// plots).
-type Figure1Row struct {
-	Workload string
-	Strategy prefetch.Strategy
-	TotalMR  float64
-	CPUMR    float64
-	AdjMR    float64
-	// Err is non-empty when this cell's run failed.
-	Err string
-}
-
-// Figure1 reproduces the total / CPU / adjusted-CPU miss-rate chart.
-func (s *Suite) Figure1() ([]Figure1Row, error) {
-	var rows []Figure1Row
+// figure1 renders the total, CPU and adjusted-CPU miss rates at the
+// 8-cycle transfer latency, as the paper plots them.
+func (s *Suite) figure1() string {
+	t := newGridTable("Figure 1: Total and CPU miss rates (8-cycle data transfer)",
+		"Workload", "Strategy", "Total MR", "CPU MR", "Adjusted CPU MR")
 	for _, wl := range WorkloadNames() {
 		for _, st := range prefetch.Strategies() {
 			res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: 8})
 			if err != nil {
-				rows = append(rows, Figure1Row{Workload: wl, Strategy: st, Err: err.Error()})
+				t.failed(err, wl+"/"+st.String(), wl, st.String())
 				continue
 			}
-			rows = append(rows, Figure1Row{
-				Workload: wl,
-				Strategy: st,
-				TotalMR:  res.TotalMissRate(),
-				CPUMR:    res.CPUMissRate(),
-				AdjMR:    res.AdjustedCPUMissRate(),
-			})
+			t.AddRow(wl, st.String(), f4(res.TotalMissRate()), f4(res.CPUMissRate()), f4(res.AdjustedCPUMissRate()))
 		}
 	}
-	return rows, nil
+	return t.String()
 }
 
-// RenderFigure1 formats Figure 1 as a table.
-func RenderFigure1(rows []Figure1Row) string {
-	t := report.NewTable("Figure 1: Total and CPU miss rates (8-cycle data transfer)",
-		"Workload", "Strategy", "Total MR", "CPU MR", "Adjusted CPU MR")
-	var notes []string
-	for _, r := range rows {
-		if r.Err != "" {
-			t.AddRow(r.Workload, r.Strategy.String(), "—", "—", "—")
-			notes = append(notes, fmt.Sprintf("%s/%s: %s", r.Workload, r.Strategy, r.Err))
-			continue
-		}
-		t.AddRow(r.Workload, r.Strategy.String(),
-			fmt.Sprintf("%.4f", r.TotalMR), fmt.Sprintf("%.4f", r.CPUMR), fmt.Sprintf("%.4f", r.AdjMR))
-	}
-	return errNotes(t.String(), notes)
-}
+// table2Transfers are the transfer latencies whose bus utilizations the
+// paper's Table 2 selects.
+var table2Transfers = []int{4, 8, 16, 32}
 
-// Table2Row is one bus-utilization cell.
-type Table2Row struct {
-	Workload string
-	Strategy prefetch.Strategy
-	Transfer int
-	BusUtil  float64
-	// Err is non-empty when this cell's run failed.
-	Err string
-}
-
-// Table2 reproduces the selected bus utilizations (the paper reports
-// transfers 4, 8, 16 and 32).
-func (s *Suite) Table2() ([]Table2Row, error) {
-	var rows []Table2Row
+// table2 renders the selected bus utilizations.
+func (s *Suite) table2() string {
+	var cells []gridCell
 	for _, wl := range WorkloadNames() {
 		for _, st := range prefetch.Strategies() {
-			for _, tr := range []int{4, 8, 16, 32} {
-				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr})
-				if err != nil {
-					rows = append(rows, Table2Row{Workload: wl, Strategy: st, Transfer: tr, Err: err.Error()})
-					continue
+			for _, tr := range table2Transfers {
+				c := gridCell{wl: wl, st: st, tr: tr}
+				var res *sim.Result
+				if res, c.err = s.grid(Key{Workload: wl, Strategy: st, Transfer: tr}); c.err == nil {
+					c.val = res.BusUtilization()
 				}
-				rows = append(rows, Table2Row{Workload: wl, Strategy: st, Transfer: tr, BusUtil: res.BusUtilization()})
+				cells = append(cells, c)
 			}
 		}
 	}
-	return rows, nil
+	return renderPivot("Table 2: Selected bus utilizations", "%d cycles", "%.2f", table2Transfers, cells)
 }
 
-// RenderTable2 formats Table 2 with one row per (workload, strategy).
-func RenderTable2(rows []Table2Row) string {
-	cells := make([]pivotCell, len(rows))
-	for i, r := range rows {
-		cells[i] = pivotCell{r.Workload, r.Strategy, r.Transfer, fmt.Sprintf("%.2f", r.BusUtil), r.Err}
-	}
-	return renderPivot("Table 2: Selected bus utilizations", "%d cycles", []int{4, 8, 16, 32}, cells)
+// gridCell is one (workload, strategy, transfer) value of a grid section,
+// or the error that replaced it.
+type gridCell struct {
+	wl  string
+	st  prefetch.Strategy
+	tr  int
+	val float64
+	err error
 }
 
-// pivotCell is one value of a (workload, strategy) × transfer table: the
-// formatted number, or the error that replaced it.
-type pivotCell struct {
-	wl       string
-	st       prefetch.Strategy
-	tr       int
-	val, err string
-}
+func (c gridCell) name() string { return fmt.Sprintf("%s/%s/T=%d", c.wl, c.st, c.tr) }
 
-// renderPivot lays cells out one row per (workload, strategy), in the order
-// they first appear, and one column per transfer, headed by colFmt. A
-// failed cell shows "—" and its error becomes a note under the table.
-func renderPivot(title, colFmt string, transfers []int, cells []pivotCell) string {
+// renderPivot lays out cells given row by row, one row per (workload,
+// strategy) and one column per transfer, headed by colFmt, with values
+// printed by valFmt. A failed cell shows "—", its error noted under the
+// table.
+func renderPivot(title, colFmt, valFmt string, transfers []int, cells []gridCell) string {
 	headers := []string{"Workload", "Strategy"}
 	for _, tr := range transfers {
 		headers = append(headers, fmt.Sprintf(colFmt, tr))
 	}
-	t := report.NewTable(title, headers...)
-	type key struct {
-		wl string
-		st prefetch.Strategy
-	}
-	vals := map[key]map[int]string{}
-	var order []key
-	var notes []string
-	for _, c := range cells {
-		k := key{c.wl, c.st}
-		if vals[k] == nil {
-			vals[k] = map[int]string{}
-			order = append(order, k)
-		}
-		if c.err != "" {
-			vals[k][c.tr] = "—"
-			notes = append(notes, fmt.Sprintf("%s/%s/T=%d: %s", c.wl, c.st, c.tr, c.err))
-			continue
-		}
-		vals[k][c.tr] = c.val
-	}
-	for _, k := range order {
-		row := []interface{}{k.wl, k.st.String()}
-		for _, tr := range transfers {
-			row = append(row, vals[k][tr])
+	t := newGridTable(title, headers...)
+	for i := 0; i < len(cells); i += len(transfers) {
+		row := []interface{}{cells[i].wl, cells[i].st.String()}
+		for _, c := range cells[i : i+len(transfers)] {
+			if c.err != nil {
+				row = append(row, "—")
+				t.note(c.name(), c.err)
+				continue
+			}
+			row = append(row, fmt.Sprintf(valFmt, c.val))
 		}
 		t.AddRow(row...)
 	}
-	return errNotes(t.String(), notes)
+	return t.String()
 }
 
-// Figure2Row is one point of the execution-time chart: execution time of a
-// strategy relative to NP at the same transfer latency.
-type Figure2Row struct {
-	Workload string
-	Strategy prefetch.Strategy
-	Transfer int
-	RelTime  float64
-	// Err is non-empty when this cell's run — or its NP baseline — failed.
-	Err string
-}
-
-// Figure2 reproduces the relative-execution-time curves for the four
-// prefetching strategies over the data-bus latency sweep.
-func (s *Suite) Figure2() ([]Figure2Row, error) {
-	// Every strategy but NP, which Strategies lists first.
-	return s.relativeTimes(WorkloadNames(), prefetch.Strategies()[1:], false), nil
-}
-
-// relativeTimes builds each (workload, strategy, transfer) cell's execution
-// time relative to the workload's NP run on the same layout at the same
-// transfer latency, over the suite's transfer sweep.
-func (s *Suite) relativeTimes(workloads []string, strategies []prefetch.Strategy, restructured bool) []Figure2Row {
-	var rows []Figure2Row
+// relativeTimes returns each (workload, strategy, transfer) cell's
+// execution time relative to the workload's NP run on the same layout at
+// the same transfer latency, over the suite's transfer sweep, row by row.
+func (s *Suite) relativeTimes(workloads []string, strategies []prefetch.Strategy, restructured bool) []gridCell {
+	var cells []gridCell
 	for _, wl := range workloads {
 		np := make(map[int]uint64)
-		npErr := make(map[int]string)
+		npErr := make(map[int]error)
 		for _, tr := range s.cfg.Transfers {
 			res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: tr, Restructured: restructured})
 			if err != nil {
-				npErr[tr] = fmt.Sprintf("NP baseline failed: %v", err)
+				npErr[tr] = fmt.Errorf("NP baseline failed: %v", err)
 				continue
 			}
 			np[tr] = res.Cycles
 		}
 		for _, st := range strategies {
 			for _, tr := range s.cfg.Transfers {
-				row := Figure2Row{Workload: wl, Strategy: st, Transfer: tr}
-				if msg, bad := npErr[tr]; bad {
-					row.Err = msg
+				c := gridCell{wl: wl, st: st, tr: tr}
+				if err, bad := npErr[tr]; bad {
+					c.err = err
 				} else if res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: tr, Restructured: restructured}); err != nil {
-					row.Err = err.Error()
+					c.err = err
 				} else if np[tr] == 0 {
 					// A degenerate (empty) trace finishes in zero cycles;
 					// dividing by it would put NaN in the chart.
-					row.Err = "NP baseline ran 0 cycles"
+					c.err = errors.New("NP baseline ran 0 cycles")
 				} else {
-					row.RelTime = float64(res.Cycles) / float64(np[tr])
+					c.val = float64(res.Cycles) / float64(np[tr])
 				}
-				rows = append(rows, row)
+				cells = append(cells, c)
 			}
 		}
 	}
-	return rows
+	return cells
 }
 
-// RenderFigure2 formats Figure 2 as one chart per workload. A workload with
-// any failed cell is reported as a note instead of a misleading partial
-// chart.
-func RenderFigure2(rows []Figure2Row, transfers []int) string {
+// figure2 renders the execution time of each prefetching strategy
+// relative to NP over the data-bus latency sweep, one chart per workload.
+// A workload with any failed cell is reported as a note instead of a
+// misleading partial chart.
+func (s *Suite) figure2() string {
+	strategies := prefetch.Strategies()[1:] // every strategy but NP, which Strategies lists first
+	n := len(s.cfg.Transfers)
 	out := ""
 	for _, wl := range WorkloadNames() {
+		cells := s.relativeTimes([]string{wl}, strategies, false)
 		var notes []string
-		for _, r := range rows {
-			if r.Workload == wl && r.Err != "" {
-				notes = append(notes, fmt.Sprintf("%s/%s/T=%d: %s", r.Workload, r.Strategy, r.Transfer, r.Err))
+		for _, c := range cells {
+			if c.err != nil {
+				notes = append(notes, c.name()+": "+c.err.Error())
 			}
 		}
 		if len(notes) > 0 {
-			out += errNotes(fmt.Sprintf("Figure 2 (%s): omitted, cells failed\n", wl), notes) + "\n"
+			out += withNotes(fmt.Sprintf("Figure 2 (%s): omitted, cells failed\n", wl), notes) + "\n"
 			continue
 		}
 		chart := &report.Chart{
 			Title:  fmt.Sprintf("Figure 2 (%s): execution time relative to NP vs data-bus latency", wl),
 			XLabel: "T cycles",
 		}
-		for _, tr := range transfers {
+		for _, tr := range s.cfg.Transfers {
 			chart.XTicks = append(chart.XTicks, fmt.Sprintf("%d", tr))
 		}
-		for _, st := range prefetch.Strategies() {
-			if st == prefetch.NP {
-				continue
-			}
+		for i, st := range strategies {
 			ser := report.Series{Name: st.String()}
-			for _, tr := range transfers {
-				for _, r := range rows {
-					if r.Workload == wl && r.Strategy == st && r.Transfer == tr {
-						ser.Points = append(ser.Points, r.RelTime)
-					}
-				}
+			for _, c := range cells[i*n : (i+1)*n] {
+				ser.Points = append(ser.Points, c.val)
 			}
 			chart.Series = append(chart.Series, ser)
 		}
@@ -331,251 +247,111 @@ func RenderFigure2(rows []Figure2Row, transfers []int) string {
 	return out
 }
 
-// UtilizationRow reports a workload's NP processor utilization at the
-// fastest and slowest bus (paper §4.2).
-type UtilizationRow struct {
-	Workload string
-	FastBus  float64 // transfer = 4
-	SlowBus  float64 // transfer = 32
-	// MaxSpeedup is the bound 1/utilization at the fast bus — "the best any
-	// memory-latency hiding technique can do".
-	MaxSpeedup float64
-	// Err is non-empty when either of the workload's runs failed.
-	Err string
-}
-
-// Utilization reproduces the processor-utilization discussion of §4.2.
-func (s *Suite) Utilization() ([]UtilizationRow, error) {
-	var rows []UtilizationRow
+// utilization renders each workload's NP processor utilization at the
+// fastest and slowest bus, and the bound 1/utilization at the fast bus:
+// "the best any memory-latency hiding technique can do" (paper §4.2).
+func (s *Suite) utilization() string {
+	t := newGridTable("Processor utilization without prefetching (§4.2)",
+		"Workload", "Fast bus (T=4)", "Slow bus (T=32)", "Max possible speedup")
 	for _, wl := range WorkloadNames() {
 		fast, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 4})
-		if err != nil {
-			rows = append(rows, UtilizationRow{Workload: wl, Err: err.Error()})
-			continue
+		var slow *sim.Result
+		if err == nil {
+			slow, err = s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 32})
 		}
-		slow, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 32})
 		if err != nil {
-			rows = append(rows, UtilizationRow{Workload: wl, Err: err.Error()})
+			t.failed(err, wl, wl)
 			continue
 		}
 		u := fast.MeanProcUtilization()
-		max := 0.0
+		bound := 0.0
 		if u > 0 {
-			max = 1 / u
+			bound = 1 / u
 		}
-		rows = append(rows, UtilizationRow{
-			Workload: wl, FastBus: u, SlowBus: slow.MeanProcUtilization(), MaxSpeedup: max,
-		})
+		t.AddRow(wl, fmt.Sprintf("%.2f", u), fmt.Sprintf("%.2f", slow.MeanProcUtilization()), fmt.Sprintf("%.1f", bound))
 	}
-	return rows, nil
-}
-
-// RenderUtilization formats the §4.2 utilization summary.
-func RenderUtilization(rows []UtilizationRow) string {
-	t := report.NewTable("Processor utilization without prefetching (§4.2)",
-		"Workload", "Fast bus (T=4)", "Slow bus (T=32)", "Max possible speedup")
-	var notes []string
-	for _, r := range rows {
-		if r.Err != "" {
-			t.AddRow(r.Workload, "—", "—", "—")
-			notes = append(notes, r.Workload+": "+r.Err)
-			continue
-		}
-		t.AddRow(r.Workload, fmt.Sprintf("%.2f", r.FastBus), fmt.Sprintf("%.2f", r.SlowBus),
-			fmt.Sprintf("%.1f", r.MaxSpeedup))
-	}
-	return errNotes(t.String(), notes)
-}
-
-// Figure3Row is the CPU-miss component breakdown of one (workload, strategy)
-// bar of the paper's Figure 3.
-type Figure3Row struct {
-	Workload string
-	Strategy prefetch.Strategy
-	// Components holds per-class miss rates (misses per demand reference),
-	// indexed by sim.MissClass.
-	Components [sim.NumMissClasses]float64
-	// Err is non-empty when this cell's run failed.
-	Err string
+	return t.String()
 }
 
 // Figure3Workloads lists the workloads the paper breaks down in Figure 3.
 func Figure3Workloads() []string { return []string{"topopt", "pverify", "mp3d"} }
 
-// Figure3 reproduces the miss-component stacks at the 8-cycle transfer.
-func (s *Suite) Figure3() ([]Figure3Row, error) {
-	var rows []Figure3Row
+// figure3 renders the CPU-miss component stacks at the 8-cycle transfer,
+// each component in misses per demand reference.
+func (s *Suite) figure3() string {
+	t := newGridTable("Figure 3: Sources of CPU misses (8-cycle data transfer; rates per demand reference)",
+		"Workload", "Strategy",
+		"non-sharing !pf", "inval !pf", "non-sharing pf", "inval pf", "pf-in-progress", "total")
 	for _, wl := range Figure3Workloads() {
 		for _, st := range prefetch.Strategies() {
 			res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: 8})
 			if err != nil {
-				rows = append(rows, Figure3Row{Workload: wl, Strategy: st, Err: err.Error()})
+				t.failed(err, wl+"/"+st.String(), wl, st.String())
 				continue
 			}
-			row := Figure3Row{Workload: wl, Strategy: st}
+			total := 0.0
 			for m := sim.MissClass(0); m < sim.NumMissClasses; m++ {
-				row.Components[m] = res.MissClassRate(m)
+				total += res.MissClassRate(m)
 			}
-			rows = append(rows, row)
+			t.AddRow(wl, st.String(),
+				f4(res.MissClassRate(sim.NonSharingNotPref)), f4(res.MissClassRate(sim.InvalNotPref)),
+				f4(res.MissClassRate(sim.NonSharingPref)), f4(res.MissClassRate(sim.InvalPref)),
+				f4(res.MissClassRate(sim.PrefetchInProgress)), f4(total))
 		}
 	}
-	return rows, nil
+	return t.String()
 }
 
-// RenderFigure3 formats Figure 3 as a table of stacked components.
-func RenderFigure3(rows []Figure3Row) string {
-	t := report.NewTable("Figure 3: Sources of CPU misses (8-cycle data transfer; rates per demand reference)",
-		"Workload", "Strategy",
-		"non-sharing !pf", "inval !pf", "non-sharing pf", "inval pf", "pf-in-progress", "total")
-	var notes []string
-	for _, r := range rows {
-		if r.Err != "" {
-			t.AddRow(r.Workload, r.Strategy.String(), "—", "—", "—", "—", "—", "—")
-			notes = append(notes, fmt.Sprintf("%s/%s: %s", r.Workload, r.Strategy, r.Err))
-			continue
-		}
-		total := 0.0
-		for _, v := range r.Components {
-			total += v
-		}
-		t.AddRow(r.Workload, r.Strategy.String(),
-			fmt.Sprintf("%.4f", r.Components[sim.NonSharingNotPref]),
-			fmt.Sprintf("%.4f", r.Components[sim.InvalNotPref]),
-			fmt.Sprintf("%.4f", r.Components[sim.NonSharingPref]),
-			fmt.Sprintf("%.4f", r.Components[sim.InvalPref]),
-			fmt.Sprintf("%.4f", r.Components[sim.PrefetchInProgress]),
-			fmt.Sprintf("%.4f", total))
-	}
-	return errNotes(t.String(), notes)
-}
-
-// Table3Row reports a workload's invalidation and false-sharing miss rates
-// without prefetching.
-type Table3Row struct {
-	Workload     string
-	InvalMR      float64
-	FalseShareMR float64
-	// FSShare is the fraction of invalidation misses that are false sharing.
-	FSShare float64
-	// Err is non-empty when this cell's run failed.
-	Err string
-}
-
-// Table3 reproduces the total invalidation and false-sharing miss rates.
-func (s *Suite) Table3() ([]Table3Row, error) {
-	var rows []Table3Row
+// table3 renders each workload's invalidation and false-sharing miss rates
+// without prefetching, and the false-sharing share of the invalidations.
+func (s *Suite) table3() string {
+	t := newGridTable("Table 3: Total invalidation and false sharing miss rates (NP, 8-cycle transfer)",
+		"Workload", "Total Invalidation MR", "Total False Sharing MR", "FS share of inval")
 	for _, wl := range WorkloadNames() {
 		res, err := s.grid(Key{Workload: wl, Strategy: prefetch.NP, Transfer: 8})
 		if err != nil {
-			rows = append(rows, Table3Row{Workload: wl, Err: err.Error()})
+			t.failed(err, wl, wl)
 			continue
 		}
-		row := Table3Row{
-			Workload:     wl,
-			InvalMR:      res.InvalidationMissRate(),
-			FalseShareMR: res.FalseSharingMissRate(),
+		inval, fs := res.InvalidationMissRate(), res.FalseSharingMissRate()
+		share := 0.0
+		if inval > 0 {
+			share = fs / inval
 		}
-		if row.InvalMR > 0 {
-			row.FSShare = row.FalseShareMR / row.InvalMR
-		}
-		rows = append(rows, row)
+		t.AddRow(wl, f4(inval), f4(fs), fmt.Sprintf("%.0f%%", 100*share))
 	}
-	return rows, nil
+	return t.String()
 }
 
-// RenderTable3 formats Table 3.
-func RenderTable3(rows []Table3Row) string {
-	t := report.NewTable("Table 3: Total invalidation and false sharing miss rates (NP, 8-cycle transfer)",
-		"Workload", "Total Invalidation MR", "Total False Sharing MR", "FS share of inval")
-	var notes []string
-	for _, r := range rows {
-		if r.Err != "" {
-			t.AddRow(r.Workload, "—", "—", "—")
-			notes = append(notes, r.Workload+": "+r.Err)
-			continue
-		}
-		t.AddRow(r.Workload, fmt.Sprintf("%.4f", r.InvalMR), fmt.Sprintf("%.4f", r.FalseShareMR),
-			fmt.Sprintf("%.0f%%", 100*r.FSShare))
-	}
-	return errNotes(t.String(), notes)
-}
-
-// Table4Row reports miss rates for a restructured program under one
-// prefetch discipline at the 8-cycle transfer.
-type Table4Row struct {
-	Workload     string
-	Strategy     prefetch.Strategy
-	Restructured bool
-	CPUMR        float64
-	TotalMR      float64
-	InvalMR      float64
-	FalseShareMR float64
-	// Err is non-empty when this cell's run failed.
-	Err string
-}
-
-// Table4 reproduces the restructured-program miss rates, with the original
-// layouts included for comparison.
-func (s *Suite) Table4() ([]Table4Row, error) {
-	var rows []Table4Row
-	for _, wl := range []string{"topopt", "pverify"} {
+// table4 renders the restructured programs' miss rates at the 8-cycle
+// transfer, with their original layouts for comparison.
+func (s *Suite) table4() string {
+	t := newGridTable("Table 4: Miss rates for restructured programs (8-cycle transfer)",
+		"Workload", "Layout", "Strategy", "CPU MR", "Total MR", "Total Inval MR", "Total FS MR")
+	for _, wl := range restructuredWorkloads {
 		for _, restr := range []bool{false, true} {
-			for _, st := range []prefetch.Strategy{prefetch.NP, prefetch.PREF, prefetch.PWS} {
+			layout := "original"
+			if restr {
+				layout = "restructured"
+			}
+			for _, st := range restructuredStrategies {
 				res, err := s.grid(Key{Workload: wl, Strategy: st, Transfer: 8, Restructured: restr})
 				if err != nil {
-					rows = append(rows, Table4Row{Workload: wl, Strategy: st, Restructured: restr, Err: err.Error()})
+					t.failed(err, fmt.Sprintf("%s/%s/%s", wl, layout, st), wl, layout, st.String())
 					continue
 				}
-				rows = append(rows, Table4Row{
-					Workload: wl, Strategy: st, Restructured: restr,
-					CPUMR:        res.CPUMissRate(),
-					TotalMR:      res.TotalMissRate(),
-					InvalMR:      res.InvalidationMissRate(),
-					FalseShareMR: res.FalseSharingMissRate(),
-				})
+				t.AddRow(wl, layout, st.String(), f4(res.CPUMissRate()), f4(res.TotalMissRate()),
+					f4(res.InvalidationMissRate()), f4(res.FalseSharingMissRate()))
 			}
 		}
 	}
-	return rows, nil
+	return t.String()
 }
 
-// RenderTable4 formats Table 4.
-func RenderTable4(rows []Table4Row) string {
-	t := report.NewTable("Table 4: Miss rates for restructured programs (8-cycle transfer)",
-		"Workload", "Layout", "Strategy", "CPU MR", "Total MR", "Total Inval MR", "Total FS MR")
-	var notes []string
-	for _, r := range rows {
-		layout := "original"
-		if r.Restructured {
-			layout = "restructured"
-		}
-		if r.Err != "" {
-			t.AddRow(r.Workload, layout, r.Strategy.String(), "—", "—", "—", "—")
-			notes = append(notes, fmt.Sprintf("%s/%s/%s: %s", r.Workload, layout, r.Strategy, r.Err))
-			continue
-		}
-		t.AddRow(r.Workload, layout, r.Strategy.String(),
-			fmt.Sprintf("%.4f", r.CPUMR), fmt.Sprintf("%.4f", r.TotalMR),
-			fmt.Sprintf("%.4f", r.InvalMR), fmt.Sprintf("%.4f", r.FalseShareMR))
-	}
-	return errNotes(t.String(), notes)
-}
-
-// Table5Row reports a restructured program's execution time relative to its
-// own NP run at the same transfer latency: Figure 2's quantity.
-type Table5Row = Figure2Row
-
-// Table5 reproduces the relative execution times for the restructured
-// programs over the transfer sweep.
-func (s *Suite) Table5() ([]Table5Row, error) {
-	return s.relativeTimes([]string{"topopt", "pverify"}, []prefetch.Strategy{prefetch.PREF, prefetch.PWS}, true), nil
-}
-
-// RenderTable5 formats Table 5.
-func RenderTable5(rows []Table5Row, transfers []int) string {
-	cells := make([]pivotCell, len(rows))
-	for i, r := range rows {
-		cells[i] = pivotCell{r.Workload, r.Strategy, r.Transfer, fmt.Sprintf("%.3f", r.RelTime), r.Err}
-	}
-	return renderPivot("Table 5: Relative execution times for restructured programs", "T=%d", transfers, cells)
+// table5 renders the restructured programs' execution times relative to
+// their own NP runs over the transfer sweep: Figure 2's quantity.
+func (s *Suite) table5() string {
+	// Every restructured strategy but NP, which the list starts with.
+	cells := s.relativeTimes(restructuredWorkloads, restructuredStrategies[1:], true)
+	return renderPivot("Table 5: Relative execution times for restructured programs", "T=%d", "%.3f", s.cfg.Transfers, cells)
 }

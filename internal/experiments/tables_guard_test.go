@@ -9,9 +9,9 @@ import (
 	"busprefetch/internal/sim"
 )
 
-// These tests pin the zero-baseline guards in Figure2 and Table5: a
+// These tests pin the zero-baseline guard that Figure 2 and Table 5 share: a
 // degenerate run whose NP baseline finished in zero cycles (an empty trace
-// does) must surface as an annotated error row, never as a NaN in a chart.
+// does) must surface as an annotated failed cell, never as a NaN in a chart.
 // The zero-cycle results are injected straight into the suite's memo table
 // so no simulator change can silently un-cover the guard.
 
@@ -33,24 +33,21 @@ func TestFigure2ZeroCycleBaseline(t *testing.T) {
 			seedResult(s, Key{Workload: wl, Strategy: st, Transfer: 8}, cycles)
 		}
 	}
-	rows, err := s.Figure2()
+	got, err := s.RenderSections(context.Background(), only("fig2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range rows {
-		if r.Err == "" {
-			t.Errorf("%s/%s: zero-cycle NP baseline produced a clean row (RelTime %v)", r.Workload, r.Strategy, r.RelTime)
-		}
-	}
-	got := RenderFigure2(rows, s.cfg.Transfers)
 	if strings.Contains(got, "NaN") {
 		t.Errorf("rendered Figure 2 contains NaN:\n%s", got)
 	}
-	if !strings.Contains(got, "0 cycles") {
-		t.Errorf("rendered Figure 2 does not explain the failed baseline:\n%s", got)
+	for _, wl := range WorkloadNames() {
+		if !strings.Contains(got, "Figure 2 ("+wl+"): omitted, cells failed") {
+			t.Errorf("%s: zero-cycle NP baseline did not omit the chart:\n%s", wl, got)
+		}
+	}
+	// One note per prefetching strategy and workload explains the baseline.
+	if n := strings.Count(got, ": NP baseline ran 0 cycles\n"); n != 20 {
+		t.Errorf("%d notes explain the failed baseline, want 20:\n%s", n, got)
 	}
 }
 
@@ -62,20 +59,26 @@ func TestTable5ZeroCycleBaseline(t *testing.T) {
 			seedResult(s, Key{Workload: wl, Strategy: st, Transfer: 8, Restructured: true}, 100)
 		}
 	}
-	rows, err := s.Table5()
+	got, err := s.RenderSections(context.Background(), only("table5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range rows {
-		if r.Err == "" {
-			t.Errorf("%s/%s: zero-cycle NP baseline produced a clean row (RelTime %v)", r.Workload, r.Strategy, r.RelTime)
-		}
-	}
-	got := RenderTable5(rows, s.cfg.Transfers)
 	if strings.Contains(got, "NaN") {
 		t.Errorf("rendered Table 5 contains NaN:\n%s", got)
+	}
+	rows := 0
+	for _, line := range strings.Split(got, "\n") {
+		if f := strings.Fields(line); len(f) == 3 && (f[0] == "topopt" || f[0] == "pverify") {
+			rows++
+			if f[2] != "—" {
+				t.Errorf("zero-cycle NP baseline produced a clean row %q", line)
+			}
+		}
+	}
+	if rows != 4 {
+		t.Errorf("%d PREF and PWS rows, want 4:\n%s", rows, got)
+	}
+	if n := strings.Count(got, ": NP baseline ran 0 cycles\n"); n != 4 {
+		t.Errorf("%d notes explain the failed baseline, want 4:\n%s", n, got)
 	}
 }

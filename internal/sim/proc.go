@@ -414,27 +414,13 @@ func (p *proc) onlineObserve(e trace.Event) {
 	}
 }
 
-// onlineIssue launches one engine candidate as a prefetch fetch, applying
-// the same residency filters as a prefetch instruction (prefetchOp). The
-// one difference is the full issue buffer: an instruction stalls the CPU
-// for a slot, an online engine just loses the candidate.
+// onlineIssue launches one engine candidate as a prefetch fetch, filtered
+// as a prefetch instruction is (prefetchOp). The one difference is the full
+// issue buffer: an instruction stalls the CPU for a slot, an online engine
+// just loses the candidate.
 func (p *proc) onlineIssue(c prefetch.Candidate) {
 	la := c.Line
-	if p.findInflight(la) != nil {
-		p.s.c.OnlineFiltered++
-		return
-	}
-	if l := p.cache.Lookup(la); l != nil && l.State.Valid() {
-		p.s.c.OnlineFiltered++
-		return
-	}
-	if p.victim != nil {
-		if vl := p.victim.Lookup(la); vl != nil && vl.State.Valid() {
-			p.s.c.OnlineFiltered++
-			return
-		}
-	}
-	if p.bufferIndex(la) >= 0 {
+	if inflight, held := p.prefetched(la); inflight || held {
 		p.s.c.OnlineFiltered++
 		return
 	}
@@ -910,23 +896,13 @@ func (p *proc) prefetchOp(a memory.Addr, excl bool) (blocked bool) {
 		p.stats.BusyCycles++
 	}
 	la := p.s.geom.LineAddr(a)
-	if p.findInflight(la) != nil {
+	switch inflight, held := p.prefetched(la); {
+	case inflight:
 		p.s.c.PrefetchMerged++
 		return false
-	}
-	if l := p.cache.Lookup(la); l != nil && l.State.Valid() {
-		// Hit: no bus operation, even for an exclusive prefetch of a
+	case held:
+		// A hit: no bus operation, even for an exclusive prefetch of a
 		// Shared line (paper §4.1, EXCL).
-		p.s.c.PrefetchCacheHits++
-		return false
-	}
-	if p.victim != nil {
-		if vl := p.victim.Lookup(la); vl != nil && vl.State.Valid() {
-			p.s.c.PrefetchCacheHits++
-			return false
-		}
-	}
-	if p.bufferIndex(la) >= 0 {
 		p.s.c.PrefetchCacheHits++
 		return false
 	}
@@ -938,6 +914,16 @@ func (p *proc) prefetchOp(a memory.Addr, excl bool) (blocked bool) {
 	delete(p.wasted, la) // a fresh prefetch supersedes the wasted record
 	p.startFetch(la, excl, p.s.geom.WordIndex(a), true, bus.Prefetch)
 	return false
+}
+
+// prefetched reports what makes a prefetch of line la redundant: the line
+// is in flight, or else it is held, valid in the data cache or the victim
+// cache, or in the prefetch buffer.
+func (p *proc) prefetched(la memory.Addr) (inflight, held bool) {
+	if p.findInflight(la) != nil {
+		return true, false
+	}
+	return false, p.cache.HoldsValid(la) || (p.victim != nil && p.victim.HoldsValid(la)) || p.bufferIndex(la) >= 0
 }
 
 // lockOp acquires the FCFS lock at a, performing the acquire's exclusive

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"busprefetch/internal/memory"
+	"busprefetch/internal/names"
 	"busprefetch/internal/trace"
 )
 
@@ -152,29 +153,10 @@ func All() []*Workload {
 
 // ByName returns the named workload (case-insensitive).
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
-		if equalFold(w.Name, name) {
-			return w, nil
-		}
+	all := All()
+	i, err := names.Parse("workload", names.List(all, func(w *Workload) string { return w.Name }), name)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	return nil, fmt.Errorf("workload: unknown workload %q", name)
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
+	return all[i], nil
 }

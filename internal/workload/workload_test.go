@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"busprefetch/internal/memory"
@@ -31,12 +32,20 @@ func TestAllWorkloadsListed(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	w, err := ByName("MP3D")
-	if err != nil || w.Name != "mp3d" {
-		t.Errorf("ByName(MP3D) = %v, %v", w, err)
+	// Names fold as strings.EqualFold folds them: "ſ" (U+017F) is an "s".
+	for in, want := range map[string]string{"MP3D": "mp3d", "Water": "water", "locuſ": "locus"} {
+		if w, err := ByName(in); err != nil || w.Name != want {
+			t.Errorf("ByName(%q) = %v, %v; want %s", in, w, err, want)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown workload accepted")
+	_, err := ByName("nope")
+	if err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	for _, w := range All() {
+		if !strings.Contains(err.Error(), w.Name) {
+			t.Errorf("ByName(nope) error %q does not list valid name %q", err, w.Name)
+		}
 	}
 }
 
