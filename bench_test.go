@@ -174,29 +174,30 @@ func BenchmarkTable5(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations regenerates three of the configuration-sensitivity
-// studies the paper describes in prose (cache size, line size, prefetch
-// placement) and reports their headline deltas.
+// BenchmarkAblations regenerates the ablations section — the
+// configuration-sensitivity studies the paper describes in prose — and
+// reports the headline deltas of three of them (cache size, line size,
+// prefetch placement).
 func BenchmarkAblations(b *testing.B) {
+	mp3d := func(st prefetch.Strategy, kb, line int) experiments.Key {
+		return experiments.Key{Workload: "mp3d", Strategy: st, Transfer: 8,
+			Geometry: memory.Geometry{CacheSize: kb * 1024, LineSize: line, Assoc: 1}}
+	}
+	invalShare := func(r *sim.Result) float64 {
+		return float64(r.Counters.InvalidationMisses()) / float64(r.Counters.TotalCPUMisses())
+	}
 	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		cacheRows, err := s.AblationCacheSize(context.Background(), "mp3d", []int{16, 128})
-		if err != nil {
-			b.Fatal(err)
+		s, _ := benchSection(b, "ablations")
+		small, large := benchCell(b, s, mp3d(prefetch.NP, 16, 32)), benchCell(b, s, mp3d(prefetch.NP, 128, 32))
+		b.ReportMetric(invalShare(large)-invalShare(small), "inval-share-gain-128KB")
+		short, long := benchCell(b, s, mp3d(prefetch.NP, 32, 16)), benchCell(b, s, mp3d(prefetch.NP, 32, 64))
+		if fs := short.FalseSharingMissRate(); fs > 0 {
+			b.ReportMetric(long.FalseSharingMissRate()/fs, "FS-growth-64B")
 		}
-		b.ReportMetric(cacheRows[1].InvalShare-cacheRows[0].InvalShare, "inval-share-gain-128KB")
-		lineRows, err := s.AblationLineSize(context.Background(), "mp3d", []int{16, 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if lineRows[0].FSMR > 0 {
-			b.ReportMetric(lineRows[1].FSMR/lineRows[0].FSMR, "FS-growth-64B")
-		}
-		placeRows, err := s.AblationPrefetchPlacement(context.Background(), "mp3d")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(placeRows[2].RelTime-placeRows[1].RelTime, "buffer-vs-cache-gap")
+		buffered := mp3d(prefetch.PREF, 32, 32)
+		buffered.Buffer = true
+		np, cache, buf := benchCell(b, s, mp3d(prefetch.NP, 32, 32)), benchCell(b, s, mp3d(prefetch.PREF, 32, 32)), benchCell(b, s, buffered)
+		b.ReportMetric(float64(buf.Cycles)/float64(np.Cycles)-float64(cache.Cycles)/float64(np.Cycles), "buffer-vs-cache-gap")
 	}
 }
 

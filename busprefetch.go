@@ -344,29 +344,34 @@ type Comparison struct {
 
 // Compare runs the given strategies (all five when none are named) on one
 // workload and architecture, returning them in order with execution times
-// relative to NP. The NP baseline is always included first.
+// relative to NP. The NP baseline is always included first, once. Every
+// name is parsed before the first run, so an unknown one fails before
+// anything simulates.
 func Compare(spec RunSpec, strategies ...string) ([]Comparison, error) {
 	if len(strategies) == 0 {
 		strategies = Strategies()
 	}
-	// Ensure NP is present and first.
-	ordered := []string{"NP"}
-	for _, s := range strategies {
-		if s != "NP" && s != "np" {
-			ordered = append(ordered, s)
+	ordered := []prefetch.Strategy{prefetch.NP}
+	for _, name := range strategies {
+		st, err := prefetch.ParseStrategy(name)
+		if err != nil {
+			return nil, err
+		}
+		if st != prefetch.NP {
+			ordered = append(ordered, st)
 		}
 	}
 	var out []Comparison
 	var npCycles uint64
-	for _, s := range ordered {
+	for _, st := range ordered {
 		spec := spec
-		spec.Strategy = s
+		spec.Strategy = st.String()
 		m, err := Run(spec)
 		if err != nil {
 			return nil, err
 		}
 		c := Comparison{Metrics: *m, RelativeTime: 1}
-		if s == "NP" {
+		if st == prefetch.NP {
 			npCycles = m.Cycles
 		} else if npCycles > 0 {
 			c.RelativeTime = float64(m.Cycles) / float64(npCycles)

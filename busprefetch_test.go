@@ -2,6 +2,8 @@ package busprefetch
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"busprefetch/internal/bus"
@@ -122,6 +124,28 @@ func TestCompareDefaultsToAllStrategies(t *testing.T) {
 	}
 	if len(results) != 5 {
 		t.Fatalf("results = %d, want all five strategies", len(results))
+	}
+}
+
+// TestCompareParsesNamesFirst: Compare recognizes NP in any case, so it
+// runs NP once, first, and it parses every name before the first run, so
+// an unknown name fails with its own error even where the first run would
+// fail on the spec.
+func TestCompareParsesNamesFirst(t *testing.T) {
+	results, err := Compare(RunSpec{Workload: "water", Scale: 0.05}, "Np", "pref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range results {
+		got = append(got, r.Strategy)
+	}
+	if !slices.Equal(got, []string{"NP", "PREF"}) {
+		t.Errorf("Compare(Np, pref) ran %v, want [NP PREF]", got)
+	}
+	_, err = Compare(RunSpec{Workload: "water", Scale: -1}, "PREF", "nosuch")
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Errorf("Compare with an unknown name and a bad scale: err = %v, want the unknown name named", err)
 	}
 }
 

@@ -23,7 +23,6 @@
 //	mkfigures -out results.md # also write a Markdown report
 //	mkfigures -bench-out bench.json  # per-cell wall clock of this run
 //	mkfigures -metrics-out METRICS_suite.json  # record prefetch-lifetime metrics
-//	mkfigures -trace-out mp3d.json -trace-cell mp3d/PREF/8  # Perfetto trace
 package main
 
 import (
@@ -76,8 +75,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		out        = fs.String("out", "", "also write the report to this file")
 		benchOut   = fs.String("bench-out", "", "write a JSON benchmark report (wall-clock per cell, trace-cache hit rate) to this file")
 		metricsOut = fs.String("metrics-out", "", "write the observability slice (prefetch lifetimes, latency histograms) as JSON to this file")
-		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of one cell to this file")
-		traceCell  = fs.String("trace-cell", "mp3d/PREF/8", "the workload/strategy/transfer cell -trace-out records")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		execTrace  = fs.String("exectrace", "", "write a runtime/trace execution trace to this file")
@@ -98,19 +95,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *only != "" && !experiments.ValidSection(*only) {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", *only, strings.Join(experiments.SectionNames(), ", "))
-	}
-	if *traceOut == "" {
-		// Catch a -trace-cell with no -trace-out: silently ignoring it would
-		// hide a typo'd invocation.
-		cellSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "trace-cell" {
-				cellSet = true
-			}
-		})
-		if cellSet {
-			return fmt.Errorf("-trace-cell has no effect without -trace-out")
-		}
 	}
 	machine, err := experiments.ParseMachine(0, *protoStr, *pfName, *icName, *buses, *discName)
 	if err == nil {
@@ -194,13 +178,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	if *metricsOut != "" {
-		cells, err := suite.Observability(ctx, nil)
+		metrics, err := suite.Metrics(ctx, cellErrs)
 		if err != nil {
 			return interruptHint(err, *resume)
-		}
-		metrics := runner.NewMetricsReport(*scale, *seed, experiments.MetricsCells(cells))
-		if cellErrs != nil {
-			metrics.SetErrors(cellErrs.Failures())
 		}
 		if err := metrics.WriteFile(*metricsOut); err != nil {
 			return err
@@ -210,22 +190,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		err = suite.RecordChromeTrace(*traceCell, f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "mkfigures: wrote %s (cell %s)\n", *traceOut, *traceCell)
-		}
-	}
 	return nil
 }
 

@@ -3,9 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,7 +28,6 @@ func TestRunBadFlags(t *testing.T) {
 		{"-interconnect", "nosuch"},
 		{"-discipline", "nosuch"},
 		{"-interconnect", "bus", "-buses", "2"}, // a single bus is one link
-		{"-trace-cell", "mp3d/PREF/8"},          // no -trace-out
 		{"stray-arg"},
 	}
 	for _, args := range cases {
@@ -56,65 +54,31 @@ func TestRunRejectsBadScale(t *testing.T) {
 	}
 }
 
-func TestRunBadTraceCell(t *testing.T) {
-	dir := t.TempDir()
-	cases := []string{
-		"mp3d",             // wrong arity
-		"mp3d/NOSUCH/8",    // unknown strategy
-		"mp3d/PREF/x",      // non-numeric transfer
-		"nosuch/PREF/8",    // unknown workload
-		"mp3d/PREF/999999", // transfer out of range
-	}
-	for _, cell := range cases {
+// TestRunMetricsOut runs a tiny suite slice with -metrics-out and checks
+// the file parses in its documented format, labelled with the effective
+// seed: the seed asked for, except that -seed 0 selects seed 1, as it does
+// for the cells.
+func TestRunMetricsOut(t *testing.T) {
+	for _, tc := range []struct{ seed, want int64 }{{7, 7}, {0, 1}} {
+		metrics := filepath.Join(t.TempDir(), "metrics.json")
 		var out bytes.Buffer
 		args := []string{"-q", "-only", "table1", "-scale", "0.02",
-			"-trace-out", filepath.Join(dir, "t.json"), "-trace-cell", cell}
-		if err := run(context.Background(), args, &out); err == nil {
-			t.Errorf("trace cell %q accepted, want error", cell)
+			"-seed", strconv.FormatInt(tc.seed, 10), "-metrics-out", metrics}
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestRunMetricsAndTraceOut runs a tiny suite slice with both observability
-// outputs and checks each file parses in its documented format.
-func TestRunMetricsAndTraceOut(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.json")
-	traceFile := filepath.Join(dir, "trace.json")
-	var out bytes.Buffer
-	args := []string{"-q", "-only", "table1", "-scale", "0.02", "-seed", "7",
-		"-metrics-out", metrics,
-		"-trace-out", traceFile, "-trace-cell", "water/PREF/8"}
-	if err := run(context.Background(), args, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := runner.ReadMetricsReport(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Scale != 0.02 || m.Seed != 7 || len(m.Cells) == 0 {
-		t.Errorf("metrics report header/cells wrong: scale %v seed %v cells %d", m.Scale, m.Seed, len(m.Cells))
-	}
-	for _, c := range m.Cells {
-		if c.Summary == nil {
-			t.Errorf("cell %s: nil summary", c.Cell)
+		m, err := runner.ReadMetricsReport(metrics)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	data, err := os.ReadFile(traceFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Ph string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &tf); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
-	}
-	if len(tf.TraceEvents) == 0 {
-		t.Error("trace file has no events")
+		if m.Scale != 0.02 || m.Seed != tc.want || len(m.Cells) == 0 {
+			t.Errorf("-seed %d: metrics report header/cells wrong: scale %v seed %v (want %d) cells %d",
+				tc.seed, m.Scale, m.Seed, tc.want, len(m.Cells))
+		}
+		for _, c := range m.Cells {
+			if c.Summary == nil {
+				t.Errorf("-seed %d: cell %s: nil summary", tc.seed, c.Cell)
+			}
+		}
 	}
 }

@@ -13,14 +13,14 @@
 // checkpoint store and one simulation under the per-cell timeout. A cell is
 // simulated once: its result is a pure function of the Key, scale and seed,
 // so a cell that fails fails the same way on every run, and the memo keeps
-// the failure instead of running it again. A section is
-// a key list plus a renderer, so cells that sections share (the grid cells
-// Figure 1, Table 2 and Figure 2 all read, the ablation rows on the paper's
-// machine, the grid cells the observability slice and the online oracle
-// rows read) simulate once. Every suite cell carries its obs summary, so no
-// section simulates a cell again to record it. Runs are independent and
-// execute in parallel across CPUs; results are deterministic regardless of
-// parallelism.
+// the failure instead of running it again. A section is one Suite method
+// that reads its cells through that executor and writes its table, so cells
+// that sections share (the grid cells Figure 1, Table 2 and Figure 2 all
+// read, the ablation rows on the paper's machine, the grid cells the
+// observability slice and the online oracle rows read) simulate once.
+// Every suite cell carries its obs summary, so no section simulates a cell
+// again to record it. Runs are independent and execute in parallel across
+// CPUs; results are deterministic regardless of parallelism.
 //
 // A Key is also the spec of every single simulation outside the suite:
 // Simulate is the one pipeline (Key, machine, the caller's configuration

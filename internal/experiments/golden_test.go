@@ -96,11 +96,11 @@ func TestGoldenProtocolT8Slice(t *testing.T) {
 		t.Skip("scale-1 protocol ablation in -short mode")
 	}
 	s := NewSuite(Config{Scale: 1, Seed: 1})
-	rows, err := s.AblationProtocol(context.Background(), "mp3d", []int{8})
+	got, err := s.ablation(context.Background(), protocolSweep("mp3d", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "golden_protocol_t8.txt", RenderAblation("Ablation: coherence protocols (mp3d, T=8)", rows))
+	goldenCompare(t, "golden_protocol_t8.txt", got)
 }
 
 // TestGoldenScale1Full asserts the entire default report — every table,

@@ -7,7 +7,6 @@ import (
 
 	"busprefetch/internal/interconnect"
 	"busprefetch/internal/prefetch"
-	"busprefetch/internal/runner"
 )
 
 // icRender runs the interconnect sweep on a reduced suite at the given
@@ -41,90 +40,52 @@ func TestInterconnectDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestInterconnectCells(t *testing.T) {
 	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: []int{8}})
-	cells, err := s.Interconnect(context.Background(), []int{8})
+	keys := s.interconnectKeys([]int{8})
+	res, err := s.results(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(InterconnectVariants()) * 2; len(cells) != want {
-		t.Fatalf("got %d cells, want %d", len(cells), want)
+	if want := len(icRungs) * 2; len(keys) != want {
+		t.Fatalf("got %d cells, want %d", len(keys), want)
 	}
-	// Canonical order: topology-major over InterconnectVariants × {NP, PREF}.
-	if cells[0].Label() != "mp3d/bus/NP/8" || cells[len(cells)-1].Label() != "mp3d/directory/PREF/8" {
-		t.Errorf("cells out of canonical order: first %s, last %s", cells[0].Label(), cells[len(cells)-1].Label())
+	// Canonical order: rung-major over icRungs × {NP, PREF}.
+	for i, k := range keys {
+		if k.Fabric != icRungs[i/2].cfg || k.Strategy != [2]prefetch.Strategy{prefetch.NP, prefetch.PREF}[i%2] {
+			t.Errorf("cell %d is %v, out of canonical order", i, k)
+		}
 	}
-	for _, c := range cells {
-		if c.Cycles == 0 {
-			t.Fatalf("%s: missing cycle count", c.Label())
+	links := map[string]int{}
+	for i, k := range keys {
+		r, label := res[i], icRungs[i/2].label+"/"+k.Strategy.String()
+		if r.Cycles == 0 {
+			t.Fatalf("%s: missing cycle count", label)
 		}
-		if c.Bus.TotalOps() == 0 {
-			t.Errorf("%s: fabric carried no transactions", c.Label())
+		if r.Bus.TotalOps() == 0 {
+			t.Errorf("%s: fabric carried no transactions", label)
 		}
-		if got := len(c.Links); c.Fabric.Kind == interconnect.SingleBus && got != 0 {
-			t.Errorf("%s: single bus reported %d per-link stats, want none", c.Label(), got)
+		if got := len(r.Links); k.Fabric.Kind == interconnect.SingleBus && got != 0 {
+			t.Errorf("%s: single bus reported %d per-link stats, want none", label, got)
 		}
-		if len(c.Links) > 0 {
+		if len(r.Links) > 0 {
 			var busy uint64
-			for _, l := range c.Links {
+			for _, l := range r.Links {
 				busy += l.BusyCycles
 			}
-			if busy != c.Bus.BusyCycles {
-				t.Errorf("%s: per-link busy cycles sum to %d, aggregate %d", c.Label(), busy, c.Bus.BusyCycles)
+			if busy != r.Bus.BusyCycles {
+				t.Errorf("%s: per-link busy cycles sum to %d, aggregate %d", label, busy, r.Bus.BusyCycles)
 			}
 		}
-		if u := c.Utilization(); u <= 0 || u > 1 {
-			t.Errorf("%s: utilization %f out of range", c.Label(), u)
+		if u := r.BusUtilization(); u <= 0 || u > 1 {
+			t.Errorf("%s: utilization %f out of range", label, u)
 		}
+		links[icRungs[i/2].label] = len(r.Links)
 	}
 	// The multi-link fabrics must report their per-link split.
-	byTopo := map[string]int{}
-	for _, c := range cells {
-		byTopo[c.Topology] = len(c.Links)
+	if links["dual"] != 2 || links["quad"] != 4 {
+		t.Errorf("multibus link stats: dual=%d quad=%d, want 2 and 4", links["dual"], links["quad"])
 	}
-	if byTopo["dual"] != 2 || byTopo["quad"] != 4 {
-		t.Errorf("multibus link stats: dual=%d quad=%d, want 2 and 4", byTopo["dual"], byTopo["quad"])
-	}
-	if byTopo["directory"] < 2 {
-		t.Errorf("directory reported %d links, want one per processor", byTopo["directory"])
-	}
-}
-
-// TestInterconnectCheckpointResume: interconnect cells resume from the store
-// too — the second sweep restores every cell, recomputes nothing, and renders
-// byte-identical output.
-func TestInterconnectCheckpointResume(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	store1, err := runner.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := NewSuite(resumeConfig(store1))
-	cells1, err := s1.Interconnect(ctx, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sweep's NP baselines are in-sweep, so it checkpoints exactly its
-	// own cells — no grid entries.
-	if puts := store1.Stats().Puts; puts != uint64(len(cells1)) {
-		t.Fatalf("first run checkpointed %d cells, want %d", puts, len(cells1))
-	}
-
-	store2, err := runner.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSuite(resumeConfig(store2))
-	cells2, err := s2.Interconnect(ctx, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := store2.Stats()
-	if stats.Hits != uint64(len(cells1)) || stats.Puts != 0 {
-		t.Errorf("resume hits=%d puts=%d, want all %d cells restored and none recomputed",
-			stats.Hits, stats.Puts, len(cells1))
-	}
-	if got, want := RenderInterconnect(cells2), RenderInterconnect(cells1); got != want {
-		t.Error("restored interconnect cells render differently")
+	if links["directory"] < 2 {
+		t.Errorf("directory reported %d links, want one per processor", links["directory"])
 	}
 }
 
@@ -134,7 +95,7 @@ func TestInterconnectCheckpointResume(t *testing.T) {
 func TestInterconnectSuiteConfigKeyed(t *testing.T) {
 	base := NewSuite(Config{Scale: 0.1, Seed: 1, Transfers: []int{8}})
 	multi := NewSuite(Config{Scale: 0.1, Seed: 1, Transfers: []int{8},
-		Interconnect: InterconnectVariants()[2].Cfg})
+		Interconnect: icRungs[2].cfg})
 	k := Key{Workload: "mp3d", Strategy: prefetch.NP, Transfer: 8}
 	a, b := base.cellKey(base.onSuite(k)), multi.cellKey(multi.onSuite(k))
 	if a == b {
@@ -156,9 +117,9 @@ func TestGoldenInterconnectT8(t *testing.T) {
 		t.Skip("scale-1 interconnect slice in -short mode")
 	}
 	s := NewSuite(Config{Scale: 1, Seed: 1})
-	cells, err := s.Interconnect(context.Background(), []int{8})
+	got, err := s.interconnect(context.Background(), []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "golden_interconnect_t8.txt", RenderInterconnect(cells))
+	goldenCompare(t, "golden_interconnect_t8.txt", got)
 }

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"busprefetch/internal/runner"
 )
 
 // obsRender runs the observability slice on a reduced suite at the given
@@ -33,32 +37,46 @@ func TestObservabilityDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestObservabilityCells(t *testing.T) {
-	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: []int{8}})
-	cells, err := s.Observability(context.Background(), nil)
+	s := NewSuite(Config{Scale: 0.05, Transfers: []int{8}})
+	keys := s.obsKeys(Figure3Workloads())
+	res, err := s.results(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(Figure3Workloads()) * len(ObsStrategies()); len(cells) != want {
-		t.Fatalf("got %d cells, want %d", len(cells), want)
+	if want := len(Figure3Workloads()) * 4; len(keys) != want {
+		t.Fatalf("got %d cells, want %d", len(keys), want)
 	}
-	for _, c := range cells {
-		if c.Summary == nil {
-			t.Fatalf("%s: nil summary", c.Label())
+	// Canonical order: workload-major over Figure3Workloads × PREF, EXCL,
+	// LPD, PWS.
+	if first, last := keys[0].String(), keys[len(keys)-1].String(); first != "topopt/PREF/T=8" || last != "mp3d/PWS/T=8" {
+		t.Errorf("cells out of canonical order: first %s, last %s", first, last)
+	}
+	for i, k := range keys {
+		sum := res[i].Obs
+		if sum == nil {
+			t.Fatalf("%v: nil summary", k)
 		}
-		if c.Summary.LifetimesTotal() == 0 {
-			t.Errorf("%s: no prefetch lifetimes recorded for a prefetching strategy", c.Label())
+		if sum.LifetimesTotal() == 0 {
+			t.Errorf("%v: no prefetch lifetimes recorded for a prefetching strategy", k)
 		}
-		if c.Summary.IssueToFill.Samples == 0 {
-			t.Errorf("%s: no issue→fill samples", c.Label())
+		if sum.IssueToFill.Samples == 0 {
+			t.Errorf("%v: no issue→fill samples", k)
 		}
 	}
-	// Canonical order: workload-major over Figure3Workloads × ObsStrategies.
-	if cells[0].Label() != "topopt/PREF/8" || cells[len(cells)-1].Label() != "mp3d/PWS/8" {
-		t.Errorf("cells out of canonical order: first %s, last %s", cells[0].Label(), cells[len(cells)-1].Label())
+	// The metrics report carries each cell's summary under its label, and
+	// the suite's effective seed: the zero Seed selects seed 1.
+	m, err := s.Metrics(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := MetricsCells(cells)
-	if len(m) != len(cells) || m[0].Cell != cells[0].Label() || m[0].Summary != cells[0].Summary {
-		t.Error("MetricsCells lost cells or reordered them")
+	if m.Scale != 0.05 || m.Seed != 1 || len(m.Cells) != len(keys) || m.Errors != nil {
+		t.Fatalf("metrics report: scale %v seed %v, %d cells, errors %v", m.Scale, m.Seed, len(m.Cells), m.Errors)
+	}
+	for i, k := range keys {
+		label := fmt.Sprintf("%s/%s/%d", k.Workload, k.Strategy, k.Transfer)
+		if !slices.ContainsFunc(m.Cells, func(c runner.CellMetrics) bool { return c.Cell == label && c.Summary == res[i].Obs }) {
+			t.Errorf("metrics report lacks %s's summary", label)
+		}
 	}
 }
 

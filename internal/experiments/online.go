@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"busprefetch/internal/obs"
 	"busprefetch/internal/prefetch"
 	"busprefetch/internal/report"
-	"busprefetch/internal/sim"
 )
 
 // The online section asks the question the oracle annotator cannot: does the
@@ -22,60 +19,21 @@ import (
 // relative times read off the same ruler as Figure 2. With the default
 // Prefetcher the oracle rows are grid PREF cells wherever the grid sweeps
 // their transfer (at T=8, the observability slice's too), so only the
-// engine rows simulate.
+// engine rows simulate. The oracle row annotates PREF offline; an engine
+// row replays the bare demand stream and lets the engine issue at
+// simulation time under the same PREF discipline, so the two differ only in
+// *when* the prefetch decision is made.
 
-// OnlineTransfers lists the data-transfer costs the online section sweeps:
+// onlineTransfers are the data-transfer costs the online section sweeps:
 // the paper's headline T=8 point and the bus-saturated T=32 extreme, where
 // the limitation argument is sharpest.
-func OnlineTransfers() []int { return []int{8, 32} }
+var onlineTransfers = []int{8, 32}
 
-// OnlineRow is one row of the online-vs-oracle sweep: a (workload,
-// prefetcher, transfer) triple's execution time, miss counters, engine
-// bookkeeping, and recorded prefetch lifetimes.
-type OnlineRow struct {
-	Workload string
-	Engine   prefetch.Kind
-	Transfer int
-	// Cycles is the row's parallel execution time; NPCycles is the grid's
-	// no-prefetching baseline at the same transfer cost (the relative-time
-	// denominator).
-	Cycles   uint64
-	NPCycles uint64
-	// Counters is the run's full counter block (miss rates, online issue
-	// accounting).
-	Counters sim.Counters
-	// Summary is the obs lifetime/latency record.
-	Summary *obs.Summary
-	// Stats is the engine's own bookkeeping; nil on the oracle row.
-	Stats *prefetch.EngineStats
-}
-
-// Label returns the row's label, "workload/engine/transfer".
-func (r OnlineRow) Label() string {
-	return fmt.Sprintf("%s/%s/%d", r.Workload, r.Engine, r.Transfer)
-}
-
-// RelativeTime returns the row's execution time relative to the NP baseline
-// (the paper's headline metric; below 1 is a speedup).
-func (r OnlineRow) RelativeTime() float64 {
-	if r.NPCycles == 0 {
-		return 0
-	}
-	return float64(r.Cycles) / float64(r.NPCycles)
-}
-
-// onlineKeys returns the sweep's n cells — the Figure 3 workloads
-// (or the given ones) under every prefetcher kind at OnlineTransfers (or the
-// given transfers), in canonical (workload-major, then kind, then transfer)
-// order, each running PREF on the suite's machine — followed by the n grid
-// NP baselines they normalize against, in the same order.
+// onlineKeys returns the sweep's n cells — the given workloads under every
+// prefetcher kind at the given transfers, in workload-major, then kind,
+// then transfer order, each running PREF on the suite's machine — followed
+// by the n grid NP baselines they normalize against, in the same order.
 func (s *Suite) onlineKeys(workloads []string, transfers []int) []Key {
-	if len(workloads) == 0 {
-		workloads = Figure3Workloads()
-	}
-	if len(transfers) == 0 {
-		transfers = OnlineTransfers()
-	}
 	kinds := prefetch.Kinds()
 	n := len(workloads) * len(kinds) * len(transfers)
 	keys := make([]Key, 0, 2*n)
@@ -94,58 +52,26 @@ func (s *Suite) onlineKeys(workloads []string, transfers []int) []Key {
 	return keys
 }
 
-// Online runs the online-vs-oracle sweep on the suite's worker pool and
-// returns its rows in canonical order. The oracle row annotates PREF
-// offline; an engine row replays the bare demand stream and lets the engine
-// issue at simulation time under the same PREF discipline, so the two
-// differ only in *when* the prefetch decision is made.
-func (s *Suite) Online(ctx context.Context, workloads []string, transfers []int) ([]OnlineRow, error) {
+// online runs the sweep on the suite's worker pool and writes one row per
+// cell: the execution time relative to the NP baseline, the adjusted miss
+// rate, and the prefetch-fate columns, so oracle and engine rows read off
+// the same ruler.
+func (s *Suite) online(ctx context.Context, workloads []string, transfers []int) (string, error) {
 	keys := s.onlineKeys(workloads, transfers)
 	res, err := s.results(ctx, keys)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
+	t := report.NewTable("Online engines vs oracle annotation (PREF discipline)",
+		append([]string{"Workload", "Engine", "T", "Rel.time", "adj MR"}, fateHeaders...)...)
 	n := len(keys) / 2
-	rows := make([]OnlineRow, n)
 	for i, k := range keys[:n] {
-		r := res[i]
-		rows[i] = OnlineRow{Workload: k.Workload, Engine: k.Prefetcher, Transfer: k.Transfer,
-			Cycles: r.Cycles, NPCycles: res[n+i].Cycles, Counters: r.Counters, Summary: r.Obs, Stats: r.Online}
-	}
-	return rows, nil
-}
-
-// RenderOnline formats the online section: one row per cell with the
-// relative execution time, the adjusted miss rate, and the recorded
-// prefetch-fate taxonomy, so oracle and engine rows read off the same
-// ruler.
-func RenderOnline(rows []OnlineRow) string {
-	t := report.NewTable(
-		"Online engines vs oracle annotation (PREF discipline)",
-		"Workload", "Engine", "T", "Rel.time", "adj MR", "Fetched",
-		"Useful", "Late", "Evicted", "Inval", "Unused",
-		"Acc", "Timely", "Cover")
-	for _, c := range rows {
-		s := c.Summary
-		total := s.LifetimesTotal()
-		share := func(class obs.LifetimeClass) string {
-			if total == 0 {
-				return "—"
-			}
-			return fmt.Sprintf("%.1f%%", 100*float64(s.LifetimeCount(class))/float64(total))
+		rel := 0.0
+		if np := res[n+i].Cycles; np > 0 {
+			rel = float64(res[i].Cycles) / float64(np)
 		}
-		adjMR := 0.0
-		if refs := c.Counters.DemandRefs(); refs > 0 {
-			adjMR = float64(c.Counters.AdjustedCPUMisses()) / float64(refs)
-		}
-		t.AddRow(c.Workload, c.Engine.String(), fmt.Sprintf("%d", c.Transfer),
-			fmt.Sprintf("%.3f", c.RelativeTime()),
-			fmt.Sprintf("%.4f", adjMR),
-			fmt.Sprintf("%d", total),
-			share(obs.LifeUseful), share(obs.LifeLate), share(obs.LifeEvicted),
-			share(obs.LifeInvalidated), share(obs.LifeUnused),
-			fmt.Sprintf("%.2f", s.Accuracy()), fmt.Sprintf("%.2f", s.Timeliness()),
-			fmt.Sprintf("%.2f", s.Coverage(c.Counters.AdjustedCPUMisses())))
+		t.AddRow(append([]interface{}{k.Workload, k.Prefetcher.String(), k.Transfer, rel,
+			f4(res[i].AdjustedCPUMissRate())}, fates(res[i])...)...)
 	}
-	return t.String()
+	return t.String(), nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"busprefetch/internal/interconnect"
 	"busprefetch/internal/prefetch"
-	"busprefetch/internal/runner"
 )
 
 // onlineRender runs the online-vs-oracle sweep on a reduced suite at the
@@ -38,46 +37,50 @@ func TestOnlineDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestOnlineCells(t *testing.T) {
 	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: []int{8}})
-	cells, err := s.Online(context.Background(), nil, []int{8})
+	keys := s.onlineKeys(Figure3Workloads(), []int{8})
+	res, err := s.results(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(Figure3Workloads()) * len(prefetch.Kinds()); len(cells) != want {
-		t.Fatalf("got %d cells, want %d", len(cells), want)
+	n := len(keys) / 2
+	if want := len(Figure3Workloads()) * len(prefetch.Kinds()); n != want {
+		t.Fatalf("got %d cells, want %d", n, want)
 	}
 	// Canonical order: workload-major over Figure3Workloads × Kinds.
-	if cells[0].Label() != "topopt/oracle/8" || cells[len(cells)-1].Label() != "mp3d/pointer/8" {
-		t.Errorf("cells out of canonical order: first %s, last %s", cells[0].Label(), cells[len(cells)-1].Label())
+	if first, last := keys[0].String(), keys[n-1].String(); first != "topopt/PREF/T=8" || last != "mp3d/PREF/T=8 pf=pointer" {
+		t.Errorf("cells out of canonical order: first %s, last %s", first, last)
 	}
-	for _, c := range cells {
-		if c.Summary == nil {
-			t.Fatalf("%s: nil summary", c.Label())
+	for i, k := range keys[:n] {
+		r, np := res[i], keys[n+i]
+		if np.Workload != k.Workload || np.Strategy != prefetch.NP || np.Transfer != k.Transfer || np.Prefetcher != prefetch.Oracle {
+			t.Errorf("%v: NP baseline %v", k, np)
 		}
-		if c.NPCycles == 0 || c.Cycles == 0 {
-			t.Errorf("%s: missing cycle counts (cycles=%d, NP=%d)", c.Label(), c.Cycles, c.NPCycles)
+		if r.Obs == nil {
+			t.Fatalf("%v: nil summary", k)
 		}
-		if c.Engine.Online() {
-			if c.Stats == nil {
-				t.Fatalf("%s: engine cell carries no engine stats", c.Label())
+		if res[n+i].Cycles == 0 || r.Cycles == 0 {
+			t.Errorf("%v: missing cycle counts (cycles=%d, NP=%d)", k, r.Cycles, res[n+i].Cycles)
+		}
+		if k.Prefetcher.Online() {
+			if r.Online == nil {
+				t.Fatalf("%v: engine cell carries no engine stats", k)
 			}
-			cnt := &c.Counters
+			cnt := &r.Counters
 			if got := cnt.OnlineIssued + cnt.OnlineFiltered + cnt.OnlineDropped; got != cnt.OnlineEmitted {
-				t.Errorf("%s: online accounting leak: issued+filtered+dropped=%d, emitted=%d",
-					c.Label(), got, cnt.OnlineEmitted)
+				t.Errorf("%v: online accounting leak: issued+filtered+dropped=%d, emitted=%d", k, got, cnt.OnlineEmitted)
 			}
-			if uint64(c.Summary.LifetimesTotal()) != cnt.OnlineIssued {
-				t.Errorf("%s: obs recorded %d prefetch lifetimes, simulator issued %d",
-					c.Label(), c.Summary.LifetimesTotal(), cnt.OnlineIssued)
+			if r.Obs.LifetimesTotal() != cnt.OnlineIssued {
+				t.Errorf("%v: obs recorded %d prefetch lifetimes, simulator issued %d", k, r.Obs.LifetimesTotal(), cnt.OnlineIssued)
 			}
 		} else {
-			if c.Stats != nil {
-				t.Errorf("%s: oracle cell carries engine stats", c.Label())
+			if r.Online != nil {
+				t.Errorf("%v: oracle cell carries engine stats", k)
 			}
-			if c.Summary.LifetimesTotal() == 0 {
-				t.Errorf("%s: oracle run recorded no prefetch lifetimes", c.Label())
+			if r.Obs.LifetimesTotal() == 0 {
+				t.Errorf("%v: oracle run recorded no prefetch lifetimes", k)
 			}
-			if c.Counters.OnlineEmitted != 0 {
-				t.Errorf("%s: oracle run counted %d online emissions", c.Label(), c.Counters.OnlineEmitted)
+			if r.Counters.OnlineEmitted != 0 {
+				t.Errorf("%v: oracle run counted %d online emissions", k, r.Counters.OnlineEmitted)
 			}
 		}
 	}
@@ -85,74 +88,38 @@ func TestOnlineCells(t *testing.T) {
 
 // TestOnlineOracleMatchesFigure2UnderFabric: the online oracle rows run on
 // the grid's machine, fabric included, so on a quad-bus suite each oracle
-// row's relative time must equal Figure 2's PREF ratio at that transfer —
-// the row and its NP baseline are the same two simulations Figure 2 divides.
+// row and its NP baseline must be the very two simulations Figure 2 divides
+// at that transfer — the same memoized results, so the row's relative time
+// is Figure 2's PREF ratio exactly.
 func TestOnlineOracleMatchesFigure2UnderFabric(t *testing.T) {
-	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: OnlineTransfers(),
+	s := NewSuite(Config{Scale: 0.05, Seed: 1, Transfers: onlineTransfers,
 		Interconnect: interconnect.Config{Kind: interconnect.MultiBus, Links: 4}})
-	rows, err := s.Online(context.Background(), nil, nil)
+	keys := s.onlineKeys(Figure3Workloads(), onlineTransfers)
+	res, err := s.results(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
-	for _, r := range rows {
-		if r.Engine != prefetch.Oracle {
+	n, checked := len(keys)/2, 0
+	for i, k := range keys[:n] {
+		if k.Prefetcher != prefetch.Oracle {
 			continue
 		}
-		np, err := s.grid(Key{Workload: r.Workload, Strategy: prefetch.NP, Transfer: r.Transfer})
+		np, err := s.grid(Key{Workload: k.Workload, Strategy: prefetch.NP, Transfer: k.Transfer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pref, err := s.grid(Key{Workload: r.Workload, Strategy: prefetch.PREF, Transfer: r.Transfer})
+		pref, err := s.grid(Key{Workload: k.Workload, Strategy: prefetch.PREF, Transfer: k.Transfer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, w := r.RelativeTime(), float64(pref.Cycles)/float64(np.Cycles); got != w {
-			t.Errorf("%s: online oracle relative time %.3f, Figure 2 PREF %.3f", r.Label(), got, w)
+		if res[i] != pref || res[n+i] != np {
+			t.Errorf("%v: online oracle row (%d cycles, NP %d) is not Figure 2's PREF/NP pair (%d cycles, NP %d)",
+				k, res[i].Cycles, res[n+i].Cycles, pref.Cycles, np.Cycles)
 		}
 		checked++
 	}
-	if want := len(Figure3Workloads()) * len(OnlineTransfers()); checked != want {
+	if want := len(Figure3Workloads()) * len(onlineTransfers); checked != want {
 		t.Errorf("checked %d oracle rows, want %d", checked, want)
-	}
-}
-
-// TestOnlineCheckpointResume: online cells resume from the store too — the
-// second sweep restores every recorded cell, recomputes nothing, and renders
-// byte-identical output.
-func TestOnlineCheckpointResume(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	store1, err := runner.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := NewSuite(resumeConfig(store1))
-	cells1, err := s1.Online(ctx, []string{"mp3d"}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The sweep checkpoints its own cells plus the NP grid baseline.
-	if puts := store1.Stats().Puts; puts != uint64(len(cells1))+1 {
-		t.Fatalf("first run checkpointed %d cells, want %d online + 1 NP baseline", puts, len(cells1))
-	}
-
-	store2, err := runner.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSuite(resumeConfig(store2))
-	cells2, err := s2.Online(ctx, []string{"mp3d"}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := store2.Stats()
-	if stats.Hits != uint64(len(cells1))+1 || stats.Puts != 0 {
-		t.Errorf("resume hits=%d puts=%d, want all %d cells restored and none recomputed",
-			stats.Hits, stats.Puts, len(cells1)+1)
-	}
-	if got, want := RenderOnline(cells2), RenderOnline(cells1); got != want {
-		t.Error("restored online cells render differently")
 	}
 }
 
@@ -164,9 +131,9 @@ func TestGoldenOnlineT8(t *testing.T) {
 		t.Skip("scale-1 online slice in -short mode")
 	}
 	s := NewSuite(Config{Scale: 1, Seed: 1})
-	cells, err := s.Online(context.Background(), nil, []int{8})
+	got, err := s.online(context.Background(), Figure3Workloads(), []int{8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenCompare(t, "golden_online_t8.txt", RenderOnline(cells))
+	goldenCompare(t, "golden_online_t8.txt", got)
 }

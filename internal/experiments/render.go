@@ -42,38 +42,29 @@ var sections = []section{
 	{"table4", gridSection((*Suite).table4)},
 	{"table5", gridSection((*Suite).table5)},
 	{"ablations", func(s *Suite, ctx context.Context) (string, error) {
-		var bodies []string
-		for _, sw := range reportSweeps {
-			rows, err := s.rows(ctx, sw)
-			if err != nil {
+		bodies := make([]string, len(reportSweeps))
+		for i, sw := range reportSweeps {
+			var err error
+			if bodies[i], err = s.ablation(ctx, sw); err != nil {
 				return "", err
 			}
-			bodies = append(bodies, RenderAblation(sw.title, rows))
 		}
 		return strings.Join(bodies, "\n"), nil
 	}},
 	// The three-way coherence ablation is its own section so the golden
 	// harness can pin it (testdata/golden_protocol_t8.txt) without
 	// re-running the other sweeps.
-	{"protocols", func(s *Suite, ctx context.Context) (string, error) {
-		rows, err := s.rows(ctx, reportProtocols)
-		return RenderAblation(reportProtocols.title, rows), err
-	}},
+	{"protocols", func(s *Suite, ctx context.Context) (string, error) { return s.ablation(ctx, reportProtocols) }},
 	// The observability, online and interconnect sections each have their
 	// own golden file (testdata/golden_{obs,online,interconnect}_t8.txt)
 	// pinning the T=8 point without re-running the grid.
 	{"observability", func(s *Suite, ctx context.Context) (string, error) {
-		rows, err := s.Observability(ctx, nil)
-		return RenderObservability(rows), err
+		return s.observability(ctx, Figure3Workloads())
 	}},
 	{"online", func(s *Suite, ctx context.Context) (string, error) {
-		rows, err := s.Online(ctx, nil, nil)
-		return RenderOnline(rows), err
+		return s.online(ctx, Figure3Workloads(), onlineTransfers)
 	}},
-	{"interconnect", func(s *Suite, ctx context.Context) (string, error) {
-		rows, err := s.Interconnect(ctx, nil)
-		return RenderInterconnect(rows), err
-	}},
+	{"interconnect", func(s *Suite, ctx context.Context) (string, error) { return s.interconnect(ctx, icTransfers) }},
 }
 
 // SectionNames lists the report sections in presentation order; these are

@@ -164,38 +164,72 @@ func TestResumeTornWriteSelfHeals(t *testing.T) {
 	}
 }
 
-// TestObservabilityCheckpointResume: the recorded observability cells resume
-// from the store too, and a restored cell renders byte-identical output.
-func TestObservabilityCheckpointResume(t *testing.T) {
-	ctx := context.Background()
+// checkSweepResume renders a sweep section twice over one checkpoint
+// directory, each time in a fresh suite (the way a new process would): the
+// first render must checkpoint each distinct cell of keys once, and the
+// second must restore every one of them, recompute none, and render
+// byte-identical output. Sweep cells take the same checkpoint path as the
+// grid's.
+func checkSweepResume(t *testing.T, keys func(*Suite) []Key, render func(*Suite, context.Context) (string, error)) {
+	t.Helper()
+	distinct := map[Key]bool{}
+	for _, k := range keys(NewSuite(resumeConfig(nil))) {
+		distinct[k.canonical()] = true
+	}
+	n := uint64(len(distinct))
 	dir := t.TempDir()
-	store1, err := runner.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	var out [2]string
+	for run, want := range [2]runner.CheckpointStats{{Puts: n}, {Hits: n}} {
+		store, err := runner.OpenCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[run], err = render(NewSuite(resumeConfig(store)), context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := store.Stats(); got.Hits != want.Hits || got.Puts != want.Puts {
+			t.Fatalf("run %d: hits=%d puts=%d, want hits=%d puts=%d", run+1, got.Hits, got.Puts, want.Hits, want.Puts)
+		}
 	}
-	s1 := NewSuite(resumeConfig(store1))
-	cells1, err := s1.Observability(ctx, []string{"mp3d"})
-	if err != nil {
-		t.Fatal(err)
+	if out[1] != out[0] {
+		t.Errorf("restored cells render differently:\n--- first ---\n%s\n--- restored ---\n%s", out[0], out[1])
 	}
-	if puts := store1.Stats().Puts; puts != uint64(len(cells1)) {
-		t.Fatalf("first run checkpointed %d of %d obs cells", puts, len(cells1))
-	}
+}
 
-	store2, err := runner.OpenCheckpointStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSuite(resumeConfig(store2))
-	cells2, err := s2.Observability(ctx, []string{"mp3d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := store2.Stats()
-	if stats.Hits != uint64(len(cells1)) || stats.Puts != 0 {
-		t.Errorf("resume hits=%d puts=%d, want all %d cells restored", stats.Hits, stats.Puts, len(cells1))
-	}
-	if got, want := RenderObservability(cells2), RenderObservability(cells1); got != want {
-		t.Error("restored observability cells render differently")
-	}
+// TestAblationCheckpointResume: the ablation sweeps share some cells
+// (every default-geometry mp3d/NP row is one cell), and each distinct cell
+// is checkpointed once.
+func TestAblationCheckpointResume(t *testing.T) {
+	checkSweepResume(t, func(*Suite) []Key {
+		var keys []Key
+		for _, sw := range reportSweeps {
+			keys = append(keys, sw.keys...)
+		}
+		return keys
+	}, func(s *Suite, ctx context.Context) (string, error) { return s.RenderSections(ctx, only("ablations")) })
+}
+
+// TestObservabilityCheckpointResume: the recorded observability cells
+// resume with their summaries.
+func TestObservabilityCheckpointResume(t *testing.T) {
+	mp3d := []string{"mp3d"}
+	checkSweepResume(t, func(s *Suite) []Key { return s.obsKeys(mp3d) },
+		func(s *Suite, ctx context.Context) (string, error) { return s.observability(ctx, mp3d) })
+}
+
+// TestOnlineCheckpointResume: the online sweep checkpoints its own cells
+// plus the NP grid baseline, and restores them with their engine stats.
+func TestOnlineCheckpointResume(t *testing.T) {
+	mp3d, t8 := []string{"mp3d"}, []int{8}
+	checkSweepResume(t, func(s *Suite) []Key { return s.onlineKeys(mp3d, t8) },
+		func(s *Suite, ctx context.Context) (string, error) { return s.online(ctx, mp3d, t8) })
+}
+
+// TestInterconnectCheckpointResume: the ladder's NP baselines are
+// in-sweep, so it checkpoints exactly its own cells, per-link stats
+// included.
+func TestInterconnectCheckpointResume(t *testing.T) {
+	t8 := []int{8}
+	checkSweepResume(t, func(s *Suite) []Key { return s.interconnectKeys(t8) },
+		func(s *Suite, ctx context.Context) (string, error) { return s.interconnect(ctx, t8) })
 }

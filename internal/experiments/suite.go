@@ -28,12 +28,11 @@ import (
 //
 //   - the grid (Figures 1-3, Tables 2-5, and the online section's NP
 //     baselines) runs on MemLatency, Protocol, Prefetcher and Interconnect;
-//   - the observability slice, the online rows and the -trace-cell export
-//     run on MemLatency, Protocol and Interconnect, so they measure the
-//     same machine as the grid cells they sit beside; the observability
-//     slice and the export take the oracle prefetcher (with the default
-//     Prefetcher they are grid cells), and the online section sweeps
-//     prefetchers itself;
+//   - the observability slice and the online rows run on MemLatency,
+//     Protocol and Interconnect, so they measure the same machine as the
+//     grid cells they sit beside; the observability slice takes the oracle
+//     prefetcher (with the default Prefetcher its cells are grid cells),
+//     and the online section sweeps prefetchers itself;
 //   - the interconnect ladder runs on MemLatency and Protocol and sweeps its
 //     own fabrics, with the oracle prefetcher;
 //   - the ablations and protocols sections run on the paper's machine and
@@ -357,31 +356,27 @@ func machine(k Key) (sim.Config, prefetch.Options) {
 
 // simulate runs the uncached cell k through Simulate, with the
 // suite's own lookups: the cached source of k's workload variant, the
-// memoized sharing profile, and PerRun. Every suite cell records: the
-// recorder is built with rec and returned beside the result, whose Obs
-// carries its summary.
-func (s *Suite) simulate(ctx context.Context, k Key, rec obs.Options) (*sim.Result, *obs.Recorder, error) {
+// memoized sharing profile, and PerRun. Every suite cell records, so the
+// result's Obs carries its summary.
+func (s *Suite) simulate(ctx context.Context, k Key) (*sim.Result, error) {
 	// The trace is generated at the cell's own geometry so the layouts
 	// (conflict-pair placement, padding) stay consistent with the simulated
 	// cache; the trace cache keys on geometry, so every cell at the default
 	// shape shares one plan.
 	src, _, err := s.sourceFor(ctx, k.Workload, k.Restructured, k.Geometry)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var recorder *obs.Recorder
-	res, err := Simulate(ctx, k, src, func(cfg *sim.Config) {
+	return Simulate(ctx, k, src, func(cfg *sim.Config) {
 		if s.cfg.PerRun != nil {
 			s.cfg.PerRun(k, cfg)
 		}
-		recorder = obs.New(src.Procs(), rec)
-		cfg.Obs = recorder
+		cfg.Obs = obs.New(src.Procs(), obs.Options{})
 	}, func(g memory.Geometry) (*trace.SharingProfile, error) {
 		// Memoized per (trace, geometry), so the cells that share the
 		// whole-stream pre-pass analyze once.
 		return s.traces.SharingProfile(ctx, s.traceKey(k.Workload, k.Restructured, k.Geometry), g, src)
 	})
-	return res, recorder, err
 }
 
 // Simulate runs the cell k once over src, the unannotated source of k's
@@ -453,7 +448,7 @@ func (s *Suite) cell(ctx context.Context, k Key) (*sim.Result, bool, error) {
 			runCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 			defer cancel()
 		}
-		res, _, err := s.simulate(runCtx, k, obs.Options{})
+		res, err := s.simulate(runCtx, k)
 		if err != nil {
 			// A failure while the sweep itself was cancelled is
 			// circumstantial: forget it so a resume recomputes the cell.

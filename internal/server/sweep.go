@@ -190,14 +190,8 @@ func computeSweep(ctx context.Context, j *Job, p sweepPlan) (payload []byte, cac
 	}
 	result := SweepResult{Report: text + "\n", Bench: suite.Bench(time.Since(start))}
 	if p.metrics {
-		cells, err := suite.Observability(ctx, nil)
-		if err != nil {
+		if result.Metrics, err = suite.Metrics(ctx, cellErrs); err != nil {
 			return nil, false, err
-		}
-		cfg := suite.Config()
-		result.Metrics = runner.NewMetricsReport(cfg.Scale, cfg.Seed, experiments.MetricsCells(cells))
-		if cellErrs != nil {
-			result.Metrics.SetErrors(cellErrs.Failures())
 		}
 	}
 	if cellErrs != nil {

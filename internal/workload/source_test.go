@@ -2,6 +2,7 @@ package workload
 
 import (
 	"iter"
+	"regexp"
 	"runtime"
 	"testing"
 
@@ -88,26 +89,50 @@ func TestBreakStopsProducer(t *testing.T) {
 }
 
 // TestDrainRunsNoGoroutine: a whole-stream drain runs the generator and
-// the annotator as ordinary calls on the draining goroutine, so inside
-// the loop body of a drain over an annotated source the goroutine count
-// is the one before the drain.
+// the annotator as ordinary calls on the draining goroutine, so inside the
+// loop body of a drain over an annotated source no goroutine is alive that
+// was not alive before the drain. It compares goroutine IDs, not counts:
+// a goroutine an earlier test left behind may exit during the drain
+// without failing it, and one that starts while another exits still fails
+// it.
 func TestDrainRunsNoGoroutine(t *testing.T) {
-	var counts []int
-	src := &probeSource{Source: annotated(t, mp3dSource(t)), each: func() {
-		counts = append(counts, runtime.NumGoroutine())
-	}}
-	before := runtime.NumGoroutine()
+	var before map[string]bool
+	fresh := map[string]int{} // a goroutine's ID → the first chunk it was alive at
+	src := &probeSource{Source: annotated(t, mp3dSource(t))}
+	src.each = func() {
+		for id := range goroutineIDs() {
+			if _, seen := fresh[id]; !before[id] && !seen {
+				fresh[id] = src.chunks
+			}
+		}
+	}
+	before = goroutineIDs()
 	if _, _, err := trace.CountEvents(src); err != nil {
 		t.Fatal(err)
 	}
-	if len(counts) < src.Procs() {
-		t.Fatalf("the drain saw %d chunks from %d streams", len(counts), src.Procs())
+	if src.chunks < src.Procs() {
+		t.Fatalf("the drain saw %d chunks from %d streams", src.chunks, src.Procs())
 	}
-	for i, n := range counts {
-		if n != before {
-			t.Fatalf("chunk %d: %d goroutines inside the drain, %d before it", i, n, before)
-		}
+	for id, chunk := range fresh {
+		t.Errorf("goroutine %s is alive inside the drain at chunk %d but was not before it", id, chunk)
 	}
+}
+
+// goroutineHeader matches the first line of each goroutine's stack, which
+// carries its ID.
+var goroutineHeader = regexp.MustCompile(`(?m)^goroutine (\d+) `)
+
+// goroutineIDs returns the IDs of every live goroutine.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 64<<10)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, m := range goroutineHeader.FindAllSubmatch(buf, -1) {
+		ids[string(m[1])] = true
+	}
+	return ids
 }
 
 // faultPlan emits 10000 reads per processor; processor 1 panics with
