@@ -132,7 +132,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	keys := suite.KeysFor(want)
 	if len(keys) > 0 && !*quiet {
 		fmt.Fprintf(os.Stderr, "mkfigures: simulating %d configurations (scale %.2f, %d workers)...\n",
-			len(keys), *scale, suite.Workers())
+			len(keys), suite.Config().Scale, suite.Workers())
 	}
 	progress := func(done, total int) {
 		if !*quiet && done%10 == 0 {
@@ -157,7 +157,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout, reportText)
 
 	if *out != "" {
-		md := fmt.Sprintf("# Reproduction results (scale %.2f, seed %d)\n\n```\n%s\n```\n", *scale, *seed, reportText)
+		md := fmt.Sprintf("# Reproduction results (scale %.2f, seed %d)\n\n```\n%s\n```\n",
+			suite.Config().Scale, suite.Config().Seed, reportText)
 		if err := os.WriteFile(*out, []byte(md), 0o644); err != nil {
 			return err
 		}

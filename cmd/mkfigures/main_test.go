@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -79,6 +81,29 @@ func TestRunMetricsOut(t *testing.T) {
 			if c.Summary == nil {
 				t.Errorf("-seed %d: cell %s: nil summary", tc.seed, c.Cell)
 			}
+		}
+	}
+}
+
+// TestRunOutHeadsWithEffectiveConfig: the -out report is headed with the
+// suite's effective scale and seed, so -seed 0, which selects seed 1 for
+// the cells, is headed "seed 1" like the report body it heads.
+func TestRunOutHeadsWithEffectiveConfig(t *testing.T) {
+	for _, tc := range []struct{ seed, want int64 }{{7, 7}, {0, 1}} {
+		report := filepath.Join(t.TempDir(), "report.md")
+		var out bytes.Buffer
+		args := []string{"-q", "-only", "table1", "-scale", "0.02",
+			"-seed", strconv.FormatInt(tc.seed, 10), "-out", report}
+		if err := run(context.Background(), args, &out); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("# Reproduction results (scale 0.02, seed %d)", tc.want)
+		if got, _, _ := strings.Cut(string(b), "\n"); got != want {
+			t.Errorf("-seed %d: report heading %q, want %q", tc.seed, got, want)
 		}
 	}
 }

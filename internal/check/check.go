@@ -165,14 +165,6 @@ func UpdateOwnership(states []ProcLineState) (rule, detail string) {
 	return "", ""
 }
 
-// Coherence verifies the write-invalidate (Illinois) invariants for one
-// line; it is CheckLine with the InvalidationOwnership rule. Kept as the
-// convenience entry point for callers and tests that simulate the paper's
-// protocol.
-func Coherence(cycle uint64, line memory.Addr, states []ProcLineState) *Violation {
-	return CheckLine(cycle, line, states, InvalidationOwnership)
-}
-
 // PrefetchAccounting verifies a processor's prefetch issue-buffer counters:
 // the outstanding count must equal the number of in-flight prefetch
 // transactions and stay within [0, depth]. A mismatch means the simulator

@@ -22,17 +22,17 @@ func TestCoherenceAcceptsLegalStates(t *testing.T) {
 		{"victim owner alone", []ProcLineState{{Proc: 0, VictimState: cache.Modified}, {Proc: 1}}},
 	}
 	for _, c := range cases {
-		if v := Coherence(10, 0x1000, c.states); v != nil {
+		if v := CheckLine(10, 0x1000, c.states, InvalidationOwnership); v != nil {
 			t.Errorf("%s: unexpected violation %v", c.name, v)
 		}
 	}
 }
 
 func TestCoherenceMultipleOwner(t *testing.T) {
-	v := Coherence(42, 0x2000, []ProcLineState{
+	v := CheckLine(42, 0x2000, []ProcLineState{
 		{Proc: 0, State: cache.Modified},
 		{Proc: 1, State: cache.Exclusive},
-	})
+	}, InvalidationOwnership)
 	if v == nil {
 		t.Fatal("two owners accepted")
 	}
@@ -45,11 +45,11 @@ func TestCoherenceMultipleOwner(t *testing.T) {
 }
 
 func TestCoherenceOwnerWithSharers(t *testing.T) {
-	v := Coherence(7, 0x3000, []ProcLineState{
+	v := CheckLine(7, 0x3000, []ProcLineState{
 		{Proc: 0, State: cache.Modified},
 		{Proc: 1, State: cache.Shared},
 		{Proc: 2, State: cache.Shared},
-	})
+	}, InvalidationOwnership)
 	if v == nil {
 		t.Fatal("owner with sharers accepted")
 	}
@@ -68,10 +68,10 @@ func TestCoherenceOwnerWithSharers(t *testing.T) {
 func TestCoherenceCountsVictimCacheCopies(t *testing.T) {
 	// An owner in one cache plus an owner in another cache's victim cache is
 	// still two owners.
-	v := Coherence(1, 0x4000, []ProcLineState{
+	v := CheckLine(1, 0x4000, []ProcLineState{
 		{Proc: 0, State: cache.Exclusive},
 		{Proc: 1, VictimState: cache.Modified},
-	})
+	}, InvalidationOwnership)
 	if v == nil || v.Rule != "multiple-owner" {
 		t.Errorf("victim-cache owner not counted: %v", v)
 	}

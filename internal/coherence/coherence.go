@@ -145,12 +145,3 @@ func ByKind(k Kind) Protocol {
 	}
 	panic(fmt.Sprintf("coherence: no implementation for %v", k))
 }
-
-// Protocols returns one instance of every protocol, in Kinds order.
-func Protocols() []Protocol {
-	ps := make([]Protocol, 0, numKinds)
-	for _, k := range Kinds() {
-		ps = append(ps, ByKind(k))
-	}
-	return ps
-}

@@ -12,8 +12,8 @@ import (
 // every protocol is pinned in explicit tables, and a set of protocol-generic
 // laws — fills install valid states, exclusivity requires the absence of
 // sharers, the single-owner and no-stale-sharer invariants — runs over
-// Protocols(), so any future implementation added to the registry is
-// exercised without new test plumbing.
+// every kind in Kinds(), so any future implementation added to the
+// registry is exercised without new test plumbing.
 
 var validStates = []cache.State{cache.Shared, cache.Exclusive, cache.Modified, cache.SharedMod}
 
@@ -172,8 +172,8 @@ var writerStateTable = map[Kind]map[WriteAction]map[bool]cache.State{
 }
 
 func TestTransitionTables(t *testing.T) {
-	for _, p := range Protocols() {
-		k := p.Kind()
+	for _, k := range Kinds() {
+		p := ByKind(k)
 		for st, want := range writeHitTable[k] {
 			act, next := p.WriteHit(st)
 			if act != want.action {
@@ -218,8 +218,7 @@ func TestTransitionTables(t *testing.T) {
 // fill, so adding a protocol (or a state) without extending the tables fails
 // loudly instead of silently skipping pairs.
 func TestTablesAreComplete(t *testing.T) {
-	for _, p := range Protocols() {
-		k := p.Kind()
+	for _, k := range Kinds() {
 		for _, st := range validStates {
 			if _, ok := writeHitTable[k][st]; !ok {
 				t.Errorf("writeHitTable[%v] missing state %v", k, st)
@@ -245,8 +244,8 @@ func TestTablesAreComplete(t *testing.T) {
 // TestProtocolLaws asserts the protocol-generic requirements any future
 // implementation must satisfy, independent of its particular tables.
 func TestProtocolLaws(t *testing.T) {
-	for _, p := range Protocols() {
-		k := p.Kind()
+	for _, k := range Kinds() {
+		p := ByKind(k)
 
 		// Fills must install usable data.
 		for _, f := range allFills() {
@@ -333,12 +332,12 @@ func TestInvariants(t *testing.T) {
 			{"exclusive with update-owner", line(cache.Modified, cache.SharedMod), "owner-with-sharers"},
 		},
 	}
-	for _, p := range Protocols() {
-		legal := p.Invariant()
-		for _, v := range append(append([]verdict(nil), common...), perKind[p.Kind()]...) {
+	for _, k := range Kinds() {
+		legal := ByKind(k).Invariant()
+		for _, v := range append(append([]verdict(nil), common...), perKind[k]...) {
 			rule, _ := legal(v.states)
 			if rule != v.rule {
-				t.Errorf("%v: %s: rule = %q, want %q", p.Kind(), v.name, rule, v.rule)
+				t.Errorf("%v: %s: rule = %q, want %q", k, v.name, rule, v.rule)
 			}
 		}
 	}

@@ -185,6 +185,12 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// gridKeys returns the workload x strategy grid at the suite's transfers,
+// on the suite's machine.
+func (s *Suite) gridKeys() []Key {
+	return s.appendGrid(nil, WorkloadNames(), prefetch.Strategies(), s.cfg.Transfers, false)
+}
+
 // only selects the one report section name.
 func only(name string) func(string) bool { return func(n string) bool { return n == name } }
 
@@ -207,7 +213,7 @@ func TestPaperShapes(t *testing.T) {
 		t.Skip("full grid in -short mode")
 	}
 	s := testSuite()
-	if err := s.Prewarm(context.Background(), s.GridKeys(), nil); err != nil {
+	if err := s.Prewarm(context.Background(), s.gridKeys(), nil); err != nil {
 		t.Fatal(err)
 	}
 

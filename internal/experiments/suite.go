@@ -85,17 +85,18 @@ func DefaultConfig() Config {
 }
 
 func (c Config) withDefaults() Config {
+	d := DefaultConfig()
 	if c.Scale == 0 {
-		c.Scale = 1.0
+		c.Scale = d.Scale
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = d.Seed
 	}
 	if c.MemLatency == 0 {
-		c.MemLatency = 100
+		c.MemLatency = d.MemLatency
 	}
 	if len(c.Transfers) == 0 {
-		c.Transfers = []int{4, 8, 16, 24, 32}
+		c.Transfers = d.Transfers
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -595,14 +596,6 @@ func WorkloadNames() []string {
 		names = append(names, w.Name)
 	}
 	return names
-}
-
-// GridKeys returns the (workload x strategy x transfer) grid used by
-// Figures 1-2 and Table 2, on the suite's machine.
-func (s *Suite) GridKeys() []Key {
-	names, strategies := WorkloadNames(), prefetch.Strategies()
-	keys := make([]Key, 0, len(names)*len(strategies)*len(s.cfg.Transfers))
-	return s.appendGrid(keys, names, strategies, s.cfg.Transfers, false)
 }
 
 // The restructured programs Tables 4 and 5 compare, and the disciplines

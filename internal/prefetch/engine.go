@@ -117,15 +117,6 @@ func ByKind(k Kind) Prefetcher {
 	panic(fmt.Sprintf("prefetch: no implementation for %v", k))
 }
 
-// Prefetchers returns one instance of every prefetcher, in Kinds order.
-func Prefetchers() []Prefetcher {
-	ps := make([]Prefetcher, 0, numPrefetchers)
-	for _, k := range Kinds() {
-		ps = append(ps, ByKind(k))
-	}
-	return ps
-}
-
 // Ref is one demand reference shown to an online engine, in program order.
 type Ref struct {
 	// PC is the access site's identity — on real hardware the program

@@ -355,9 +355,9 @@ func TestOracleHasNoEngine(t *testing.T) {
 	if e := p.NewEngine(engineOpt(prefetch.PREF)); e != nil {
 		t.Errorf("oracle returned an engine: %v", e)
 	}
-	for _, p := range prefetch.Prefetchers() {
-		if p.Kind().Online() && p.NewEngine(engineOpt(prefetch.PREF)) == nil {
-			t.Errorf("%v: online prefetcher returned no engine", p.Kind())
+	for _, k := range prefetch.Kinds() {
+		if k.Online() && prefetch.ByKind(k).NewEngine(engineOpt(prefetch.PREF)) == nil {
+			t.Errorf("%v: online prefetcher returned no engine", k)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func TestCachedSubmissionsAnsweredAtAdmission(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	waitFor(t, func() bool { return s.sched.stats().Draining })
+	waitFor(t, func() bool { return s.stats().Draining })
 	if w := do(t, h, "POST", "/v1/runs?wait=1", "alice", tinyRun(), nil); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("hit while draining: %d, want 503", w.Code)
 	}

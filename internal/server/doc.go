@@ -6,6 +6,8 @@
 // result store keyed by (canonical spec string, build revision) so a spec
 // resubmitted by any client is served from cache without recomputation,
 // answered at admission, without a worker, when its result is in memory.
+// One mutex on Server guards every job transition: admission, dispatch,
+// retirement, drain and abort.
 //
 // The service is a thin, faithful shell over the existing engine: sweeps run
 // through experiments.Suite exactly the way cmd/mkfigures runs them —

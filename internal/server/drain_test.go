@@ -36,7 +36,7 @@ func TestDrainCompletesInFlightAndRejectsNew(t *testing.T) {
 
 	// Draining must surface before it finishes: healthz flips and new
 	// submissions bounce.
-	waitFor(t, func() bool { return s.sched.stats().Draining })
+	waitFor(t, func() bool { return s.stats().Draining })
 	var r JobResource
 	if w := do(t, h, "POST", "/v1/runs", "", tinyRun(), &r); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", w.Code)
@@ -185,11 +185,11 @@ func TestDrainAbortFailsQueuedJobs(t *testing.T) {
 	if res.Status != StatusFailed || res.Error == nil || res.Error.Code != "aborted" {
 		t.Fatalf("queued job = %+v, want failed with code aborted", res)
 	}
-	if st := s.sched.stats(); st.Pending != 0 || st.Active != 0 {
-		t.Errorf("scheduler stats = %+v, want fully retired accounting", st)
+	if st := s.stats(); st.Pending != 0 || st.Active != 0 {
+		t.Errorf("queue stats = %+v, want fully retired accounting", st)
 	}
 
-	// The scheduler is dead: a late submission must bounce, not enqueue into
+	// The server is stopped: a late submission must bounce, not enqueue into
 	// a pool with no workers.
 	late := blockingJob("r3", "alice", release)
 	s.mu.Lock()

@@ -31,10 +31,11 @@ type Event struct {
 	Message string `json:"message,omitempty"`
 }
 
-// Job is one accepted submission: a single run or a whole sweep. The
-// scheduler executes it once; its result (or error) then serves every poll
-// and event stream. Fields under mu are mutable; everything else is set at
-// submission and read-only afterwards.
+// Job is one accepted submission: a single run or a whole sweep. A worker
+// executes it once, or admission answers it from the result store; its
+// result (or error) then serves every poll and event stream. Fields under
+// mu are mutable; everything else is set at submission and read-only
+// afterwards.
 type Job struct {
 	id     string
 	kind   string // "run" | "sweep"
@@ -48,12 +49,12 @@ type Job struct {
 	compute func(ctx context.Context, j *Job) ([]byte, bool, error)
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on every event append and status change
 	status string
 	cached bool
 	events []Event
 	result json.RawMessage
 	apiErr *APIError
+	next   chan struct{} // closed at the next event; made when a stream waits for one
 	done   chan struct{} // closed on terminal status
 }
 
@@ -61,7 +62,6 @@ func newJob(id, kind, tenant string, spec json.RawMessage, key string,
 	compute func(ctx context.Context, j *Job) ([]byte, bool, error)) *Job {
 	j := &Job{id: id, kind: kind, tenant: tenant, spec: spec, key: key,
 		compute: compute, status: StatusQueued, done: make(chan struct{})}
-	j.cond = sync.NewCond(&j.mu)
 	j.appendEventLocked(Event{Event: "queued"})
 	return j
 }
@@ -71,18 +71,17 @@ func newJob(id, kind, tenant string, spec json.RawMessage, key string,
 func (j *Job) appendEventLocked(e Event) {
 	e.Seq = len(j.events) + 1
 	j.events = append(j.events, e)
-	j.cond.Broadcast()
-}
-
-func (j *Job) event(e Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.appendEventLocked(e)
+	if j.next != nil {
+		close(j.next)
+		j.next = nil
+	}
 }
 
 // progress records sweep cell progress (the Prewarm callback target).
 func (j *Job) progress(done, total int) {
-	j.event(Event{Event: "progress", Done: done, Total: total})
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.appendEventLocked(Event{Event: "progress", Done: done, Total: total})
 }
 
 func (j *Job) start() {
@@ -140,40 +139,18 @@ func (j *Job) resource() *JobResource {
 	}
 }
 
-// eventsAfter returns the events with Seq > after, plus whether the job has
-// reached a terminal status (the stream can end once every event is out).
-// It blocks until at least one new event exists, the job is terminal, or
-// wake is closed (the streaming handler's client disconnected).
-func (j *Job) eventsAfter(after int, wake <-chan struct{}) ([]Event, bool) {
-	// A watcher turns the channel close into a cond broadcast so the wait
-	// below can observe it. It broadcasts under the mutex: the waiter below
-	// holds it from the wake check until Wait parks, so the broadcast cannot
-	// slip into that window and be missed.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-wake:
-			j.mu.Lock()
-			j.cond.Broadcast()
-			j.mu.Unlock()
-		case <-stop:
-		}
-	}()
+// eventsAfter returns the events with Seq > after, and a channel closed at
+// the job's next event. The channel is nil once the job is terminal: the
+// events returned are then the last.
+func (j *Job) eventsAfter(after int) ([]Event, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for {
-		terminal := j.status == StatusDone || j.status == StatusFailed
-		if len(j.events) > after || terminal {
-			out := make([]Event, len(j.events)-after)
-			copy(out, j.events[after:])
-			return out, terminal
-		}
-		select {
-		case <-wake:
-			return nil, false
-		default:
-		}
-		j.cond.Wait()
+	events := append([]Event(nil), j.events[after:]...)
+	if j.status == StatusDone || j.status == StatusFailed {
+		return events, nil
 	}
+	if j.next == nil {
+		j.next = make(chan struct{})
+	}
+	return events, j.next
 }

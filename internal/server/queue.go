@@ -3,196 +3,111 @@ package server
 import (
 	"context"
 	"errors"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"busprefetch/internal/runner"
 )
 
-// Scheduling errors, mapped to HTTP statuses by the handler (429 with a
+// Admission errors, mapped to HTTP statuses by the handler (429 with a
 // Retry-After for a full queue, 503 once the server is draining).
 var (
 	errQueueFull = errors.New("server: tenant queue is full")
 	errDraining  = errors.New("server: draining, not accepting new jobs")
 )
 
-// scheduler fans accepted jobs across a fixed pool of worker goroutines with
-// one bounded FIFO queue per tenant. Admission is per-tenant — a tenant may
-// hold at most depth jobs queued-or-running, so one client flooding the
-// service backpressures itself (429) without starving anyone else — and
-// dispatch is round-robin across tenants in sorted-name order, so service is
-// fair regardless of submission bursts.
-type scheduler struct {
-	depth int
-
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled on submit, drain, and job completion
-	pending  map[string][]*Job
-	inflight map[string]int // queued + running per tenant (admission counter)
-	tenants  []string       // sorted round-robin ring of tenants with pending work
-	next     int            // ring cursor
-	draining bool
-	stopped  bool // base context cancelled: workers are exiting, nothing runs again
-	active   int  // jobs admitted and not yet terminal (drain barrier)
-	idle     chan struct{}
+// tenantQueue is one tenant's FIFO of jobs waiting for a worker.
+type tenantQueue struct {
+	tenant string
+	jobs   []*Job
 }
 
-// newScheduler starts workers goroutines executing jobs under ctx. Each
-// job's compute runs under that base context — not the submitting request's
-// — so a disconnecting client never cancels a computation other clients may
-// be waiting on; cancelling ctx (the drain deadline path) aborts everything.
-func newScheduler(ctx context.Context, workers, depth int) *scheduler {
-	if workers <= 0 {
-		workers = 1
+// admit registers a new job and either answers or queues it, in one
+// critical section; hit reports that it was answered. A draining or
+// stopped server refuses it. A key whose outcome the result store already
+// holds in memory is answered at admission: the job is taken through
+// started and completed and retired on the calling goroutine. It takes no
+// worker and does not count against the tenant's queue depth, so a hit
+// never waits behind a cold run. Every other job is queued, a key still
+// computing or held only on disk included; its worker joins the flight or
+// reads the disk through ResultStore.Do.
+func (s *Server) admit(j *Job) (hit bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining || s.stopped {
+		return false, errDraining
 	}
-	if depth <= 0 {
-		depth = 8
+	payload, hit, failure := s.results.Lookup(j.key)
+	if !hit && s.held[j.tenant] >= s.opts.QueueDepth {
+		return false, errQueueFull
 	}
-	s := &scheduler{
-		depth:    depth,
-		pending:  make(map[string][]*Job),
-		inflight: make(map[string]int),
-		idle:     make(chan struct{}),
+	// A hit holds its tenant's count only inside this critical section, so
+	// retireLocked releases every job alike.
+	s.jobs[j.id] = j
+	s.held[j.tenant]++
+	if hit {
+		j.start()
+		j.complete(payload, true, failure)
+		s.retireLocked(j)
+		return true, nil
 	}
-	s.cond = sync.NewCond(&s.mu)
-	// A watcher turns ctx cancellation into a broadcast so parked workers
-	// observe it. Broadcasting under the mutex closes the missed-wakeup
-	// window between a worker's ctx check and its Wait. Cancellation also
-	// aborts every still-queued job: workers are about to exit, so nothing
-	// would ever run those jobs, and leaving them admitted would wedge both
-	// Drain (active never reaches 0) and clients blocked on the jobs.
-	context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.stopped = true
-		s.abortPendingLocked()
-		s.cond.Broadcast()
-		s.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(s.ring, j.tenant, func(q tenantQueue, t string) int {
+		return strings.Compare(q.tenant, t)
 	})
-	for i := 0; i < workers; i++ {
-		go s.work(ctx)
-	}
-	return s
-}
-
-// submit admits a job into its tenant's queue, or rejects it with
-// errQueueFull / errDraining. Admission and execution both count against the
-// tenant's depth: a tenant cannot park depth jobs and run depth more.
-func (s *scheduler) submit(j *Job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closedLocked() {
-		return errDraining
-	}
-	if s.inflight[j.tenant] >= s.depth {
-		return errQueueFull
-	}
-	s.inflight[j.tenant]++
-	s.active++
-	if len(s.pending[j.tenant]) == 0 {
-		s.addTenantLocked(j.tenant)
-	}
-	s.pending[j.tenant] = append(s.pending[j.tenant], j)
-	s.cond.Broadcast()
-	return nil
-}
-
-// closed reports whether admission has stopped: the server is draining or
-// its base context is cancelled. A submission answered without the
-// scheduler checks it, so it is refused exactly when submit would refuse
-// it.
-func (s *scheduler) closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closedLocked()
-}
-
-func (s *scheduler) closedLocked() bool { return s.draining || s.stopped }
-
-// addTenantLocked inserts t into the sorted round-robin ring, keeping the
-// cursor pointed at the same tenant it was about to serve.
-func (s *scheduler) addTenantLocked(t string) {
-	i := sort.SearchStrings(s.tenants, t)
-	s.tenants = append(s.tenants, "")
-	copy(s.tenants[i+1:], s.tenants[i:])
-	s.tenants[i] = t
-	if i < s.next {
-		s.next++
-	}
-}
-
-// take pops the next job round-robin across tenants, blocking until one is
-// available or ctx dies. It returns nil when the scheduler should stop
-// (context cancelled, or draining with nothing left).
-func (s *scheduler) take(ctx context.Context) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if ctx.Err() != nil {
-			// Belt and suspenders with the AfterFunc watcher: a worker that
-			// observes cancellation retires whatever is still queued before
-			// exiting, so no admitted job can outlive the worker pool.
-			s.abortPendingLocked()
-			return nil
-		}
-		if len(s.tenants) > 0 {
-			if s.next >= len(s.tenants) {
-				s.next = 0
-			}
-			t := s.tenants[s.next]
-			q := s.pending[t]
-			j := q[0]
-			if len(q) == 1 {
-				delete(s.pending, t)
-				s.tenants = append(s.tenants[:s.next], s.tenants[s.next+1:]...)
-			} else {
-				s.pending[t] = q[1:]
-				s.next++
-			}
-			return j
-		}
-		if s.draining {
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
-// finish retires a terminal job from the admission counters and closes the
-// idle channel when a drain has nothing left to wait for.
-func (s *scheduler) finish(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retireLocked(j)
-	s.cond.Broadcast()
-}
-
-// retireLocked removes one admitted job from the accounting and signals idle
-// when a drain has nothing left to wait for.
-func (s *scheduler) retireLocked(j *Job) {
-	s.inflight[j.tenant]--
-	if s.inflight[j.tenant] == 0 {
-		delete(s.inflight, j.tenant)
-	}
-	s.active--
-	if s.draining && s.active == 0 {
-		select {
-		case <-s.idle:
-		default:
-			close(s.idle)
+	if !ok {
+		s.ring = slices.Insert(s.ring, i, tenantQueue{tenant: j.tenant})
+		if i < s.next {
+			s.next++ // keep the cursor on the tenant it was about to serve
 		}
 	}
+	s.ring[i].jobs = append(s.ring[i].jobs, j)
+	s.wakeLocked()
+	return false, nil
 }
 
-// abortPendingLocked fails and retires every still-queued job. It runs once
-// the scheduler's base context is cancelled (the drain-deadline abort path):
-// no worker will ever pick those jobs up, so failing them here is what
-// releases their ?wait=1 and event-stream clients and lets the accounting
-// reach idle so a post-abort Drain returns. Running jobs are not touched —
-// they observe the same cancellation through their compute contexts and
-// retire through the normal worker path.
-func (s *scheduler) abortPendingLocked() {
-	for t, q := range s.pending {
-		for _, j := range q {
+// wakeLocked wakes everything parked on s.wake, the workers and a
+// draining Drain, by closing the channel and making a fresh one for the
+// next wait.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
+// retireLocked retires a terminal job, whichever path ended it: answered
+// at admission, finished by a worker, or aborted when the base context
+// ended. It releases the job's hold on its tenant's queue depth, wakes a
+// drain, and enforces the retention cap: j joins the completion-order FIFO
+// and the oldest terminal jobs beyond Options.JobRetention leave the
+// registry. Only terminal jobs enter the FIFO, so a poll or event stream
+// can always find a job that is still queued or running.
+func (s *Server) retireLocked(j *Job) {
+	if s.held[j.tenant] == 1 {
+		delete(s.held, j.tenant)
+	} else {
+		s.held[j.tenant]--
+	}
+	if s.draining {
+		s.wakeLocked()
+	}
+	s.retired = append(s.retired, j.id)
+	for len(s.retired) > s.opts.JobRetention {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
+	}
+}
+
+// stopLocked runs once the base context ends. No worker will run a queued
+// job again, so each fails as aborted and retires, which releases its
+// ?wait=1 and event-stream clients and lets a later Drain return. Running
+// jobs observe the same cancellation through their compute contexts and
+// retire through their workers.
+func (s *Server) stopLocked() {
+	if s.stopped {
+		return
+	}
+	s.stopped = true
+	for _, q := range s.ring {
+		for _, j := range q.jobs {
 			j.fail(&APIError{
 				Code:    "aborted",
 				Message: "server shut down before the job ran",
@@ -200,56 +115,99 @@ func (s *scheduler) abortPendingLocked() {
 			})
 			s.retireLocked(j)
 		}
-		delete(s.pending, t)
 	}
-	s.tenants = nil
-	s.next = 0
+	s.ring, s.next = nil, 0
+	s.wakeLocked()
 }
 
-// work is one worker goroutine: pull, execute, repeat. The job's own
-// compute handles result-store consultation; the worker just frames it with
-// status transitions and admission accounting.
-func (s *scheduler) work(ctx context.Context) {
+// take pops the next queued job, round-robin across tenants in sorted-name
+// order, so a burst from one tenant cannot starve another. With nothing
+// queued it returns the channel to park on instead, or neither once the
+// worker should exit: the base context has ended, or the server is
+// draining.
+func (s *Server) take(ctx context.Context) (*Job, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ctx.Err() != nil {
+		// Whichever of the worker and the context's AfterFunc sees the
+		// cancellation first aborts the queue, so no worker can run a
+		// queued job after it.
+		s.stopLocked()
+	}
+	switch {
+	case s.stopped:
+		return nil, nil
+	case len(s.ring) > 0:
+		if s.next >= len(s.ring) {
+			s.next = 0
+		}
+		q := &s.ring[s.next]
+		j := q.jobs[0]
+		q.jobs = q.jobs[1:]
+		if len(q.jobs) == 0 {
+			s.ring = slices.Delete(s.ring, s.next, s.next+1)
+		} else {
+			s.next++
+		}
+		return j, nil
+	case s.draining:
+		return nil, nil
+	}
+	return nil, s.wake
+}
+
+// work is one worker goroutine: take, execute, retire, repeat. The job's
+// own compute consults the result store; the worker frames it with the
+// status transitions. Each compute runs under the server's base context,
+// not the submitting request's, so a disconnecting client never cancels a
+// computation other clients may be waiting on.
+func (s *Server) work(ctx context.Context) {
 	for {
-		j := s.take(ctx)
-		if j == nil {
+		j, wake := s.take(ctx)
+		switch {
+		case j != nil:
+			j.start()
+			payload, cached, err := j.compute(ctx, j)
+			s.mu.Lock()
+			j.complete(payload, cached, err)
+			s.retireLocked(j)
+			s.mu.Unlock()
+		case wake != nil:
+			<-wake
+		default:
 			return
 		}
-		j.start()
-		j.complete(j.compute(ctx, j))
-		s.finish(j)
 	}
 }
 
-// Drain stops admission and blocks until every in-flight job reaches a
-// terminal state. Queued jobs still execute — a graceful shutdown finishes
-// accepted work — but if ctx expires first the caller is expected to cancel
-// the scheduler's base context, which aborts running cells through the
-// simulator's cancellation polls and fails every still-queued job (no
-// worker would ever run them again); a subsequent Drain call then observes
-// the accounting reach idle and returns. Drain itself returns ctx.Err()
-// when its deadline expires.
-func (s *scheduler) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	if s.active == 0 {
+// Drain stops admission (503) and blocks until every admitted job is
+// terminal. Queued jobs still execute: a graceful shutdown finishes
+// accepted work. If ctx expires first, Drain returns ctx.Err(), and the
+// caller is expected to cancel the server's base context. That aborts
+// running cells through the simulator's cancellation polls and fails
+// every still-queued job, since no worker would run them again; a later
+// Drain then returns once the running jobs have retired.
+func (s *Server) Drain(ctx context.Context) error {
+	for {
+		s.mu.Lock()
+		if !s.draining {
+			s.draining = true
+			s.wakeLocked()
+		}
+		idle, wake := len(s.held) == 0, s.wake
+		s.mu.Unlock()
+		if idle {
+			return nil
+		}
 		select {
-		case <-s.idle:
-		default:
-			close(s.idle)
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	select {
-	case <-s.idle:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
-// queueStats is the scheduler's /v1/stats contribution.
+// queueStats is the queue's /v1/stats contribution.
 type queueStats struct {
 	Pending  int  `json:"pending"`
 	Active   int  `json:"active"`
@@ -258,18 +216,15 @@ type queueStats struct {
 	Draining bool `json:"draining"`
 }
 
-func (s *scheduler) stats() queueStats {
+func (s *Server) stats() queueStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pending := 0
-	for _, q := range s.pending {
-		pending += len(q)
+	st := queueStats{Tenants: len(s.held), Depth: s.opts.QueueDepth, Draining: s.draining}
+	for _, q := range s.ring {
+		st.Pending += len(q.jobs)
 	}
-	return queueStats{
-		Pending:  pending,
-		Active:   s.active,
-		Tenants:  len(s.inflight),
-		Depth:    s.depth,
-		Draining: s.draining,
+	for _, n := range s.held {
+		st.Active += n
 	}
+	return st
 }

@@ -64,36 +64,55 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the experiment service: submissions become Jobs on a scheduler,
-// every computation runs through a content-addressed ResultStore keyed by
-// (canonical spec string, build revision), and results stream back as
-// resources and NDJSON event feeds. See docs/API.md for the HTTP surface.
+// Server is the experiment service: submissions become Jobs on per-tenant
+// queues, a fixed pool of workers runs them, every computation runs
+// through a content-addressed ResultStore keyed by (canonical spec string,
+// build revision), and results stream back as resources and NDJSON event
+// feeds. See docs/API.md for the HTTP surface.
+//
+// One mutex, mu, guards every job transition the server sees: admission,
+// dispatch, retirement, drain and stop (queue.go). Locks are taken in one
+// order: mu, then the result store's, then a job's.
 type Server struct {
 	opts    Options
-	sched   *scheduler
 	results *runner.ResultStore
-
 	seq     atomic.Int64
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	retired []string // terminal job ids in completion order (eviction FIFO)
+
+	mu       sync.Mutex
+	jobs     map[string]*Job // registry: every queued, running and retained job
+	retired  []string        // terminal job ids in completion order (eviction FIFO)
+	ring     []tenantQueue   // tenants with queued jobs, sorted by name; dispatch walks it round-robin
+	next     int             // ring cursor
+	held     map[string]int  // queued plus running jobs per tenant, against Options.QueueDepth
+	draining bool
+	stopped  bool // base context ended: nothing runs again
+	// wake is closed and replaced when work arrives, the server drains or
+	// stops, or a job retires during a drain.
+	wake chan struct{}
 }
 
-// New creates a Server whose jobs run under ctx: cancelling it aborts every
-// running computation (the drain-deadline path; see Drain).
+// New creates a Server and starts its Options.Workers workers. Jobs run
+// under ctx: cancelling it aborts every running computation and fails
+// every queued job (the drain-deadline path; see Drain).
 func New(ctx context.Context, opts Options) *Server {
 	opts = opts.withDefaults()
-	return &Server{
+	s := &Server{
 		opts:    opts,
-		sched:   newScheduler(ctx, opts.Workers, opts.QueueDepth),
 		results: runner.NewResultStore(opts.Checkpoints),
 		jobs:    make(map[string]*Job),
+		held:    make(map[string]int),
+		wake:    make(chan struct{}),
 	}
+	context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.stopLocked()
+	})
+	for range opts.Workers {
+		go s.work(ctx)
+	}
+	return s
 }
-
-// Drain stops accepting submissions (503) and waits for in-flight jobs to
-// finish; see scheduler.Drain for the deadline contract.
-func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 
 // logf logs one line through Options.Logf, when configured.
 func (s *Server) logf(format string, args ...any) {
@@ -209,18 +228,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // then answers 202 with the job resource (or, under ?wait=1, blocks until
 // the job is terminal and answers 200).
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
-	if err := s.admit(j); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "queue_full",
-				fmt.Sprintf("tenant %q already has %d jobs queued or running; retry shortly", j.tenant, s.opts.QueueDepth))
-		case errors.Is(err, errDraining):
-			writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; not accepting new jobs")
-		default:
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
+	switch hit, err := s.admit(j); {
+	case errors.Is(err, errQueueFull):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "queue_full",
+			fmt.Sprintf("tenant %q already has %d jobs queued or running; retry shortly", j.tenant, s.opts.QueueDepth))
 		return
+	case errors.Is(err, errDraining):
+		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; not accepting new jobs")
+		return
+	case hit:
+		s.logf("answered %s from the result store (tenant %s, key %s)", j.id, j.tenant, j.key)
+	default:
+		s.logf("accepted %s (tenant %s, key %s)", j.id, j.tenant, j.key)
 	}
 	if r.URL.Query().Get("wait") != "" {
 		select {
@@ -233,40 +253,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *Job) {
 	}
 	w.Header().Set("Location", fmt.Sprintf("/v1/%ss/%s", j.kind, j.id))
 	writeJSON(w, http.StatusAccepted, j.resource())
-}
-
-// admit registers a new job and either completes or schedules it.
-//
-// A key whose outcome the result store already holds in memory is answered
-// at admission: the job is registered, completed and retired on the calling
-// goroutine. It takes no scheduler slot and no worker and does not count
-// against the tenant's queue depth, so a hit never waits behind a cold run.
-// Every other job is scheduled, a key still computing or held only on disk
-// included; its worker joins the flight or reads the disk through
-// ResultStore.Do.
-func (s *Server) admit(j *Job) error {
-	if s.sched.closed() {
-		return errDraining
-	}
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	if payload, ok, err := s.results.Lookup(j.key); ok {
-		j.start()
-		j.complete(payload, true, err)
-		s.logf("answered %s from the result store (tenant %s, key %s)", j.id, j.tenant, j.key)
-		s.retire(j)
-		return nil
-	}
-	if err := s.sched.submit(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		s.mu.Unlock()
-		return err
-	}
-	s.logf("accepted %s (tenant %s, key %s)", j.id, j.tenant, j.key)
-	go s.retire(j)
-	return nil
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
@@ -310,22 +296,6 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 			})
 		})
 	s.submit(w, r, j)
-}
-
-// retire waits for j to reach a terminal state, then enforces the terminal-
-// job retention cap: j joins the completion-order FIFO and the oldest
-// terminal jobs beyond Options.JobRetention are evicted from the registry.
-// In-flight jobs are never evicted (only terminal ids enter the FIFO), so a
-// poll or event stream can always find a job that is still running.
-func (s *Server) retire(j *Job) {
-	<-j.Done()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retired = append(s.retired, j.id)
-	for len(s.retired) > s.opts.JobRetention {
-		delete(s.jobs, s.retired[0])
-		s.retired = s.retired[1:]
-	}
 }
 
 // job looks a job up by id, kind-checked: a run id is not addressable under
@@ -376,7 +346,7 @@ func (s *Server) handleEvents(kind string) http.HandlerFunc {
 		enc := json.NewEncoder(w)
 		after := 0
 		for {
-			events, terminal := j.eventsAfter(after, r.Context().Done())
+			events, next := j.eventsAfter(after)
 			for _, e := range events {
 				if enc.Encode(e) != nil {
 					return
@@ -386,7 +356,12 @@ func (s *Server) handleEvents(kind string) http.HandlerFunc {
 				flusher.Flush()
 			}
 			after += len(events)
-			if terminal || (len(events) == 0 && r.Context().Err() != nil) {
+			if next == nil {
+				return
+			}
+			select {
+			case <-next:
+			case <-r.Context().Done():
 				return
 			}
 		}
@@ -403,7 +378,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if s.sched.stats().Draining {
+	if s.stats().Draining {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
@@ -411,7 +386,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsResponse is the /v1/stats body: the result store's hit economics,
-// the durable tier's integrity counters, the scheduler's load, and a job
+// the durable tier's integrity counters, the queue's load, and a job
 // census by status.
 type statsResponse struct {
 	Results     runner.ResultStats      `json:"results"`
@@ -423,7 +398,7 @@ type statsResponse struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		Results: s.results.Stats(),
-		Queue:   s.sched.stats(),
+		Queue:   s.stats(),
 		Jobs:    map[string]int{},
 	}
 	if s.opts.Checkpoints != nil {
@@ -432,7 +407,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		resp.Jobs[j.resource().Status]++
+		j.mu.Lock()
+		resp.Jobs[j.status]++
+		j.mu.Unlock()
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)

@@ -313,6 +313,64 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
+// TestEventStreamFollowsLiveJob: a stream opened on a running job waits
+// for each later event and ends after the terminal one, and a stream whose
+// client goes away returns while the job runs on.
+func TestEventStreamFollowsLiveJob(t *testing.T) {
+	s, h := testServer(t, Options{Workers: 1})
+	release := make(chan struct{})
+	j := blockingJob("live", "alice", release)
+	if _, err := s.admit(j); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return j.resource().Status == StatusRunning })
+	parked := func() bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.next != nil
+	}
+	stream := func(ctx context.Context) (*httptest.ResponseRecorder, <-chan struct{}) {
+		w, ended := httptest.NewRecorder(), make(chan struct{})
+		go func() {
+			defer close(ended)
+			h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/runs/live/events", nil).WithContext(ctx))
+		}()
+		return w, ended
+	}
+	ended := func(c <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream did not end %s", what)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	_, gone := stream(ctx)
+	waitFor(t, parked)
+	cancel()
+	ended(gone, "when its client went away")
+
+	j.progress(1, 2)
+	w, done := stream(context.Background())
+	waitFor(t, parked)
+	j.progress(2, 2)
+	close(release)
+	ended(done, "after the job finished")
+	var got []string
+	for i, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Seq != i+1 {
+			t.Fatalf("line %d %q: seq %d, err %v", i+1, line, e.Seq, err)
+		}
+		got = append(got, e.Event)
+	}
+	if want := "[queued started progress progress done]"; fmt.Sprint(got) != want {
+		t.Errorf("live stream = %v, want %s", got, want)
+	}
+}
+
 // TestIntrospectionEndpoints sanity-checks /v1/version, /v1/healthz,
 // /v1/stats and /v1/meta shapes.
 func TestIntrospectionEndpoints(t *testing.T) {
@@ -391,9 +449,7 @@ func TestFailedJobCarriesClassifiedError(t *testing.T) {
 // tenant does not starve the other — completion order alternates between
 // tenants rather than finishing the burst first.
 func TestRoundRobinFairness(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sched := newScheduler(ctx, 1, 16)
+	s, _ := testServer(t, Options{Workers: 1, QueueDepth: 16})
 	var mu orderLog
 	mk := func(id, tenant string) *Job {
 		return newJob(id, "run", tenant, nil, id, func(ctx context.Context, j *Job) ([]byte, bool, error) {
@@ -405,7 +461,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	// observable.
 	release := make(chan struct{})
 	gate := blockingJob("gate", "zz-gate", release)
-	if err := sched.submit(gate); err != nil {
+	if _, err := s.admit(gate); err != nil {
 		t.Fatal(err)
 	}
 	jobs := []*Job{
@@ -413,7 +469,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		mk("b1", "bob"),
 	}
 	for _, j := range jobs {
-		if err := sched.submit(j); err != nil {
+		if _, err := s.admit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,10 +519,11 @@ func TestTerminalJobRetentionCap(t *testing.T) {
 		}
 		ids = append(ids, r.ID)
 	}
-	// retire() runs asynchronously after the terminal state; poll for it.
-	waitFor(t, func() bool {
-		return do(t, h, "GET", "/v1/runs/"+ids[0], "", nil, nil).Code == http.StatusNotFound
-	})
+	// A worker retires a job under the server lock as it completes it, so
+	// the eviction is visible as soon as the last ?wait=1 answers.
+	if w := do(t, h, "GET", "/v1/runs/"+ids[0], "", nil, nil); w.Code != http.StatusNotFound {
+		t.Errorf("GET %s past the retention cap: %d, want 404", ids[0], w.Code)
+	}
 	for _, id := range ids[1:] {
 		if w := do(t, h, "GET", "/v1/runs/"+id, "", nil, nil); w.Code != http.StatusOK {
 			t.Errorf("GET %s after eviction of older job: %d, want 200", id, w.Code)

@@ -135,14 +135,15 @@ func planSweep(req SweepRequest, opts Options) (sweepPlan, error) {
 // never cached (computeSweep flags it non-cacheable), so every payload
 // stored under this key is the complete, budget-independent report.
 func (p sweepPlan) key() string {
-	cfg := p.cfg
-	sections := p.sections
+	transfers, sections := p.cfg.Transfers, p.sections
+	if len(transfers) == 0 {
+		transfers = experiments.DefaultConfig().Transfers
+	}
 	if len(sections) == 0 {
 		sections = []string{"all"}
 	}
 	return fmt.Sprintf("busprefetch-sweep/v1|%s|transfers=%v|sections=%s|metrics=%t",
-		cfg.SpecString(), experiments.NewSuite(cfg).Config().Transfers,
-		strings.Join(sections, ","), p.metrics)
+		p.cfg.SpecString(), transfers, strings.Join(sections, ","), p.metrics)
 }
 
 // SweepResult is the payload of a completed sweep job (the "result" field of

@@ -46,9 +46,6 @@ func (k Kind) IsDemand() bool { return k == Read || k == Write }
 // IsPrefetch reports whether the event is a software prefetch of either mode.
 func (k Kind) IsPrefetch() bool { return k == Prefetch || k == PrefetchExcl }
 
-// IsSync reports whether the event is a synchronization operation.
-func (k Kind) IsSync() bool { return k == Lock || k == Unlock || k == Barrier }
-
 // Event is a single entry in a processor's stream.
 type Event struct {
 	// Addr is the byte address accessed (or the barrier identifier).

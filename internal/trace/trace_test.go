@@ -16,10 +16,7 @@ func TestKindPredicates(t *testing.T) {
 	if !Prefetch.IsPrefetch() || !PrefetchExcl.IsPrefetch() {
 		t.Error("both prefetch kinds are prefetches")
 	}
-	if !Lock.IsSync() || !Unlock.IsSync() || !Barrier.IsSync() {
-		t.Error("sync predicates")
-	}
-	if Read.IsSync() || Read.IsPrefetch() {
+	if Read.IsPrefetch() {
 		t.Error("read misclassified")
 	}
 }
