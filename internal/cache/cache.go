@@ -173,14 +173,29 @@ func (c *Cache) Lookup(a memory.Addr) *Line {
 // The returned line is non-nil whenever the tag matches, even if invalid, so
 // the caller can classify an invalidation miss. Probe refreshes recency on a
 // hit.
+//
+// Every demand access probes, so Probe indexes the set's first line in the
+// line array directly, and moves to the next way only on a mismatch: a
+// direct-mapped probe reads its one line and builds no set slice. That
+// keeps Probe under the compiler's inlining budget.
 func (c *Cache) Probe(a memory.Addr) (line *Line, hit bool) {
-	line = c.Lookup(a)
-	if line != nil && line.State.Valid() {
-		c.clock++
-		line.lru = c.clock
-		return line, true
+	tag := uint64(a) >> c.lineShift
+	i := int(tag&c.setMask) * c.ways
+	for end := i + c.ways; ; {
+		line = &c.lines[i]
+		if line.tagValid && line.Tag == tag {
+			break
+		}
+		if i++; i == end {
+			return nil, false
+		}
 	}
-	return line, false
+	if !line.State.Valid() {
+		return line, false
+	}
+	c.clock++
+	line.lru = c.clock
+	return line, true
 }
 
 // Allocate installs a line for address a, displacing the set's invalid or

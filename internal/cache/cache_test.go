@@ -261,3 +261,34 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestProbeMatchesLookup checks Probe, which indexes a set's lines itself,
+// against Lookup's scan of the set slice on every geometry shape: a probe
+// returns the line Lookup finds, and hits exactly when that line is valid.
+func TestProbeMatchesLookup(t *testing.T) {
+	for _, g := range []memory.Geometry{
+		{CacheSize: 4 * 32, LineSize: 32, Assoc: 1},  // direct-mapped, 4 sets
+		{CacheSize: 8 * 32, LineSize: 32, Assoc: 2},  // 2-way, 4 sets
+		{CacheSize: 16 * 32, LineSize: 32, Assoc: 4}, // 4-way, 4 sets
+		{CacheSize: 8 * 32, LineSize: 32, Assoc: 0},  // fully associative
+	} {
+		r := rand.New(rand.NewSource(1))
+		c := New(g)
+		for op := 0; op < 2000; op++ {
+			a := memory.Addr(r.Intn(40)*32 + 4*r.Intn(8))
+			switch r.Intn(3) {
+			case 0:
+				l, _ := c.Allocate(a)
+				l.State = State(1 + r.Intn(int(NumStates)-1))
+			case 1:
+				c.SnoopInvalidate(a, 0)
+			default:
+				want := c.Lookup(a)
+				line, hit := c.Probe(a)
+				if line != want || hit != (want != nil && want.State.Valid()) {
+					t.Fatalf("%+v op %d: Probe(%#x) = %p, %t; Lookup finds %p", g, op, uint64(a), line, hit, want)
+				}
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@ import (
 // way mkfigures runs it. Then the same sweep resubmitted must come back
 // from the result store, cached, with the identical bytes.
 func TestSweepReportMatchesMkfigures(t *testing.T) {
-	req := SweepRequest{Scale: 0.05, Seed: 1, Transfers: []int{8}, Sections: []string{"table2"}}
+	req := SweepRequest{Scale: 0.05, Seed: 1, Transfers: []int{8}, Sections: []string{"fig1"}}
 
 	// The mkfigures path, inline: same config the server will build.
 	plan, err := planSweep(req, Options{})
@@ -70,8 +70,8 @@ func TestSweepReportMatchesMkfigures(t *testing.T) {
 // cache hit.
 func TestSweepSectionCanonicalization(t *testing.T) {
 	s, h := testServer(t, Options{Workers: 1})
-	a := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"fig1", "table2"}}
-	b := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"TABLE2", "Fig1"}}
+	a := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"fig1", "fig3"}}
+	b := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"FIG3", "Fig1"}}
 	var ra, rb JobResource
 	do(t, h, "POST", "/v1/sweeps?wait=1", "", a, &ra)
 	do(t, h, "POST", "/v1/sweeps?wait=1", "", b, &rb)
@@ -94,7 +94,7 @@ func TestSweepSectionCanonicalization(t *testing.T) {
 // same sweep without metrics.
 func TestSweepMetricsAttached(t *testing.T) {
 	_, h := testServer(t, Options{Workers: 1})
-	req := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"table2"}, Metrics: true}
+	req := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"fig1"}, Metrics: true}
 	var r JobResource
 	if w := do(t, h, "POST", "/v1/sweeps?wait=1", "", req, &r); w.Code != http.StatusOK || r.Status != StatusDone {
 		t.Fatalf("sweep: %d %+v", w.Code, r)
@@ -129,7 +129,7 @@ func TestSweepResultSurvivesRestart(t *testing.T) {
 		}
 		return Options{Workers: 1, Checkpoints: store}
 	}
-	req := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"table2"}}
+	req := SweepRequest{Scale: 0.05, Transfers: []int{8}, Sections: []string{"fig1"}}
 
 	_, h1 := testServer(t, open())
 	var r1 JobResource

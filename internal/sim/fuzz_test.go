@@ -37,11 +37,12 @@ func randomTrace(seed int64, procs, events, lines int) *trace.Trace {
 // targets, cache geometries, fabrics, arbitration disciplines and online
 // engines. The checker also cross-checks the snoop filter at every snoop:
 // the duplicate tags must name exactly the caches a full scan finds holding
-// the line, so the variants cover every snoop path (fetch, invalidation,
-// update; data and victim caches; the prefetch buffer's full loop) and
-// masks wider than one byte. This exact harness found a real
-// grant-before-install ordering bug in the bus during development; it stays
-// as a regression net.
+// the line, and the prefetch-buffer holders must equal a scan of every
+// buffer, so the variants cover every snoop path (fetch, invalidation,
+// update; data and victim caches; prefetch-buffer fills, hits, FIFO
+// evictions and drops) and masks wider than one byte. This exact harness
+// found a real grant-before-install ordering bug in the bus during
+// development; it stays as a regression net.
 func TestCoherenceFuzz(t *testing.T) {
 	iterations := 300
 	if testing.Short() {
@@ -66,6 +67,8 @@ func TestCoherenceFuzz(t *testing.T) {
 		{cfg: func(c *sim.Config) { c.Interconnect.Discipline = bus.FCFS }},
 		{cfg: func(c *sim.Config) { c.Online = prefetch.OnlineConfig{Kind: prefetch.Stride, Strategy: prefetch.PREF} }},
 		{procs: 9, cfg: func(c *sim.Config) {}},
+		// More lines than buffer slots, so the prefetch buffer evicts.
+		{lines: 8, cfg: func(c *sim.Config) { c.PrefetchTarget = sim.PrefetchToBuffer; c.StreamBufferLines = 2 }},
 	}
 	for seed := 0; seed < iterations; seed++ {
 		vi := seed % len(variants)

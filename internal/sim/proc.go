@@ -212,6 +212,7 @@ func (p *proc) dropBuffered(la memory.Addr, now uint64) {
 	for i, b := range p.streamBuf {
 		if b.la == la {
 			p.streamBuf = append(p.streamBuf[:i], p.streamBuf[i+1:]...)
+			p.s.markBuffered(p.id, la, false)
 			p.s.c.StreamBufferDrops++
 			// The remote action killed the buffered copy before any use — the
 			// conservative drop is the buffer's form of invalidation.
@@ -500,6 +501,7 @@ func (p *proc) demandAccess(a memory.Addr, isWrite, isSync bool) (blocked bool) 
 	if idx := p.bufferIndex(la); idx >= 0 {
 		entry := p.streamBuf[idx]
 		p.streamBuf = append(p.streamBuf[:idx], p.streamBuf[idx+1:]...)
+		p.s.markBuffered(p.id, la, false)
 		if r := p.s.rec; r != nil {
 			r.PrefetchFirstUse(p.id, uint64(la), p.clock)
 		}
@@ -683,9 +685,11 @@ func (p *proc) completeFetch(inf *inflight, t uint64) {
 				if r := p.s.rec; r != nil {
 					r.PrefetchEvicted(p.id, uint64(p.streamBuf[0].la), t)
 				}
+				p.s.markBuffered(p.id, p.streamBuf[0].la, false)
 				p.streamBuf = p.streamBuf[1:] // FIFO eviction
 			}
 			p.streamBuf = append(p.streamBuf, buffered{la: la, sharers: sharers})
+			p.s.markBuffered(p.id, la, true)
 		}
 		if p.online != nil {
 			p.online.Fill(la, true)

@@ -610,8 +610,11 @@ type simulator struct {
 	// tags and victimTags are the duplicate tags of the processors' data
 	// and victim caches (victimTags is nil without a victim cache): the
 	// snoop filter that lets a bus operation visit only the caches holding
-	// a valid copy of its line.
+	// a valid copy of its line. bufHolders does the same for the prefetch
+	// buffers of PrefetchToBuffer mode (it is nil in the other mode): it maps
+	// each buffered line to the set of processors whose buffer holds it.
 	tags, victimTags *cache.Tags
+	bufHolders       map[memory.Addr]uint64
 	// Lock and barrier state lives in dense slices; lockIdx/barrIdx resolve
 	// an object's address to its slot, registered lazily on first use
 	// (lockSlot/barrSlot). Lazy registration lets a replay run without a
@@ -823,7 +826,7 @@ type barrierState struct {
 func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 	s := &simulator{
 		cfg:            cfg,
-		eng:            &engine{},
+		eng:            newEngine(),
 		geom:           cfg.Geometry,
 		uncont:         uint64(cfg.MemLatency - cfg.TransferCycles),
 		proto:          coherence.ByKind(cfg.Protocol),
@@ -862,11 +865,31 @@ func newSimulator(cfg Config, nprocs int) (*simulator, error) {
 			Assoc:     0,
 		}, nprocs)
 	}
+	if cfg.PrefetchTarget == PrefetchToBuffer {
+		s.bufHolders = make(map[memory.Addr]uint64)
+	}
 	s.procs = make([]*proc, nprocs)
 	for i := range s.procs {
 		s.procs[i] = newProc(s, i)
 	}
 	return s, nil
+}
+
+// markBuffered records whether processor id's prefetch buffer holds line
+// la. Each of the buffer's mutations calls it: a fill, a FIFO eviction, a
+// buffer hit and a drop.
+func (s *simulator) markBuffered(id int, la memory.Addr, held bool) {
+	m := s.bufHolders[la]
+	if held {
+		m |= 1 << uint(id)
+	} else {
+		m &^= 1 << uint(id)
+	}
+	if m == 0 {
+		delete(s.bufHolders, la)
+	} else {
+		s.bufHolders[la] = m
+	}
 }
 
 // lockSlot returns the dense-slice index of lock a, registering it on
@@ -962,23 +985,20 @@ func (s *simulator) run() (*Result, error) {
 // snoopers returns the processors other than requester that a bus
 // operation on line la must visit, as a bit set over processor ids. The
 // duplicate tags name the processors whose data or victim cache holds a
-// valid copy of la; a snoop changes nothing in any other cache, so iterating
-// the set in ascending id order is the full loop over s.procs with the no-op
-// visits left out. The non-snooping prefetch buffer is the exception: any
-// remote bus operation drops a buffered copy, so in PrefetchToBuffer mode
-// every other processor is visited.
+// valid copy of la, and bufHolders those whose prefetch buffer holds it
+// (any remote bus operation drops a buffered copy). A snoop changes nothing
+// at any other processor, so iterating the set in ascending id order is the
+// full loop over s.procs with the no-op visits left out.
 func (s *simulator) snoopers(now uint64, requester int, la memory.Addr) uint64 {
 	if s.cfg.CheckInvariants {
 		s.checkSnoopFilter(now, la)
 	}
-	var mask uint64
-	if s.cfg.PrefetchTarget == PrefetchToBuffer {
-		mask = ^uint64(0) >> (64 - len(s.procs))
-	} else {
-		mask = s.tags.Holders(la)
-		if s.victimTags != nil {
-			mask |= s.victimTags.Holders(la)
-		}
+	mask := s.tags.Holders(la)
+	if s.victimTags != nil {
+		mask |= s.victimTags.Holders(la)
+	}
+	if s.bufHolders != nil {
+		mask |= s.bufHolders[la]
 	}
 	return mask &^ (1 << uint(requester))
 }
@@ -1113,15 +1133,15 @@ func (s *simulator) arriveBarrier(id memory.Addr, p *proc, now uint64) (blocked 
 	return true
 }
 
-// checkSnoopFilter cross-checks the duplicate tags against the caches they
-// copy: the holder sets read from the tag arrays must equal a full scan of
-// the data and victim caches holding a valid copy of la. Enabled by
-// Config.CheckInvariants; a difference fails the run with a
-// *check.Violation, since a snoop filter that misses a holder silently skips
-// a coherence action.
+// checkSnoopFilter cross-checks the snoop filter against what it copies:
+// the holder sets read from the tag arrays must equal a full scan of the
+// data and victim caches holding a valid copy of la, and bufHolders' set a
+// scan of every prefetch buffer. Enabled by Config.CheckInvariants; a
+// difference fails the run with a *check.Violation, since a snoop filter
+// that misses a holder silently skips a coherence action.
 func (s *simulator) checkSnoopFilter(now uint64, la memory.Addr) {
-	held := s.tags.Holders(la)
-	var victimHeld, scan, victimScan uint64
+	held, bufHeld := s.tags.Holders(la), s.bufHolders[la]
+	var victimHeld, scan, victimScan, bufScan uint64
 	if s.victimTags != nil {
 		victimHeld = s.victimTags.Holders(la)
 	}
@@ -1132,11 +1152,14 @@ func (s *simulator) checkSnoopFilter(now uint64, la memory.Addr) {
 		if p.victim != nil && p.victim.HoldsValid(la) {
 			victimScan |= 1 << uint(p.id)
 		}
+		if p.bufferIndex(la) >= 0 {
+			bufScan |= 1 << uint(p.id)
+		}
 	}
-	if scan != held || victimScan != victimHeld {
+	if scan != held || victimScan != victimHeld || bufScan != bufHeld {
 		s.fail(&check.Violation{Cycle: now, Line: la, Rule: "snoop-filter", Detail: fmt.Sprintf(
-			"duplicate tags name caches %#x and victim caches %#x, a full scan finds %#x and %#x",
-			held, victimHeld, scan, victimScan)})
+			"duplicate tags name caches %#x, victim caches %#x and prefetch buffers %#x; a full scan finds %#x, %#x and %#x",
+			held, victimHeld, bufHeld, scan, victimScan, bufScan)})
 	}
 }
 
